@@ -17,19 +17,18 @@ from .grammar import (ADJUNCT, ARGUMENT, Category, DaughterSpec, Grammar,
 from .lrtable import LRTable, build_table
 from .glr import Forest, ForestNode, ParseError, TreeNode, glr_parse
 from .actions import (ActionModel, Derivation, UnderivableTreeError,
-                      derivation_logprob, load_model, replay_actions,
-                      save_model, train_actions, tree_actions, unpack_n_best)
+                      load_model, replay_actions, save_model, train_actions,
+                      tree_actions, unpack_n_best)
 from .treebank import (Tree, TreebankError, from_derivation_tree, load_treebank,
                        parse_tree, read_treebank, to_derivation_tree,
                        write_treebank)
 from .lexicon import (LexiconError, SubcatEntry, SubcatLexicon,
-                      collapse_classes, frame_logprob, load_class_map,
-                      load_lexicon, parse_lexicon, save_lexicon)
-from .preprocess import (Lemmatizer, Token, Wordlist, expand_tag_sequences,
-                         lemmatize, load_lemma_exceptions, load_wordlist,
-                         parse_wordlist, tag_tokens, tokenize)
-from .rerank import FrameInstance, RankedAnalysis, lexicalized_score, \
-    rank_analyses, verb_frames
+                      collapse_classes, load_class_map, load_lexicon,
+                      parse_lexicon, save_lexicon)
+from .preprocess import (Lemmatizer, Token, Wordlist, lemmatize,
+                         load_lemma_exceptions, load_wordlist, parse_wordlist,
+                         tag_tokens, tokenize)
+from .rerank import FrameInstance, RankedAnalysis, rank_analyses, verb_frames
 from .acquire import ObservationStore, hypothesize_entries, observe_corpus
 from .grs import (GR, GRError, RELATION_PARENTS, RELATION_SLOTS, gr_match,
                   gr_scores, parse_gr, read_gr_file, relation_histogram,

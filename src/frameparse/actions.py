@@ -194,11 +194,6 @@ def train_actions(trees: Iterable[TreeNode], table: LRTable) -> ActionModel:
     return ActionModel.from_traces(traces, table)
 
 
-def derivation_logprob(derivation: Derivation, model: ActionModel) -> float:
-    """Sum of log action probabilities along the derivation's trace."""
-    return model.trace_logprob(derivation.actions)
-
-
 def unpack_n_best(forest: Forest, model: ActionModel,
                   n: int) -> list[tuple[Derivation, float]]:
     """The ``min(n, total)`` most probable derivations, descending, with

@@ -106,6 +106,13 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
 def _nonneg_float(text: str) -> float:
     value = float(text)
     if value < 0:
@@ -226,21 +233,28 @@ def cmd_acquire(args) -> int:
     return 0
 
 
-def _top_trees_and_grs(pipeline, sentences, lexicalized):
-    trees, gr_sets = [], []
+def _top_trees_and_grs(pipeline, sentences, modes):
+    """Per ``lexicalized`` value in ``modes``, the top tree (None out of
+    coverage) and GR set of every sentence; each sentence is parsed once
+    and its forest ranked once per mode."""
+    out = [([], []) for _ in modes]
     for index, sentence in enumerate(sentences):
-        result = pipeline.analyze(sentence, n=1, lexicalized=lexicalized)
-        if not result.analyses:
-            trees.append(None)
-            gr_sets.append(set())
+        tokens = pipeline.tag(sentence)
+        forest = pipeline.parse_tags([token.tag for token in tokens])
+        if forest.is_empty:
             print(f"warning: out of coverage: sentence {index}", file=sys.stderr)
-            continue
-        top = result.analyses[0]
-        trees.append(from_derivation_tree(top.derivation.tree,
-                                          [t.surface for t in result.tokens]))
-        gr_sets.append(extract_grs(top.derivation, pipeline.grammar,
-                                   result.tokens))
-    return trees, gr_sets
+        for (trees, gr_sets), lexicalized in zip(out, modes):
+            analyses = pipeline.rank(forest, tokens, 1, lexicalized)
+            if not analyses:
+                trees.append(None)
+                gr_sets.append(set())
+                continue
+            top = analyses[0]
+            trees.append(from_derivation_tree(top.derivation.tree,
+                                              [t.surface for t in tokens]))
+            gr_sets.append(extract_grs(top.derivation, pipeline.grammar,
+                                       tokens))
+    return out
 
 
 def _bracket_per_sentence(test_trees, gold_trees):
@@ -266,8 +280,7 @@ def cmd_eval_bracket(args) -> int:
         raise CliError(
             f"gold treebank has {len(gold_trees)} trees for "
             f"{len(sentences)} sentences", code=1)
-    test_trees, _ = _top_trees_and_grs(pipeline, sentences,
-                                       lexicalized=None if args.lexicon else False)
+    [(test_trees, _)] = _top_trees_and_grs(pipeline, sentences, (None,))
     report = aggregate_brackets(_bracket_per_sentence(test_trees, gold_trees))
     _emit_report(report.fields(), args)
     return 0
@@ -280,8 +293,7 @@ def cmd_eval_gr(args) -> int:
     if len(gold_sets) != len(sentences):
         raise CliError(f"gold GR file has {len(gold_sets)} blocks for "
                        f"{len(sentences)} sentences", code=1)
-    _, test_sets = _top_trees_and_grs(pipeline, sentences,
-                                      lexicalized=None if args.lexicon else False)
+    [(_, test_sets)] = _top_trees_and_grs(pipeline, sentences, (None,))
     report = aggregate_grs(list(zip(test_sets, gold_sets)))
     fields = report.fields()
     payload = dict(fields)
@@ -333,10 +345,8 @@ def cmd_compare(args) -> int:
                 f"gold treebank has {len(gold_trees)} trees for "
                 f"{len(sentences)} sentences", code=1)
 
-    base_trees, base_sets = _top_trees_and_grs(pipeline, sentences,
-                                               lexicalized=False)
-    lex_trees, lex_sets = _top_trees_and_grs(pipeline, sentences,
-                                             lexicalized=True)
+    (base_trees, base_sets), (lex_trees, lex_sets) = _top_trees_and_grs(
+        pipeline, sentences, (False, True))
     base_report = aggregate_grs(list(zip(base_sets, gold_sets)))
     lex_report = aggregate_grs(list(zip(lex_sets, gold_sets)))
     recall_test = paired_t_test(lex_report.per_sentence_recall,
@@ -430,7 +440,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("sentences", nargs="*", help="sentences to parse")
     p.add_argument("--corpus", help="file of sentences, one per line")
     p.add_argument("--lexicon", help="frame lexicon (enables lexicalized mode)")
-    p.add_argument("--n", type=_nonneg_int, default=1,
+    p.add_argument("--n", type=_positive_int, default=1,
                    help="analyses per sentence")
     p.set_defaults(func=cmd_parse)
 

@@ -6,6 +6,8 @@ number of test spans that cross a gold span (overlap with neither
 containing the other), and the percentage of sentences with zero
 crossings.  Grammatical-relation scoring compares per-sentence relation
 sets under one-level subsumption matching (see :mod:`frameparse.grs`).
+Two systems' per-sentence scores are compared with a paired t-test,
+whose Student-t tail is computed here from the incomplete beta.
 
 Spans of length one are not scored, and brackets introduced by Kleene
 helper non-terminals (labels under the ``@`` prefix) are excluded, so
@@ -21,8 +23,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
-
-from scipy.stats import t as _student_t
 
 from .actions import Derivation
 from .glr import TreeNode
@@ -265,5 +265,47 @@ def paired_t_test(scores_a: Sequence[float],
             return TTestResult(0.0, df, 1.0)
         return TTestResult(math.copysign(math.inf, mean), df, 0.0)
     t_stat = mean / math.sqrt(variance / n)
-    p = 2.0 * float(_student_t.sf(abs(t_stat), df))
-    return TTestResult(t_stat, df, min(p, 1.0))
+    return TTestResult(t_stat, df, min(_t_two_sided(t_stat, df), 1.0))
+
+
+def _t_two_sided(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with ``df`` degrees of freedom.
+
+    This is the regularised incomplete beta I_x(df/2, 1/2) at
+    x = df/(df+t^2), evaluated by its continued fraction on the side of
+    I_x(a, b) = 1 - I_{1-x}(b, a) where the fraction converges fast.
+    1 - x is formed as t^2/(df+t^2), never by subtraction, so neither a
+    tiny t nor a far tail loses precision.
+    """
+    q = t * t
+    if q == 0.0:
+        return 1.0
+    a, b = df / 2.0, 0.5
+    x, y = df / (df + q), q / (df + q)
+    log_front = (-a * math.log1p(q / df) + b * math.log(y)
+                 + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_front) * _beta_fraction(a, b, x) / a
+    return 1.0 - math.exp(log_front) * _beta_fraction(b, a, y) / b
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b) by the modified Lentz method
+    (Numerical Recipes' betacf).  With one parameter 1/2 and x on the
+    convergent side it settles within a few dozen terms."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 1000):
+        for numerator in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                          -(a + m) * (a + b + m) * x
+                          / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > tiny else tiny
+            h *= c * d
+        if abs(c * d - 1.0) < 1e-16:
+            break
+    return h

@@ -97,10 +97,6 @@ class SubcatLexicon:
         return math.log((count + 1.0) / (total + k))
 
 
-def frame_logprob(lexicon: SubcatLexicon, lemma: str, frame: str) -> float:
-    return lexicon.frame_logprob(lemma, frame)
-
-
 def _format_count(count: float) -> str:
     if float(count).is_integer():
         return str(int(count))

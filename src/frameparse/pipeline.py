@@ -78,22 +78,29 @@ class ParserPipeline:
 
     def analyze(self, sentence: str, n: Optional[int] = 1,
                 lexicalized: Optional[bool] = None) -> SentenceResult:
-        """Tokenize, tag, parse, and rank one sentence.
+        """Tokenize, tag, parse, and rank one sentence (see :meth:`rank`)."""
+        tokens = self.tag(sentence)
+        forest = self.parse_tags([token.tag for token in tokens])
+        return SentenceResult(sentence, tokens,
+                              self.rank(forest, tokens, n, lexicalized))
+
+    def rank(self, forest: Forest, tokens: Sequence[Token],
+             n: Optional[int] = 1,
+             lexicalized: Optional[bool] = None) -> list[RankedAnalysis]:
+        """The ``n`` best analyses of a parsed sentence, or all of them
+        for ``n=None``; empty iff the forest is.
 
         ``lexicalized`` defaults to whether a lexicon is attached; pass
         False to force baseline (structural) ranking.
         """
-        tokens = self.tag(sentence)
-        forest = self.parse_tags([token.tag for token in tokens])
+        if n is not None and n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
+        if forest.is_empty:
+            return []
         use_lexicon = self.lexicon is not None if lexicalized is None \
             else (lexicalized and self.lexicon is not None)
-        if forest.is_empty:
-            return SentenceResult(sentence, tokens, [])
         if use_lexicon:
-            analyses = rank_analyses(forest, self.model, self.lexicon,
-                                     self.grammar, tokens, n)
-        else:
-            analyses = [RankedAnalysis(derivation, logprob, 0.0)
-                        for derivation, logprob
-                        in unpack_n_best(forest, self.model, n)]
-        return SentenceResult(sentence, tokens, analyses)
+            return rank_analyses(forest, self.model, self.lexicon,
+                                 self.grammar, tokens, n)
+        return [RankedAnalysis(derivation, logprob, 0.0)
+                for derivation, logprob in unpack_n_best(forest, self.model, n)]

@@ -11,7 +11,6 @@ Everything here is pure and safe to use concurrently.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -100,24 +99,25 @@ def _undouble(stem: str) -> str:
     return stem
 
 
-def _apply_suffix_rules(word: str) -> tuple[str, Optional[str]]:
-    """One pass of the ordered suffix rules; returns (result, rule name)."""
+def _apply_suffix_rules(word: str) -> str:
+    """One pass of the ordered suffix rules; ``word`` itself when none
+    applies."""
     if word.endswith("ies") and len(word) >= 5:
-        return word[:-3] + "y", "ies->y"
+        return word[:-3] + "y"
     for suffix in ("ches", "shes", "xes", "ses", "zes", "oes"):
         if word.endswith(suffix) and len(word) - 2 >= 2:
-            return word[:-2], "es->"
+            return word[:-2]
     if word.endswith("s") and not word.endswith("ss") and len(word) - 1 >= 3:
-        return word[:-1], "s->"
+        return word[:-1]
     if word.endswith("eed"):
-        return word[:-1], "eed->ee"
+        return word[:-1]
     if word.endswith("ied") and len(word) >= 5:
-        return word[:-3] + "y", "ied->y"
+        return word[:-3] + "y"
     if word.endswith("ed") and len(word) - 2 >= 3:
-        return _undouble(word[:-2]), "ed->"
+        return _undouble(word[:-2])
     if word.endswith("ing") and len(word) - 3 >= 3:
-        return _undouble(word[:-3]), "ing->"
-    return word, None
+        return _undouble(word[:-3])
+    return word
 
 
 @dataclass(frozen=True)
@@ -142,28 +142,9 @@ class Lemmatizer:
             exception = self.exceptions.get((word, tag))
             if exception is not None:
                 return exception
-            stripped, rule = _apply_suffix_rules(word)
-            if rule is None or stripped == word:
+            stripped = _apply_suffix_rules(word)
+            if stripped == word:
                 return word
-            word = stripped
-
-    def trace(self, surface: str, tag: str) -> list[str]:
-        """The rule applications lemmatization would perform, for
-        diagnosing the interplay of rules and exceptions."""
-        steps: list[str] = []
-        if tag in self.proper_tags or not surface:
-            return steps
-        word = surface.lower()
-        if tag not in self.suffix_tags:
-            return steps
-        while True:
-            if (word, tag) in self.exceptions:
-                steps.append("exception")
-                return steps
-            stripped, rule = _apply_suffix_rules(word)
-            if rule is None or stripped == word:
-                return steps
-            steps.append(rule)
             word = stripped
 
 
@@ -193,27 +174,3 @@ def tag_tokens(words: Sequence[str], wordlist: Wordlist,
         tokens.append(Token(word, tag, lem.lemmatize(word, tag)))
     return tokens
 
-
-def expand_tag_sequences(words: Sequence[str], wordlist: Wordlist,
-                         lemmatizer: Optional[Lemmatizer] = None,
-                         limit: int = 16,
-                         proper_tag: str = "pn",
-                         common_tag: str = "n") -> list[list[Token]]:
-    """Ambiguous tagging: one sequence per combination of listed tags,
-    bounded by ``limit``; combinations beyond the bound are dropped in
-    enumeration order."""
-    lem = lemmatizer or _DEFAULT_LEMMATIZER
-    per_word: list[tuple[str, ...]] = []
-    for word in words:
-        listed = wordlist.lookup(word)
-        if listed:
-            per_word.append(listed)
-        elif word[:1].isupper():
-            per_word.append((proper_tag,))
-        else:
-            per_word.append((common_tag,))
-    sequences = []
-    for combo in itertools.islice(itertools.product(*per_word), limit):
-        sequences.append([Token(w, t, lem.lemmatize(w, t))
-                          for w, t in zip(words, combo)])
-    return sequences

@@ -63,15 +63,6 @@ def verb_frames(derivation: Derivation, grammar: Grammar,
     return instances
 
 
-def lexicalized_score(derivation: Derivation, model: ActionModel,
-                      lexicon: SubcatLexicon, grammar: Grammar,
-                      tokens: Sequence[Token]) -> RankedAnalysis:
-    structural = model.trace_logprob(derivation.actions)
-    lexical = sum(lexicon.frame_logprob(inst.lemma, inst.frame)
-                  for inst in verb_frames(derivation, grammar, tokens))
-    return RankedAnalysis(derivation, structural, lexical)
-
-
 def rank_analyses(forest: Forest, model: ActionModel,
                   lexicon: SubcatLexicon, grammar: Grammar,
                   tokens: Sequence[Token],

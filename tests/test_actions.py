@@ -3,8 +3,7 @@ import math
 import pytest
 
 import frameparse as fp
-from frameparse.actions import (derivation_logprob, replay_actions,
-                                trace_sort_key, tree_actions)
+from frameparse.actions import replay_actions, trace_sort_key
 from frameparse.grammar import END_MARKER
 
 MOD_TREEBANK = """
@@ -132,8 +131,6 @@ def test_derivation_logprob_matches_hand_product(demo_table, adversarial_model):
     for state, lookahead, action in derivation.actions:
         by_hand *= adversarial_model.prob(state, lookahead, action)
     assert logprob == pytest.approx(math.log(by_hand))
-    assert derivation_logprob(derivation, adversarial_model) == \
-        pytest.approx(logprob)
     assert logprob <= 0.0
 
 

@@ -86,6 +86,17 @@ def test_parse_baseline_and_lexicalized(model_file, lexicon_file, capsys):
     assert "dobj(see,dog,_)" in lexical_out
 
 
+def test_parse_rejects_zero_analyses_exit_2(model_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["parse", "--grammar", "@demo/demo.grammar",
+              "--wordlist", "@demo/demo.wordlist",
+              "--model", str(model_file), "--n", "0", "the child sees a dog"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n" in captured.err
+
+
 def test_parse_machine_readable(model_file, capsys):
     assert main(["parse", "--grammar", "@demo/demo.grammar",
                  "--wordlist", "@demo/demo.wordlist",

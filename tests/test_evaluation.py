@@ -1,5 +1,8 @@
 import math
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -304,6 +307,30 @@ class TestPairedTTest:
             assert result.df == df_expect
             assert result.p_two_sided == pytest.approx(p_expect, abs=1e-6)
 
+    # Score vectors whose t statistic is about 1e-8, 1, 1e6 and 1e10:
+    # (m+h, m-h) gives t = m/h with df = 1, (1+h, 1, 1-h) t = sqrt(3)/h
+    # with df = 2.  At t = 1e10 both p are below 1e-10, so a tail formed
+    # as 1 minus a number near 1 fails, and at t = 1e-8 so does 1 - x
+    # formed by subtraction.
+    @pytest.mark.parametrize("a", [
+        (1e-8 + 1.0, 1e-8 - 1.0), (2.0, 0.0),
+        (1.0 + 1e-6, 1.0 - 1e-6), (1.0 + 1e-10, 1.0 - 1e-10)])
+    def test_df_one_matches_closed_form(self, a):
+        result = fp.paired_t_test(a, [0.0, 0.0])
+        assert result.df == 1
+        t = abs(result.t)
+        assert result.p_two_sided == pytest.approx(
+            2.0 / math.pi * math.atan(1.0 / t), rel=1e-12)
+
+    @pytest.mark.parametrize("h", [1.7e8, 1.7, 1.7e-6, 1.7e-10])
+    def test_df_two_matches_closed_form(self, h):
+        result = fp.paired_t_test([1.0 + h, 1.0, 1.0 - h], [0.0] * 3)
+        assert result.df == 2
+        t = abs(result.t)
+        root = math.sqrt(2.0 + t * t)
+        assert result.p_two_sided == pytest.approx(
+            2.0 / (root * (root + t)), rel=1e-12)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(EvaluationError):
             fp.paired_t_test([1.0], [1.0, 2.0])
@@ -316,3 +343,14 @@ class TestPairedTTest:
 def test_gr_file_round_trip(suite_gold_grs):
     text = fp.render_gr_file(suite_gold_grs)
     assert fp.read_gr_file(text) == suite_gold_grs
+
+
+def test_import_loads_no_scipy_or_numpy():
+    # a fresh interpreter importing the same copy of the package under test
+    root = str(Path(fp.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, %r); import frameparse; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'numpy')))" % root)
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

@@ -78,7 +78,7 @@ class TestFrameLogprob:
     def test_unknown_lemma_uniform(self):
         lex = fp.parse_lexicon("v\tNP\t3\t0.75\nv\tNONE\t1\t0.25\n")
         assert lex.frame_logprob("zzz", "NP") == pytest.approx(math.log(1 / 29))
-        assert fp.frame_logprob(lex, "zzz", "SCOMP") == \
+        assert lex.frame_logprob("zzz", "SCOMP") == \
             pytest.approx(math.log(1 / 29))
 
     def test_out_of_inventory_frame_rejected(self):

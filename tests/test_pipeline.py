@@ -48,3 +48,9 @@ def test_n_limits_analyses(uniform_pipeline):
     sentence = "the meeting will hear a greeting from the senator"
     assert len(uniform_pipeline.analyze(sentence, n=2).analyses) == 2
     assert len(uniform_pipeline.analyze(sentence, n=None).analyses) == 4
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_n_below_one_rejected(uniform_pipeline, n):
+    with pytest.raises(ValueError, match="at least 1"):
+        uniform_pipeline.analyze("the child sees a dog", n=n)

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import frameparse as fp
-from frameparse.preprocess import Lemmatizer, WordlistError
+from frameparse.preprocess import WordlistError
 
 
 class TestTokenize:
@@ -47,19 +47,6 @@ class TestTagging:
             for token in fp.tag_tokens(fp.tokenize(line), demo_wordlist):
                 assert token.tag in demo_normalized.terminals
 
-    def test_ambiguous_expansion_count(self):
-        wl = fp.parse_wordlist("leave\tv,n\nthe\tdet\n")
-        sequences = fp.expand_tag_sequences(["the", "leave", "leave"], wl)
-        assert len(sequences) == 4  # 1 * 2 * 2 combinations
-        assert {tuple(t.tag for t in seq) for seq in sequences} == {
-            ("det", "v", "v"), ("det", "v", "n"),
-            ("det", "n", "v"), ("det", "n", "n")}
-
-    def test_ambiguous_expansion_bounded(self):
-        wl = fp.parse_wordlist("x\ta,b\n")
-        sequences = fp.expand_tag_sequences(["x"] * 6, wl, limit=10)
-        assert len(sequences) == 10
-
     def test_single_best_takes_first_listed(self):
         wl = fp.parse_wordlist("leave\tv,n\n")
         assert fp.tag_tokens(["leave"], wl)[0].tag == "v"
@@ -100,8 +87,6 @@ class TestLemmatize:
         # without the exception the noun rule would strip -ing
         assert fp.lemmatize("greeting", "n") == "greet"
         assert demo_lemmatizer.lemmatize("greeting", "n") == "greeting"
-        assert demo_lemmatizer.trace("greeting", "n") == ["exception"]
-        assert Lemmatizer().trace("greeting", "n") == ["ing->"]
 
     def test_exception_applies_after_suffix_rule(self, demo_lemmatizer):
         # greetings -> greeting (s rule), then the exception stops -ing

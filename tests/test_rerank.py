@@ -42,45 +42,43 @@ class TestVerbFrames:
         assert (("hear", "NP"),) in by_frames
 
 
+def _rank_all(pipeline, sentence, lexicon):
+    tokens = pipeline.tag(sentence)
+    forest = pipeline.parse_tags([t.tag for t in tokens])
+    return tokens, fp.rank_analyses(forest, pipeline.model, lexicon,
+                                    pipeline.grammar, tokens, None)
+
+
 class TestLexicalizedScore:
-    def test_no_verbs_means_structural_only(self, demo_table):
-        grammar = demo_table.grammar
+    def test_no_verbs_means_structural_only(self):
+        table = fp.build_table(fp.parse_grammar(
+            "terminals: det n\nstart: NP\nNP -> det n(head)\n"))
         lexicon = fp.parse_lexicon("hear\tNP\t1\t1.0\n")
-        forest = fp.glr_parse(["det", "n", "v"], demo_table)
-        tree = forest.all_trees()[0].children[0]  # NP only
-        derivation = fp.Derivation(tree, ())
+        forest = fp.glr_parse(["det", "n"], table)
         tokens = [fp.Token("the", "det", "the"), fp.Token("dog", "n", "dog")]
-        model = fp.ActionModel(demo_table)
-        scored = fp.lexicalized_score(derivation, model, lexicon, grammar, tokens)
+        [scored] = fp.rank_analyses(forest, fp.ActionModel(table), lexicon,
+                                    table.grammar, tokens)
         assert scored.lexical_logprob == 0.0
         assert scored.total_score == scored.structural_logprob
 
     def test_uniform_lexicon_constant_shift(self, uniform_pipeline):
         empty = fp.SubcatLexicon([])
-        result = uniform_pipeline.analyze(HEAR, n=None)
+        tokens, ranked = _rank_all(uniform_pipeline, HEAR, empty)
         k = len(empty.inventory)
-        for analysis in result.analyses:
-            scored = fp.lexicalized_score(analysis.derivation,
-                                          uniform_pipeline.model, empty,
-                                          uniform_pipeline.grammar,
-                                          result.tokens)
-            n_verbs = len(fp.verb_frames(analysis.derivation,
-                                         uniform_pipeline.grammar,
-                                         result.tokens))
+        assert len(ranked) == 4
+        for scored in ranked:
+            n_verbs = len(fp.verb_frames(scored.derivation,
+                                         uniform_pipeline.grammar, tokens))
             assert n_verbs == 1
             assert scored.lexical_logprob == pytest.approx(-math.log(k))
 
     def test_structurally_tied_pair_decided_by_lexicon(self, uniform_pipeline):
         lexicon = fp.parse_lexicon("hear\tNP\t7\t0.875\nhear\tNP_PP\t1\t0.125\n")
-        result = uniform_pipeline.analyze(HEAR, n=None)
-        scored = [fp.lexicalized_score(a.derivation, uniform_pipeline.model,
-                                       lexicon, uniform_pipeline.grammar,
-                                       result.tokens)
-                  for a in result.analyses]
+        tokens, scored = _rank_all(uniform_pipeline, HEAR, lexicon)
         tied = {}
         for analysis in scored:
             frames = fp.verb_frames(analysis.derivation,
-                                    uniform_pipeline.grammar, result.tokens)
+                                    uniform_pipeline.grammar, tokens)
             tied[frames[0].frame] = analysis
         np_reading = tied["NP"]
         pp_reading = tied["NP_PP"]
@@ -101,14 +99,12 @@ class TestLexicalizedScore:
             pytest.approx(0.7)
         assert math.exp(lexicon.frame_logprob("hear", "NP_PP")) == \
             pytest.approx(0.1)
-        result = uniform_pipeline.analyze(HEAR, n=None)
+        tokens, ranked = _rank_all(uniform_pipeline, HEAR, lexicon)
         scored = {}
-        for analysis in result.analyses:
+        for analysis in ranked:
             frames = fp.verb_frames(analysis.derivation,
-                                    uniform_pipeline.grammar, result.tokens)
-            scored[frames[0].frame] = fp.lexicalized_score(
-                analysis.derivation, uniform_pipeline.model, lexicon,
-                uniform_pipeline.grammar, result.tokens)
+                                    uniform_pipeline.grammar, tokens)
+            scored[frames[0].frame] = analysis
         assert scored["NP"].structural_logprob == \
             pytest.approx(scored["NP_PP"].structural_logprob)
         assert scored["NP"].total_score - scored["NP_PP"].total_score == \
