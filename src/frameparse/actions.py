@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 from .grammar import END_MARKER
 from .glr import Forest, TreeNode
 from .lrtable import LRTable, action_sort_key, parse_action, render_action
+from .preprocess import _read_table
 
 
 class UnderivableTreeError(ValueError):
@@ -232,35 +233,29 @@ def load_model(path, table: LRTable) -> ActionModel:
     """Load a persisted model and bind it to ``table``.
 
     Stored probabilities are recomputed from the counts and must agree
-    within 1e-6; states, lookaheads and actions must exist in the table.
+    within 1e-6; every action must be available in the table.
     """
     counts: dict[tuple[int, str], Counter] = {}
-    stored: list[tuple[int, str, tuple, float]] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise ValueError(f"line {lineno}: expected 5 tab-separated fields")
-        state = int(fields[0])
-        lookahead = fields[1]
+
+    def row(fields):
+        state, lookahead = int(fields[0]), fields[1]
         action = parse_action(fields[2])
         count = int(fields[3])
         if count < 0:
-            raise ValueError(f"line {lineno}: negative count")
-        if state >= table.n_states:
+            raise ValueError("negative count")
+        if action not in table.actions.get((state, lookahead), ()):
             raise ValueError(
-                f"line {lineno}: model/table mismatch: state {state} out of range")
-        if count:
-            counts.setdefault((state, lookahead), Counter())[action] += count
-        stored.append((state, lookahead, action, float(fields[4])))
+                f"model/table mismatch: action {fields[2]} unavailable in "
+                f"state {state} on {lookahead!r}")
+        counts.setdefault((state, lookahead), Counter())[action] = count
+        return (state, lookahead, action), float(fields[4])
+    rows = _read_table(Path(path).read_text(encoding="utf-8"),
+                       ("state", "lookahead", "action", "count", "prob"), row)
     model = ActionModel(table, counts)
-    for state, lookahead, action, prob in stored:
+    for (state, lookahead, action), (lineno, prob) in rows.items():
         recomputed = model.prob(state, lookahead, action)
-        if abs(recomputed - prob) > 1e-6:
+        if not abs(recomputed - prob) <= 1e-6:
             raise ValueError(
-                f"stored probability {prob} for state {state} on {lookahead!r} "
-                f"disagrees with recomputed {recomputed:.10f}")
+                f"line {lineno}: stored probability {prob} disagrees with "
+                f"recomputed {recomputed:.10f}")
     return model

@@ -8,7 +8,7 @@ in input order.
 
 Exit status: 0 on success (warnings allowed), 1 on evaluation/runtime
 failures such as gold misalignment, 2 on configuration errors such as
-missing files.
+a missing or malformed input file.
 """
 
 from __future__ import annotations
@@ -25,16 +25,13 @@ from .demofiles import demo_path
 from .evaluation import (EvaluationError, aggregate_brackets, aggregate_grs,
                          bracket_scores, extract_brackets, extract_grs,
                          paired_t_test)
-from .glr import ParseError
-from .grammar import GrammarError, load_grammar, normalize_kleene
+from .grammar import load_grammar, normalize_kleene
 from .grs import read_gr_file
-from .lexicon import LexiconError, load_lexicon, save_lexicon
+from .lexicon import load_lexicon, save_lexicon
 from .lrtable import build_table, render_action
 from .pipeline import ParserPipeline
-from .preprocess import Lemmatizer, WordlistError, load_lemma_exceptions, \
-    load_wordlist
-from .treebank import (TreebankError, from_derivation_tree, load_treebank,
-                       to_derivation_tree)
+from .preprocess import Lemmatizer, load_lemma_exceptions, load_wordlist
+from .treebank import from_derivation_tree, load_treebank, to_derivation_tree
 
 
 class CliError(Exception):
@@ -45,18 +42,22 @@ class CliError(Exception):
 
 def _resolve(value: str) -> Path:
     if value.startswith("@demo/"):
-        try:
-            return demo_path(value[len("@demo/"):])
-        except FileNotFoundError as exc:
-            raise CliError(str(exc), code=2)
+        return demo_path(value[len("@demo/"):])
     return Path(value)
 
 
-def _existing(value: str) -> Path:
+def _load(loader, value: str | None, *args):
+    """``loader(path, *args)`` for an input file argument, None if it is
+    not given; a missing or malformed file exits 2 naming the path."""
+    if value is None:
+        return None
     path = _resolve(value)
     if not path.exists():
         raise CliError(f"file not found: {path}", code=2)
-    return path
+    try:
+        return loader(path, *args)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}", code=2) from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -76,27 +77,36 @@ def _fmt_stat(value: float) -> str:
     return "%.6g" % value
 
 
-def _load_pipeline(args, with_lexicon: bool = True) -> ParserPipeline:
-    grammar = load_grammar(_existing(args.grammar))
+def _load_pipeline(args) -> ParserPipeline:
+    grammar = _load(load_grammar, args.grammar)
     table = build_table(normalize_kleene(grammar))
-    if not getattr(args, "model", None):
+    if not args.model:
         raise CliError("--model is required for this command", code=2)
-    model = load_model(_existing(args.model), table)
-    wordlist = load_wordlist(_existing(args.wordlist)) if args.wordlist else None
-    lemmatizer = None
-    if getattr(args, "lemma_exceptions", None):
-        lemmatizer = Lemmatizer(load_lemma_exceptions(
-            _existing(args.lemma_exceptions)))
-    lexicon = None
-    if with_lexicon and getattr(args, "lexicon", None):
-        lexicon = load_lexicon(_existing(args.lexicon))
+    model = _load(load_model, args.model, table)
+    wordlist = _load(load_wordlist, args.wordlist)
+    exceptions = _load(load_lemma_exceptions, args.lemma_exceptions)
+    lexicon = _load(load_lexicon, getattr(args, "lexicon", None))
     return ParserPipeline(grammar, table=table, model=model, wordlist=wordlist,
-                          lemmatizer=lemmatizer, lexicon=lexicon)
+                          lemmatizer=Lemmatizer(exceptions or {}),
+                          lexicon=lexicon)
 
 
 def _read_sentences(path: Path) -> list[str]:
     lines = path.read_text(encoding="utf-8").splitlines()
     return [line.strip() for line in lines if line.strip()]
+
+
+def _read_grs(path: Path):
+    return read_gr_file(path.read_text(encoding="utf-8"))
+
+
+def _load_gold(loader, value: str | None, sentences, source: str, unit: str):
+    """Gold annotations with one ``unit`` per sentence (exit 1 if not)."""
+    gold = _load(loader, value)
+    if gold is not None and len(gold) != len(sentences):
+        raise CliError(f"gold {source} has {len(gold)} {unit} for "
+                       f"{len(sentences)} sentences", code=1)
+    return gold
 
 
 def _nonneg_int(text: str) -> int:
@@ -121,7 +131,7 @@ def _nonneg_float(text: str) -> float:
 
 
 def cmd_build_table(args) -> int:
-    grammar = normalize_kleene(load_grammar(_existing(args.grammar)))
+    grammar = normalize_kleene(_load(load_grammar, args.grammar))
     table = build_table(grammar)
     conflicts = table.conflicts()
     lines = [
@@ -137,9 +147,9 @@ def cmd_build_table(args) -> int:
 
 
 def cmd_train(args) -> int:
-    grammar = normalize_kleene(load_grammar(_existing(args.grammar)))
+    grammar = normalize_kleene(_load(load_grammar, args.grammar))
     table = build_table(grammar)
-    trees = load_treebank(_existing(args.treebank))
+    trees = _load(load_treebank, args.treebank)
     traces = []
     skipped = []
     for index, tree in enumerate(trees):
@@ -183,7 +193,7 @@ def cmd_parse(args) -> int:
         raise CliError("give sentences as arguments or --corpus, not both",
                        code=2)
     pipeline = _load_pipeline(args)
-    sentences = args.sentences or _read_sentences(_existing(args.corpus))
+    sentences = args.sentences or _load(_read_sentences, args.corpus)
     payload = []
     text_lines = []
     for sentence in sentences:
@@ -217,8 +227,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_acquire(args) -> int:
-    pipeline = _load_pipeline(args, with_lexicon=False)
-    sentences = _read_sentences(_existing(args.corpus))
+    pipeline = _load_pipeline(args)
+    sentences = _load(_read_sentences, args.corpus)
     store = observe_corpus(sentences, pipeline, cap=args.cap)
     lexicon = hypothesize_entries(store, min_count=args.min_count,
                                   min_relfreq=args.min_relfreq)
@@ -274,12 +284,9 @@ def _bracket_per_sentence(test_trees, gold_trees):
 
 def cmd_eval_bracket(args) -> int:
     pipeline = _load_pipeline(args)
-    sentences = _read_sentences(_existing(args.corpus))
-    gold_trees = load_treebank(_existing(args.treebank))
-    if len(gold_trees) != len(sentences):
-        raise CliError(
-            f"gold treebank has {len(gold_trees)} trees for "
-            f"{len(sentences)} sentences", code=1)
+    sentences = _load(_read_sentences, args.corpus)
+    gold_trees = _load_gold(load_treebank, args.treebank, sentences,
+                            "treebank", "trees")
     [(test_trees, _)] = _top_trees_and_grs(pipeline, sentences, (None,))
     report = aggregate_brackets(_bracket_per_sentence(test_trees, gold_trees))
     _emit_report(report.fields(), args)
@@ -288,11 +295,9 @@ def cmd_eval_bracket(args) -> int:
 
 def cmd_eval_gr(args) -> int:
     pipeline = _load_pipeline(args)
-    sentences = _read_sentences(_existing(args.corpus))
-    gold_sets = read_gr_file(_existing(args.gold_gr).read_text(encoding="utf-8"))
-    if len(gold_sets) != len(sentences):
-        raise CliError(f"gold GR file has {len(gold_sets)} blocks for "
-                       f"{len(sentences)} sentences", code=1)
+    sentences = _load(_read_sentences, args.corpus)
+    gold_sets = _load_gold(_read_grs, args.gold_gr, sentences,
+                           "GR file", "blocks")
     [(_, test_sets)] = _top_trees_and_grs(pipeline, sentences, (None,))
     report = aggregate_grs(list(zip(test_sets, gold_sets)))
     fields = report.fields()
@@ -332,18 +337,11 @@ def cmd_compare(args) -> int:
     if not args.lexicon:
         raise CliError("--lexicon is required for compare", code=2)
     pipeline = _load_pipeline(args)
-    sentences = _read_sentences(_existing(args.corpus))
-    gold_sets = read_gr_file(_existing(args.gold_gr).read_text(encoding="utf-8"))
-    if len(gold_sets) != len(sentences):
-        raise CliError(f"gold GR file has {len(gold_sets)} blocks for "
-                       f"{len(sentences)} sentences", code=1)
-    gold_trees = None
-    if args.treebank:
-        gold_trees = load_treebank(_existing(args.treebank))
-        if len(gold_trees) != len(sentences):
-            raise CliError(
-                f"gold treebank has {len(gold_trees)} trees for "
-                f"{len(sentences)} sentences", code=1)
+    sentences = _load(_read_sentences, args.corpus)
+    gold_sets = _load_gold(_read_grs, args.gold_gr, sentences,
+                           "GR file", "blocks")
+    gold_trees = _load_gold(load_treebank, args.treebank, sentences,
+                            "treebank", "trees")
 
     (base_trees, base_sets), (lex_trees, lex_sets) = _top_trees_and_grs(
         pipeline, sentences, (False, True))
@@ -488,9 +486,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (GrammarError, TreebankError, LexiconError, WordlistError,
-            ParseError, EvaluationError, UnderivableTreeError,
-            ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -139,7 +139,7 @@ def read_gr_file(text: str) -> list[set[GR]]:
     sets: list[set[GR]] = []
     current: set[GR] = set()
     seen_any = False
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             if seen_any:
@@ -147,7 +147,10 @@ def read_gr_file(text: str) -> list[set[GR]]:
                 current = set()
                 seen_any = False
             continue
-        current.add(parse_gr(line))
+        try:
+            current.add(parse_gr(line))
+        except GRError as exc:
+            raise GRError(f"line {lineno}: {exc}") from exc
         seen_any = True
     if seen_any:
         sets.append(current)

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .frames import DEFAULT_FRAME_INVENTORY
+from .preprocess import _read_table
 
 
 class LexiconError(ValueError):
@@ -110,32 +111,27 @@ def parse_lexicon(text: str,
     Relative frequencies are recomputed from the counts and must agree
     with the stored values within 1e-6.
     """
-    rows: list[tuple[int, str, str, float, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise LexiconError(
-                f"line {lineno}: expected lemma, frame, count, relfreq")
-        lemma, frame = fields[0], fields[1]
-        try:
-            count = float(fields[2])
-            relfreq = float(fields[3])
-        except ValueError as exc:
-            raise LexiconError(f"line {lineno}: {exc}") from exc
-        rows.append((lineno, lemma, frame, count, relfreq))
     totals: dict[str, float] = {}
-    for _, lemma, _, count, _ in rows:
+
+    def row(fields):
+        lemma, frame = fields[0], fields[1]
+        count, relfreq = float(fields[2]), float(fields[3])
+        if frame not in inventory:
+            raise ValueError(f"unknown frame {frame!r} for {lemma!r}")
+        if not 0 <= count < math.inf:
+            raise ValueError(f"count {fields[2]} for {lemma!r}/{frame} is "
+                             "negative or not finite")
         totals[lemma] = totals.get(lemma, 0.0) + count
+        return (lemma, frame), (count, relfreq)
+    rows = _read_table(text, ("lemma", "frame", "count", "relfreq"), row,
+                       LexiconError)
     entries = []
-    for lineno, lemma, frame, count, relfreq in rows:
+    for (lemma, frame), (lineno, (count, relfreq)) in rows.items():
         if totals[lemma] <= 0:
             raise LexiconError(
                 f"line {lineno}: lemma {lemma!r} has zero total count")
         recomputed = count / totals[lemma]
-        if abs(recomputed - relfreq) > 1e-6:
+        if not abs(recomputed - relfreq) <= 1e-6:
             raise LexiconError(
                 f"line {lineno}: stored relfreq {relfreq} disagrees with "
                 f"count-derived {recomputed:.6f}")
@@ -191,15 +187,6 @@ def collapse_classes(fine: Iterable[tuple[str, str, float]],
 
 def load_class_map(path) -> dict[str, str]:
     """Read a ``fine_id<TAB>FRAME`` mapping file."""
-    mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise LexiconError(f"line {lineno}: expected fine_id<TAB>FRAME")
-        if fields[0] in mapping:
-            raise LexiconError(f"line {lineno}: duplicate fine id {fields[0]!r}")
-        mapping[fields[0]] = fields[1]
-    return mapping
+    rows = _read_table(Path(path).read_text(encoding="utf-8"),
+                       ("fine_id", "FRAME"), tuple, LexiconError)
+    return {fine_id: frame for fine_id, (_, frame) in rows.items()}

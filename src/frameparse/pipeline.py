@@ -65,11 +65,15 @@ class ParserPipeline:
                     f"wordlist tag {tag!r} is not a grammar terminal")
 
     def tag(self, sentence_or_words) -> list[Token]:
+        # Unlisted punctuation would be tagged a noun by the unknown-word
+        # rule and put the sentence out of coverage, so it is dropped
+        # (``isalnum`` first: it settles most words without the scan).
         if isinstance(sentence_or_words, str):
             from .preprocess import tokenize
-            words = tokenize(sentence_or_words)
-        else:
-            words = list(sentence_or_words)
+            sentence_or_words = tokenize(sentence_or_words)
+        words = [word for word in sentence_or_words
+                 if word.isalnum() or any(c.isalnum() for c in word)
+                 or self.wordlist.lookup(word)]
         return tag_tokens(words, self.wordlist, self.lemmatizer,
                           self.proper_tag, self.common_tag)
 

@@ -54,24 +54,41 @@ class Wordlist:
         return {tag for tags in self.tags.values() for tag in tags}
 
 
-def parse_wordlist(text: str) -> Wordlist:
-    """Parse ``surface<TAB>tag[,tag...]`` lines."""
-    table: dict[str, tuple[str, ...]] = {}
+def _read_table(text: str, columns: Sequence[str], row,
+                error: type[ValueError] = ValueError) -> dict:
+    """``{key: (line number, value)}`` for a tab-separated table: ``#``
+    starts a comment, blank lines are skipped, and ``row(fields)`` maps a
+    row of ``len(columns)`` fields to ``(key, value)`` or raises
+    ValueError.  A bad row or a repeated key raises ``error("line N: ...")``.
+    """
+    table: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise WordlistError(f"line {lineno}: expected surface<TAB>tags")
+        try:
+            fields = line.split("\t")
+            if len(fields) != len(columns):
+                raise ValueError("expected " + "<TAB>".join(columns))
+            key, value = row(fields)
+            if key in table:
+                raise ValueError(f"duplicate of line {table[key][0]}")
+        except ValueError as exc:
+            raise error(f"line {lineno}: {exc}") from exc
+        table[key] = lineno, value
+    return table
+
+
+def parse_wordlist(text: str) -> Wordlist:
+    """Parse ``surface<TAB>tag[,tag...]`` lines."""
+    def row(fields):
         surface, tag_text = fields
         tags = tuple(t.strip() for t in tag_text.split(",") if t.strip())
         if not tags:
-            raise WordlistError(f"line {lineno}: no tags for {surface!r}")
-        if surface in table:
-            raise WordlistError(f"line {lineno}: duplicate entry {surface!r}")
-        table[surface] = tags
-    return Wordlist(table)
+            raise ValueError(f"no tags for {surface!r}")
+        return surface, tags
+    rows = _read_table(text, ("surface", "tags"), row, WordlistError)
+    return Wordlist({surface: tags for surface, (_, tags) in rows.items()})
 
 
 def load_wordlist(path) -> Wordlist:
@@ -81,16 +98,12 @@ def load_wordlist(path) -> Wordlist:
 def load_lemma_exceptions(path) -> dict[tuple[str, str], str]:
     """Read ``surface<TAB>tag<TAB>lemma`` lines, keyed on the lowercased
     surface form."""
-    table: dict[tuple[str, str], str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise WordlistError(f"line {lineno}: expected surface, tag, lemma")
-        table[(fields[0].lower(), fields[1])] = fields[2]
-    return table
+    rows = _read_table(Path(path).read_text(encoding="utf-8"),
+                       ("surface", "tag", "lemma"),
+                       lambda fields: ((fields[0].lower(), fields[1]),
+                                       fields[2]),
+                       WordlistError)
+    return {key: lemma for key, (_, lemma) in rows.items()}
 
 
 def _undouble(stem: str) -> str:

@@ -227,3 +227,21 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="disagrees"):
             fp.load_model(path, demo_table)
+
+    def test_comments_accepted(self, tmp_path, demo_table, adversarial_model):
+        path = tmp_path / "m.model"
+        fp.save_model(adversarial_model, path)
+        lines = path.read_text().splitlines()
+        lines[0] += "  # note"
+        path.write_text("# header\n" + "\n".join(lines) + "\n")
+        assert fp.load_model(path, demo_table).counts == \
+            adversarial_model.counts
+
+    def test_duplicate_row_rejected(self, tmp_path, demo_table,
+                                    adversarial_model):
+        path = tmp_path / "m.model"
+        fp.save_model(adversarial_model, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0]] + lines) + "\n")
+        with pytest.raises(ValueError, match="line 2: duplicate of line 1"):
+            fp.load_model(path, demo_table)

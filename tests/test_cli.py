@@ -215,6 +215,41 @@ def test_reports_byte_identical(tmp_path, model_file, lexicon_file):
     assert first.read_bytes() == second.read_bytes()
 
 
+MALFORMED = {
+    "--model": None,  # the trained model with its second row cut short
+    "--lexicon": "hear\tNP\t9\t0.9\nhear\tPP\tone\t0.1\n",
+    "--wordlist": "the\tdet\nchild\n",
+    "--lemma-exceptions": "meeting\tn\tmeeting\nMeeting\tn\tmeet\n",
+    "--gold-gr": "ncsubj(sleep,child,_)\nbogus(x\n",
+}
+
+
+@pytest.mark.parametrize("option", sorted(MALFORMED))
+def test_malformed_input_file_exit_2(tmp_path, model_file, lexicon_file,
+                                     option, capsys):
+    files = {"--model": str(model_file), "--lexicon": str(lexicon_file),
+             "--wordlist": "@demo/demo.wordlist",
+             "--lemma-exceptions": "@demo/demo.lemma_exceptions",
+             "--gold-gr": "@demo/ppsuite_gold.grs"}
+    bad = tmp_path / "bad.input"
+    text = MALFORMED[option]
+    if text is None:
+        lines = model_file.read_text().splitlines()
+        text = "\n".join([lines[0], lines[1].rsplit("\t", 1)[0]]) + "\n"
+    bad.write_text(text)
+    files[option] = str(bad)
+    argv = ["eval-gr", "--grammar", "@demo/demo.grammar",
+            "--corpus", "@demo/ppsuite.txt"]
+    for name, value in files.items():
+        argv += [name, value]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: line 2: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_unknown_demo_file_exit_2(capsys):
     code = main(["build-table", "--grammar", "@demo/absent.grammar"])
     assert code == 2

@@ -164,6 +164,10 @@ class TestGRMatch:
             with pytest.raises(GRError):
                 fp.parse_gr(text)
 
+    def test_gr_file_error_names_line(self):
+        with pytest.raises(GRError, match=r"^line 4: cannot parse relation"):
+            fp.read_gr_file("ncsubj(x,y,_)\n\n# gold\nbogus(x\n")
+
 
 class TestGRScores:
     def test_worked_example_two_of_three(self):

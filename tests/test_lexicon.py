@@ -33,6 +33,12 @@ def test_negative_count_rejected():
         fp.parse_lexicon("hear\tNP\t-3\t1.0\n")
 
 
+@pytest.mark.parametrize("count", ["nan", "inf"])
+def test_non_finite_count_rejected(count):
+    with pytest.raises(LexiconError, match="line 2: count"):
+        fp.parse_lexicon(f"hear\tNP\t1\t0.5\nhear\tPP\t{count}\t0.5\n")
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(LexiconError, match="duplicate"):
         fp.parse_lexicon("hear\tNP\t3\t0.5\nhear\tNP\t3\t0.5\n")

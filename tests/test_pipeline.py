@@ -32,6 +32,24 @@ def test_lexicalized_flag_forced_off(lexicalized_pipeline):
     assert lex.analyses[0].lexical_logprob < 0.0
 
 
+def test_unlisted_punctuation_dropped(adversarial_pipeline):
+    plain = adversarial_pipeline.analyze("the child sees a dog in the park")
+    comma = adversarial_pipeline.analyze("the child sees a dog, in the park")
+    assert comma.in_coverage
+    assert comma.tokens == plain.tokens
+
+    def top_grs(result):
+        top = result.analyses[0].derivation
+        return fp.extract_grs(top, adversarial_pipeline.grammar, result.tokens)
+    assert top_grs(comma) == top_grs(plain)
+
+
+def test_listed_punctuation_kept(demo_grammar):
+    pipe = fp.ParserPipeline(demo_grammar,
+                             wordlist=fp.parse_wordlist("the\tdet\n,\tdet\n"))
+    assert [t.surface for t in pipe.tag("the , the ;")] == ["the", ",", "the"]
+
+
 def test_wordlist_tag_outside_terminals_rejected(demo_grammar):
     wl = fp.parse_wordlist("weird\tzz\n")
     with pytest.raises(ValueError, match="zz"):

@@ -55,6 +55,13 @@ class TestTagging:
         with pytest.raises(WordlistError, match="duplicate"):
             fp.parse_wordlist("a\tdet\na\tn\n")
 
+    def test_lemma_exceptions_duplicate_after_lowercasing_rejected(
+            self, tmp_path):
+        path = tmp_path / "dup.lemma_exceptions"
+        path.write_text("sees\tv\tsee\nSees\tv\tseen\n")
+        with pytest.raises(WordlistError, match="line 2: duplicate of line 1"):
+            fp.load_lemma_exceptions(path)
+
 
 class TestLemmatize:
     @pytest.mark.parametrize("surface,tag,lemma", [

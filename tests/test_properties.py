@@ -3,11 +3,14 @@ input, not just the shipped data."""
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frameparse as fp
 from frameparse.grs import RELATION_SLOTS
+from frameparse.lexicon import LexiconError
+from frameparse.preprocess import WordlistError
 
 from oracles import random_grammar
 
@@ -78,3 +81,73 @@ def test_random_grammar_normalize_idempotent(seed):
     grammar = random_grammar(random.Random(seed))
     once = fp.normalize_kleene(grammar)
     assert fp.normalize_kleene(once) is once
+
+
+# The five tab-separated formats: (sample text, loader taking a path,
+# the loader's error type).  Each sample loads cleanly.
+CLASS_MAP = "pp_from\tPP\npp_about\tPP  # two fine classes\nnp_plain\tNP\n"
+
+
+@pytest.fixture(scope="module")
+def table_formats(tmp_path_factory, demo_table, adversarial_model):
+    model = tmp_path_factory.mktemp("formats") / "adv.model"
+    fp.save_model(adversarial_model, model)
+    return {
+        "wordlist": (fp.demo_path("demo.wordlist").read_text(),
+                     fp.load_wordlist, WordlistError),
+        "lemma_exceptions": (fp.demo_path("demo.lemma_exceptions").read_text(),
+                             fp.load_lemma_exceptions, WordlistError),
+        "lexicon": (fp.demo_path("demo.lexicon").read_text(),
+                    fp.load_lexicon, LexiconError),
+        "model": (model.read_text(),
+                  lambda path: fp.load_model(path, demo_table), ValueError),
+        "class_map": (CLASS_MAP, fp.load_class_map, LexiconError),
+    }
+
+
+stray = st.text(st.sampled_from("\t #.,-019xQé\n"), min_size=1, max_size=3) \
+    | st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+              max_size=3)
+
+
+@st.composite
+def corruptions(draw, text):
+    """``text`` with one line dropped a field, given a word for a field,
+    duplicated, cut off mid-line (ending the file), or given stray
+    characters."""
+    lines = text.splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    fields = lines[i].split("\t")
+    j = draw(st.integers(0, len(fields) - 1))
+    kind = draw(st.sampled_from(["drop", "word", "duplicate", "truncate",
+                                 "insert"]))
+    if kind == "drop":
+        del fields[j]
+        lines[i] = "\t".join(fields)
+    elif kind == "word":
+        fields[j] = draw(st.sampled_from(["abc", "x1", "NP_QQ"]))
+        lines[i] = "\t".join(fields)
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "truncate":
+        lines[i:] = [lines[i][:draw(st.integers(0, len(lines[i])))]]
+    else:
+        at = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + draw(stray) + lines[i][at:]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name", ["wordlist", "lemma_exceptions", "lexicon",
+                                  "model", "class_map"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_corrupted_table_loads_or_names_line(table_formats, tmp_path_factory,
+                                             name, data):
+    text, load, error = table_formats[name]
+    path = tmp_path_factory.getbasetemp() / f"corrupted.{name}"
+    path.write_text(data.draw(corruptions(text)), encoding="utf-8")
+    try:
+        load(path)
+    except error as exc:
+        assert type(exc) is error
+        assert "line " in str(exc)
