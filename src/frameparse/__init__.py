@@ -25,9 +25,8 @@ from .treebank import (Tree, TreebankError, from_derivation_tree, load_treebank,
 from .lexicon import (LexiconError, SubcatEntry, SubcatLexicon,
                       collapse_classes, load_class_map, load_lexicon,
                       parse_lexicon, save_lexicon)
-from .preprocess import (Lemmatizer, Token, Wordlist, lemmatize,
-                         load_lemma_exceptions, load_wordlist, parse_wordlist,
-                         tag_tokens, tokenize)
+from .preprocess import (Lemmatizer, Token, Wordlist, load_lemma_exceptions,
+                         load_wordlist, parse_wordlist, tag_tokens, tokenize)
 from .rerank import FrameInstance, RankedAnalysis, rank_analyses, verb_frames
 from .acquire import ObservationStore, hypothesize_entries, observe_corpus
 from .grs import (GR, GRError, RELATION_PARENTS, RELATION_SLOTS, gr_match,

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Commands: ``build-table``, ``train``, ``parse``, ``acquire``,
-``eval-bracket``, ``eval-gr``, ``compare``.  Any path argument accepts
-``@demo/<name>`` as shorthand for a shipped demo file.  Reports are
-byte-identical for identical inputs; sentences are processed and printed
-in input order.
+``eval-bracket``, ``eval-gr``, ``compare``.  Any input file argument
+accepts ``@demo/<name>`` as shorthand for a shipped demo file; output
+paths are taken as given.  Reports are byte-identical for identical
+inputs; sentences are processed and printed in input order.
 
 Exit status: 0 on success (warnings allowed), 1 on evaluation/runtime
 failures such as gold misalignment, 2 on configuration errors such as
@@ -62,7 +62,7 @@ def _load(loader, value: str | None, *args):
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        _resolve(out).write_text(text, encoding="utf-8")
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -80,8 +80,6 @@ def _fmt_stat(value: float) -> str:
 def _load_pipeline(args) -> ParserPipeline:
     grammar = _load(load_grammar, args.grammar)
     table = build_table(normalize_kleene(grammar))
-    if not args.model:
-        raise CliError("--model is required for this command", code=2)
     model = _load(load_model, args.model, table)
     wordlist = _load(load_wordlist, args.wordlist)
     exceptions = _load(load_lemma_exceptions, args.lemma_exceptions)
@@ -160,13 +158,11 @@ def cmd_train(args) -> int:
     for index, reason in skipped:
         print(f"warning: skipping underivable tree {index}: {reason}",
               file=sys.stderr)
-    model = ActionModel.from_traces(traces, table)
-    if not args.model:
-        raise CliError("--model is required to store the trained model", code=2)
-    save_model(model, _resolve(args.model))
+    path = Path(args.model)
+    save_model(ActionModel.from_traces(traces, table), path)
     print("trained\t%d" % len(traces))
     print("skipped\t%d" % len(skipped))
-    print("model\t%s" % _resolve(args.model))
+    print("model\t%s" % path)
     return 0
 
 
@@ -232,9 +228,7 @@ def cmd_acquire(args) -> int:
     store = observe_corpus(sentences, pipeline, cap=args.cap)
     lexicon = hypothesize_entries(store, min_count=args.min_count,
                                   min_relfreq=args.min_relfreq)
-    if not args.out:
-        raise CliError("--out is required to store the acquired lexicon", code=2)
-    save_lexicon(lexicon, _resolve(args.out))
+    save_lexicon(lexicon, Path(args.out))
     print("sentences\t%d" % len(sentences))
     print("parsed\t%d" % store.parsed_sentences)
     print("skipped\t%d" % store.skipped_sentences)
@@ -287,7 +281,7 @@ def cmd_eval_bracket(args) -> int:
     sentences = _load(_read_sentences, args.corpus)
     gold_trees = _load_gold(load_treebank, args.treebank, sentences,
                             "treebank", "trees")
-    [(test_trees, _)] = _top_trees_and_grs(pipeline, sentences, (None,))
+    [(test_trees, _)] = _top_trees_and_grs(pipeline, sentences, (True,))
     report = aggregate_brackets(_bracket_per_sentence(test_trees, gold_trees))
     _emit_report(report.fields(), args)
     return 0
@@ -298,7 +292,7 @@ def cmd_eval_gr(args) -> int:
     sentences = _load(_read_sentences, args.corpus)
     gold_sets = _load_gold(_read_grs, args.gold_gr, sentences,
                            "GR file", "blocks")
-    [(_, test_sets)] = _top_trees_and_grs(pipeline, sentences, (None,))
+    [(_, test_sets)] = _top_trees_and_grs(pipeline, sentences, (True,))
     report = aggregate_grs(list(zip(test_sets, gold_sets)))
     fields = report.fields()
     payload = dict(fields)
@@ -334,8 +328,6 @@ def _emit_report(fields: dict, args) -> None:
 
 
 def cmd_compare(args) -> int:
-    if not args.lexicon:
-        raise CliError("--lexicon is required for compare", code=2)
     pipeline = _load_pipeline(args)
     sentences = _load(_read_sentences, args.corpus)
     gold_sets = _load_gold(_read_grs, args.gold_gr, sentences,
@@ -412,29 +404,32 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="GLR parsing with verb-frame reranking and evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, model=True, wordlist=True):
+    def add_pipeline(p):  # the files _load_pipeline reads
         p.add_argument("--grammar", required=True, help="grammar file")
-        if model:
-            p.add_argument("--model", help="action model file")
-        if wordlist:
-            p.add_argument("--wordlist", help="surface-to-tag wordlist")
-            p.add_argument("--lemma-exceptions", dest="lemma_exceptions",
-                           help="lemma exception table")
+        p.add_argument("--model", required=True, help="action model file")
+        p.add_argument("--wordlist", help="surface-to-tag wordlist")
+        p.add_argument("--lemma-exceptions", dest="lemma_exceptions",
+                       help="lemma exception table")
+
+    def add_report(p):
+        add_pipeline(p)
         p.add_argument("--format", choices=["text", "machine-readable"],
                        default="text")
-        p.add_argument("--out", help="write output here instead of stdout")
+        p.add_argument("--out", help="write the report here instead of stdout")
 
     p = sub.add_parser("build-table", help="build the LALR table and list conflicts")
-    add_common(p, model=False, wordlist=False)
+    p.add_argument("--grammar", required=True, help="grammar file")
+    p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_build_table)
 
     p = sub.add_parser("train", help="train an action model from a treebank")
-    add_common(p, wordlist=False)
+    p.add_argument("--grammar", required=True, help="grammar file")
     p.add_argument("--treebank", required=True, help="gold training trees")
+    p.add_argument("--model", required=True, help="write the model here")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("parse", help="parse sentences and print ranked analyses")
-    add_common(p)
+    add_report(p)
     p.add_argument("sentences", nargs="*", help="sentences to parse")
     p.add_argument("--corpus", help="file of sentences, one per line")
     p.add_argument("--lexicon", help="frame lexicon (enables lexicalized mode)")
@@ -443,8 +438,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("acquire", help="acquire a frame lexicon from a corpus")
-    add_common(p)
+    add_pipeline(p)
     p.add_argument("--corpus", required=True, help="raw corpus, one sentence per line")
+    p.add_argument("--out", required=True, help="write the lexicon here")
     p.add_argument("--cap", type=_nonneg_int, default=1000,
                    help="observations kept per verb")
     p.add_argument("--min-count", dest="min_count", type=_nonneg_int,
@@ -454,14 +450,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_acquire)
 
     p = sub.add_parser("eval-bracket", help="bracketing evaluation")
-    add_common(p)
+    add_report(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--treebank", required=True, help="gold trees")
     p.add_argument("--lexicon")
     p.set_defaults(func=cmd_eval_bracket)
 
     p = sub.add_parser("eval-gr", help="grammatical-relation evaluation")
-    add_common(p)
+    add_report(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--gold-gr", dest="gold_gr", required=True)
     p.add_argument("--lexicon")
@@ -469,7 +465,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare",
                        help="baseline vs lexicalized evaluation with t-tests")
-    add_common(p)
+    add_report(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--gold-gr", dest="gold_gr", required=True)
     p.add_argument("--treebank", help="gold trees for bracket comparison")

@@ -1,10 +1,10 @@
 """Verb subcategorisation frame inventory.
 
 The default inventory lists the complement-frame symbols a grammar may
-assign to verbal rules through the VSUBCAT feature.  The inventory is
-data, not a closed enum: lexicons and grammars may be loaded against a
-custom inventory, and smoothing always uses the size of whatever
-inventory is in force.
+assign to verbal rules through the VSUBCAT feature; grammar files are
+checked against it.  For lexicons the inventory is data, not a closed
+enum: a lexicon may be loaded against a custom inventory, and smoothing
+always uses the size of whatever inventory is in force.
 """
 
 DEFAULT_FRAME_INVENTORY = (

@@ -39,6 +39,9 @@ PLUS = "plus"
 HELPER_PREFIX = "@"
 END_MARKER = "@$"
 
+# The VSUBCAT values a grammar file may use.
+_FRAMES = frozenset(DEFAULT_FRAME_INVENTORY)
+
 _SYMBOL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_']*$")
 _TEMPLATE_RE = re.compile(r"^([a-z_0-9]+)\s*\(\s*(.*?)\s*\)$")
 
@@ -334,8 +337,7 @@ def _parse_rule_line(line_text: str, line: int):
     return mother, daughters, head_index, tuple(features), tuple(templates)
 
 
-def parse_grammar(text: str,
-                  frame_inventory: Sequence[str] = DEFAULT_FRAME_INVENTORY) -> Grammar:
+def parse_grammar(text: str) -> Grammar:
     """Parse a grammar file.
 
     The format is line-oriented UTF-8 with ``#`` comments:
@@ -397,13 +399,13 @@ def parse_grammar(text: str,
         rules.append(Rule(mother_cat, tuple(specs), head_index, templates,
                           rule_id=len(rules), line=lineno))
     grammar = Grammar(tuple(rules), start, terminal_set, frozenset(verb_tags))
-    _validate(grammar, frame_inventory, check_cycles=not grammar.has_repetition())
+    _validate(grammar, _FRAMES, check_cycles=not grammar.has_repetition())
     return grammar
 
 
-def load_grammar(path, frame_inventory: Sequence[str] = DEFAULT_FRAME_INVENTORY) -> Grammar:
+def load_grammar(path) -> Grammar:
     with open(path, encoding="utf-8") as handle:
-        return parse_grammar(handle.read(), frame_inventory)
+        return parse_grammar(handle.read())
 
 
 def render_grammar(grammar: Grammar) -> str:
@@ -416,9 +418,8 @@ def render_grammar(grammar: Grammar) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _validate(grammar: Grammar, frame_inventory: Optional[Sequence[str]],
+def _validate(grammar: Grammar, frames: Optional[frozenset[str]],
               check_cycles: bool) -> None:
-    inventory = None if frame_inventory is None else frozenset(frame_inventory)
     if grammar.start_symbol not in grammar.nonterminals:
         raise GrammarError(f"start symbol {grammar.start_symbol!r} has no rule")
     seen_shapes: dict[tuple, int] = {}
@@ -433,7 +434,7 @@ def _validate(grammar: Grammar, frame_inventory: Optional[Sequence[str]],
         if not 0 <= rule.head_index < len(rule.daughters):
             raise GrammarError("head index out of range", rule.line)
         vsubcat = rule.mother.feature("VSUBCAT")
-        if vsubcat is not None and inventory is not None and vsubcat not in inventory:
+        if vsubcat is not None and frames is not None and vsubcat not in frames:
             raise GrammarError(f"unknown VSUBCAT value {vsubcat!r}", rule.line)
         for tpl in rule.gr_templates:
             for index in tpl.daughter_refs():

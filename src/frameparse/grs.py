@@ -164,8 +164,7 @@ def render_gr_file(sets: Iterable[set[GR]]) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def gr_match(test: GR, gold: GR,
-             hierarchy: Mapping[str, tuple[str, ...]] = RELATION_PARENTS) -> bool:
+def gr_match(test: GR, gold: GR) -> bool:
     """True when ``test`` counts as a correct recovery of ``gold``.
 
     Subsumption is one level only and parser-side only: ``clausal``
@@ -173,7 +172,7 @@ def gr_match(test: GR, gold: GR,
     test ``xcomp``.
     """
     if test.relation != gold.relation and \
-            test.relation not in hierarchy.get(gold.relation, ()):
+            test.relation not in RELATION_PARENTS.get(gold.relation, ()):
         return False
     if test.head != gold.head or test.dependent != gold.dependent:
         return False
@@ -205,8 +204,7 @@ def _max_matching(adjacency: Sequence[Sequence[int]], n_right: int,
         try_augment(left, [False] * n_right)
 
 
-def gr_scores(test: set[GR], gold: set[GR],
-              hierarchy: Mapping[str, tuple[str, ...]] = RELATION_PARENTS) -> dict:
+def gr_scores(test: set[GR], gold: set[GR]) -> dict:
     """Per-sentence counts under one-to-one assignment.
 
     Each gold relation is consumed by at most one test relation.  Exact
@@ -216,9 +214,9 @@ def gr_scores(test: set[GR], gold: set[GR],
     test_list = sorted(test, key=GR.render)
     gold_list = sorted(gold, key=GR.render)
     exact = [[j for j, g in enumerate(gold_list)
-              if t.relation == g.relation and gr_match(t, g, hierarchy)]
+              if t.relation == g.relation and gr_match(t, g)]
              for t in test_list]
-    full = [[j for j, g in enumerate(gold_list) if gr_match(t, g, hierarchy)]
+    full = [[j for j, g in enumerate(gold_list) if gr_match(t, g)]
             for t in test_list]
     match_right = [-1] * len(gold_list)
     _max_matching(exact, len(gold_list), match_right)

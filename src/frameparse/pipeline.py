@@ -16,7 +16,8 @@ from .glr import Forest, glr_parse
 from .grammar import Grammar, normalize_kleene
 from .lexicon import SubcatLexicon
 from .lrtable import LRTable, build_table
-from .preprocess import Lemmatizer, Token, Wordlist, tag_tokens
+from .preprocess import (COMMON_TAG, PROPER_TAG, Lemmatizer, Token, Wordlist,
+                         tag_tokens)
 from .rerank import RankedAnalysis, rank_analyses
 
 
@@ -38,8 +39,7 @@ class ParserPipeline:
                  model: Optional[ActionModel] = None,
                  wordlist: Optional[Wordlist] = None,
                  lemmatizer: Optional[Lemmatizer] = None,
-                 lexicon: Optional[SubcatLexicon] = None,
-                 proper_tag: str = "pn", common_tag: str = "n"):
+                 lexicon: Optional[SubcatLexicon] = None):
         normalized = normalize_kleene(grammar)
         if table is not None:
             if table.grammar != normalized:
@@ -57,9 +57,7 @@ class ParserPipeline:
         self.wordlist = wordlist if wordlist is not None else Wordlist({})
         self.lemmatizer = lemmatizer if lemmatizer is not None else Lemmatizer()
         self.lexicon = lexicon
-        self.proper_tag = proper_tag
-        self.common_tag = common_tag
-        for tag in self.wordlist.all_tags() | {proper_tag, common_tag}:
+        for tag in self.wordlist.all_tags() | {PROPER_TAG, COMMON_TAG}:
             if tag not in self.grammar.terminals:
                 raise ValueError(
                     f"wordlist tag {tag!r} is not a grammar terminal")
@@ -74,14 +72,13 @@ class ParserPipeline:
         words = [word for word in sentence_or_words
                  if word.isalnum() or any(c.isalnum() for c in word)
                  or self.wordlist.lookup(word)]
-        return tag_tokens(words, self.wordlist, self.lemmatizer,
-                          self.proper_tag, self.common_tag)
+        return tag_tokens(words, self.wordlist, self.lemmatizer)
 
     def parse_tags(self, tags: Sequence[str]) -> Forest:
         return glr_parse(tags, self.table)
 
     def analyze(self, sentence: str, n: Optional[int] = 1,
-                lexicalized: Optional[bool] = None) -> SentenceResult:
+                lexicalized: bool = True) -> SentenceResult:
         """Tokenize, tag, parse, and rank one sentence (see :meth:`rank`)."""
         tokens = self.tag(sentence)
         forest = self.parse_tags([token.tag for token in tokens])
@@ -90,20 +87,18 @@ class ParserPipeline:
 
     def rank(self, forest: Forest, tokens: Sequence[Token],
              n: Optional[int] = 1,
-             lexicalized: Optional[bool] = None) -> list[RankedAnalysis]:
+             lexicalized: bool = True) -> list[RankedAnalysis]:
         """The ``n`` best analyses of a parsed sentence, or all of them
         for ``n=None``; empty iff the forest is.
 
-        ``lexicalized`` defaults to whether a lexicon is attached; pass
-        False to force baseline (structural) ranking.
+        Ranking uses the lexicon when one is attached; pass
+        ``lexicalized=False`` to force baseline (structural) ranking.
         """
         if n is not None and n < 1:
             raise ValueError(f"n must be at least 1, got {n}")
         if forest.is_empty:
             return []
-        use_lexicon = self.lexicon is not None if lexicalized is None \
-            else (lexicalized and self.lexicon is not None)
-        if use_lexicon:
+        if lexicalized and self.lexicon is not None:
             return rank_analyses(forest, self.model, self.lexicon,
                                  self.grammar, tokens, n)
         return [RankedAnalysis(derivation, logprob, 0.0)

@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9]+(?:['’-][A-Za-z0-9]+)*|[^\sA-Za-z0-9]")
+_TOKEN_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*|\S")
+
+# The tags of the unknown-word rule: capitalised words become proper
+# nouns, anything else a common noun.  The lemmatizer keeps proper nouns'
+# case and strips suffixes from common nouns and verbs.
+PROPER_TAG = "pn"
+COMMON_TAG = "n"
+_SUFFIX_TAGS = frozenset({"v", COMMON_TAG})
 
 _DOUBLED = set("bdfgklmnprstz")
 
@@ -135,21 +142,19 @@ def _apply_suffix_rules(word: str) -> str:
 
 @dataclass(frozen=True)
 class Lemmatizer:
-    """Exception table first, then suffix rules for the configured noun
-    and verb tags; identity elsewhere.  Lowercases everything except
-    proper nouns."""
+    """Exception table first, then suffix rules for common nouns and
+    verbs; identity elsewhere.  Lowercases everything except proper
+    nouns."""
 
     exceptions: Mapping[tuple[str, str], str] = field(default_factory=dict)
-    suffix_tags: frozenset[str] = frozenset({"v", "n"})
-    proper_tags: frozenset[str] = frozenset({"pn"})
 
     def lemmatize(self, surface: str, tag: str) -> str:
         if not surface:
             return surface
-        if tag in self.proper_tags:
+        if tag == PROPER_TAG:
             return self.exceptions.get((surface.lower(), tag), surface)
         word = surface.lower()
-        if tag not in self.suffix_tags:
+        if tag not in _SUFFIX_TAGS:
             return self.exceptions.get((word, tag), word)
         while True:
             exception = self.exceptions.get((word, tag))
@@ -161,29 +166,19 @@ class Lemmatizer:
             word = stripped
 
 
-_DEFAULT_LEMMATIZER = Lemmatizer()
-
-
-def lemmatize(surface: str, tag: str,
-              lemmatizer: Optional[Lemmatizer] = None) -> str:
-    return (lemmatizer or _DEFAULT_LEMMATIZER).lemmatize(surface, tag)
-
-
 def tag_tokens(words: Sequence[str], wordlist: Wordlist,
-               lemmatizer: Optional[Lemmatizer] = None,
-               proper_tag: str = "pn", common_tag: str = "n") -> list[Token]:
+               lemmatizer: Lemmatizer = Lemmatizer()) -> list[Token]:
     """Single-best tagging: the first listed tag, or the unknown-word
     heuristics."""
-    lem = lemmatizer or _DEFAULT_LEMMATIZER
     tokens = []
     for word in words:
         listed = wordlist.lookup(word)
         if listed:
             tag = listed[0]
         elif word[:1].isupper():
-            tag = proper_tag
+            tag = PROPER_TAG
         else:
-            tag = common_tag
-        tokens.append(Token(word, tag, lem.lemmatize(word, tag)))
+            tag = COMMON_TAG
+        tokens.append(Token(word, tag, lemmatizer.lemmatize(word, tag)))
     return tokens
 

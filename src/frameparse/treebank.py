@@ -98,26 +98,36 @@ def parse_tree(text: str) -> Tree:
 
 
 def read_treebank(text: str) -> list[Tree]:
-    """Split on bracket balance and parse each record; ``#`` comments."""
-    text = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    """Split on bracket balance and parse each record; ``#`` comments.
+    Errors read ``line N: ...``, N being the line of the stray ``)`` or
+    the line the faulty record starts on."""
     trees = []
     depth = 0
     buffer: list[str] = []
-    for ch in text:
-        if depth == 0 and ch.isspace():
-            continue
-        buffer.append(ch)
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise TreebankError("unbalanced ')'")
-            if depth == 0:
-                trees.append(parse_tree("".join(buffer)))
-                buffer = []
+    start = 0
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for ch in line.split("#", 1)[0]:
+            if depth == 0 and ch.isspace():
+                continue
+            if not buffer:
+                start = lineno
+            buffer.append(ch)
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth < 0:
+                    raise TreebankError(f"line {lineno}: unbalanced ')'")
+                if depth == 0:
+                    try:
+                        trees.append(parse_tree("".join(buffer)))
+                    except TreebankError as exc:
+                        raise TreebankError(f"line {start}: {exc}") from exc
+                    buffer = []
+        if depth:
+            buffer.append("\n")
     if depth != 0:
-        raise TreebankError("unbalanced '(' at end of input")
+        raise TreebankError(f"line {start}: unbalanced '(' at end of input")
     return trees
 
 

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
 import frameparse as fp
-from frameparse.cli import main
+from frameparse.cli import build_arg_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -254,3 +255,79 @@ def test_unknown_demo_file_exit_2(capsys):
     code = main(["build-table", "--grammar", "@demo/absent.grammar"])
     assert code == 2
     assert "absent.grammar" in capsys.readouterr().err
+
+
+class RecordingNamespace(argparse.Namespace):
+    """Parsed arguments that remember which of them were read."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.__dict__["read"] = set()
+
+    def __getattribute__(self, name):
+        if name in object.__getattribute__(self, "__dict__"):
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+DEMO = ["--grammar", "@demo/demo.grammar", "--wordlist", "@demo/demo.wordlist",
+        "--lemma-exceptions", "@demo/demo.lemma_exceptions"]
+COMMANDS = {
+    "build-table": ["--grammar", "@demo/demo.grammar", "--out", "{out}"],
+    "train": ["--grammar", "@demo/demo.grammar",
+              "--treebank", "@demo/adversarial.treebank", "--model", "{out}"],
+    "parse": DEMO + ["--model", "{model}", "--lexicon", "{lexicon}",
+                     "--format", "machine-readable", "--out", "{out}",
+                     "the child sees a dog in the park"],
+    "acquire": DEMO + ["--model", "{model}", "--corpus", "@demo/ppsuite.txt",
+                       "--out", "{out}"],
+    "eval-bracket": DEMO + ["--model", "{model}", "--corpus",
+                            "@demo/ppsuite.txt", "--treebank",
+                            "@demo/ppsuite_gold.treebank", "--out", "{out}"],
+    "eval-gr": DEMO + ["--model", "{model}", "--corpus", "@demo/ppsuite.txt",
+                       "--gold-gr", "@demo/ppsuite_gold.grs", "--out", "{out}"],
+    "compare": DEMO + ["--model", "{model}", "--lexicon", "{lexicon}",
+                       "--corpus", "@demo/ppsuite.txt",
+                       "--gold-gr", "@demo/ppsuite_gold.grs",
+                       "--treebank", "@demo/ppsuite_gold.treebank",
+                       "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_reads_every_option(tmp_path, model_file, lexicon_file,
+                                    command):
+    out = tmp_path / "output"
+    argv = [command] + [arg.format(model=model_file, lexicon=lexicon_file,
+                                   out=out) for arg in COMMANDS[command]]
+    parsed = build_arg_parser().parse_args(argv)
+    args = RecordingNamespace(**vars(parsed))
+    assert parsed.func(args) == 0
+    assert out.exists()
+    assert set(vars(parsed)) - {"command", "func"} - args.read == set()
+
+
+def test_acquire_without_out_exits_2_before_reading_corpus(model_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["acquire", "--grammar", "@demo/demo.grammar",
+              "--model", str(model_file), "--corpus", "/nowhere/corpus.txt"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--out" in err
+    assert "corpus.txt" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["acquire", "--grammar", "@demo/demo.grammar", "--model", "{model}",
+     "--corpus", "@demo/ppsuite.txt", "--out", "@demo/demo.lexicon"],
+    ["train", "--grammar", "@demo/demo.grammar",
+     "--treebank", "@demo/train.treebank", "--model", "@demo/demo.lexicon"],
+], ids=["acquire --out", "train --model"])
+def test_output_path_is_not_a_demo_file(tmp_path, monkeypatch, model_file,
+                                        argv, capsys):
+    shipped = fp.demo_path("demo.lexicon").read_bytes()
+    monkeypatch.chdir(tmp_path)
+    code = main([arg.format(model=model_file) for arg in argv])
+    assert code == 2
+    assert "@demo/demo.lexicon" in capsys.readouterr().err
+    assert fp.demo_path("demo.lexicon").read_bytes() == shipped

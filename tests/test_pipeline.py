@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 import frameparse as fp
@@ -72,3 +75,24 @@ def test_n_limits_analyses(uniform_pipeline):
 def test_n_below_one_rejected(uniform_pipeline, n):
     with pytest.raises(ValueError, match="at least 1"):
         uniform_pipeline.analyze("the child sees a dog", n=n)
+
+
+def test_benchmark_tracer_installs(lexicalized_pipeline):
+    # perfbench/tracing.py wraps functions under the names their callers
+    # look up, so renaming one of them breaks every traced benchmark run.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    analyze = fp.ParserPipeline.analyze
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        result = lexicalized_pipeline.analyze("the child sees a dog in the park")
+    finally:
+        uninstall()
+    assert result.in_coverage
+    assert {"pipeline.ParserPipeline.analyze", "preprocess.tokenize",
+            "preprocess.tag_tokens", "glr.glr_parse", "rerank.rank_analyses",
+            "actions.unpack_n_best", "rerank.verb_frames"} <= set(tracer.by_name)
+    assert fp.ParserPipeline.analyze is analyze

@@ -20,6 +20,12 @@ class TestTokenize:
     def test_contraction_stays_whole(self):
         assert fp.tokenize("don't stop") == ["don't", "stop"]
 
+    def test_non_ascii_letters_stay_in_words(self):
+        assert fp.tokenize("the naïve child sleeps") == \
+            ["the", "naïve", "child", "sleeps"]
+        assert fp.tokenize("l'état-major, _x") == \
+            ["l'état-major", ",", "_", "x"]
+
 
 class TestTagging:
     def test_listed_word(self, demo_wordlist):
@@ -84,15 +90,15 @@ class TestLemmatize:
         (",", "punct", ","),
     ])
     def test_suffix_rules(self, surface, tag, lemma):
-        assert fp.lemmatize(surface, tag) == lemma
+        assert fp.Lemmatizer().lemmatize(surface, tag) == lemma
 
     def test_proper_noun_identity(self):
-        assert fp.lemmatize("IBM", "pn") == "IBM"
-        assert fp.lemmatize("Paul", "pn") == "Paul"
+        assert fp.Lemmatizer().lemmatize("IBM", "pn") == "IBM"
+        assert fp.Lemmatizer().lemmatize("Paul", "pn") == "Paul"
 
     def test_exception_blocks_ing_stripping(self, demo_lemmatizer):
         # without the exception the noun rule would strip -ing
-        assert fp.lemmatize("greeting", "n") == "greet"
+        assert fp.Lemmatizer().lemmatize("greeting", "n") == "greet"
         assert demo_lemmatizer.lemmatize("greeting", "n") == "greeting"
 
     def test_exception_applies_after_suffix_rule(self, demo_lemmatizer):
@@ -102,8 +108,8 @@ class TestLemmatize:
     @given(st.text(alphabet="abcdefgilmnoprstuy", min_size=1, max_size=12),
            st.sampled_from(["v", "n", "pn", "det"]))
     def test_idempotent(self, word, tag):
-        once = fp.lemmatize(word, tag)
-        assert fp.lemmatize(once, tag) == once
+        once = fp.Lemmatizer().lemmatize(word, tag)
+        assert fp.Lemmatizer().lemmatize(once, tag) == once
 
     @given(st.text(alphabet="abcdefgilmnoprstuy", min_size=1, max_size=12),
            st.sampled_from(["v", "n"]))
@@ -113,4 +119,4 @@ class TestLemmatize:
 
     def test_lemma_non_empty(self, demo_wordlist):
         for word in ("a", "s", "is", "golf"):
-            assert fp.lemmatize(word, "n")
+            assert fp.Lemmatizer().lemmatize(word, "n")

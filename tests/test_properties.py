@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frameparse as fp
-from frameparse.grs import RELATION_SLOTS
+from frameparse.grs import RELATION_SLOTS, GRError
 from frameparse.lexicon import LexiconError
 from frameparse.preprocess import WordlistError
+from frameparse.treebank import TreebankError
 
 from oracles import random_grammar
 
@@ -83,8 +84,9 @@ def test_random_grammar_normalize_idempotent(seed):
     assert fp.normalize_kleene(once) is once
 
 
-# The five tab-separated formats: (sample text, loader taking a path,
-# the loader's error type).  Each sample loads cleanly.
+# The five tab-separated formats, the treebank and gold GRs: (sample
+# text, loader taking a path, the loader's error type).  Each sample
+# loads cleanly.
 CLASS_MAP = "pp_from\tPP\npp_about\tPP  # two fine classes\nnp_plain\tNP\n"
 
 
@@ -102,6 +104,10 @@ def table_formats(tmp_path_factory, demo_table, adversarial_model):
         "model": (model.read_text(),
                   lambda path: fp.load_model(path, demo_table), ValueError),
         "class_map": (CLASS_MAP, fp.load_class_map, LexiconError),
+        "treebank": (fp.demo_path("train.treebank").read_text(),
+                     fp.load_treebank, TreebankError),
+        "gold_gr": (fp.demo_path("ppsuite_gold.grs").read_text(),
+                    lambda path: fp.read_gr_file(path.read_text()), GRError),
     }
 
 
@@ -138,7 +144,7 @@ def corruptions(draw, text):
 
 
 @pytest.mark.parametrize("name", ["wordlist", "lemma_exceptions", "lexicon",
-                                  "model", "class_map"])
+                                  "model", "class_map", "treebank", "gold_gr"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_corrupted_table_loads_or_names_line(table_formats, tmp_path_factory,
