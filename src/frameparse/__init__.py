@@ -16,12 +16,11 @@ from .grammar import (ADJUNCT, ARGUMENT, Category, DaughterSpec, Grammar,
                       vsubcat_of)
 from .lrtable import LRTable, build_table
 from .glr import Forest, ForestNode, ParseError, TreeNode, glr_parse
-from .actions import (ActionModel, Derivation, UnderivableTreeError,
-                      load_model, replay_actions, save_model, train_actions,
-                      tree_actions, unpack_n_best)
-from .treebank import (Tree, TreebankError, from_derivation_tree, load_treebank,
-                       parse_tree, read_treebank, to_derivation_tree,
-                       write_treebank)
+from .treebank import (Tree, TreebankError, UnderivableTreeError,
+                       from_derivation_tree, load_treebank, parse_tree,
+                       read_treebank, to_derivation_tree, write_treebank)
+from .actions import (ActionModel, Derivation, load_model, save_model,
+                      train_actions, tree_actions, unpack_n_best)
 from .lexicon import (LexiconError, SubcatEntry, SubcatLexicon,
                       collapse_classes, load_class_map, load_lexicon,
                       parse_lexicon, save_lexicon)

@@ -9,8 +9,7 @@ log space throughout.
 The action trace of a derivation is a deterministic function of its tree
 given the table (shifts in leaf order, each reduce as soon as its
 daughters are complete), which is also how gold treebank trees are
-turned into training events.  Replaying a trace against the same table
-reconstructs the tree.
+turned into training events.
 """
 
 from __future__ import annotations
@@ -25,10 +24,7 @@ from .grammar import END_MARKER
 from .glr import Forest, TreeNode
 from .lrtable import LRTable, action_sort_key, parse_action, render_action
 from .preprocess import _read_table
-
-
-class UnderivableTreeError(ValueError):
-    """A gold tree that the grammar/table cannot derive."""
+from .treebank import Tree, UnderivableTreeError, to_derivation_tree
 
 
 def tree_actions(tree: TreeNode, table: LRTable) -> tuple[tuple[int, str, tuple], ...]:
@@ -82,26 +78,6 @@ def tree_actions(tree: TreeNode, table: LRTable) -> tuple[tuple[int, str, tuple]
     return tuple(trace)
 
 
-def replay_actions(trace: Sequence[tuple[int, str, tuple]],
-                   table: LRTable) -> TreeNode:
-    """Rebuild the tree a trace describes; inverse of :func:`tree_actions`."""
-    stack: list[TreeNode] = []
-    position = 0
-    for _state, _lookahead, action in trace:
-        if action[0] == "shift":
-            stack.append(TreeNode(None, position, position + 1, (), _lookahead))
-            position += 1
-        elif action[0] == "reduce":
-            rule = table.grammar.rules[action[1]]
-            arity = len(rule.daughters)
-            children = tuple(stack[len(stack) - arity:])
-            del stack[len(stack) - arity:]
-            stack.append(TreeNode(rule, children[0].start, children[-1].end, children))
-    if len(stack) != 1:
-        raise UnderivableTreeError("trace does not reduce to a single tree")
-    return stack[0]
-
-
 def trace_sort_key(trace: Sequence[tuple[int, str, tuple]]) -> tuple:
     """Deterministic tie-break for equal scores: lexicographic over the
     trace under the fixed action order (shift < reduce, lower rule id
@@ -120,9 +96,9 @@ class Derivation:
 class ActionModel:
     """Trained action distributions bound to the table they condition on.
 
-    Immutable in use: training happens through the constructor or
-    :meth:`from_traces`, after which instances are safely shared across
-    concurrent parses.
+    Immutable in use: training happens through the constructor (see
+    :func:`train_actions`), after which instances are safely shared
+    across concurrent parses.
     """
 
     def __init__(self, table: LRTable,
@@ -151,15 +127,6 @@ class ActionModel:
         total_available = sum(len(v) for v in table.actions.values())
         self._floor = 1.0 / (1 + total_available)
 
-    @classmethod
-    def from_traces(cls, traces: Iterable[Sequence[tuple[int, str, tuple]]],
-                    table: LRTable) -> "ActionModel":
-        counts: dict[tuple[int, str], Counter] = {}
-        for trace in traces:
-            for state, lookahead, action in trace:
-                counts.setdefault((state, lookahead), Counter())[action] += 1
-        return cls(table, counts)
-
     def prob(self, state: int, lookahead: str, action: tuple) -> float:
         available = self.table.actions.get((state, lookahead))
         if not available:
@@ -183,16 +150,22 @@ class ActionModel:
         return sorted(self.table.actions)
 
 
-def train_actions(trees: Iterable[TreeNode], table: LRTable) -> ActionModel:
-    """Train from gold derivation trees; underivable trees raise
-    :class:`UnderivableTreeError` naming the sentence index."""
-    traces = []
+def train_actions(trees: Iterable[Tree], table: LRTable
+                  ) -> tuple[ActionModel, list[tuple[int, str]]]:
+    """Train from raw gold trees, counting the actions along each one's
+    trace; returns the model and the ``(index, reason)`` of every tree
+    the grammar/table cannot derive, which is left out."""
+    counts: dict[tuple[int, str], Counter] = {}
+    skipped = []
     for index, tree in enumerate(trees):
         try:
-            traces.append(tree_actions(tree, table))
+            trace = tree_actions(to_derivation_tree(tree, table.grammar), table)
         except UnderivableTreeError as exc:
-            raise UnderivableTreeError(f"sentence {index}: {exc}") from exc
-    return ActionModel.from_traces(traces, table)
+            skipped.append((index, str(exc)))
+            continue
+        for state, lookahead, action in trace:
+            counts.setdefault((state, lookahead), Counter())[action] += 1
+    return ActionModel(table, counts), skipped
 
 
 def unpack_n_best(forest: Forest, model: ActionModel,

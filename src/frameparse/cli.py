@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-from .actions import (ActionModel, UnderivableTreeError, load_model,
-                      save_model, tree_actions)
+from .actions import load_model, save_model, train_actions
 from .acquire import hypothesize_entries, observe_corpus
 from .demofiles import demo_path
 from .evaluation import (EvaluationError, aggregate_brackets, aggregate_grs,
@@ -31,7 +31,7 @@ from .lexicon import load_lexicon, save_lexicon
 from .lrtable import build_table, render_action
 from .pipeline import ParserPipeline
 from .preprocess import Lemmatizer, load_lemma_exceptions, load_wordlist
-from .treebank import from_derivation_tree, load_treebank, to_derivation_tree
+from .treebank import from_derivation_tree, load_treebank
 
 
 class CliError(Exception):
@@ -58,6 +58,20 @@ def _load(loader, value: str | None, *args):
         return loader(path, *args)
     except ValueError as exc:
         raise CliError(f"{path}: {exc}", code=2) from exc
+
+
+def _check_output(value: str) -> None:
+    """Exit 2 as ``error: <path>: <reason>`` unless ``value`` can be
+    written; run before any work, leaving an existing file as it is."""
+    path = Path(value)
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise CliError(f"{path}: {exc.strerror}", code=2) from exc
+    if not existed:
+        path.unlink()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -148,19 +162,13 @@ def cmd_train(args) -> int:
     grammar = normalize_kleene(_load(load_grammar, args.grammar))
     table = build_table(grammar)
     trees = _load(load_treebank, args.treebank)
-    traces = []
-    skipped = []
-    for index, tree in enumerate(trees):
-        try:
-            traces.append(tree_actions(to_derivation_tree(tree, grammar), table))
-        except UnderivableTreeError as exc:
-            skipped.append((index, str(exc)))
+    model, skipped = train_actions(trees, table)
     for index, reason in skipped:
         print(f"warning: skipping underivable tree {index}: {reason}",
               file=sys.stderr)
     path = Path(args.model)
-    save_model(ActionModel.from_traces(traces, table), path)
-    print("trained\t%d" % len(traces))
+    save_model(model, path)
+    print("trained\t%d" % (len(trees) - len(skipped)))
     print("skipped\t%d" % len(skipped))
     print("model\t%s" % path)
     return 0
@@ -201,6 +209,8 @@ def cmd_parse(args) -> int:
             "tokens": ["%s/%s" % (t.surface, t.tag) for t in result.tokens],
             "analyses": records,
         })
+        if text_lines:
+            text_lines.append("")
         text_lines.append("sentence\t%s" % sentence)
         text_lines.append("tokens\t%s" % " ".join(
             "%s/%s" % (t.surface, t.tag) for t in result.tokens))
@@ -214,11 +224,7 @@ def cmd_parse(args) -> int:
             text_lines.append("tree\t%s" % record["tree"])
             for gr in record["grs"]:
                 text_lines.append("gr\t%s" % gr)
-        text_lines.append("")
-    if args.format == "machine-readable":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit("\n".join(text_lines).rstrip("\n") + "\n", args.out)
+    _emit_report(payload, text_lines, args)
     return 0
 
 
@@ -282,8 +288,9 @@ def cmd_eval_bracket(args) -> int:
     gold_trees = _load_gold(load_treebank, args.treebank, sentences,
                             "treebank", "trees")
     [(test_trees, _)] = _top_trees_and_grs(pipeline, sentences, (True,))
-    report = aggregate_brackets(_bracket_per_sentence(test_trees, gold_trees))
-    _emit_report(report.fields(), args)
+    fields = aggregate_brackets(
+        _bracket_per_sentence(test_trees, gold_trees)).fields()
+    _emit_report(fields, _field_lines(fields), args)
     return 0
 
 
@@ -297,16 +304,11 @@ def cmd_eval_gr(args) -> int:
     fields = report.fields()
     payload = dict(fields)
     payload["relations"] = _relation_rows(report)
-    if args.format == "machine-readable":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        lines = ["%s\t%s" % (k, _fmt(v) if isinstance(v, float) else v)
-                 for k, v in fields.items()]
-        lines.append("relation\treturned\tcorrect")
-        for row in payload["relations"]:
-            lines.append("%s\t%d\t%d" % (row["relation"], row["returned"],
-                                         row["correct"]))
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = _field_lines(fields) + ["relation\treturned\tcorrect"]
+    for row in payload["relations"]:
+        lines.append("%s\t%d\t%d" % (row["relation"], row["returned"],
+                                     row["correct"]))
+    _emit_report(payload, lines, args)
     return 0
 
 
@@ -318,12 +320,16 @@ def _relation_rows(report):
             for name in names]
 
 
-def _emit_report(fields: dict, args) -> None:
+def _field_lines(fields: dict) -> list[str]:
+    return ["%s\t%s" % (k, _fmt(v) if isinstance(v, float) else v)
+            for k, v in fields.items()]
+
+
+def _emit_report(payload, lines: list[str], args) -> None:
+    """The report as JSON of ``payload`` or as the text ``lines``."""
     if args.format == "machine-readable":
-        _emit(json.dumps(fields, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        lines = ["%s\t%s" % (k, _fmt(v) if isinstance(v, float) else v)
-                 for k, v in fields.items()]
         _emit("\n".join(lines) + "\n", args.out)
 
 
@@ -391,10 +397,7 @@ def cmd_compare(args) -> int:
         value = payload[key]
         lines.append("%s\t%s" % (
             key, value if isinstance(value, int) else _fmt_stat(value)))
-    if args.format == "machine-readable":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        _emit("\n".join(lines) + "\n", args.out)
+    _emit_report(payload, lines, args)
     return 0
 
 
@@ -477,7 +480,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
+    output = args.model if args.command == "train" else getattr(args, "out", None)
     try:
+        if output is not None:
+            _check_output(output)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -200,22 +200,6 @@ class Grammar:
     def rule_by_shape(self, mother: str, daughters: Sequence[str]) -> Optional[Rule]:
         return self.shape_index.get((mother, tuple(daughters)))
 
-    def verb_frame_gaps(self) -> list[Rule]:
-        """Verbal argument rules carrying no VSUBCAT feature.
-
-        An empty list is the expected state of a lexicalised grammar;
-        rules listed here contribute no frame instances at parse time.
-        """
-        gaps = []
-        for rule in self.rules:
-            if rule.kind != ARGUMENT:
-                continue
-            head = rule.head_daughter
-            if head.bar_level == LEXICAL and head.label in self.verb_tags \
-                    and rule.mother.feature("VSUBCAT") is None:
-                gaps.append(rule)
-        return gaps
-
 
 def vsubcat_of(rule: Rule) -> Optional[str]:
     """The complement frame a verbal argument rule assigns to its verb.

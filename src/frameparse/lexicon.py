@@ -62,9 +62,6 @@ class SubcatLexicon:
     def __len__(self) -> int:
         return len(self._index)
 
-    def __contains__(self, lemma: str) -> bool:
-        return lemma in self._totals
-
     def entries(self) -> list[SubcatEntry]:
         return sorted(self._index.values(), key=lambda e: (e.lemma, e.frame))
 

@@ -29,10 +29,6 @@ class SentenceResult:
     tokens: list[Token]
     analyses: list[RankedAnalysis]
 
-    @property
-    def in_coverage(self) -> bool:
-        return bool(self.analyses)
-
 
 class ParserPipeline:
     def __init__(self, grammar: Grammar, table: Optional[LRTable] = None,
@@ -57,10 +53,11 @@ class ParserPipeline:
         self.wordlist = wordlist if wordlist is not None else Wordlist({})
         self.lemmatizer = lemmatizer if lemmatizer is not None else Lemmatizer()
         self.lexicon = lexicon
-        for tag in self.wordlist.all_tags() | {PROPER_TAG, COMMON_TAG}:
+        unknown_word_tags = {PROPER_TAG, COMMON_TAG}
+        for tag in sorted(self.wordlist.all_tags() | unknown_word_tags):
             if tag not in self.grammar.terminals:
-                raise ValueError(
-                    f"wordlist tag {tag!r} is not a grammar terminal")
+                kind = "unknown-word" if tag in unknown_word_tags else "wordlist"
+                raise ValueError(f"{kind} tag {tag!r} is not a grammar terminal")
 
     def tag(self, sentence_or_words) -> list[Token]:
         # Unlisted punctuation would be tagged a noun by the unknown-word

@@ -14,13 +14,16 @@ from typing import Iterator, Optional
 
 from .glr import TreeNode
 from .grammar import Grammar
-from .actions import UnderivableTreeError
 
 _SEXP_TOKEN = re.compile(r"\(|\)|[^\s()]+")
 
 
 class TreebankError(ValueError):
     """Malformed bracketed-tree text."""
+
+
+class UnderivableTreeError(ValueError):
+    """A gold tree that the grammar/table cannot derive."""
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,8 @@ def read_treebank(text: str) -> list[Tree]:
             buffer.append("\n")
     if depth != 0:
         raise TreebankError(f"line {start}: unbalanced '(' at end of input")
+    if buffer:
+        raise TreebankError(f"line {start}: text outside brackets")
     return trees
 
 

@@ -35,18 +35,21 @@ def uniform_pipeline(demo_grammar, demo_table, demo_wordlist, demo_lemmatizer):
                              wordlist=demo_wordlist, lemmatizer=demo_lemmatizer)
 
 
-@pytest.fixture(scope="session")
-def trained_model(demo_normalized, demo_table):
-    trees = [fp.to_derivation_tree(t, demo_normalized)
-             for t in fp.load_treebank(fp.demo_path("train.treebank"))]
-    return fp.train_actions(trees, demo_table)
+def _demo_model(name, table):
+    model, skipped = fp.train_actions(fp.load_treebank(fp.demo_path(name)),
+                                      table)
+    assert skipped == []
+    return model
 
 
 @pytest.fixture(scope="session")
-def adversarial_model(demo_normalized, demo_table):
-    trees = [fp.to_derivation_tree(t, demo_normalized)
-             for t in fp.load_treebank(fp.demo_path("adversarial.treebank"))]
-    return fp.train_actions(trees, demo_table)
+def trained_model(demo_table):
+    return _demo_model("train.treebank", demo_table)
+
+
+@pytest.fixture(scope="session")
+def adversarial_model(demo_table):
+    return _demo_model("adversarial.treebank", demo_table)
 
 
 @pytest.fixture(scope="session")

@@ -2,13 +2,14 @@
 
 Nothing here touches the GLR machinery: parses are enumerated by
 exhaustive span tiling (CYK style, generalized to n-ary epsilon-free rules),
-and string languages by a bottom-up fixpoint that interprets repetition
-markers directly.
+string languages by a bottom-up fixpoint that interprets repetition
+markers directly, and action traces are replayed onto trees with a plain
+shift/reduce stack.
 """
 
 import random
 
-from frameparse import Grammar, TreeNode, parse_grammar
+from frameparse import Grammar, TreeNode, UnderivableTreeError, parse_grammar
 from frameparse.grammar import ONE, OPTIONAL, PLUS, STAR
 
 
@@ -19,6 +20,27 @@ def canon(tree):
             return ("leaf", tree.tag, tree.start)
         return (tree.label, tuple(canon(c) for c in tree.children))
     return tree
+
+
+def replay_actions(trace, table):
+    """Rebuild the tree an action trace describes: the reference inverse
+    of :func:`frameparse.tree_actions`."""
+    stack = []
+    position = 0
+    for _state, lookahead, action in trace:
+        if action[0] == "shift":
+            stack.append(TreeNode(None, position, position + 1, (), lookahead))
+            position += 1
+        elif action[0] == "reduce":
+            rule = table.grammar.rules[action[1]]
+            arity = len(rule.daughters)
+            children = tuple(stack[len(stack) - arity:])
+            del stack[len(stack) - arity:]
+            stack.append(TreeNode(rule, children[0].start, children[-1].end,
+                                  children))
+    if len(stack) != 1:
+        raise UnderivableTreeError("trace does not reduce to a single tree")
+    return stack[0]
 
 
 def enumerate_parses(grammar: Grammar, tokens):

@@ -3,8 +3,9 @@ import math
 import pytest
 
 import frameparse as fp
-from frameparse.actions import replay_actions, trace_sort_key
+from frameparse.actions import trace_sort_key
 from frameparse.grammar import END_MARKER
+from oracles import replay_actions
 
 MOD_TREEBANK = """
 (S (NP (det the) (n child)) (VP (v sees) (NP (NP (det a) (n dog)) (PP (prep in) (NP (det the) (n park))))))
@@ -13,12 +14,9 @@ MOD_TREEBANK = """
 """
 
 
-def _gold_trees(text, grammar):
-    return [fp.to_derivation_tree(t, grammar) for t in fp.read_treebank(text)]
-
-
 def test_empty_treebank_is_uniform(demo_table):
-    model = fp.train_actions([], demo_table)
+    model, skipped = fp.train_actions([], demo_table)
+    assert skipped == []
     for state, lookahead in model.classes():
         dist = model.distribution(state, lookahead)
         k = len(dist)
@@ -32,9 +30,14 @@ def test_class_distributions_sum_to_one(demo_table, adversarial_model):
             assert abs(total - 1.0) <= 1e-9
 
 
+def _mod_model(table):
+    model, skipped = fp.train_actions(fp.read_treebank(MOD_TREEBANK), table)
+    assert skipped == []
+    return model
+
+
 def test_modification_treebank_trains_that_reduce(demo_normalized, demo_table):
-    model = fp.train_actions(_gold_trees(MOD_TREEBANK, demo_normalized),
-                             demo_table)
+    model = _mod_model(demo_table)
     mod = demo_normalized.rule_by_shape("NP", ["NP", "PP"]).rule_id
     arg = demo_normalized.rule_by_shape("VP", ["v", "NP", "PP"]).rule_id
     conflict = [key for key in model.classes()
@@ -50,8 +53,7 @@ def test_modification_treebank_trains_that_reduce(demo_normalized, demo_table):
 def test_hand_counted_smoothing(demo_normalized, demo_table):
     # Three modification trees reduce NP -> NP PP three times in the
     # two-action conflict class: add-1 gives 4/5 against 1/5.
-    model = fp.train_actions(_gold_trees(MOD_TREEBANK, demo_normalized),
-                             demo_table)
+    model = _mod_model(demo_table)
     mod = demo_normalized.rule_by_shape("NP", ["NP", "PP"]).rule_id
     arg = demo_normalized.rule_by_shape("VP", ["v", "NP", "PP"]).rule_id
     for (state, lookahead), counter in model.counts.items():
@@ -69,8 +71,7 @@ def test_hand_counted_smoothing(demo_normalized, demo_table):
 
 def test_modification_trained_model_ranks_modification_first(demo_normalized,
                                                              demo_table):
-    model = fp.train_actions(_gold_trees(MOD_TREEBANK, demo_normalized),
-                             demo_table)
+    model = _mod_model(demo_table)
     forest = fp.glr_parse("det n v det n prep det n".split(), demo_table)
     ranked = fp.unpack_n_best(forest, model, None)
     # exhaustive scoring oracle: sorting all scored derivations agrees
@@ -84,15 +85,21 @@ def test_modification_trained_model_ranks_modification_first(demo_normalized,
 def test_underivable_tree_reports_sentence(demo_normalized, demo_table):
     good = fp.read_treebank("(S (NP (pn Paul)) (VP (v sleeps)))")[0]
     bad = fp.read_treebank("(S (VP (v sleeps)) (NP (pn Paul)))")[0]
-    trees = [fp.to_derivation_tree(good, demo_normalized)]
     with pytest.raises(fp.UnderivableTreeError, match="no rule"):
         fp.to_derivation_tree(bad, demo_normalized)
+    # training leaves the underivable tree out and names it
+    model, skipped = fp.train_actions([good, bad], demo_table)
+    alone, none_skipped = fp.train_actions([good], demo_table)
+    assert skipped == [(1, "no rule S -> VP NP")]
+    assert none_skipped == []
+    assert model.counts == alone.counts and model.counts
     # a tree bound to a different grammar cannot replay against this table
     other = fp.parse_grammar(
         "terminals: pn v\nstart: S\nS -> NP VP(head)\nNP -> pn\nVP -> v\n")
     foreign = fp.to_derivation_tree(good, other)
-    with pytest.raises(fp.UnderivableTreeError, match="sentence 1"):
-        fp.train_actions(trees + [foreign], demo_table)
+    with pytest.raises(fp.UnderivableTreeError,
+                       match=r"no reduce by rule 1 \(NP -> pn\)"):
+        fp.tree_actions(foreign, demo_table)
 
 
 def test_trace_replay_round_trip(demo_table):

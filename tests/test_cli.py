@@ -331,3 +331,43 @@ def test_output_path_is_not_a_demo_file(tmp_path, monkeypatch, model_file,
     assert code == 2
     assert "@demo/demo.lexicon" in capsys.readouterr().err
     assert fp.demo_path("demo.lexicon").read_bytes() == shipped
+
+
+OUTPUTS = {
+    "acquire --out": ["acquire", "--grammar", "@demo/demo.grammar",
+                      "--model", "{model}", "--corpus", "{input}",
+                      "--out", "{out}"],
+    "train --model": ["train", "--grammar", "@demo/demo.grammar",
+                      "--treebank", "{input}", "--model", "{out}"],
+    "compare --out": ["compare", "--grammar", "@demo/demo.grammar",
+                      "--model", "{model}", "--lexicon", "{lexicon}",
+                      "--corpus", "{input}",
+                      "--gold-gr", "@demo/ppsuite_gold.grs", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUTS))
+def test_unwritable_output_exits_2_before_any_work(tmp_path, model_file,
+                                                   lexicon_file, command,
+                                                   capsys):
+    def run(out):
+        # the input is missing too: it would be reported if read first
+        code = main([arg.format(model=model_file, lexicon=lexicon_file,
+                                input="/nowhere/input", out=out)
+                     for arg in OUTPUTS[command]])
+        return code, capsys.readouterr()
+
+    unwritable = tmp_path / "nodir" / "output"
+    code, captured = run(unwritable)
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {unwritable}: No such file or directory\n"
+    # a writable path is checked without being left behind or changed
+    existing = tmp_path / "existing"
+    existing.write_bytes(b"kept\n")
+    for out in (tmp_path / "fresh", existing):
+        code, captured = run(out)
+        assert code == 2
+        assert captured.err == "error: file not found: /nowhere/input\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
+    assert existing.read_bytes() == b"kept\n"

@@ -9,13 +9,11 @@ import frameparse as fp
 def test_default_model_is_uniform(demo_grammar, demo_wordlist):
     pipe = fp.ParserPipeline(demo_grammar, wordlist=demo_wordlist)
     result = pipe.analyze("the child sleeps")
-    assert result.in_coverage
     assert len(result.analyses) == 1
 
 
 def test_out_of_coverage_result(uniform_pipeline):
     result = uniform_pipeline.analyze("the the the")
-    assert not result.in_coverage
     assert result.analyses == []
     assert len(result.tokens) == 3
 
@@ -38,7 +36,7 @@ def test_lexicalized_flag_forced_off(lexicalized_pipeline):
 def test_unlisted_punctuation_dropped(adversarial_pipeline):
     plain = adversarial_pipeline.analyze("the child sees a dog in the park")
     comma = adversarial_pipeline.analyze("the child sees a dog, in the park")
-    assert comma.in_coverage
+    assert comma.analyses
     assert comma.tokens == plain.tokens
 
     def top_grs(result):
@@ -55,8 +53,15 @@ def test_listed_punctuation_kept(demo_grammar):
 
 def test_wordlist_tag_outside_terminals_rejected(demo_grammar):
     wl = fp.parse_wordlist("weird\tzz\n")
-    with pytest.raises(ValueError, match="zz"):
+    with pytest.raises(ValueError, match="^wordlist tag 'zz' is not a grammar "
+                                         "terminal$"):
         fp.ParserPipeline(demo_grammar, wordlist=wl)
+    # neither unknown-word tag is a terminal: the first in sorted order
+    # is named, whatever the string hash seed
+    without_nouns = fp.parse_grammar("terminals: a\nstart: S\nS -> a\n")
+    with pytest.raises(ValueError, match="^unknown-word tag 'n' is not a "
+                                         "grammar terminal$"):
+        fp.ParserPipeline(without_nouns)
 
 
 def test_mismatched_table_rejected(demo_grammar):
@@ -91,7 +96,7 @@ def test_benchmark_tracer_installs(lexicalized_pipeline):
         result = lexicalized_pipeline.analyze("the child sees a dog in the park")
     finally:
         uninstall()
-    assert result.in_coverage
+    assert result.analyses
     assert {"pipeline.ParserPipeline.analyze", "preprocess.tokenize",
             "preprocess.tag_tokens", "glr.glr_parse", "rerank.rank_analyses",
             "actions.unpack_n_best", "rerank.verb_frames"} <= set(tracer.by_name)

@@ -32,7 +32,7 @@ def test_multiline_records_and_comments():
 
 @pytest.mark.parametrize("bad", [
     "(S", "(S (NP n Paul))", "(S ())", "()", "(S (n a) extra junk",
-    "(S (n a))) "])
+    "(S (n a))) ", "(S (n a))\nabc"])
 def test_malformed_trees_rejected(bad):
     with pytest.raises(TreebankError):
         fp.read_treebank(bad)
