@@ -19,14 +19,14 @@ from .glr import Forest, ForestNode, ParseError, TreeNode, glr_parse
 from .treebank import (Tree, TreebankError, UnderivableTreeError,
                        from_derivation_tree, load_treebank, parse_tree,
                        read_treebank, to_derivation_tree, write_treebank)
-from .actions import (ActionModel, Derivation, load_model, save_model,
-                      train_actions, tree_actions, unpack_n_best)
+from .actions import (ActionModel, Derivation, RankedAnalysis, load_model,
+                      save_model, train_actions, tree_actions, unpack_n_best)
 from .lexicon import (LexiconError, SubcatEntry, SubcatLexicon,
                       collapse_classes, load_class_map, load_lexicon,
                       parse_lexicon, save_lexicon)
 from .preprocess import (Lemmatizer, Token, Wordlist, load_lemma_exceptions,
                          load_wordlist, parse_wordlist, tag_tokens, tokenize)
-from .rerank import FrameInstance, RankedAnalysis, rank_analyses, verb_frames
+from .rerank import FrameInstance, rank_analyses, verb_frames
 from .acquire import ObservationStore, hypothesize_entries, observe_corpus
 from .grs import (GR, GRError, RELATION_PARENTS, RELATION_SLOTS, gr_match,
                   gr_scores, parse_gr, read_gr_file, relation_histogram,

@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .grammar import END_MARKER
 from .glr import Forest, TreeNode
@@ -91,6 +91,19 @@ class Derivation:
 
     tree: TreeNode
     actions: tuple[tuple[int, str, tuple], ...]
+
+
+@dataclass(frozen=True)
+class RankedAnalysis:
+    """A derivation with the two terms of its ranking score."""
+
+    derivation: Derivation
+    structural_logprob: float
+    lexical_logprob: float
+
+    @property
+    def total_score(self) -> float:
+        return self.structural_logprob + self.lexical_logprob
 
 
 class ActionModel:
@@ -168,10 +181,15 @@ def train_actions(trees: Iterable[Tree], table: LRTable
     return ActionModel(table, counts), skipped
 
 
-def unpack_n_best(forest: Forest, model: ActionModel,
-                  n: int) -> list[tuple[Derivation, float]]:
-    """The ``min(n, total)`` most probable derivations, descending, with
-    ties broken by :func:`trace_sort_key`."""
+def unpack_n_best(forest: Forest, model: ActionModel, n: int,
+                  lexical: Optional[Callable[[Derivation], float]] = None
+                  ) -> list[RankedAnalysis]:
+    """The ``min(n, total)`` best analyses by total score, descending,
+    with ties broken by :func:`trace_sort_key`.  The total is the
+    derivation's action-model log-probability plus ``lexical(derivation)``,
+    or plus nothing without a lexical term."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be an int of at least 1, got {n!r}")
     grammar = model.table.grammar
     scored = []
     for tree in forest.all_trees():
@@ -180,10 +198,12 @@ def unpack_n_best(forest: Forest, model: ActionModel,
                 or grammar.rules[tree.rule.rule_id] is not tree.rule):
             raise ValueError("model/table mismatch: forest built from a "
                              "different grammar")
-        trace = tree_actions(tree, model.table)
-        scored.append((Derivation(tree, trace), model.trace_logprob(trace)))
-    scored.sort(key=lambda pair: (-pair[1], trace_sort_key(pair[0].actions)))
-    return scored[:n] if n is not None else scored
+        derivation = Derivation(tree, tree_actions(tree, model.table))
+        scored.append((derivation, model.trace_logprob(derivation.actions),
+                       lexical(derivation) if lexical is not None else 0.0))
+    scored.sort(key=lambda item: (-(item[1] + item[2]),
+                                  trace_sort_key(item[0].actions)))
+    return [RankedAnalysis(*item) for item in scored[:n]]
 
 
 def save_model(model: ActionModel, path) -> None:

@@ -330,7 +330,7 @@ def _emit_report(payload, lines: list[str], args) -> None:
     if args.format == "machine-readable":
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("".join(line + "\n" for line in lines), args.out)
 
 
 def cmd_compare(args) -> int:

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 from .actions import Derivation
 from .glr import TreeNode
 from .grammar import HELPER_PREFIX, Grammar
-from .grs import GR, SUBJECT_RELATIONS, gr_scores, relation_histogram  # noqa: F401
+from .grs import GR, SUBJECT_RELATIONS, gr_scores, relation_histogram
 from .preprocess import Token
 from .treebank import Tree
 

@@ -235,18 +235,18 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
     n = len(tokens)
     frontier: dict[int, _GssNode] = {
         table.start_state: _GssNode(table.start_state, 0)}
-    accepted = False
+
+    def schedule(node: _GssNode, via: Optional[tuple] = None) -> None:
+        # queue node's reductions on the lookahead, pinned to a new edge
+        for action in table.actions.get((node.state, lookahead), ()):
+            if action[0] == "reduce":
+                work.append((node, action[1], via))
 
     for i in range(n + 1):
         lookahead = tokens[i] if i < n else END_MARKER
         work: list[tuple[_GssNode, int, Optional[tuple]]] = []
         for state in sorted(frontier):
-            node = frontier[state]
-            for action in table.actions.get((state, lookahead), ()):
-                if action[0] == "reduce":
-                    work.append((node, action[1], None))
-                elif action[0] == "accept":
-                    accepted = True
+            schedule(frontier[state])
         cursor = 0
         while cursor < len(work):
             node, rule_id, via = work[cursor]
@@ -262,17 +262,11 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
                     fresh = _GssNode(target_state, i)
                     frontier[target_state] = fresh
                     fresh.edges.append((packed, base))
-                    for action in table.actions.get((target_state, lookahead), ()):
-                        if action[0] == "reduce":
-                            work.append((fresh, action[1], None))
-                        elif action[0] == "accept":
-                            accepted = True
+                    schedule(fresh)
                 elif not existing.has_edge(packed, base):
                     edge = (packed, base)
                     existing.edges.append(edge)
-                    for action in table.actions.get((existing.state, lookahead), ()):
-                        if action[0] == "reduce":
-                            work.append((existing, action[1], edge))
+                    schedule(existing, edge)
         if i == n:
             break
         leaf = forest_node(lookahead, i, i + 1, leaf=True)
@@ -291,5 +285,8 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
         if not frontier:
             return Forest(tuple(tokens), None)
 
-    root = nodes.get((grammar.start_symbol, 0, n)) if accepted else None
+    # No accept flag: with no empty rules only the start state lives at
+    # position 0, so a start-symbol node over the input was reduced onto
+    # it, entering goto(start, S), the only state with the accept item.
+    root = nodes.get((grammar.start_symbol, 0, n))
     return Forest(tuple(tokens), root, nodes if root is not None else {})

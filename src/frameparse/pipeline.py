@@ -11,14 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .actions import ActionModel, unpack_n_best
+from .actions import ActionModel, RankedAnalysis, unpack_n_best
 from .glr import Forest, glr_parse
 from .grammar import Grammar, normalize_kleene
 from .lexicon import SubcatLexicon
 from .lrtable import LRTable, build_table
 from .preprocess import (COMMON_TAG, PROPER_TAG, Lemmatizer, Token, Wordlist,
                          tag_tokens)
-from .rerank import RankedAnalysis, rank_analyses
+from .rerank import rank_analyses
 
 
 @dataclass
@@ -74,7 +74,7 @@ class ParserPipeline:
     def parse_tags(self, tags: Sequence[str]) -> Forest:
         return glr_parse(tags, self.table)
 
-    def analyze(self, sentence: str, n: Optional[int] = 1,
+    def analyze(self, sentence: str, n: int = 1,
                 lexicalized: bool = True) -> SentenceResult:
         """Tokenize, tag, parse, and rank one sentence (see :meth:`rank`)."""
         tokens = self.tag(sentence)
@@ -82,21 +82,14 @@ class ParserPipeline:
         return SentenceResult(sentence, tokens,
                               self.rank(forest, tokens, n, lexicalized))
 
-    def rank(self, forest: Forest, tokens: Sequence[Token],
-             n: Optional[int] = 1,
+    def rank(self, forest: Forest, tokens: Sequence[Token], n: int = 1,
              lexicalized: bool = True) -> list[RankedAnalysis]:
-        """The ``n`` best analyses of a parsed sentence, or all of them
-        for ``n=None``; empty iff the forest is.
-
-        Ranking uses the lexicon when one is attached; pass
-        ``lexicalized=False`` to force baseline (structural) ranking.
-        """
-        if n is not None and n < 1:
-            raise ValueError(f"n must be at least 1, got {n}")
-        if forest.is_empty:
-            return []
+        """The ``n`` best analyses of a parsed sentence (``n`` a positive
+        int), empty iff the forest is, from the one scorer
+        :func:`~frameparse.actions.unpack_n_best`.  The attached lexicon's
+        frame term is added unless ``lexicalized=False`` forces baseline
+        (structural) ranking."""
         if lexicalized and self.lexicon is not None:
             return rank_analyses(forest, self.model, self.lexicon,
                                  self.grammar, tokens, n)
-        return [RankedAnalysis(derivation, logprob, 0.0)
-                for derivation, logprob in unpack_n_best(forest, self.model, n)]
+        return unpack_n_best(forest, self.model, n)

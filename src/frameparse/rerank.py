@@ -1,11 +1,11 @@
-"""Rank analyses by structural derivation probability combined with
-per-verb frame probabilities.
+"""Verb-frame instances and the frame term of lexicalized ranking.
 
-The combined score is the log-space sum of the derivation's action-model
-score and, for every verb instance in the derivation, the smoothed
-probability of the frame the analysis assigns to it (located through the
-VSUBCAT value of the immediately dominating verbal rule).  The sum is a
-ranking score, not a probability, and is never renormalised.
+The frame term of a derivation is the log-space sum, over its verb
+instances, of the smoothed probability of the frame the analysis assigns
+to each (located through the VSUBCAT value of the immediately dominating
+verbal rule).  :func:`rank_analyses` adds it to the action-model score
+through :func:`~frameparse.actions.unpack_n_best`, the one scorer; the
+sum is a ranking score, not a probability, and is never renormalised.
 
 Verb tokens dominated by rules without a VSUBCAT value contribute
 nothing; such verbs pick up no lexical information at parse time.  All
@@ -15,9 +15,9 @@ functions here are pure over immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .actions import ActionModel, Derivation, trace_sort_key, unpack_n_best
+from .actions import ActionModel, Derivation, RankedAnalysis, unpack_n_best
 from .glr import Forest, TreeNode
 from .grammar import Grammar, vsubcat_of
 from .lexicon import SubcatLexicon
@@ -31,17 +31,6 @@ class FrameInstance:
     lemma: str
     frame: str
     node: TreeNode
-
-
-@dataclass(frozen=True)
-class RankedAnalysis:
-    derivation: Derivation
-    structural_logprob: float
-    lexical_logprob: float
-
-    @property
-    def total_score(self) -> float:
-        return self.structural_logprob + self.lexical_logprob
 
 
 def verb_frames(derivation: Derivation, grammar: Grammar,
@@ -65,14 +54,11 @@ def verb_frames(derivation: Derivation, grammar: Grammar,
 
 def rank_analyses(forest: Forest, model: ActionModel,
                   lexicon: SubcatLexicon, grammar: Grammar,
-                  tokens: Sequence[Token],
-                  n: Optional[int] = None) -> list[RankedAnalysis]:
-    """All analyses scored and sorted by total score, descending; ties
-    broken on the action trace exactly as in structural ranking."""
-    ranked = []
-    for derivation, structural in unpack_n_best(forest, model, None):
-        lexical = sum(lexicon.frame_logprob(inst.lemma, inst.frame)
-                      for inst in verb_frames(derivation, grammar, tokens))
-        ranked.append(RankedAnalysis(derivation, structural, lexical))
-    ranked.sort(key=lambda a: (-a.total_score, trace_sort_key(a.derivation.actions)))
-    return ranked[:n] if n is not None else ranked
+                  tokens: Sequence[Token], n: int) -> list[RankedAnalysis]:
+    """The ``n`` best analyses with the frame term as the lexical term
+    of :func:`~frameparse.actions.unpack_n_best`: ranked by total score,
+    ties broken on the action trace exactly as in structural ranking."""
+    def frame_term(derivation: Derivation) -> float:
+        return sum(lexicon.frame_logprob(inst.lemma, inst.frame)
+                   for inst in verb_frames(derivation, grammar, tokens))
+    return unpack_n_best(forest, model, n, frame_term)

@@ -4,12 +4,15 @@ Nothing here touches the GLR machinery: parses are enumerated by
 exhaustive span tiling (CYK style, generalized to n-ary epsilon-free rules),
 string languages by a bottom-up fixpoint that interprets repetition
 markers directly, and action traces are replayed onto trees with a plain
-shift/reduce stack.
+shift/reduce stack.  Ranking is checked against every tree of
+``Forest.all_trees`` scored on its own and sorted.
 """
 
 import random
 
-from frameparse import Grammar, TreeNode, UnderivableTreeError, parse_grammar
+from frameparse import (Derivation, Grammar, TreeNode, UnderivableTreeError,
+                        parse_grammar, tree_actions, verb_frames)
+from frameparse.actions import trace_sort_key
 from frameparse.grammar import ONE, OPTIONAL, PLUS, STAR
 
 
@@ -41,6 +44,27 @@ def replay_actions(trace, table):
     if len(stack) != 1:
         raise UnderivableTreeError("trace does not reduce to a single tree")
     return stack[0]
+
+
+def rank_by_enumeration(forest, model, lexicon=None, tokens=()):
+    """Every derivation of ``forest`` as (trace, structural, lexical),
+    best first: each tree is traced and scored step by step on its own,
+    the lexical term is the frame term of ``lexicon`` (0.0 without one),
+    and ties in the total go to the lower :func:`trace_sort_key`."""
+    grammar = model.table.grammar
+    ranked = []
+    for tree in forest.all_trees():
+        trace = tree_actions(tree, model.table)
+        structural = sum(model.logprob(*step) for step in trace)
+        lexical = 0.0
+        if lexicon is not None:
+            instances = verb_frames(Derivation(tree, trace), grammar, tokens)
+            lexical = sum(lexicon.frame_logprob(inst.lemma, inst.frame)
+                          for inst in instances)
+        ranked.append((trace, structural, lexical))
+    ranked.sort(key=lambda item: (-(item[1] + item[2]),
+                                  trace_sort_key(item[0])))
+    return ranked
 
 
 def enumerate_parses(grammar: Grammar, tokens):

@@ -113,12 +113,13 @@ def test_criterion_05_argmax_invariance(adversarial_pipeline, trained_model,
             forest = adversarial_pipeline.parse_tags([t.tag for t in tokens])
             if forest.is_empty:
                 continue
-            structural = [trace_sort_key(d.actions) for d, _ in
-                          fp.unpack_n_best(forest, model, None)]
+            count = forest.derivation_count()
+            structural = [trace_sort_key(a.derivation.actions) for a in
+                          fp.unpack_n_best(forest, model, count)]
             lexicalized = [trace_sort_key(a.derivation.actions) for a in
                            fp.rank_analyses(forest, model, uniform_lexicon,
                                             adversarial_pipeline.grammar,
-                                            tokens, None)]
+                                            tokens, count)]
             assert structural == lexicalized, sentence
             checked += 1
     assert checked == 2 * len(corpora)

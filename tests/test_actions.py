@@ -73,12 +73,13 @@ def test_modification_trained_model_ranks_modification_first(demo_normalized,
                                                              demo_table):
     model = _mod_model(demo_table)
     forest = fp.glr_parse("det n v det n prep det n".split(), demo_table)
-    ranked = fp.unpack_n_best(forest, model, None)
+    ranked = fp.unpack_n_best(forest, model, forest.derivation_count())
     # exhaustive scoring oracle: sorting all scored derivations agrees
-    scores = [(score, trace_sort_key(d.actions)) for d, score in ranked]
+    scores = [(a.structural_logprob, trace_sort_key(a.derivation.actions))
+              for a in ranked]
     assert scores == sorted(scores, key=lambda pair: (-pair[0], pair[1]))
     mod = demo_normalized.rule_by_shape("NP", ["NP", "PP"])
-    top = ranked[0][0]
+    top = ranked[0].derivation
     assert any(node.rule is mod for node in top.tree.iter_nodes())
 
 
@@ -104,9 +105,9 @@ def test_underivable_tree_reports_sentence(demo_normalized, demo_table):
 
 def test_trace_replay_round_trip(demo_table):
     forest = fp.glr_parse("det n aux v det n prep det n".split(), demo_table)
-    model = fp.ActionModel(demo_table)
-    for derivation, _ in fp.unpack_n_best(forest, model, None):
-        assert replay_actions(derivation.actions, demo_table) == derivation.tree
+    for tree in forest.all_trees():
+        assert replay_actions(fp.tree_actions(tree, demo_table),
+                              demo_table) == tree
 
 
 def test_single_action_probability_one_scores_zero(demo_table):
@@ -122,17 +123,19 @@ def test_two_halves_product():
     table = fp.build_table(fp.normalize_kleene(g))
     model = fp.ActionModel(table)
     forest = fp.glr_parse(["a", "b"], table)
-    ranked = fp.unpack_n_best(forest, model, None)
+    ranked = fp.unpack_n_best(forest, model, forest.derivation_count())
     assert len(ranked) == 2
-    for derivation, logprob in ranked:
-        halves = [model.prob(*step) for step in derivation.actions
+    for analysis in ranked:
+        halves = [model.prob(*step) for step in analysis.derivation.actions
                   if model.prob(*step) < 1.0]
-        assert logprob == pytest.approx(sum(math.log(p) for p in halves))
+        assert analysis.structural_logprob == \
+            pytest.approx(sum(math.log(p) for p in halves))
 
 
 def test_derivation_logprob_matches_hand_product(demo_table, adversarial_model):
     forest = fp.glr_parse("det n v det n prep det n".split(), demo_table)
-    (derivation, logprob), *_ = fp.unpack_n_best(forest, adversarial_model, 1)
+    [top] = fp.unpack_n_best(forest, adversarial_model, 1)
+    derivation, logprob = top.derivation, top.structural_logprob
     assert len(derivation.actions) >= 8
     by_hand = 1.0
     for state, lookahead, action in derivation.actions:
@@ -150,8 +153,8 @@ def test_unknown_class_uses_floor_never_fails(demo_table):
 def test_nbest_ordering_monotone(demo_table):
     forest = fp.glr_parse("det n aux v det n prep det n".split(), demo_table)
     model = fp.ActionModel(demo_table)
-    ranked = fp.unpack_n_best(forest, model, None)
-    scores = [score for _, score in ranked]
+    ranked = fp.unpack_n_best(forest, model, forest.derivation_count())
+    scores = [a.structural_logprob for a in ranked]
     assert scores == sorted(scores, reverse=True)
 
 
@@ -170,16 +173,18 @@ VP -> v(head) NP PP : VSUBCAT=NP_PP
     table = fp.build_table(grammar)
     model = fp.ActionModel(table)
     forest = fp.glr_parse("n v det n prep n".split(), table)
-    ranked = fp.unpack_n_best(forest, model, None)
+    ranked = fp.unpack_n_best(forest, model, forest.derivation_count())
     assert len(ranked) == 2
+    first, second = (a.derivation for a in ranked)
     # both readings pass exactly one binary conflict twice; scores tie
-    assert ranked[0][1] == pytest.approx(ranked[1][1])
-    keys = [trace_sort_key(d.actions) for d, _ in ranked]
+    assert ranked[0].structural_logprob == \
+        pytest.approx(ranked[1].structural_logprob)
+    keys = [trace_sort_key(d.actions) for d in (first, second)]
     assert keys == sorted(keys)
     # the modification reduce has the lower rule id, so it sorts first
     mod = grammar.rule_by_shape("NP", ["NP", "PP"])
-    assert any(node.rule is mod for node in ranked[0][0].tree.iter_nodes())
-    assert not any(node.rule is mod for node in ranked[1][0].tree.iter_nodes())
+    assert any(node.rule is mod for node in first.tree.iter_nodes())
+    assert not any(node.rule is mod for node in second.tree.iter_nodes())
 
 
 def test_nbest_cap(demo_table):
@@ -192,8 +197,8 @@ def test_nbest_cap(demo_table):
 
 def test_exponentiated_scores_finite_positive(demo_table, trained_model):
     forest = fp.glr_parse("det n aux v det n prep det n".split(), demo_table)
-    ranked = fp.unpack_n_best(forest, trained_model, None)
-    total = sum(math.exp(score) for _, score in ranked)
+    ranked = fp.unpack_n_best(forest, trained_model, forest.derivation_count())
+    total = sum(math.exp(a.structural_logprob) for a in ranked)
     assert 0.0 < total < math.inf
 
 

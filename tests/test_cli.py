@@ -123,6 +123,21 @@ def test_parse_out_of_coverage_continues(model_file, capsys):
     assert "(S (NP (det the) (n child)) (VP (v sleeps)))" in captured.out
 
 
+@pytest.mark.parametrize("fmt, expected", [("text", ""),
+                                           ("machine-readable", "[]\n")])
+def test_parse_empty_corpus(tmp_path, model_file, capsys, fmt, expected):
+    corpus = tmp_path / "empty.txt"
+    corpus.write_text("")
+    code = main(["parse", "--grammar", "@demo/demo.grammar",
+                 "--wordlist", "@demo/demo.wordlist",
+                 "--model", str(model_file), "--format", fmt,
+                 "--corpus", str(corpus)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == expected
+    assert captured.err == ""
+
+
 def test_acquire_summary(lexicon_file):
     lex = fp.load_lexicon(lexicon_file)
     assert lex.count("hear", "NP") == 9

@@ -252,7 +252,7 @@ class TestExtractGRs:
 
     def test_attachment_changes_iobj(self, uniform_pipeline):
         sentence = "the meeting will hear a greeting from the senator"
-        result = uniform_pipeline.analyze(sentence, n=None)
+        result = uniform_pipeline.analyze(sentence, n=99)
         gr_sets = [fp.extract_grs(a.derivation, uniform_pipeline.grammar,
                                   result.tokens)
                    for a in result.analyses]

@@ -1,9 +1,13 @@
 import importlib.util
+import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import frameparse as fp
+
+from oracles import random_grammar, random_sentences, rank_by_enumeration
 
 
 def test_default_model_is_uniform(demo_grammar, demo_wordlist):
@@ -73,10 +77,75 @@ def test_mismatched_table_rejected(demo_grammar):
 def test_n_limits_analyses(uniform_pipeline):
     sentence = "the meeting will hear a greeting from the senator"
     assert len(uniform_pipeline.analyze(sentence, n=2).analyses) == 2
-    assert len(uniform_pipeline.analyze(sentence, n=None).analyses) == 4
+    assert len(uniform_pipeline.analyze(sentence, n=99).analyses) == 4
 
 
-@pytest.mark.parametrize("n", [0, -1])
+def _assert_rank_matches_enumeration(pipeline, forest, tokens, lexicalized):
+    """Checks ``pipeline.rank`` at n = 1, 2, count and count + 1; returns
+    the enumerated ranking."""
+    lexicon = pipeline.lexicon if lexicalized else None
+    expected = rank_by_enumeration(forest, pipeline.model, lexicon, tokens)
+    count = len(expected)
+    for n in {1, 2, max(count, 1), count + 1}:
+        ranked = pipeline.rank(forest, tokens, n, lexicalized)
+        assert [(a.derivation.actions, a.structural_logprob,
+                 a.lexical_logprob) for a in ranked] == expected[:n]
+    return expected
+
+
+def _has_tie(expected):
+    totals = [structural + lexical for _, structural, lexical in expected]
+    return len(set(totals)) < len(totals)
+
+
+def test_rank_matches_enumeration_on_random_grammars():
+    rng = random.Random(0x5C0DE)
+    ambiguous = tied = 0
+    for _ in range(200):
+        # the pipeline requires the unknown-word tags as terminals
+        text = fp.render_grammar(random_grammar(rng))
+        grammar = fp.parse_grammar(text.replace("terminals:",
+                                                "terminals: n pn", 1))
+        table = fp.build_table(grammar)
+        counts = {key: Counter({action: rng.randint(0, 3)
+                                for action in actions})
+                  for key, actions in table.actions.items()}
+        for model in (fp.ActionModel(table), fp.ActionModel(table, counts)):
+            pipeline = fp.ParserPipeline(grammar, table=table, model=model)
+            for tags in random_sentences(grammar, rng, 8):
+                forest = pipeline.parse_tags(tags)
+                if forest.derivation_count() > 300:
+                    continue
+                tokens = [fp.Token(tag, tag, tag) for tag in tags]
+                expected = _assert_rank_matches_enumeration(
+                    pipeline, forest, tokens, False)
+                ambiguous += len(expected) > 1
+                tied += _has_tie(expected)
+    assert ambiguous >= 100 and tied >= 40
+
+
+def test_rank_matches_enumeration_with_demo_lexicon(
+        demo_grammar, demo_table, adversarial_model, demo_wordlist,
+        demo_lemmatizer, suite_sentences):
+    pipeline = fp.ParserPipeline(
+        demo_grammar, table=demo_table, model=adversarial_model,
+        wordlist=demo_wordlist, lemmatizer=demo_lemmatizer,
+        lexicon=fp.load_lexicon(fp.demo_path("demo.lexicon")))
+    sentences = list(suite_sentences)
+    sentences += [line for line in
+                  fp.demo_path("acquisition.txt").read_text().splitlines()
+                  if line.strip()]
+    sentences += ["the child sees a dog" + " in the park" * k
+                  for k in range(6)]
+    for sentence in sentences:
+        tokens = pipeline.tag(sentence)
+        forest = pipeline.parse_tags([token.tag for token in tokens])
+        for lexicalized in (False, True):
+            assert _assert_rank_matches_enumeration(
+                pipeline, forest, tokens, lexicalized), sentence
+
+
+@pytest.mark.parametrize("n", [0, -1, None])
 def test_n_below_one_rejected(uniform_pipeline, n):
     with pytest.raises(ValueError, match="at least 1"):
         uniform_pipeline.analyze("the child sees a dog", n=n)

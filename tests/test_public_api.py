@@ -1,4 +1,5 @@
-"""Every public function and class has a caller in the program.
+"""Every public function and class has a caller in the program, and
+every module uses each name it imports.
 
 A name exported by ``frameparse`` counts as used when the package (its
 ``__init__`` aside) or the benchmark under ``perfbench/`` mentions it as
@@ -50,3 +51,26 @@ def test_every_public_function_and_class_has_a_caller():
               or inspect.isclass(getattr(fp, name))}
     assert set(KEPT) <= public
     assert public - mentioned == set(KEPT)
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    yield "%s:%d %s" % (path.name, node.lineno, name)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # The tracer wraps functions under the names their callers import, so
+    # an import kept only for it would pass for a live call site.
+    package = ROOT / "src" / "frameparse"
+    unused = [entry for path in sorted(package.glob("*.py"))
+              if path.name != "__init__.py"
+              for entry in _unused_imports(path)]
+    assert unused == []

@@ -30,7 +30,7 @@ class TestVerbFrames:
         assert fp.verb_frames(derivation, demo_table.grammar, tokens) == []
 
     def test_attachment_decides_frame(self, uniform_pipeline):
-        result = uniform_pipeline.analyze(HEAR, n=None)
+        result = uniform_pipeline.analyze(HEAR, n=99)
         by_frames = {}
         for analysis in result.analyses:
             frames = tuple(
@@ -46,7 +46,8 @@ def _rank_all(pipeline, sentence, lexicon):
     tokens = pipeline.tag(sentence)
     forest = pipeline.parse_tags([t.tag for t in tokens])
     return tokens, fp.rank_analyses(forest, pipeline.model, lexicon,
-                                    pipeline.grammar, tokens, None)
+                                    pipeline.grammar, tokens,
+                                    forest.derivation_count())
 
 
 class TestLexicalizedScore:
@@ -57,7 +58,7 @@ class TestLexicalizedScore:
         forest = fp.glr_parse(["det", "n"], table)
         tokens = [fp.Token("the", "det", "the"), fp.Token("dog", "n", "dog")]
         [scored] = fp.rank_analyses(forest, fp.ActionModel(table), lexicon,
-                                    table.grammar, tokens)
+                                    table.grammar, tokens, 99)
         assert scored.lexical_logprob == 0.0
         assert scored.total_score == scored.structural_logprob
 
@@ -111,7 +112,7 @@ class TestLexicalizedScore:
             pytest.approx(math.log(7))
 
     def test_score_decomposition_exact(self, lexicalized_pipeline):
-        result = lexicalized_pipeline.analyze(HEAR, n=None)
+        result = lexicalized_pipeline.analyze(HEAR, n=99)
         for analysis in result.analyses:
             lexical = sum(
                 lexicalized_pipeline.lexicon.frame_logprob(f.lemma, f.frame)
@@ -129,7 +130,7 @@ class TestRankAnalyses:
         tokens = adversarial_pipeline.tag("the child sleeps")
         forest = adversarial_pipeline.parse_tags([t.tag for t in tokens])
         ranked = fp.rank_analyses(forest, adversarial_pipeline.model, lexicon,
-                                  adversarial_pipeline.grammar, tokens, None)
+                                  adversarial_pipeline.grammar, tokens, 99)
         assert len(ranked) == 1
 
     def test_uniform_lexicon_matches_structural_order(self, adversarial_pipeline,
@@ -138,12 +139,13 @@ class TestRankAnalyses:
         for sentence in suite_sentences:
             tokens = adversarial_pipeline.tag(sentence)
             forest = adversarial_pipeline.parse_tags([t.tag for t in tokens])
+            count = forest.derivation_count()
             structural = fp.unpack_n_best(forest, adversarial_pipeline.model,
-                                          None)
+                                          count)
             reranked = fp.rank_analyses(forest, adversarial_pipeline.model,
                                         empty, adversarial_pipeline.grammar,
-                                        tokens, None)
-            assert [trace_sort_key(d.actions) for d, _ in structural] == \
+                                        tokens, count)
+            assert [_analysis_key(a) for a in structural] == \
                 [_analysis_key(a) for a in reranked]
 
     def test_adversarial_model_flipped_by_lexicon(self, adversarial_pipeline,
@@ -159,7 +161,7 @@ class TestRankAnalyses:
         assert [f.frame for f in lex_frames] == ["NP"]
 
     def test_raising_frame_count_never_lowers_rank(self, uniform_pipeline):
-        result = uniform_pipeline.analyze(HEAR, n=None)
+        result = uniform_pipeline.analyze(HEAR)
         tokens = result.tokens
 
         def rank_of_np_reading(np_count):
@@ -168,7 +170,8 @@ class TestRankAnalyses:
             lexicon = fp.parse_lexicon(rows)
             forest = uniform_pipeline.parse_tags([t.tag for t in tokens])
             ranked = fp.rank_analyses(forest, uniform_pipeline.model, lexicon,
-                                      uniform_pipeline.grammar, tokens, None)
+                                      uniform_pipeline.grammar, tokens,
+                                      forest.derivation_count())
             for position, analysis in enumerate(ranked):
                 frames = fp.verb_frames(analysis.derivation,
                                         uniform_pipeline.grammar, tokens)
