@@ -10,10 +10,9 @@ grammatical-relation metrics.
 """
 
 from .frames import DEFAULT_FRAME_INVENTORY
-from .grammar import (ADJUNCT, ARGUMENT, Category, DaughterSpec, Grammar,
-                      GrammarError, GRTemplate, Rule, SlotRef, load_grammar,
-                      normalize_kleene, parse_grammar, render_grammar,
-                      vsubcat_of)
+from .grammar import (ADJUNCT, ARGUMENT, Grammar, GrammarError, GRTemplate,
+                      Rule, SlotRef, load_grammar, normalize_kleene,
+                      parse_grammar, render_grammar, vsubcat_of)
 from .lrtable import LRTable, build_table
 from .glr import Forest, ForestNode, ParseError, TreeNode, glr_parse
 from .treebank import (Tree, TreebankError, UnderivableTreeError,

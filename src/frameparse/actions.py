@@ -62,14 +62,14 @@ def tree_actions(tree: TreeNode, table: LRTable) -> tuple[tuple[int, str, tuple]
             if action not in table.actions.get((state, lookahead), ()):
                 raise UnderivableTreeError(
                     f"no reduce by rule {rule.rule_id} "
-                    f"({rule.mother.label} -> {' '.join(rule.daughter_labels())}) "
+                    f"({rule.mother} -> {' '.join(rule.daughters)}) "
                     f"in state {state} on {lookahead!r}")
             trace.append((state, lookahead, action))
             del states[len(states) - len(rule.daughters):]
-            goto = table.gotos.get((states[-1], rule.mother.label))
+            goto = table.gotos.get((states[-1], rule.mother))
             if goto is None:
                 raise UnderivableTreeError(
-                    f"no goto on {rule.mother.label!r} from state {states[-1]}")
+                    f"no goto on {rule.mother!r} from state {states[-1]}")
             states.append(goto)
     state = states[-1]
     if ("accept",) not in table.actions.get((state, END_MARKER), ()):

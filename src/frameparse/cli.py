@@ -25,7 +25,7 @@ from .demofiles import demo_path
 from .evaluation import (EvaluationError, aggregate_brackets, aggregate_grs,
                          bracket_scores, extract_brackets, extract_grs,
                          paired_t_test)
-from .grammar import load_grammar, normalize_kleene
+from .grammar import Grammar, load_grammar, normalize_kleene
 from .grs import read_gr_file
 from .lexicon import load_lexicon, save_lexicon
 from .lrtable import build_table, render_action
@@ -60,6 +60,12 @@ def _load(loader, value: str | None, *args):
         raise CliError(f"{path}: {exc}", code=2) from exc
 
 
+def _load_grammar(value: str) -> Grammar:
+    """The grammar file ``value`` with its Kleene markers expanded; a
+    fault found by either step exits 2 naming the path."""
+    return _load(lambda path: normalize_kleene(load_grammar(path)), value)
+
+
 def _check_output(value: str) -> None:
     """Exit 2 as ``error: <path>: <reason>`` unless ``value`` can be
     written; run before any work, leaving an existing file as it is."""
@@ -92,8 +98,8 @@ def _fmt_stat(value: float) -> str:
 
 
 def _load_pipeline(args) -> ParserPipeline:
-    grammar = _load(load_grammar, args.grammar)
-    table = build_table(normalize_kleene(grammar))
+    grammar = _load_grammar(args.grammar)
+    table = build_table(grammar)
     model = _load(load_model, args.model, table)
     wordlist = _load(load_wordlist, args.wordlist)
     exceptions = _load(load_lemma_exceptions, args.lemma_exceptions)
@@ -143,7 +149,7 @@ def _nonneg_float(text: str) -> float:
 
 
 def cmd_build_table(args) -> int:
-    grammar = normalize_kleene(_load(load_grammar, args.grammar))
+    grammar = _load_grammar(args.grammar)
     table = build_table(grammar)
     conflicts = table.conflicts()
     lines = [
@@ -159,7 +165,7 @@ def cmd_build_table(args) -> int:
 
 
 def cmd_train(args) -> int:
-    grammar = normalize_kleene(_load(load_grammar, args.grammar))
+    grammar = _load_grammar(args.grammar)
     table = build_table(grammar)
     trees = _load(load_treebank, args.treebank)
     model, skipped = train_actions(trees, table)

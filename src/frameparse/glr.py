@@ -47,7 +47,7 @@ class TreeNode:
 
     @property
     def label(self) -> str:
-        return self.tag if self.rule is None else self.rule.mother.label
+        return self.tag if self.rule is None else self.rule.mother
 
     def head_leaf(self) -> "TreeNode":
         """The lexical head reached by following head daughters."""
@@ -253,7 +253,7 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
             cursor += 1
             rule = grammar.rules[rule_id]
             for children, base in _paths(node, len(rule.daughters), via):
-                lhs = rule.mother.label
+                lhs = rule.mother
                 packed = forest_node(lhs, base.pos, i)
                 packed.add_alternative(rule, children)
                 target_state = table.gotos[(base.state, lhs)]

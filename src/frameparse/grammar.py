@@ -14,25 +14,17 @@ parser instances; loading itself is single-threaded.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .frames import DEFAULT_FRAME_INVENTORY
 from .grs import RELATION_SLOTS
 
-LEXICAL = "lexical"
-X1 = "X1"
-XP = "XP"
-
 ARGUMENT = "argument"
 ADJUNCT = "adjunct"
-
-ONE = "one"
-OPTIONAL = "optional"
-STAR = "star"
-PLUS = "plus"
 
 # Symbols starting with "@" are reserved: Kleene expansion mints helper
 # non-terminals under this prefix and evaluation excludes their brackets.
@@ -54,33 +46,6 @@ class GrammarError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-def bar_level_of(label: str, terminals: Iterable[str]) -> str:
-    if label in terminals:
-        return LEXICAL
-    if label.endswith("1"):
-        return X1
-    return XP
-
-
-@dataclass(frozen=True)
-class Category:
-    label: str
-    bar_level: str
-    features: tuple[tuple[str, str], ...] = ()
-
-    def feature(self, name: str) -> Optional[str]:
-        for key, value in self.features:
-            if key == name:
-                return value
-        return None
-
-
-@dataclass(frozen=True)
-class DaughterSpec:
-    category: Category
-    repetition: str = ONE
 
 
 @dataclass(frozen=True)
@@ -115,11 +80,6 @@ class GRTemplate:
     dependent_slot: SlotRef = SLOT_NONE
     initial_slot: SlotRef = SLOT_NONE
 
-    def daughter_refs(self) -> list[int]:
-        return [s.value for s in (self.type_slot, self.head_slot,
-                                  self.dependent_slot, self.initial_slot)
-                if s.kind == "daughter"]
-
     def render(self) -> str:
         return "gr: %s(%s, %s, %s, %s)" % (
             self.relation, self.type_slot.render(), self.head_slot.render(),
@@ -128,45 +88,35 @@ class GRTemplate:
 
 @dataclass(frozen=True)
 class Rule:
-    mother: Category
-    daughters: tuple[DaughterSpec, ...]
+    mother: str
+    daughters: tuple[str, ...]
     head_index: int  # 0-based
+    markers: tuple[str, ...]  # per daughter: "", "?", "*" or "+"
+    features: tuple[tuple[str, str], ...] = ()  # the mother's
     gr_templates: tuple[GRTemplate, ...] = ()
     rule_id: int = -1
     line: Optional[int] = field(default=None, compare=False)
 
     @property
     def kind(self) -> str:
-        head = self.daughters[self.head_index].category
-        return ADJUNCT if self.mother.label == head.label else ARGUMENT
+        return ADJUNCT if self.mother == self.daughters[self.head_index] else ARGUMENT
 
-    @property
-    def head_daughter(self) -> Category:
-        return self.daughters[self.head_index].category
-
-    def daughter_labels(self) -> tuple[str, ...]:
-        return tuple(d.category.label for d in self.daughters)
+    def feature(self, name: str) -> Optional[str]:
+        for key, value in self.features:
+            if key == name:
+                return value
+        return None
 
     def has_repetition(self) -> bool:
-        return any(d.repetition != ONE for d in self.daughters)
+        return any(self.markers)
 
     def render(self) -> str:
-        parts = []
-        for i, d in enumerate(self.daughters):
-            token = d.category.label
-            if d.repetition == OPTIONAL:
-                token += "?"
-            elif d.repetition == STAR:
-                token += "*"
-            elif d.repetition == PLUS:
-                token += "+"
-            if i == self.head_index:
-                token += "(head)"
-            parts.append(token)
-        text = "%s -> %s" % (self.mother.label, " ".join(parts))
-        if self.mother.features:
-            feats = ", ".join("%s=%s" % kv for kv in self.mother.features)
-            text += " : " + feats
+        parts = [symbol + marker + ("(head)" if i == self.head_index else "")
+                 for i, (symbol, marker)
+                 in enumerate(zip(self.daughters, self.markers))]
+        text = "%s -> %s" % (self.mother, " ".join(parts))
+        if self.features:
+            text += " : " + ", ".join("%s=%s" % kv for kv in self.features)
         for tpl in self.gr_templates:
             text += " | " + tpl.render()
         return text
@@ -181,17 +131,17 @@ class Grammar:
 
     @cached_property
     def nonterminals(self) -> frozenset[str]:
-        return frozenset(r.mother.label for r in self.rules)
+        return frozenset(r.mother for r in self.rules)
 
     @cached_property
     def shape_index(self) -> dict[tuple[str, tuple[str, ...]], Rule]:
-        return {(r.mother.label, r.daughter_labels()): r for r in self.rules}
+        return {(r.mother, r.daughters): r for r in self.rules}
 
     @cached_property
     def rules_by_lhs(self) -> dict[str, tuple[Rule, ...]]:
         grouped: dict[str, list[Rule]] = {}
         for r in self.rules:
-            grouped.setdefault(r.mother.label, []).append(r)
+            grouped.setdefault(r.mother, []).append(r)
         return {k: tuple(v) for k, v in grouped.items()}
 
     def has_repetition(self) -> bool:
@@ -201,17 +151,18 @@ class Grammar:
         return self.shape_index.get((mother, tuple(daughters)))
 
 
-def vsubcat_of(rule: Rule) -> Optional[str]:
-    """The complement frame a verbal argument rule assigns to its verb.
+def vsubcat_of(rule: Rule, grammar: Grammar) -> Optional[str]:
+    """The complement frame a verbal argument rule of ``grammar`` assigns
+    to its verb.
 
-    Absent for adjunct rules, for rules whose head is phrasal, and for
-    rules carrying no VSUBCAT feature.
+    Absent for adjunct rules, for rules whose head is not a terminal, and
+    for rules carrying no VSUBCAT feature.
     """
     if rule.kind != ARGUMENT:
         return None
-    if rule.head_daughter.bar_level != LEXICAL:
+    if rule.daughters[rule.head_index] not in grammar.terminals:
         return None
-    return rule.mother.feature("VSUBCAT")
+    return rule.feature("VSUBCAT")
 
 
 def _check_symbol(name: str, line: Optional[int]) -> str:
@@ -269,7 +220,7 @@ def _parse_template(section: str, line: int, n_daughters: int) -> GRTemplate:
 _DAUGHTER_RE = re.compile(r"^(?P<name>[^()*+?\s]+)(?P<rep>[*+?])?(?P<head>\(head\))?$")
 
 
-def _parse_rule_line(line_text: str, line: int):
+def _parse_rule_line(line_text: str, line: int, rule_id: int) -> Rule:
     sections = [s.strip() for s in line_text.split("|")]
     main = sections[0]
     if "->" not in main:
@@ -284,21 +235,21 @@ def _parse_rule_line(line_text: str, line: int):
     if not tokens:
         raise GrammarError("rule has no daughters (empty rules are not allowed)", line)
     daughters = []
+    markers = []
     head_index = None
     for i, token in enumerate(tokens):
         m = _DAUGHTER_RE.match(token)
         if not m:
             raise GrammarError(f"cannot parse daughter {token!r}", line)
-        name = _check_symbol(m.group("name"), line)
-        rep = {None: ONE, "?": OPTIONAL, "*": STAR, "+": PLUS}[m.group("rep")]
+        daughters.append(_check_symbol(m.group("name"), line))
+        markers.append(m.group("rep") or "")
         if m.group("head"):
             if head_index is not None:
                 raise GrammarError("more than one daughter marked (head)", line)
-            if rep != ONE:
+            if markers[-1]:
                 raise GrammarError("the head daughter cannot carry a repetition marker",
                                    line)
             head_index = i
-        daughters.append((name, rep))
     if head_index is None:
         if len(daughters) == 1:
             head_index = 0
@@ -318,7 +269,8 @@ def _parse_rule_line(line_text: str, line: int):
         if not section.startswith("gr:"):
             raise GrammarError(f"expected 'gr: ...' after '|': {section!r}", line)
         templates.append(_parse_template(section, line, len(daughters)))
-    return mother, daughters, head_index, tuple(features), tuple(templates)
+    return Rule(mother, tuple(daughters), head_index, tuple(markers), tuple(features),
+                tuple(templates), rule_id, line)
 
 
 def parse_grammar(text: str) -> Grammar:
@@ -343,7 +295,7 @@ def parse_grammar(text: str) -> Grammar:
     terminals: Optional[list[str]] = None
     start: Optional[str] = None
     verb_tags: list[str] = []
-    raw_rules = []
+    rules: list[Rule] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -357,33 +309,30 @@ def parse_grammar(text: str) -> Grammar:
         elif line.startswith("verbs:"):
             verb_tags = [_check_symbol(s, lineno) for s in line[6:].split()]
         elif "->" in line:
-            raw_rules.append((lineno, _parse_rule_line(line, lineno)))
+            rules.append(_parse_rule_line(line, lineno, len(rules)))
         else:
             raise GrammarError(f"unrecognised line: {line!r}", lineno)
     if terminals is None:
         raise GrammarError("missing 'terminals:' declaration")
     if start is None:
         raise GrammarError("missing 'start:' declaration")
-    if not raw_rules:
+    if not rules:
         raise GrammarError("grammar has no rules")
 
     terminal_set = frozenset(terminals)
-    nonterminals = frozenset(mother for _, (mother, *_rest) in raw_rules)
-    rules = []
-    for lineno, (mother, daughters, head_index, features, templates) in raw_rules:
-        if mother in terminal_set:
-            raise GrammarError(f"terminal {mother!r} on a left-hand side", lineno)
-        mother_cat = Category(mother, bar_level_of(mother, terminal_set), features)
-        specs = []
-        for name, rep in daughters:
+    nonterminals = frozenset(rule.mother for rule in rules)
+    for rule in rules:
+        if rule.mother in terminal_set:
+            raise GrammarError(f"terminal {rule.mother!r} on a left-hand side",
+                               rule.line)
+        for name in rule.daughters:
             if name not in terminal_set and name not in nonterminals:
-                raise GrammarError(f"undeclared symbol {name!r}", lineno)
-            specs.append(DaughterSpec(Category(name, bar_level_of(name, terminal_set)),
-                                      rep))
-        rules.append(Rule(mother_cat, tuple(specs), head_index, templates,
-                          rule_id=len(rules), line=lineno))
+                raise GrammarError(f"undeclared symbol {name!r}", rule.line)
+        vsubcat = rule.feature("VSUBCAT")
+        if vsubcat is not None and vsubcat not in _FRAMES:
+            raise GrammarError(f"unknown VSUBCAT value {vsubcat!r}", rule.line)
     grammar = Grammar(tuple(rules), start, terminal_set, frozenset(verb_tags))
-    _validate(grammar, _FRAMES, check_cycles=not grammar.has_repetition())
+    _validate(grammar, check_cycles=not grammar.has_repetition())
     return grammar
 
 
@@ -402,29 +351,17 @@ def render_grammar(grammar: Grammar) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _validate(grammar: Grammar, frames: Optional[frozenset[str]],
-              check_cycles: bool) -> None:
+def _validate(grammar: Grammar, check_cycles: bool) -> None:
     if grammar.start_symbol not in grammar.nonterminals:
         raise GrammarError(f"start symbol {grammar.start_symbol!r} has no rule")
-    seen_shapes: dict[tuple, int] = {}
+    seen_shapes: set[tuple] = set()
     for rule in grammar.rules:
-        shape = (rule.mother.label,
-                 tuple((d.category.label, d.repetition) for d in rule.daughters))
+        shape = (rule.mother, rule.daughters, rule.markers)
         if shape in seen_shapes:
             raise GrammarError(
-                f"duplicate rule {rule.mother.label} -> "
-                f"{' '.join(rule.daughter_labels())}", rule.line)
-        seen_shapes[shape] = rule.rule_id
-        if not 0 <= rule.head_index < len(rule.daughters):
-            raise GrammarError("head index out of range", rule.line)
-        vsubcat = rule.mother.feature("VSUBCAT")
-        if vsubcat is not None and frames is not None and vsubcat not in frames:
-            raise GrammarError(f"unknown VSUBCAT value {vsubcat!r}", rule.line)
-        for tpl in rule.gr_templates:
-            for index in tpl.daughter_refs():
-                if not 1 <= index <= len(rule.daughters):
-                    raise GrammarError(
-                        f"template daughter index {index} out of range", rule.line)
+                f"duplicate rule {rule.mother} -> {' '.join(rule.daughters)}",
+                rule.line)
+        seen_shapes.add(shape)
     if check_cycles:
         _check_cycle_free(grammar)
 
@@ -434,9 +371,9 @@ def _check_cycle_free(grammar: Grammar) -> None:
     edges: dict[str, set[str]] = {}
     for rule in grammar.rules:
         if len(rule.daughters) == 1:
-            child = rule.daughters[0].category.label
+            child = rule.daughters[0]
             if child in grammar.nonterminals:
-                edges.setdefault(rule.mother.label, set()).add(child)
+                edges.setdefault(rule.mother, set()).add(child)
     state: dict[str, int] = {}
 
     def visit(node: str, trail: list[str]) -> None:
@@ -480,72 +417,64 @@ def normalize_kleene(grammar: Grammar) -> Grammar:
     """
     if not grammar.has_repetition():
         return grammar
-    helper_labels: dict[str, Category] = {}
+    helpers: dict[str, str] = {}  # repeated symbol -> its helper
     new_rules: list[Rule] = []
     seen: dict[tuple, Rule] = {}
 
-    def helper_for(category: Category) -> Category:
-        label = f"@rep_{category.label}"
-        if label not in helper_labels:
-            helper_labels[label] = category
-        return Category(label, XP)
+    def helper_for(symbol: str) -> str:
+        return helpers.setdefault(symbol, f"{HELPER_PREFIX}rep_{symbol}")
 
-    def emit(rule: Rule) -> None:
-        shape = (rule.mother, rule.daughter_labels(), rule.head_index)
+    def emit(mother: str, daughters: tuple[str, ...], head_index: int,
+             features: tuple = (), templates: tuple = (),
+             line: Optional[int] = None) -> None:
+        shape = (mother, features, daughters, head_index)
         prior = seen.get(shape)
         if prior is not None:
-            if (prior.gr_templates, prior.mother.features) != \
-                    (rule.gr_templates, rule.mother.features):
+            if prior.gr_templates != templates:
                 raise GrammarError(
                     f"Kleene expansion produced conflicting duplicates of "
-                    f"{rule.mother.label} -> {' '.join(rule.daughter_labels())}",
-                    rule.line)
+                    f"{mother} -> {' '.join(daughters)}", line)
             return
-        final = Rule(rule.mother, rule.daughters, rule.head_index,
-                     rule.gr_templates, rule_id=len(new_rules), line=rule.line)
-        seen[shape] = final
-        new_rules.append(final)
+        rule = Rule(mother, daughters, head_index, ("",) * len(daughters), features,
+                    templates, len(new_rules), line)
+        seen[shape] = rule
+        new_rules.append(rule)
 
     for rule in grammar.rules:
         # Each daughter contributes its expansion choices; the cross
         # product enumerates the marker-free variants of the rule.
-        choices: list[list[Optional[DaughterSpec]]] = []
-        for spec in rule.daughters:
-            plain = DaughterSpec(spec.category, ONE)
-            if spec.repetition == ONE:
-                choices.append([plain])
-            elif spec.repetition == OPTIONAL:
-                choices.append([None, plain])
-            elif spec.repetition == STAR:
-                choices.append([None, DaughterSpec(helper_for(spec.category), ONE)])
-            else:  # PLUS
-                choices.append([DaughterSpec(helper_for(spec.category), ONE)])
-        variants: list[list[Optional[DaughterSpec]]] = [[]]
-        for options in choices:
-            variants = [prefix + [opt] for prefix in variants for opt in options]
-        for variant in variants:
+        choices: list[list[Optional[str]]] = []
+        for symbol, marker in zip(rule.daughters, rule.markers):
+            if marker == "":
+                choices.append([symbol])
+            elif marker == "?":
+                choices.append([None, symbol])
+            elif marker == "*":
+                choices.append([None, helper_for(symbol)])
+            else:  # "+"
+                choices.append([helper_for(symbol)])
+        for variant in itertools.product(*choices):
             index_map = {}
             daughters = []
-            for old_index, spec in enumerate(variant, 1):
-                if spec is not None:
-                    daughters.append(spec)
+            for old_index, symbol in enumerate(variant, 1):
+                if symbol is not None:
+                    daughters.append(symbol)
                     index_map[old_index] = len(daughters)
-            if len(daughters) == 1 and daughters[0].category.label == rule.mother.label:
-                continue  # unit self-cycle adds nothing to the language
+            if daughters == [rule.mother] and rule.has_repetition():
+                # an expanded unit self-cycle adds nothing to the language;
+                # a written one is left for the cycle check to reject
+                continue
             head_index = index_map[rule.head_index + 1] - 1
             templates = tuple(t for t in
                               (_remap_template(tpl, index_map)
                                for tpl in rule.gr_templates)
                               if t is not None)
-            emit(Rule(rule.mother, tuple(daughters), head_index, templates,
-                      line=rule.line))
-    for label in sorted(helper_labels):
-        base = helper_labels[label]
-        mother = Category(label, XP)
-        emit(Rule(mother, (DaughterSpec(base),), 0))
-        emit(Rule(mother, (DaughterSpec(base), DaughterSpec(Category(label, XP))), 0))
+            emit(rule.mother, tuple(daughters), head_index, rule.features, templates,
+                 rule.line)
+    for symbol, helper in sorted(helpers.items()):
+        emit(helper, (symbol,), 0)
+        emit(helper, (symbol, helper), 0)
     normalized = Grammar(tuple(new_rules), grammar.start_symbol, grammar.terminals,
                          grammar.verb_tags)
-    # VSUBCAT membership was checked when the surface grammar was parsed.
-    _validate(normalized, None, check_cycles=True)
+    _validate(normalized, check_cycles=True)
     return normalized

@@ -81,8 +81,8 @@ def _first_sets(grammar: Grammar) -> dict[str, frozenset[str]]:
     while changed:
         changed = False
         for rule in grammar.rules:
-            lead = rule.daughters[0].category.label
-            target = first[rule.mother.label]
+            lead = rule.daughters[0]
+            target = first[rule.mother]
             before = len(target)
             target |= first.get(lead, set())
             changed = changed or len(target) != before
@@ -112,7 +112,7 @@ def build_table(grammar: Grammar) -> LRTable:
     def rhs(rule_id: int) -> tuple[str, ...]:
         if rule_id == _AUGMENTED:
             return (grammar.start_symbol,)
-        return rules[rule_id].daughter_labels()
+        return rules[rule_id].daughters
 
     def closure(items: frozenset) -> frozenset:
         out = set(items)

@@ -41,7 +41,7 @@ def verb_frames(derivation: Derivation, grammar: Grammar,
     for node in derivation.tree.iter_nodes():
         if node.rule is None:
             continue
-        frame = vsubcat_of(node.rule)
+        frame = vsubcat_of(node.rule, grammar)
         if frame is None:
             continue
         head = node.children[node.rule.head_index]

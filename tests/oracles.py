@@ -13,7 +13,6 @@ import random
 from frameparse import (Derivation, Grammar, TreeNode, UnderivableTreeError,
                         parse_grammar, tree_actions, verb_frames)
 from frameparse.actions import trace_sort_key
-from frameparse.grammar import ONE, OPTIONAL, PLUS, STAR
 
 
 def canon(tree):
@@ -82,7 +81,7 @@ def enumerate_parses(grammar: Grammar, tokens):
             return result
         out = []
         for rule in grammar.rules_by_lhs.get(symbol, ()):
-            labels = rule.daughter_labels()
+            labels = rule.daughters
             for split in _tilings(i, j, len(labels)):
                 child_sets = [parses(label, a, b)
                               for label, (a, b) in zip(labels, split)]
@@ -121,7 +120,7 @@ def language(grammar: Grammar, max_len: int):
     while changed:
         changed = False
         for rule in grammar.rules:
-            target = lang[rule.mother.label]
+            target = lang[rule.mother]
             for sequence in concrete[rule.rule_id]:
                 strings = {()}
                 for symbol in sequence:
@@ -139,15 +138,14 @@ def language(grammar: Grammar, max_len: int):
 
 def _concrete_sequences(rule, max_len):
     options = []
-    for spec in rule.daughters:
-        label = spec.category.label
-        if spec.repetition == ONE:
+    for label, marker in zip(rule.daughters, rule.markers):
+        if marker == "":
             options.append([(label,)])
-        elif spec.repetition == OPTIONAL:
+        elif marker == "?":
             options.append([(), (label,)])
-        elif spec.repetition == STAR:
+        elif marker == "*":
             options.append([(label,) * k for k in range(max_len + 1)])
-        elif spec.repetition == PLUS:
+        elif marker == "+":
             options.append([(label,) * k for k in range(1, max_len + 1)])
     sequences = [()]
     for opts in options:
@@ -213,12 +211,11 @@ def _derive(grammar: Grammar, rng: random.Random, max_len: int):
             return None
         if budget <= 0:
             rules = [r for r in rules
-                     if all(d.category.label in grammar.terminals
-                            for d in r.daughters)] or list(rules)
+                     if all(d in grammar.terminals for d in r.daughters)] or list(rules)
         rule = rng.choice(list(rules))
         out = []
-        for spec in rule.daughters:
-            part = expand(spec.category.label, budget - 1)
+        for daughter in rule.daughters:
+            part = expand(daughter, budget - 1)
             if part is None or len(out) + len(part) > max_len + 4:
                 return None
             out.extend(part)

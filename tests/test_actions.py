@@ -160,31 +160,29 @@ def test_nbest_ordering_monotone(demo_table):
 
 def test_uniform_model_tie_break():
     grammar = fp.parse_grammar("""
-terminals: n v det prep
+terminals: a b c
 start: S
-S  -> NP VP(head)
-NP -> n
-NP -> det n(head)
-NP -> NP(head) PP
-PP -> prep NP(head)
-VP -> v(head) NP : VSUBCAT=NP
-VP -> v(head) NP PP : VSUBCAT=NP_PP
+S -> X c(head)
+S -> a(head) Y
+X -> a(head) b
+Y -> b(head) c
 """)
     table = fp.build_table(grammar)
     model = fp.ActionModel(table)
-    forest = fp.glr_parse("n v det n prep n".split(), table)
+    forest = fp.glr_parse("a b c".split(), table)
+    # enumeration yields the rule-0 reading first, so only the trace
+    # tie-break can put the rule-1 reading on top
+    assert [tree.rule.rule_id for tree in forest.all_trees()] == [0, 1]
     ranked = fp.unpack_n_best(forest, model, forest.derivation_count())
     assert len(ranked) == 2
-    first, second = (a.derivation for a in ranked)
-    # both readings pass exactly one binary conflict twice; scores tie
-    assert ranked[0].structural_logprob == \
-        pytest.approx(ranked[1].structural_logprob)
-    keys = [trace_sort_key(d.actions) for d in (first, second)]
+    # each reading takes one side of the same shift/reduce conflict
+    assert ranked[0].structural_logprob == ranked[1].structural_logprob \
+        == pytest.approx(math.log(0.5))
+    keys = [trace_sort_key(a.derivation.actions) for a in ranked]
     assert keys == sorted(keys)
-    # the modification reduce has the lower rule id, so it sorts first
-    mod = grammar.rule_by_shape("NP", ["NP", "PP"])
-    assert any(node.rule is mod for node in first.tree.iter_nodes())
-    assert not any(node.rule is mod for node in second.tree.iter_nodes())
+    # shifting c sorts before reducing X -> a b, so rule 1 ranks first
+    assert [a.derivation.tree.rule for a in ranked] == \
+        [grammar.rules[1], grammar.rules[0]]
 
 
 def test_nbest_cap(demo_table):

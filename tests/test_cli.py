@@ -231,38 +231,48 @@ def test_reports_byte_identical(tmp_path, model_file, lexicon_file):
     assert first.read_bytes() == second.read_bytes()
 
 
-MALFORMED = {
-    "--model": None,  # the trained model with its second row cut short
-    "--lexicon": "hear\tNP\t9\t0.9\nhear\tPP\tone\t0.1\n",
-    "--wordlist": "the\tdet\nchild\n",
-    "--lemma-exceptions": "meeting\tn\tmeeting\nMeeting\tn\tmeet\n",
-    "--gold-gr": "ncsubj(sleep,child,_)\nbogus(x\n",
-}
+MALFORMED = [
+    # option, malformed text, start of the message after the path
+    pytest.param("--model", None, "line 2: ", id="--model"),  # second row cut short
+    pytest.param("--lexicon", "hear\tNP\t9\t0.9\nhear\tPP\tone\t0.1\n",
+                 "line 2: ", id="--lexicon"),
+    pytest.param("--wordlist", "the\tdet\nchild\n", "line 2: ", id="--wordlist"),
+    pytest.param("--lemma-exceptions", "meeting\tn\tmeeting\nMeeting\tn\tmeet\n",
+                 "line 2: ", id="--lemma-exceptions"),
+    pytest.param("--gold-gr", "ncsubj(sleep,child,_)\nbogus(x\n", "line 2: ",
+                 id="--gold-gr"),
+    # grammar faults that only Kleene expansion finds
+    pytest.param("--grammar", "terminals: a b\nstart: S\nS -> a\nS -> X\n"
+                 "X -> S(head) Y?\nY -> b\n",
+                 "grammar has a derivation cycle: S -> X -> S\n", id="--grammar-cycle"),
+    pytest.param("--grammar", "terminals: a\nstart: X\nX -> a? a(head)\n"
+                 "X -> a(head) a?\n", "line 4: duplicate rule X -> a a\n",
+                 id="--grammar-duplicate"),
+]
 
 
-@pytest.mark.parametrize("option", sorted(MALFORMED))
+@pytest.mark.parametrize("option, text, message", MALFORMED)
 def test_malformed_input_file_exit_2(tmp_path, model_file, lexicon_file,
-                                     option, capsys):
-    files = {"--model": str(model_file), "--lexicon": str(lexicon_file),
+                                     option, text, message, capsys):
+    files = {"--grammar": "@demo/demo.grammar",
+             "--model": str(model_file), "--lexicon": str(lexicon_file),
              "--wordlist": "@demo/demo.wordlist",
              "--lemma-exceptions": "@demo/demo.lemma_exceptions",
              "--gold-gr": "@demo/ppsuite_gold.grs"}
     bad = tmp_path / "bad.input"
-    text = MALFORMED[option]
     if text is None:
         lines = model_file.read_text().splitlines()
         text = "\n".join([lines[0], lines[1].rsplit("\t", 1)[0]]) + "\n"
     bad.write_text(text)
     files[option] = str(bad)
-    argv = ["eval-gr", "--grammar", "@demo/demo.grammar",
-            "--corpus", "@demo/ppsuite.txt"]
+    argv = ["eval-gr", "--corpus", "@demo/ppsuite.txt"]
     for name, value in files.items():
         argv += [name, value]
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {bad}: line 2: ")
+    assert captured.err.startswith(f"error: {bad}: {message}")
     assert captured.err.count("\n") == 1
 
 

@@ -22,14 +22,14 @@ def test_minimal_rule_head():
     g = fp.parse_grammar("terminals: a b\nstart: S\nS -> a b(head)\n")
     assert len(g.rules) == 1
     assert g.rules[0].head_index == 1
-    assert g.rules[0].daughter_labels() == ("a", "b")
+    assert g.rules[0].daughters == ("a", "b")
 
 
 def test_verbal_rule_carries_vsubcat():
     g = fp.parse_grammar(MINI)
     rule = g.rule_by_shape("VP", ["v", "NP"])
-    assert rule.mother.feature("VSUBCAT") == "NP"
-    assert fp.vsubcat_of(rule) == "NP"
+    assert rule.features == (("VSUBCAT", "NP"),)
+    assert fp.vsubcat_of(rule, g) == "NP"
 
 
 def test_undeclared_symbol_is_named():
@@ -70,6 +70,11 @@ def test_unit_cycle_rejected():
     text = "terminals: a\nstart: S\nS -> A\nA -> S\nS -> a\nA -> a\n"
     with pytest.raises(GrammarError, match="cycle"):
         fp.parse_grammar(text)
+    # a marker elsewhere defers the check to Kleene expansion, which must
+    # not drop a written unit self-rule
+    marked = fp.parse_grammar("terminals: a\nstart: S\nS -> a+ a(head)\nS -> S\n")
+    with pytest.raises(GrammarError, match="cycle: S -> S"):
+        fp.normalize_kleene(marked)
 
 
 def test_missing_declarations_rejected():
@@ -99,23 +104,28 @@ class TestKinds:
     def test_adjunct_mother_equals_head_label(self, demo_normalized):
         for rule in demo_normalized.rules:
             if rule.kind == ADJUNCT:
-                assert rule.mother.label == rule.head_daughter.label
+                assert rule.mother == rule.daughters[rule.head_index]
 
     def test_every_verbal_argument_rule_has_vsubcat(self, demo_normalized):
         verbal = [rule for rule in demo_normalized.rules
                   if rule.kind == ARGUMENT
-                  and rule.head_daughter.label in demo_normalized.verb_tags]
+                  and rule.daughters[rule.head_index] in demo_normalized.verb_tags]
         assert verbal
-        assert [rule for rule in verbal if fp.vsubcat_of(rule) is None] == []
+        assert [rule for rule in verbal
+                if fp.vsubcat_of(rule, demo_normalized) is None] == []
 
     def test_vsubcat_of_nonverbal_rule_absent(self):
         g = fp.parse_grammar(MINI)
-        assert fp.vsubcat_of(g.rule_by_shape("NP", ["det", "n"])) is None
-        assert fp.vsubcat_of(g.rule_by_shape("NP", ["NP", "PP"])) is None
+        assert fp.vsubcat_of(g.rule_by_shape("NP", ["det", "n"]), g) is None
+        assert fp.vsubcat_of(g.rule_by_shape("NP", ["NP", "PP"]), g) is None
+        # a VSUBCAT on a rule whose head is not a terminal assigns no frame
+        phrasal = fp.parse_grammar(
+            "terminals: v n\nstart: S\nS -> V(head) n : VSUBCAT=NP\nV -> v\n")
+        assert fp.vsubcat_of(phrasal.rules[0], phrasal) is None
 
     def test_vsubcat_of_intransitive(self):
         g = fp.parse_grammar(MINI)
-        assert fp.vsubcat_of(g.rule_by_shape("VP", ["v"])) == "NONE"
+        assert fp.vsubcat_of(g.rule_by_shape("VP", ["v"]), g) == "NONE"
 
 
 class TestRoundTrip:
@@ -132,9 +142,8 @@ class TestRoundTrip:
         g = fp.parse_grammar(text)
         again = fp.parse_grammar(fp.render_grammar(g))
         assert again == g
-        assert again.rules[0].daughters[0].repetition == "optional"
-        assert again.rules[0].daughters[2].repetition == "star"
-        assert again.rules[1].daughters[0].repetition == "plus"
+        assert again.rules[0].markers == ("?", "", "*")
+        assert again.rules[1].markers == ("+", "")
 
 
 class TestNormalize:
@@ -149,18 +158,18 @@ class TestNormalize:
     def test_optional_expands_to_rule_pair(self):
         g = fp.parse_grammar("terminals: b c\nstart: A\nA -> b? c(head)\n")
         n = fp.normalize_kleene(g)
-        shapes = {r.daughter_labels() for r in n.rules}
+        shapes = {r.daughters for r in n.rules}
         assert shapes == {("b", "c"), ("c",)}
 
     def test_star_adjunct_language_preserved(self):
-        surface = ("terminals: x j\nstart: XP\n"
-                   "XP -> XP(head) Adj*\nXP -> x\nAdj -> j\n")
+        surface = ("terminals: x j\nstart: AP\n"
+                   "AP -> AP(head) Adj*\nAP -> x\nAdj -> j\n")
         g = fp.parse_grammar(surface)
         n = fp.normalize_kleene(g)
         assert not n.has_repetition()
         assert language(g, 6) == language(n, 6)
         # the expansion keeps only the non-empty helper branch
-        assert all(r.daughter_labels() != ("XP",) for r in n.rules)
+        assert all(r.daughters != ("AP",) for r in n.rules)
 
     def test_plus_language_preserved(self):
         surface = "terminals: p q\nstart: S\nS -> p+ q(head)\n"
@@ -168,13 +177,13 @@ class TestNormalize:
         n = fp.normalize_kleene(g)
         assert language(g, 6) == language(n, 6)
         assert (
-            "q",) not in {r.daughter_labels() for r in n.rules}
+            "q",) not in {r.daughters for r in n.rules}
 
     def test_helper_names_are_prefixed(self, demo_normalized):
         helpers = [r for r in demo_normalized.rules
-                   if r.mother.label.startswith("@")]
+                   if r.mother.startswith("@")]
         assert helpers
-        assert all(r.mother.label == "@rep_pn" for r in helpers)
+        assert all(r.mother == "@rep_pn" for r in helpers)
 
     def test_templates_remap_and_drop(self):
         text = ("terminals: v n p\nstart: VP\n"

@@ -157,3 +157,16 @@ def test_corrupted_table_loads_or_names_line(table_formats, tmp_path_factory,
     except error as exc:
         assert type(exc) is error
         assert "line " in str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_corrupted_grammar_builds_or_raises_grammar_error(data):
+    text = data.draw(corruptions(fp.demo_path("demo.grammar").read_text()))
+    try:
+        grammar = fp.parse_grammar(text)
+        fp.build_table(fp.normalize_kleene(grammar))
+    except fp.GrammarError as exc:
+        assert type(exc) is fp.GrammarError
+        return
+    assert fp.parse_grammar(fp.render_grammar(grammar)) == grammar
