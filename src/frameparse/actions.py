@@ -1,4 +1,4 @@
-"""Probabilistic model over LR parse actions.
+"""Probabilistic model over LR parse actions, and ranking of a packed forest.
 
 Actions are conditioned on (state, lookahead) and normalized within that
 class; training accumulates counts along the unique action trace of each
@@ -10,18 +10,30 @@ The action trace of a derivation is a deterministic function of its tree
 given the table (shifts in leaf order, each reduce as soon as its
 daughters are complete), which is also how gold treebank trees are
 turned into training events.
+
+Ranking never unpacks the forest.  An action's probability depends only
+on (state, lookahead); a forest node's final reduce reads the token at
+its end, and a node entered from state ``s`` leaves in ``goto(s, label)``
+whichever alternative built it.  So a derivation's score is a sum over
+the vertices ``(forest node, entry state)`` of a hypergraph, and
+:func:`unpack_n_best` finds the best one with one Viterbi pass and the
+next ones with lazy k-best search (Huang & Chiang 2005, "Better k-best
+parsing", Algorithm 3).  Its cost is polynomial in the forest, plus
+``O(n log n)`` heap work for ``n`` analyses; only the analyses returned
+are built as trees.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .grammar import END_MARKER
-from .glr import Forest, TreeNode
+from .grammar import END_MARKER, Rule
+from .glr import Forest, ForestNode, TreeNode
 from .lrtable import LRTable, action_sort_key, parse_action, render_action
 from .preprocess import _read_table
 from .treebank import Tree, UnderivableTreeError, to_derivation_tree
@@ -139,6 +151,16 @@ class ActionModel:
         # scoring foreign traces degrades instead of failing.
         total_available = sum(len(v) for v in table.actions.values())
         self._floor = 1.0 / (1 + total_available)
+        # One log-probability per available (state, lookahead, action),
+        # the same expression as prob()'s, so every float is identical.
+        self._logprobs: dict[tuple[int, str, tuple], float] = {}
+        for (state, lookahead), available in table.actions.items():
+            class_counts = self.counts.get((state, lookahead), {})
+            total = sum(class_counts.values())
+            for action in available:
+                count = class_counts.get(action, 0)
+                self._logprobs[(state, lookahead, action)] = math.log(
+                    (count + 1) / (total + len(available)))
 
     def prob(self, state: int, lookahead: str, action: tuple) -> float:
         available = self.table.actions.get((state, lookahead))
@@ -150,7 +172,10 @@ class ActionModel:
         return (count + 1) / (total + len(available))
 
     def logprob(self, state: int, lookahead: str, action: tuple) -> float:
-        return math.log(self.prob(state, lookahead, action))
+        logprob = self._logprobs.get((state, lookahead, action))
+        if logprob is None:
+            return math.log(self.prob(state, lookahead, action))
+        return logprob
 
     def trace_logprob(self, trace: Sequence[tuple[int, str, tuple]]) -> float:
         return sum(self.logprob(*step) for step in trace)
@@ -181,26 +206,229 @@ def train_actions(trees: Iterable[Tree], table: LRTable
     return ActionModel(table, counts), skipped
 
 
+class LexicalTerm(NamedTuple):
+    """A ranking term that is a sum over rule applications.
+
+    ``local(rule, daughters)`` is one application's share, given the
+    forest nodes it combines; ``total(derivation)`` is the whole term of
+    one derivation, the value reported and sorted on.  ``total`` must
+    equal the sum of ``local`` over the derivation's rule applications
+    up to float rounding, and every share must be a log-probability
+    (at most 0).
+    """
+
+    local: Callable[[Rule, tuple[ForestNode, ...]], float]
+    total: Callable[[Derivation], float]
+
+
+# The search sums a derivation's log-probabilities in tree order, the
+# rescoring in trace order and the lexical term in its own order, so the
+# two totals of one derivation can differ in the last bits.  Each is a
+# sum of m terms of one sign (all at most 0), hence within
+# m * 2**-53 * |total| of the real sum, and the two within twice that.
+# A derivation left out of the search holds a score more than
+# _TIE_BAND * |score| below the n-th best's; for m under 10**6 steps
+# that exceeds the rounding of both sides, so its exact total is below
+# the n-th best's and no tie is lost before the final sort.
+_TIE_BAND = 1e-9
+
+
+class _Vertex:
+    """A (forest node, entry state) vertex of the ranking hypergraph.
+
+    Each edge is ``(rule, tails, step, weight)``: the rule applied
+    (``None`` for a leaf's shift), the daughter vertices, the action
+    step it ends with and that step's log-probability plus the lexical
+    share.  ``derivations`` lists ``(score, edge index, tail ranks)``
+    best first, as far as they have been found.
+    """
+
+    __slots__ = ("node", "exit", "edges", "ambiguous", "derivations",
+                 "candidates", "seen")
+
+    def __init__(self, node: ForestNode, exit_state: int, edges: list,
+                 best: int, score: float, ambiguous: bool):
+        self.node = node
+        self.exit = exit_state
+        self.edges = edges
+        self.ambiguous = ambiguous
+        self.derivations = [(score, best, (0,) * len(edges[best][1]))]
+        self.candidates: Optional[list] = None
+        self.seen: set = set()
+
+
+def _edge_score(edge: tuple, ranks: tuple[int, ...]) -> float:
+    score = 0.0
+    for tail, rank in zip(edge[1], ranks):
+        score += tail.derivations[rank][0]
+    return score + edge[3]
+
+
+class _ForestSearch:
+    """Viterbi and lazy k-best search over one forest's hypergraph."""
+
+    def __init__(self, forest: Forest, model: ActionModel,
+                 lexical: Optional[LexicalTerm]):
+        self.tokens = forest.tokens
+        self.model = model
+        self.local = lexical.local if lexical is not None else None
+        self.vertices: dict[tuple[ForestNode, int], Optional[_Vertex]] = {}
+
+    def visit(self, node: ForestNode, state: int) -> Optional[_Vertex]:
+        """The vertex of ``node`` entered from ``state`` with its best
+        derivation, or ``None`` if the table cannot derive it there."""
+        key = (node, state)
+        if key in self.vertices:
+            return self.vertices[key]
+        self.vertices[key] = None  # the forest is acyclic; guards a malformed one
+        table = self.model.table
+        if node.leaf:
+            target = table.shift_target(state, node.symbol)
+            if target is None:
+                return None
+            step = (state, node.symbol, ("shift", target))
+            weight = self.model.logprob(*step)
+            vertex = _Vertex(node, target, [(None, (), step, weight)], 0,
+                             weight, False)
+            self.vertices[key] = vertex
+            return vertex
+        grammar = table.grammar
+        for rule, _ in node.alternatives:
+            if (rule.rule_id >= len(grammar.rules)
+                    or grammar.rules[rule.rule_id] is not rule):
+                raise ValueError("model/table mismatch: forest built from a "
+                                 "different grammar")
+        exit_state = table.gotos.get((state, node.symbol))
+        if exit_state is None:
+            return None
+        lookahead = (self.tokens[node.end] if node.end < len(self.tokens)
+                     else END_MARKER)
+        edges = []
+        best = best_score = None
+        ambiguous = False
+        for rule, daughters in node.alternatives:
+            tails = []
+            entry = state
+            score = 0.0
+            for daughter in daughters:
+                tail = self.visit(daughter, entry)
+                if tail is None:
+                    break
+                tails.append(tail)
+                score += tail.derivations[0][0]
+                entry = tail.exit
+            else:
+                action = ("reduce", rule.rule_id)
+                if action not in table.actions.get((entry, lookahead), ()):
+                    continue
+                step = (entry, lookahead, action)
+                weight = self.model.logprob(*step)
+                if self.local is not None:
+                    weight += self.local(rule, daughters)
+                score += weight
+                if best is None or score > best_score:
+                    best, best_score = len(edges), score
+                edges.append((rule, tuple(tails), step, weight))
+                ambiguous = ambiguous or any(t.ambiguous for t in tails)
+        if best is None:
+            return None
+        vertex = _Vertex(node, exit_state, edges, best, best_score,
+                         ambiguous or len(edges) > 1)
+        self.vertices[key] = vertex
+        return vertex
+
+    def has_derivation(self, vertex: _Vertex, k: int) -> bool:
+        """Whether ``vertex`` has a derivation of rank ``k`` (0 is the
+        best), finding it lazily: Huang & Chiang's ``LazyKthBest``."""
+        found = vertex.derivations
+        if k < len(found):
+            return True
+        if not vertex.ambiguous:
+            return False
+        heap = vertex.candidates
+        if heap is None:
+            # GetCandidates: every other edge's best derivation
+            heap = vertex.candidates = []
+            for index, edge in enumerate(vertex.edges):
+                ranks = (0,) * len(edge[1])
+                vertex.seen.add((index, ranks))
+                if index != found[0][1]:
+                    heap.append((-_edge_score(edge, ranks), index, ranks))
+            heapq.heapify(heap)
+        while len(found) <= k:
+            # LazyNext: the neighbours of the last derivation found
+            _, index, ranks = found[-1]
+            edge = vertex.edges[index]
+            for i, tail in enumerate(edge[1]):
+                successor = ranks[:i] + (ranks[i] + 1,) + ranks[i + 1:]
+                if ((index, successor) not in vertex.seen
+                        and self.has_derivation(tail, successor[i])):
+                    vertex.seen.add((index, successor))
+                    heapq.heappush(heap, (-_edge_score(edge, successor),
+                                          index, successor))
+            if not heap:
+                return False
+            score, index, ranks = heapq.heappop(heap)
+            found.append((-score, index, ranks))
+        return True
+
+    def build(self, vertex: _Vertex, k: int, trace: list) -> TreeNode:
+        """The tree of ``vertex``'s rank-``k`` derivation; its action
+        steps are appended to ``trace`` in trace order."""
+        _, index, ranks = vertex.derivations[k]
+        rule, tails, step, _ = vertex.edges[index]
+        node = vertex.node
+        if rule is None:
+            trace.append(step)
+            return TreeNode(None, node.start, node.end, (), node.symbol)
+        children = []
+        for tail, rank in zip(tails, ranks):
+            children.append(self.build(tail, rank, trace))
+        trace.append(step)
+        return TreeNode(rule, node.start, node.end, tuple(children))
+
+
 def unpack_n_best(forest: Forest, model: ActionModel, n: int,
-                  lexical: Optional[Callable[[Derivation], float]] = None
+                  lexical: Optional[LexicalTerm] = None
                   ) -> list[RankedAnalysis]:
     """The ``min(n, total)`` best analyses by total score, descending,
     with ties broken by :func:`trace_sort_key`.  The total is the
-    derivation's action-model log-probability plus ``lexical(derivation)``,
-    or plus nothing without a lexical term."""
+    derivation's action-model log-probability plus ``lexical.total`` of
+    it, or plus nothing without a lexical term.
+
+    The forest is searched, not unpacked: see the module docstring.
+    """
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"n must be an int of at least 1, got {n!r}")
-    grammar = model.table.grammar
+    if forest.root is None:
+        return []
+    table = model.table
+    search = _ForestSearch(forest, model, lexical)
+    root = search.visit(forest.root, table.start_state)
+    if root is None:
+        return []
+    accept = (root.exit, END_MARKER, ("accept",))
+    if accept[2] not in table.actions.get(accept[:2], ()):
+        return []
+    accept_logprob = model.logprob(*accept)
+    popped = 0
+    floor = None
+    while search.has_derivation(root, popped):
+        score = root.derivations[popped][0] + accept_logprob
+        if floor is not None and score < floor:
+            break
+        popped += 1
+        if popped == n:
+            floor = score - _TIE_BAND * abs(score)
     scored = []
-    for tree in forest.all_trees():
-        if tree.rule is not None and (
-                tree.rule.rule_id >= len(grammar.rules)
-                or grammar.rules[tree.rule.rule_id] is not tree.rule):
-            raise ValueError("model/table mismatch: forest built from a "
-                             "different grammar")
-        derivation = Derivation(tree, tree_actions(tree, model.table))
+    for k in range(popped):
+        trace: list = []
+        tree = search.build(root, k, trace)
+        trace.append(accept)
+        derivation = Derivation(tree, tuple(trace))
         scored.append((derivation, model.trace_logprob(derivation.actions),
-                       lexical(derivation) if lexical is not None else 0.0))
+                       lexical.total(derivation) if lexical is not None
+                       else 0.0))
     scored.sort(key=lambda item: (-(item[1] + item[2]),
                                   trace_sort_key(item[0].actions)))
     return [RankedAnalysis(*item) for item in scored[:n]]

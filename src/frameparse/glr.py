@@ -3,8 +3,10 @@
 The graph-structured stack merges the parallel LR stacks that conflicts
 spawn: one node per (state, input position), edges labelled with forest
 nodes.  Ambiguity is packed in the forest by (category, span); each
-packed node holds the alternative daughter sequences found for it, and
-unpacking enumerates exactly the grammar's derivations of the input.
+packed node holds the alternative daughter sequences found for it, so
+the forest holds exactly the grammar's derivations of the input in
+space polynomial in its length, however many there are.  Ranking
+searches it without unpacking (see :mod:`frameparse.actions`).
 
 The grammar excludes empty rules after normalization, so every stack
 edge spans at least one token and reductions never loop within a
@@ -14,7 +16,6 @@ node that received it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -139,35 +140,6 @@ class Forest:
             return memo[key]
 
         return count(self.root)
-
-    def all_trees(self) -> list[TreeNode]:
-        """Unpack every derivation, in a deterministic order."""
-        if self.root is None:
-            return []
-        memo: dict[tuple, tuple[TreeNode, ...]] = {}
-
-        def unpack(node: ForestNode) -> tuple[TreeNode, ...]:
-            key = node.key()
-            cached = memo.get(key)
-            if cached is not None:
-                return cached
-            if node.leaf:
-                trees: tuple[TreeNode, ...] = (
-                    TreeNode(None, node.start, node.end, (), node.symbol),)
-            else:
-                ordered = sorted(
-                    node.alternatives,
-                    key=lambda alt: (alt[0].rule_id,
-                                     tuple(c.key() for c in alt[1])))
-                built = []
-                for rule, children in ordered:
-                    for combo in itertools.product(*(unpack(c) for c in children)):
-                        built.append(TreeNode(rule, node.start, node.end, combo))
-                trees = tuple(built)
-            memo[key] = trees
-            return trees
-
-        return list(unpack(self.root))
 
 
 class _GssNode:

@@ -263,6 +263,8 @@ def _parse_rule_line(line_text: str, line: int, rule_id: int) -> Rule:
             key, value = (p.strip() for p in part.split("=", 1))
             if not key or not value:
                 raise GrammarError(f"cannot parse feature {part.strip()!r}", line)
+            if any(key == seen for seen, _ in features):
+                raise GrammarError(f"duplicate feature {key!r}", line)
             features.append((key, value))
     templates = []
     for section in sections[1:]:

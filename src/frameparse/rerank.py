@@ -3,9 +3,12 @@
 The frame term of a derivation is the log-space sum, over its verb
 instances, of the smoothed probability of the frame the analysis assigns
 to each (located through the VSUBCAT value of the immediately dominating
-verbal rule).  :func:`rank_analyses` adds it to the action-model score
-through :func:`~frameparse.actions.unpack_n_best`, the one scorer; the
-sum is a ranking score, not a probability, and is never renormalised.
+verbal rule).  A verb instance is one rule application, so the frame
+term is a sum of per-rule-application terms: :func:`rank_analyses` hands
+both the per-application term and the whole sum to
+:func:`~frameparse.actions.unpack_n_best`, the one scorer, which
+searches the forest with the first and reports the second.  The sum is
+a ranking score, not a probability, and is never renormalised.
 
 Verb tokens dominated by rules without a VSUBCAT value contribute
 nothing; such verbs pick up no lexical information at parse time.  All
@@ -15,11 +18,12 @@ functions here are pure over immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .actions import ActionModel, Derivation, RankedAnalysis, unpack_n_best
-from .glr import Forest, TreeNode
-from .grammar import Grammar, vsubcat_of
+from .actions import (ActionModel, Derivation, LexicalTerm, RankedAnalysis,
+                      unpack_n_best)
+from .glr import Forest, ForestNode, TreeNode
+from .grammar import Grammar, Rule, vsubcat_of
 from .lexicon import SubcatLexicon
 from .preprocess import Token
 
@@ -33,6 +37,22 @@ class FrameInstance:
     node: TreeNode
 
 
+def _instance_frame(rule: Rule, grammar: Grammar) -> Optional[str]:
+    """The frame of the verb instance an application of ``rule`` makes,
+    or ``None`` if it makes none.
+
+    An instance is a verbal argument rule (see
+    :func:`~frameparse.grammar.vsubcat_of`, whose head daughter is then
+    a leaf) whose head tag is a verb tag, when the grammar declares any;
+    its lemma is that of the head token.
+    """
+    frame = vsubcat_of(rule, grammar)
+    if frame is None or (grammar.verb_tags and rule.daughters[rule.head_index]
+                         not in grammar.verb_tags):
+        return None
+    return frame
+
+
 def verb_frames(derivation: Derivation, grammar: Grammar,
                 tokens: Sequence[Token]) -> list[FrameInstance]:
     """One instance per verb token dominated by a verbal argument rule,
@@ -41,12 +61,10 @@ def verb_frames(derivation: Derivation, grammar: Grammar,
     for node in derivation.tree.iter_nodes():
         if node.rule is None:
             continue
-        frame = vsubcat_of(node.rule, grammar)
+        frame = _instance_frame(node.rule, grammar)
         if frame is None:
             continue
         head = node.children[node.rule.head_index]
-        if grammar.verb_tags and head.tag not in grammar.verb_tags:
-            continue
         instances.append(FrameInstance(tokens[head.start].lemma, frame, node))
     instances.sort(key=lambda inst: inst.node.start)
     return instances
@@ -58,7 +76,15 @@ def rank_analyses(forest: Forest, model: ActionModel,
     """The ``n`` best analyses with the frame term as the lexical term
     of :func:`~frameparse.actions.unpack_n_best`: ranked by total score,
     ties broken on the action trace exactly as in structural ranking."""
+    def instance_term(rule: Rule, daughters: tuple[ForestNode, ...]) -> float:
+        frame = _instance_frame(rule, grammar)
+        if frame is None:
+            return 0.0
+        head = daughters[rule.head_index]
+        return lexicon.frame_logprob(tokens[head.start].lemma, frame)
+
     def frame_term(derivation: Derivation) -> float:
         return sum(lexicon.frame_logprob(inst.lemma, inst.frame)
                    for inst in verb_frames(derivation, grammar, tokens))
-    return unpack_n_best(forest, model, n, frame_term)
+    return unpack_n_best(forest, model, n,
+                         LexicalTerm(instance_term, frame_term))

@@ -5,9 +5,10 @@ exhaustive span tiling (CYK style, generalized to n-ary epsilon-free rules),
 string languages by a bottom-up fixpoint that interprets repetition
 markers directly, and action traces are replayed onto trees with a plain
 shift/reduce stack.  Ranking is checked against every tree of
-``Forest.all_trees`` scored on its own and sorted.
+:func:`all_trees` scored on its own and sorted.
 """
 
+import itertools
 import random
 
 from frameparse import (Derivation, Grammar, TreeNode, UnderivableTreeError,
@@ -22,6 +23,47 @@ def canon(tree):
             return ("leaf", tree.tag, tree.start)
         return (tree.label, tuple(canon(c) for c in tree.children))
     return tree
+
+
+# Forests with more derivations than this are refused by ``all_trees``,
+# so a test that strays onto an exponential forest fails at once
+# instead of unpacking it for hours.
+MAX_DERIVATIONS = 100_000
+
+
+def all_trees(forest):
+    """Unpack every derivation of ``forest``, in a deterministic order:
+    alternatives by rule id and daughter keys, daughters' trees in
+    product order."""
+    count = forest.derivation_count()
+    if count > MAX_DERIVATIONS:
+        raise ValueError(f"forest has {count} derivations, more than the "
+                         f"oracle's limit of {MAX_DERIVATIONS}")
+    if forest.root is None:
+        return []
+    memo = {}
+
+    def unpack(node):
+        key = node.key()
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        if node.leaf:
+            trees = (TreeNode(None, node.start, node.end, (), node.symbol),)
+        else:
+            ordered = sorted(
+                node.alternatives,
+                key=lambda alt: (alt[0].rule_id,
+                                 tuple(c.key() for c in alt[1])))
+            built = []
+            for rule, children in ordered:
+                for combo in itertools.product(*(unpack(c) for c in children)):
+                    built.append(TreeNode(rule, node.start, node.end, combo))
+            trees = tuple(built)
+        memo[key] = trees
+        return trees
+
+    return list(unpack(forest.root))
 
 
 def replay_actions(trace, table):
@@ -52,7 +94,7 @@ def rank_by_enumeration(forest, model, lexicon=None, tokens=()):
     and ties in the total go to the lower :func:`trace_sort_key`."""
     grammar = model.table.grammar
     ranked = []
-    for tree in forest.all_trees():
+    for tree in all_trees(forest):
         trace = tree_actions(tree, model.table)
         structural = sum(model.logprob(*step) for step in trace)
         lexical = 0.0

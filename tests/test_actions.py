@@ -5,7 +5,7 @@ import pytest
 import frameparse as fp
 from frameparse.actions import trace_sort_key
 from frameparse.grammar import END_MARKER
-from oracles import replay_actions
+from oracles import all_trees, replay_actions
 
 MOD_TREEBANK = """
 (S (NP (det the) (n child)) (VP (v sees) (NP (NP (det a) (n dog)) (PP (prep in) (NP (det the) (n park))))))
@@ -105,7 +105,7 @@ def test_underivable_tree_reports_sentence(demo_normalized, demo_table):
 
 def test_trace_replay_round_trip(demo_table):
     forest = fp.glr_parse("det n aux v det n prep det n".split(), demo_table)
-    for tree in forest.all_trees():
+    for tree in all_trees(forest):
         assert replay_actions(fp.tree_actions(tree, demo_table),
                               demo_table) == tree
 
@@ -144,6 +144,23 @@ def test_derivation_logprob_matches_hand_product(demo_table, adversarial_model):
     assert logprob <= 0.0
 
 
+def test_forest_from_other_grammar_rejected(demo_table):
+    forest = fp.glr_parse("det n v".split(), demo_table)
+    other = fp.build_table(fp.parse_grammar(
+        "terminals: det n v\nstart: S\nS -> det n v(head)\n"))
+    with pytest.raises(ValueError, match="forest built from a different "
+                                         "grammar"):
+        fp.unpack_n_best(forest, fp.ActionModel(other), 1)
+
+
+def test_logprob_is_log_of_prob_exactly(demo_table, adversarial_model):
+    # the precomputed table must hold the very floats prob() gives
+    for (state, lookahead), actions in demo_table.actions.items():
+        for action in actions + (("reduce", 10 ** 6),):
+            assert adversarial_model.logprob(state, lookahead, action) == \
+                math.log(adversarial_model.prob(state, lookahead, action))
+
+
 def test_unknown_class_uses_floor_never_fails(demo_table):
     model = fp.ActionModel(demo_table)
     lp = model.logprob(demo_table.n_states + 7, "det", ("shift", 1))
@@ -172,7 +189,7 @@ Y -> b(head) c
     forest = fp.glr_parse("a b c".split(), table)
     # enumeration yields the rule-0 reading first, so only the trace
     # tie-break can put the rule-1 reading on top
-    assert [tree.rule.rule_id for tree in forest.all_trees()] == [0, 1]
+    assert [tree.rule.rule_id for tree in all_trees(forest)] == [0, 1]
     ranked = fp.unpack_n_best(forest, model, forest.derivation_count())
     assert len(ranked) == 2
     # each reading takes one side of the same shift/reduce conflict

@@ -248,6 +248,10 @@ MALFORMED = [
     pytest.param("--grammar", "terminals: a\nstart: X\nX -> a? a(head)\n"
                  "X -> a(head) a?\n", "line 4: duplicate rule X -> a a\n",
                  id="--grammar-duplicate"),
+    pytest.param("--grammar", "terminals: v n\nstart: VP\n"
+                 "VP -> v(head) n : VSUBCAT=NP, VSUBCAT=BOGUS\n",
+                 "line 3: duplicate feature 'VSUBCAT'\n",
+                 id="--grammar-duplicate-feature"),
 ]
 
 

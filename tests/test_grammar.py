@@ -50,6 +50,15 @@ def test_unknown_vsubcat_value_rejected():
         fp.parse_grammar(text)
 
 
+def test_duplicate_feature_rejected():
+    # only the first value would ever be read or checked
+    text = ("terminals: v n\nstart: VP\n"
+            "VP -> v(head) n : VSUBCAT=NP, VSUBCAT=BOGUS\n")
+    with pytest.raises(GrammarError,
+                       match="^line 3: duplicate feature 'VSUBCAT'$"):
+        fp.parse_grammar(text)
+
+
 def test_missing_head_rejected():
     with pytest.raises(GrammarError, match="head"):
         fp.parse_grammar("terminals: a b\nstart: S\nS -> a b\n")

@@ -7,7 +7,9 @@ import pytest
 
 import frameparse as fp
 
-from oracles import random_grammar, random_sentences, rank_by_enumeration
+from frameparse.actions import trace_sort_key
+from oracles import (MAX_DERIVATIONS, all_trees, random_grammar,
+                     random_sentences, rank_by_enumeration, replay_actions)
 
 
 def test_default_model_is_uniform(demo_grammar, demo_wordlist):
@@ -136,13 +138,55 @@ def test_rank_matches_enumeration_with_demo_lexicon(
                   fp.demo_path("acquisition.txt").read_text().splitlines()
                   if line.strip()]
     sentences += ["the child sees a dog" + " in the park" * k
-                  for k in range(6)]
+                  for k in range(7)]
     for sentence in sentences:
         tokens = pipeline.tag(sentence)
         forest = pipeline.parse_tags([token.tag for token in tokens])
         for lexicalized in (False, True):
             assert _assert_rank_matches_enumeration(
                 pipeline, forest, tokens, lexicalized), sentence
+
+
+def _ladder(pipeline, k):
+    tokens = pipeline.tag("the child sees a dog" + " in the park" * k)
+    return tokens, pipeline.parse_tags([token.tag for token in tokens])
+
+
+def test_rank_long_ladder_without_enumeration(lexicalized_pipeline):
+    # About 3.7e17 derivations: only a search of the packed forest
+    # finishes, so ranking must never unpack it.
+    pipeline = lexicalized_pipeline
+    tokens, forest = _ladder(pipeline, 32)
+    assert len(tokens) == 101 and forest.derivation_count() > 10 ** 17
+    for lexicalized in (False, True):
+        [top] = pipeline.rank(forest, tokens, 1, lexicalized)
+        ranked = pipeline.rank(forest, tokens, 10, lexicalized)
+        assert ranked[0] == top
+        assert len({a.derivation.actions for a in ranked}) == 10
+        keys = [(-a.total_score, trace_sort_key(a.derivation.actions))
+                for a in ranked]
+        assert keys == sorted(keys)
+        for analysis in ranked:
+            actions = analysis.derivation.actions
+            assert analysis.structural_logprob == \
+                pipeline.model.trace_logprob(actions)
+            assert replay_actions(actions, pipeline.table) == \
+                analysis.derivation.tree
+        if lexicalized:
+            grs = fp.extract_grs(top.derivation, pipeline.grammar, tokens)
+            assert {gr.render() for gr in grs} == \
+                {"ncsubj(see,child,_)", "dobj(see,dog,_)"}
+
+
+def test_oracle_refuses_exponential_forest(lexicalized_pipeline):
+    tokens, forest = _ladder(lexicalized_pipeline, 12)
+    count = forest.derivation_count()
+    assert count > MAX_DERIVATIONS
+    with pytest.raises(ValueError, match=f"forest has {count} derivations"):
+        all_trees(forest)
+    with pytest.raises(ValueError, match=f"forest has {count} derivations"):
+        rank_by_enumeration(forest, lexicalized_pipeline.model,
+                            lexicalized_pipeline.lexicon, tokens)
 
 
 @pytest.mark.parametrize("n", [0, -1, None])

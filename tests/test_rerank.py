@@ -4,6 +4,7 @@ import pytest
 
 import frameparse as fp
 from frameparse.actions import trace_sort_key
+from oracles import all_trees
 
 HEAR = "the meeting will hear a greeting from the senator"
 
@@ -24,7 +25,7 @@ class TestVerbFrames:
     def test_verbless_fragment_empty(self, demo_table):
         forest = fp.glr_parse(["det", "n", "v"], demo_table)
         # take the NP subtree of the parse: no verbal rule inside
-        tree = forest.all_trees()[0].children[0]
+        tree = all_trees(forest)[0].children[0]
         derivation = fp.Derivation(tree, ())
         tokens = [fp.Token("the", "det", "the"), fp.Token("dog", "n", "dog")]
         assert fp.verb_frames(derivation, demo_table.grammar, tokens) == []
