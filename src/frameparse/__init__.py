@@ -18,9 +18,8 @@ from .glr import Forest, ForestNode, ParseError, TreeNode, glr_parse
 from .treebank import (Tree, TreebankError, UnderivableTreeError,
                        from_derivation_tree, load_treebank, parse_tree,
                        read_treebank, to_derivation_tree, write_treebank)
-from .actions import (ActionModel, Derivation, LexicalTerm, RankedAnalysis,
-                      load_model, save_model, train_actions, tree_actions,
-                      unpack_n_best)
+from .actions import (ActionModel, Derivation, RankedAnalysis, load_model,
+                      save_model, train_actions, tree_actions, unpack_n_best)
 from .lexicon import (LexiconError, SubcatEntry, SubcatLexicon,
                       collapse_classes, load_class_map, load_lexicon,
                       parse_lexicon, save_lexicon)

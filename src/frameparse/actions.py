@@ -3,8 +3,10 @@
 Actions are conditioned on (state, lookahead) and normalized within that
 class; training accumulates counts along the unique action trace of each
 gold tree and probabilities are add-1-smoothed relative frequencies, so
-an untrained model is uniform within every class.  Scores are kept in
-log space throughout.
+an untrained model is uniform within every class.  The model is one
+table over the (state, lookahead, action) steps the LR table lists,
+the only steps a derivation can take.  Scores are kept in log space
+throughout.
 
 The action trace of a derivation is a deterministic function of its tree
 given the table (shifts in leaf order, each reduce as soon as its
@@ -20,7 +22,9 @@ the vertices ``(forest node, entry state)`` of a hypergraph, and
 next ones with lazy k-best search (Huang & Chiang 2005, "Better k-best
 parsing", Algorithm 3).  Its cost is polynomial in the forest, plus
 ``O(n log n)`` heap work for ``n`` analyses; only the analyses returned
-are built as trees.
+are built as trees.  An optional lexical term is a share per rule
+application: the search adds each share to its edge's weight, and the
+term reported for an analysis is the sum of the same shares.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .grammar import END_MARKER, Rule
 from .glr import Forest, ForestNode, TreeNode
@@ -147,42 +151,29 @@ class ActionModel:
                         kept[action] = count
                 if kept:
                     self.counts[key] = kept
-        # Floor used for (state, lookahead) pairs outside the table, so
-        # scoring foreign traces degrades instead of failing.
-        total_available = sum(len(v) for v in table.actions.values())
-        self._floor = 1.0 / (1 + total_available)
-        # One log-probability per available (state, lookahead, action),
-        # the same expression as prob()'s, so every float is identical.
-        self._logprobs: dict[tuple[int, str, tuple], float] = {}
+        # One add-1-smoothed probability per available (state, lookahead,
+        # action), and its log; every step the program scores is one.
+        self._probs: dict[tuple[int, str, tuple], float] = {}
         for (state, lookahead), available in table.actions.items():
             class_counts = self.counts.get((state, lookahead), {})
             total = sum(class_counts.values())
             for action in available:
                 count = class_counts.get(action, 0)
-                self._logprobs[(state, lookahead, action)] = math.log(
-                    (count + 1) / (total + len(available)))
+                self._probs[(state, lookahead, action)] = \
+                    (count + 1) / (total + len(available))
+        self._logprobs = {step: math.log(prob)
+                          for step, prob in self._probs.items()}
 
     def prob(self, state: int, lookahead: str, action: tuple) -> float:
-        available = self.table.actions.get((state, lookahead))
-        if not available:
-            return self._floor
-        class_counts = self.counts.get((state, lookahead))
-        total = sum(class_counts.values()) if class_counts else 0
-        count = class_counts.get(action, 0) if class_counts else 0
-        return (count + 1) / (total + len(available))
+        """Raises ``KeyError`` for a step the table does not list."""
+        return self._probs[(state, lookahead, action)]
 
     def logprob(self, state: int, lookahead: str, action: tuple) -> float:
-        logprob = self._logprobs.get((state, lookahead, action))
-        if logprob is None:
-            return math.log(self.prob(state, lookahead, action))
-        return logprob
+        """Raises ``KeyError`` for a step the table does not list."""
+        return self._logprobs[(state, lookahead, action)]
 
     def trace_logprob(self, trace: Sequence[tuple[int, str, tuple]]) -> float:
         return sum(self.logprob(*step) for step in trace)
-
-    def distribution(self, state: int, lookahead: str) -> dict[tuple, float]:
-        available = self.table.actions.get((state, lookahead), ())
-        return {action: self.prob(state, lookahead, action) for action in available}
 
     def classes(self) -> list[tuple[int, str]]:
         return sorted(self.table.actions)
@@ -206,23 +197,8 @@ def train_actions(trees: Iterable[Tree], table: LRTable
     return ActionModel(table, counts), skipped
 
 
-class LexicalTerm(NamedTuple):
-    """A ranking term that is a sum over rule applications.
-
-    ``local(rule, daughters)`` is one application's share, given the
-    forest nodes it combines; ``total(derivation)`` is the whole term of
-    one derivation, the value reported and sorted on.  ``total`` must
-    equal the sum of ``local`` over the derivation's rule applications
-    up to float rounding, and every share must be a log-probability
-    (at most 0).
-    """
-
-    local: Callable[[Rule, tuple[ForestNode, ...]], float]
-    total: Callable[[Derivation], float]
-
-
 # The search sums a derivation's log-probabilities in tree order, the
-# rescoring in trace order and the lexical term in its own order, so the
+# rescoring in trace order and the lexical shares in preorder, so the
 # two totals of one derivation can differ in the last bits.  Each is a
 # sum of m terms of one sign (all at most 0), hence within
 # m * 2**-53 * |total| of the real sum, and the two within twice that.
@@ -236,11 +212,12 @@ _TIE_BAND = 1e-9
 class _Vertex:
     """A (forest node, entry state) vertex of the ranking hypergraph.
 
-    Each edge is ``(rule, tails, step, weight)``: the rule applied
-    (``None`` for a leaf's shift), the daughter vertices, the action
-    step it ends with and that step's log-probability plus the lexical
-    share.  ``derivations`` lists ``(score, edge index, tail ranks)``
-    best first, as far as they have been found.
+    Each edge is ``(rule, tails, step, weight, share)``: the rule
+    applied (``None`` for a leaf's shift), the daughter vertices, the
+    action step it ends with, that step's log-probability plus the
+    lexical share, and the share alone.  ``derivations`` lists
+    ``(score, edge index, tail ranks)`` best first, as far as they have
+    been found.
     """
 
     __slots__ = ("node", "exit", "edges", "ambiguous", "derivations",
@@ -268,10 +245,11 @@ class _ForestSearch:
     """Viterbi and lazy k-best search over one forest's hypergraph."""
 
     def __init__(self, forest: Forest, model: ActionModel,
-                 lexical: Optional[LexicalTerm]):
+                 lexical: Optional[Callable[[Rule, tuple[ForestNode, ...]],
+                                            float]]):
         self.tokens = forest.tokens
         self.model = model
-        self.local = lexical.local if lexical is not None else None
+        self.lexical = lexical
         self.vertices: dict[tuple[ForestNode, int], Optional[_Vertex]] = {}
 
     def visit(self, node: ForestNode, state: int) -> Optional[_Vertex]:
@@ -288,8 +266,8 @@ class _ForestSearch:
                 return None
             step = (state, node.symbol, ("shift", target))
             weight = self.model.logprob(*step)
-            vertex = _Vertex(node, target, [(None, (), step, weight)], 0,
-                             weight, False)
+            vertex = _Vertex(node, target, [(None, (), step, weight, 0.0)],
+                             0, weight, False)
             self.vertices[key] = vertex
             return vertex
         grammar = table.grammar
@@ -322,13 +300,13 @@ class _ForestSearch:
                 if action not in table.actions.get((entry, lookahead), ()):
                     continue
                 step = (entry, lookahead, action)
-                weight = self.model.logprob(*step)
-                if self.local is not None:
-                    weight += self.local(rule, daughters)
+                share = (self.lexical(rule, daughters)
+                         if self.lexical is not None else 0.0)
+                weight = self.model.logprob(*step) + share
                 score += weight
                 if best is None or score > best_score:
                     best, best_score = len(edges), score
-                edges.append((rule, tuple(tails), step, weight))
+                edges.append((rule, tuple(tails), step, weight, share))
                 ambiguous = ambiguous or any(t.ambiguous for t in tails)
         if best is None:
             return None
@@ -372,29 +350,35 @@ class _ForestSearch:
             found.append((-score, index, ranks))
         return True
 
-    def build(self, vertex: _Vertex, k: int, trace: list) -> TreeNode:
+    def build(self, vertex: _Vertex, k: int, trace: list,
+              shares: list) -> TreeNode:
         """The tree of ``vertex``'s rank-``k`` derivation; its action
-        steps are appended to ``trace`` in trace order."""
+        steps are appended to ``trace`` in trace order and the lexical
+        shares of its rule applications to ``shares`` in preorder."""
         _, index, ranks = vertex.derivations[k]
-        rule, tails, step, _ = vertex.edges[index]
+        rule, tails, step, _, share = vertex.edges[index]
         node = vertex.node
         if rule is None:
             trace.append(step)
             return TreeNode(None, node.start, node.end, (), node.symbol)
+        shares.append(share)
         children = []
         for tail, rank in zip(tails, ranks):
-            children.append(self.build(tail, rank, trace))
+            children.append(self.build(tail, rank, trace, shares))
         trace.append(step)
         return TreeNode(rule, node.start, node.end, tuple(children))
 
 
 def unpack_n_best(forest: Forest, model: ActionModel, n: int,
-                  lexical: Optional[LexicalTerm] = None
+                  lexical: Optional[Callable[[Rule, tuple[ForestNode, ...]],
+                                             float]] = None
                   ) -> list[RankedAnalysis]:
     """The ``min(n, total)`` best analyses by total score, descending,
     with ties broken by :func:`trace_sort_key`.  The total is the
-    derivation's action-model log-probability plus ``lexical.total`` of
-    it, or plus nothing without a lexical term.
+    derivation's action-model log-probability plus its lexical term:
+    the sum, in preorder, of ``lexical(rule, daughters)`` over its rule
+    applications, each a log-probability (at most 0) given the forest
+    nodes the application combines; ``0.0`` without ``lexical``.
 
     The forest is searched, not unpacked: see the module docstring.
     """
@@ -423,12 +407,12 @@ def unpack_n_best(forest: Forest, model: ActionModel, n: int,
     scored = []
     for k in range(popped):
         trace: list = []
-        tree = search.build(root, k, trace)
+        shares: list = []
+        tree = search.build(root, k, trace, shares)
         trace.append(accept)
         derivation = Derivation(tree, tuple(trace))
         scored.append((derivation, model.trace_logprob(derivation.actions),
-                       lexical.total(derivation) if lexical is not None
-                       else 0.0))
+                       sum(shares, 0.0)))
     scored.sort(key=lambda item: (-(item[1] + item[2]),
                                   trace_sort_key(item[0].actions)))
     return [RankedAnalysis(*item) for item in scored[:n]]

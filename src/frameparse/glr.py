@@ -94,7 +94,9 @@ class ForestNode:
         return (self.symbol, self.start, self.end)
 
     def add_alternative(self, rule: Rule, children: tuple["ForestNode", ...]) -> bool:
-        alt_key = (rule.rule_id, tuple(c.key() for c in children))
+        # Nodes are unique per (symbol, start, end) within one parse, so
+        # the daughters' identity tells alternatives apart.
+        alt_key = (rule.rule_id, children)
         if alt_key in self._alt_keys:
             return False
         self._alt_keys.add(alt_key)
@@ -161,25 +163,15 @@ def _paths(node: _GssNode, length: int,
 
     When ``via`` is given the first step is pinned to that edge, which
     restricts a re-run reduction to paths through a newly added edge.
-    Yields (daughter forest nodes left-to-right, path base node).
+    Returns (daughter forest nodes left-to-right, path base node) pairs.
     """
-    results: list[tuple[tuple[ForestNode, ...], _GssNode]] = []
-
-    def walk(current: _GssNode, depth: int, acc: list[ForestNode]) -> None:
-        if depth == length:
-            results.append((tuple(reversed(acc)), current))
-            return
-        for label, target in current.edges:
-            acc.append(label)
-            walk(target, depth + 1, acc)
-            acc.pop()
-
-    if via is None:
-        walk(node, 0, [])
-    else:
-        label, target = via
-        walk(target, 1, [label])
-    return results
+    # Extending every path by one edge at a time, in edge order, lists
+    # them in the order of a depth-first walk.
+    paths = [((), node)] if via is None else [((via[0],), via[1])]
+    for _ in range(length - len(paths[0][0])):
+        paths = [((label,) + labels, target) for labels, base in paths
+                 for label, target in base.edges]
+    return paths
 
 
 def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:

@@ -4,11 +4,12 @@ The frame term of a derivation is the log-space sum, over its verb
 instances, of the smoothed probability of the frame the analysis assigns
 to each (located through the VSUBCAT value of the immediately dominating
 verbal rule).  A verb instance is one rule application, so the frame
-term is a sum of per-rule-application terms: :func:`rank_analyses` hands
-both the per-application term and the whole sum to
-:func:`~frameparse.actions.unpack_n_best`, the one scorer, which
-searches the forest with the first and reports the second.  The sum is
-a ranking score, not a probability, and is never renormalised.
+term is a sum of per-rule-application shares: :func:`rank_analyses`
+hands the share to :func:`~frameparse.actions.unpack_n_best`, the one
+scorer, which both searches the forest and reports the term with it.
+The sum is a ranking score, not a probability, and is never
+renormalised.  :func:`verb_frames` lists the instances of one
+derivation, for acquisition.
 
 Verb tokens dominated by rules without a VSUBCAT value contribute
 nothing; such verbs pick up no lexical information at parse time.  All
@@ -20,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .actions import (ActionModel, Derivation, LexicalTerm, RankedAnalysis,
-                      unpack_n_best)
-from .glr import Forest, ForestNode, TreeNode
+from .actions import ActionModel, Derivation, RankedAnalysis, unpack_n_best
+from .glr import Forest, ForestNode
 from .grammar import Grammar, Rule, vsubcat_of
 from .lexicon import SubcatLexicon
 from .preprocess import Token
@@ -34,7 +34,6 @@ class FrameInstance:
 
     lemma: str
     frame: str
-    node: TreeNode
 
 
 def _instance_frame(rule: Rule, grammar: Grammar) -> Optional[str]:
@@ -56,7 +55,8 @@ def _instance_frame(rule: Rule, grammar: Grammar) -> Optional[str]:
 def verb_frames(derivation: Derivation, grammar: Grammar,
                 tokens: Sequence[Token]) -> list[FrameInstance]:
     """One instance per verb token dominated by a verbal argument rule,
-    in leaf order; the lemma comes from the token's lemmatized form."""
+    in preorder, hence left to right; the lemma comes from the token's
+    lemmatized form."""
     instances = []
     for node in derivation.tree.iter_nodes():
         if node.rule is None:
@@ -65,8 +65,7 @@ def verb_frames(derivation: Derivation, grammar: Grammar,
         if frame is None:
             continue
         head = node.children[node.rule.head_index]
-        instances.append(FrameInstance(tokens[head.start].lemma, frame, node))
-    instances.sort(key=lambda inst: inst.node.start)
+        instances.append(FrameInstance(tokens[head.start].lemma, frame))
     return instances
 
 
@@ -82,9 +81,4 @@ def rank_analyses(forest: Forest, model: ActionModel,
             return 0.0
         head = daughters[rule.head_index]
         return lexicon.frame_logprob(tokens[head.start].lemma, frame)
-
-    def frame_term(derivation: Derivation) -> float:
-        return sum(lexicon.frame_logprob(inst.lemma, inst.frame)
-                   for inst in verb_frames(derivation, grammar, tokens))
-    return unpack_n_best(forest, model, n,
-                         LexicalTerm(instance_term, frame_term))
+    return unpack_n_best(forest, model, n, instance_term)

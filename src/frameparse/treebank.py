@@ -17,6 +17,10 @@ from .grammar import Grammar
 
 _SEXP_TOKEN = re.compile(r"\(|\)|[^\s()]+")
 
+# Reading, training on and evaluating a tree recurse once or twice per
+# level, so deeper records would exhaust Python's stack.
+MAX_DEPTH = 300
+
 
 class TreebankError(ValueError):
     """Malformed bracketed-tree text."""
@@ -102,8 +106,9 @@ def parse_tree(text: str) -> Tree:
 
 def read_treebank(text: str) -> list[Tree]:
     """Split on bracket balance and parse each record; ``#`` comments.
-    Errors read ``line N: ...``, N being the line of the stray ``)`` or
-    the line the faulty record starts on."""
+    Errors read ``line N: ...``, N being the line of the stray ``)``,
+    of the ``(`` nested deeper than :data:`MAX_DEPTH`, or the line the
+    faulty record starts on."""
     trees = []
     depth = 0
     buffer: list[str] = []
@@ -117,6 +122,9 @@ def read_treebank(text: str) -> list[Tree]:
             buffer.append(ch)
             if ch == "(":
                 depth += 1
+                if depth > MAX_DEPTH:
+                    raise TreebankError(f"line {lineno}: brackets nest deeper "
+                                        f"than {MAX_DEPTH}")
             elif ch == ")":
                 depth -= 1
                 if depth < 0:

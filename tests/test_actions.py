@@ -14,11 +14,16 @@ MOD_TREEBANK = """
 """
 
 
+def _distribution(model, state, lookahead):
+    return {action: model.prob(state, lookahead, action)
+            for action in model.table.actions[(state, lookahead)]}
+
+
 def test_empty_treebank_is_uniform(demo_table):
     model, skipped = fp.train_actions([], demo_table)
     assert skipped == []
     for state, lookahead in model.classes():
-        dist = model.distribution(state, lookahead)
+        dist = _distribution(model, state, lookahead)
         k = len(dist)
         assert all(abs(p - 1.0 / k) < 1e-12 for p in dist.values())
 
@@ -26,7 +31,7 @@ def test_empty_treebank_is_uniform(demo_table):
 def test_class_distributions_sum_to_one(demo_table, adversarial_model):
     for model in (fp.ActionModel(demo_table), adversarial_model):
         for state, lookahead in model.classes():
-            total = sum(model.distribution(state, lookahead).values())
+            total = sum(_distribution(model, state, lookahead).values())
             assert abs(total - 1.0) <= 1e-9
 
 
@@ -156,15 +161,19 @@ def test_forest_from_other_grammar_rejected(demo_table):
 def test_logprob_is_log_of_prob_exactly(demo_table, adversarial_model):
     # the precomputed table must hold the very floats prob() gives
     for (state, lookahead), actions in demo_table.actions.items():
-        for action in actions + (("reduce", 10 ** 6),):
+        for action in actions:
             assert adversarial_model.logprob(state, lookahead, action) == \
                 math.log(adversarial_model.prob(state, lookahead, action))
 
 
-def test_unknown_class_uses_floor_never_fails(demo_table):
+def test_step_outside_table_raises(demo_table):
     model = fp.ActionModel(demo_table)
-    lp = model.logprob(demo_table.n_states + 7, "det", ("shift", 1))
-    assert lp < 0.0 and math.isfinite(lp)
+    for step in ((demo_table.n_states + 7, "det", ("shift", 1)),
+                 (demo_table.start_state, "det", ("reduce", 10 ** 6))):
+        with pytest.raises(KeyError):
+            model.prob(*step)
+        with pytest.raises(KeyError):
+            model.logprob(*step)
 
 
 def test_nbest_ordering_monotone(demo_table):
@@ -224,8 +233,8 @@ class TestPersistence:
         loaded = fp.load_model(path, demo_table)
         assert loaded.counts == adversarial_model.counts
         for state, lookahead in adversarial_model.classes():
-            assert loaded.distribution(state, lookahead) == \
-                pytest.approx(adversarial_model.distribution(state, lookahead))
+            assert _distribution(loaded, state, lookahead) == pytest.approx(
+                _distribution(adversarial_model, state, lookahead))
 
     def test_file_format(self, tmp_path, demo_table, adversarial_model):
         path = tmp_path / "m.model"

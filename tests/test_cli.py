@@ -5,6 +5,7 @@ import pytest
 
 import frameparse as fp
 from frameparse.cli import build_arg_parser, main
+from frameparse.treebank import MAX_DEPTH
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +112,31 @@ def test_parse_machine_readable(model_file, capsys):
         "xcomp(to,intend,leave)"]
 
 
+def test_parse_verbless_lexical_term_is_float(tmp_path, capsys):
+    grammar = tmp_path / "np.grammar"
+    grammar.write_text("terminals: pn n det\nstart: NP\n"
+                       "NP -> det n(head)\nNP -> pn\n")
+    wordlist = tmp_path / "np.wordlist"
+    wordlist.write_text("the\tdet\ndog\tn\nKim\tpn\n")
+    treebank = tmp_path / "empty.treebank"
+    treebank.write_text("")
+    lexicon = tmp_path / "np.lexicon"
+    lexicon.write_text("hear\tNP\t1\t1.0\n")
+    model = tmp_path / "np.model"
+    assert main(["train", "--grammar", str(grammar), "--treebank",
+                 str(treebank), "--model", str(model)]) == 0
+    capsys.readouterr()
+    assert main(["parse", "--grammar", str(grammar), "--wordlist",
+                 str(wordlist), "--model", str(model), "--lexicon",
+                 str(lexicon), "--format", "machine-readable",
+                 "the dog", "Kim"]) == 0
+    out = capsys.readouterr().out
+    assert out.count('"lexical": 0.0') == 2
+    for record in json.loads(out):
+        [analysis] = record["analyses"]
+        assert isinstance(analysis["lexical"], float)
+
+
 def test_parse_out_of_coverage_continues(model_file, capsys):
     code = main(["parse", "--grammar", "@demo/demo.grammar",
                  "--wordlist", "@demo/demo.wordlist",
@@ -136,6 +162,55 @@ def test_parse_empty_corpus(tmp_path, model_file, capsys, fmt, expected):
     assert code == 0
     assert captured.out == expected
     assert captured.err == ""
+
+
+def _control_chain(clauses, tail):
+    """A derivable demo-grammar record: "Paul intends" and ``clauses``
+    nested "to intend" clauses, ending in the VP ``tail``."""
+    text = tail
+    for _ in range(clauses):
+        text = "(VP (v intend) (VPto (to to) %s))" % text
+    return "(S (NP (pn Paul)) %s)" % text.replace("(v intend)",
+                                                  "(v intends)", 1)
+
+
+def _nesting(text):
+    depth = deepest = 0
+    for ch in text:
+        depth += {"(": 1, ")": -1}.get(ch, 0)
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def test_train_accepts_nesting_to_the_bound(tmp_path, capsys):
+    record = _control_chain(148, "(VP (v leave) (NP (pn IBM)))")
+    assert _nesting(record) == MAX_DEPTH
+    treebank = tmp_path / "deep.treebank"
+    treebank.write_text(record + "\n")
+    code = main(["train", "--grammar", "@demo/demo.grammar",
+                 "--treebank", str(treebank),
+                 "--model", str(tmp_path / "deep.model")])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "trained\t1" in captured.out
+
+
+def test_treebank_nested_too_deep_exit_2(tmp_path, capsys):
+    # derivable too, one level deeper through VP -> v NP PP
+    record = _control_chain(148, "(VP (v leave) (NP (pn IBM)) "
+                                 "(PP (prep in) (NP (n park))))")
+    assert _nesting(record) == MAX_DEPTH + 1
+    treebank = tmp_path / "deep.treebank"
+    treebank.write_text("(S (NP (n Paul)) (VP (v sleeps)))\n" + record + "\n")
+    model = tmp_path / "deep.model"
+    code = main(["train", "--grammar", "@demo/demo.grammar",
+                 "--treebank", str(treebank), "--model", str(model)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: {treebank}: line 2: brackets nest "
+                            f"deeper than 300\n")
+    assert not model.exists()
 
 
 def test_acquire_summary(lexicon_file):

@@ -207,6 +207,8 @@ def test_benchmark_tracer_installs(lexicalized_pipeline):
     uninstall = tracing.install(tracer)
     try:
         result = lexicalized_pipeline.analyze("the child sees a dog in the park")
+        # lexicalized ranking never lists verb frames; acquisition does
+        fp.observe_corpus(["the child sees a dog"], lexicalized_pipeline)
     finally:
         uninstall()
     assert result.analyses

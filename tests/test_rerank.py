@@ -61,7 +61,27 @@ class TestLexicalizedScore:
         [scored] = fp.rank_analyses(forest, fp.ActionModel(table), lexicon,
                                     table.grammar, tokens, 99)
         assert scored.lexical_logprob == 0.0
+        assert isinstance(scored.lexical_logprob, float)
         assert scored.total_score == scored.structural_logprob
+
+    def test_frame_term_summed_top_down(self, demo_grammar, demo_table,
+                                        demo_wordlist):
+        # Three nested verb instances: the reported term adds their
+        # shares outermost first, as verb_frames lists them; adding them
+        # in trace order (innermost first) gives -7.269515189205033.
+        lexicon = fp.SubcatLexicon([
+            fp.SubcatEntry("intend", "VPINF", 1, 1 / 12),
+            fp.SubcatEntry("intend", "NP", 11, 11 / 12),
+            fp.SubcatEntry("leave", "NP", 11, 11 / 12),
+            fp.SubcatEntry("leave", "VPINF", 1, 1 / 12)])
+        pipeline = fp.ParserPipeline(demo_grammar, table=demo_table,
+                                     wordlist=demo_wordlist, lexicon=lexicon)
+        result = pipeline.analyze("Paul intends to intend to leave IBM")
+        [top] = result.analyses
+        frames = fp.verb_frames(top.derivation, pipeline.grammar, result.tokens)
+        assert [(f.lemma, f.frame) for f in frames] == \
+            [("intend", "VPINF"), ("intend", "VPINF"), ("leave", "NP")]
+        assert top.lexical_logprob == -7.269515189205032
 
     def test_uniform_lexicon_constant_shift(self, uniform_pipeline):
         empty = fp.SubcatLexicon([])
