@@ -14,10 +14,10 @@ from .grammar import (ADJUNCT, ARGUMENT, Grammar, GrammarError, GRTemplate,
                       Rule, SlotRef, load_grammar, normalize_kleene,
                       parse_grammar, render_grammar, vsubcat_of)
 from .lrtable import LRTable, build_table
-from .glr import Forest, ForestNode, ParseError, TreeNode, glr_parse
+from .glr import Forest, ForestNode, ParseError, glr_parse
 from .treebank import (Tree, TreebankError, UnderivableTreeError,
-                       from_derivation_tree, load_treebank, parse_tree,
-                       read_treebank, to_derivation_tree, write_treebank)
+                       load_treebank, parse_tree, read_treebank,
+                       to_derivation_tree, write_treebank)
 from .actions import (ActionModel, Derivation, RankedAnalysis, load_model,
                       save_model, train_actions, tree_actions, unpack_n_best)
 from .lexicon import (LexiconError, SubcatEntry, SubcatLexicon,

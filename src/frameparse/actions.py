@@ -37,26 +37,27 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from .grammar import END_MARKER, Rule
-from .glr import Forest, ForestNode, TreeNode
+from .glr import Forest, ForestNode
 from .lrtable import LRTable, action_sort_key, parse_action, render_action
 from .preprocess import _read_table
 from .treebank import Tree, UnderivableTreeError, to_derivation_tree
 
 
-def tree_actions(tree: TreeNode, table: LRTable) -> tuple[tuple[int, str, tuple], ...]:
-    """The (state, lookahead, action) trace that builds ``tree``."""
+def tree_actions(tree: Tree, table: LRTable) -> tuple[tuple[int, str, tuple], ...]:
+    """The (state, lookahead, action) trace that builds the derivation
+    tree ``tree``."""
     ops: list[tuple] = []
 
-    def linearize(node: TreeNode) -> None:
-        if node.is_leaf:
-            ops.append(("shift", node.tag))
+    def linearize(node: Tree) -> None:
+        if not node.children:
+            ops.append(("shift", node.label))
             return
         for child in node.children:
             linearize(child)
         ops.append(("reduce", node.rule))
 
     linearize(tree)
-    tags = [leaf.tag for leaf in tree.leaves()]
+    tags = [leaf.label for leaf in tree.leaves()]
     states = [table.start_state]
     trace: list[tuple[int, str, tuple]] = []
     consumed = 0
@@ -105,7 +106,7 @@ def trace_sort_key(trace: Sequence[tuple[int, str, tuple]]) -> tuple:
 class Derivation:
     """A single parse tree plus the action trace that built it."""
 
-    tree: TreeNode
+    tree: Tree
     actions: tuple[tuple[int, str, tuple], ...]
 
 
@@ -351,7 +352,7 @@ class _ForestSearch:
         return True
 
     def build(self, vertex: _Vertex, k: int, trace: list,
-              shares: list) -> TreeNode:
+              shares: list) -> Tree:
         """The tree of ``vertex``'s rank-``k`` derivation; its action
         steps are appended to ``trace`` in trace order and the lexical
         shares of its rule applications to ``shares`` in preorder."""
@@ -360,13 +361,13 @@ class _ForestSearch:
         node = vertex.node
         if rule is None:
             trace.append(step)
-            return TreeNode(None, node.start, node.end, (), node.symbol)
+            return Tree(node.symbol, node.start, node.end)
         shares.append(share)
         children = []
         for tail, rank in zip(tails, ranks):
             children.append(self.build(tail, rank, trace, shares))
         trace.append(step)
-        return TreeNode(rule, node.start, node.end, tuple(children))
+        return Tree(node.symbol, node.start, node.end, tuple(children), rule)
 
 
 def unpack_n_best(forest: Forest, model: ActionModel, n: int,

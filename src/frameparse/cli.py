@@ -31,7 +31,7 @@ from .lexicon import load_lexicon, save_lexicon
 from .lrtable import build_table, render_action
 from .pipeline import ParserPipeline
 from .preprocess import Lemmatizer, load_lemma_exceptions, load_wordlist
-from .treebank import from_derivation_tree, load_treebank
+from .treebank import load_treebank
 
 
 class CliError(Exception):
@@ -184,15 +184,14 @@ def _analysis_records(pipeline, sentence: str, n: int):
     result = pipeline.analyze(sentence, n=n)
     records = []
     for rank, analysis in enumerate(result.analyses, 1):
-        tree = from_derivation_tree(analysis.derivation.tree,
-                                    [t.surface for t in result.tokens])
         grs = extract_grs(analysis.derivation, pipeline.grammar, result.tokens)
         records.append({
             "rank": rank,
             "structural": analysis.structural_logprob,
             "lexical": analysis.lexical_logprob,
             "total": analysis.total_score,
-            "tree": tree.render(),
+            "tree": analysis.derivation.tree.render(
+                [t.surface for t in result.tokens]),
             "grs": sorted(gr.render() for gr in grs),
         })
     return result, records
@@ -266,8 +265,7 @@ def _top_trees_and_grs(pipeline, sentences, modes):
                 gr_sets.append(set())
                 continue
             top = analyses[0]
-            trees.append(from_derivation_tree(top.derivation.tree,
-                                              [t.surface for t in tokens]))
+            trees.append(top.derivation.tree)
             gr_sets.append(extract_grs(top.derivation, pipeline.grammar,
                                        tokens))
     return out

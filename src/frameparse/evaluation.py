@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .actions import Derivation
-from .glr import TreeNode
 from .grammar import HELPER_PREFIX, Grammar
 from .grs import GR, SUBJECT_RELATIONS, gr_scores, relation_histogram
 from .preprocess import Token
@@ -44,22 +43,11 @@ class Span:
 
 
 def labeled_spans(tree: Tree) -> list[Span]:
-    """One span per internal node covering at least two tokens, in tree
-    order, excluding Kleene helper nodes."""
-    spans: list[Span] = []
-
-    def walk(node: Tree, start: int) -> int:
-        if node.is_leaf:
-            return start + 1
-        position = start
-        for child in node.children:
-            position = walk(child, position)
-        if position - start >= 2 and not node.label.startswith(HELPER_PREFIX):
-            spans.append(Span(start, position, node.label))
-        return position
-
-    walk(tree, 0)
-    return spans
+    """One span per node covering at least two tokens, in preorder,
+    excluding Kleene helper nodes."""
+    return [Span(node.start, node.end, node.label) for node in tree.iter_nodes()
+            if node.end - node.start >= 2
+            and not node.label.startswith(HELPER_PREFIX)]
 
 
 def extract_brackets(tree: Tree) -> Counter:
@@ -74,8 +62,8 @@ def _crosses(test: tuple[int, int], gold: tuple[int, int]) -> bool:
 
 def bracket_scores(test: Tree, gold: Tree) -> dict:
     """Per-sentence bracket counts for one test/gold tree pair."""
-    test_tokens = len(list(test.leaves()))
-    gold_tokens = len(list(gold.leaves()))
+    test_tokens = test.end - test.start
+    gold_tokens = gold.end - gold.start
     if test_tokens != gold_tokens:
         raise EvaluationError(
             f"token count mismatch: test {test_tokens}, gold {gold_tokens}")
@@ -187,7 +175,7 @@ def extract_grs(derivation: Derivation, grammar: Grammar,
     del grammar  # templates travel on the rules inside the derivation
     out: set[GR] = set()
 
-    def instantiate(tpl, node: TreeNode, subject: Optional[TreeNode]):
+    def instantiate(tpl, node: Tree, subject: Optional[Tree]):
         if tpl.type_slot.kind == "daughter":
             child = node.children[tpl.type_slot.value - 1]
             gr_type = tokens[child.leftmost_leaf().start].lemma
@@ -212,10 +200,10 @@ def extract_grs(derivation: Derivation, grammar: Grammar,
                 initial=initial)
         return gr, (head_leaf, dep_leaf)
 
-    def walk(node: TreeNode, subject: Optional[TreeNode]) -> None:
+    def walk(node: Tree, subject: Optional[Tree]) -> None:
         if node.rule is None:
             return
-        subject_bindings: list[tuple[TreeNode, TreeNode]] = []
+        subject_bindings: list[tuple[Tree, Tree]] = []
         for tpl in node.rule.gr_templates:
             gr, leaves = instantiate(tpl, node, subject)
             if gr is None:

@@ -17,7 +17,7 @@ node that received it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .grammar import END_MARKER, Rule
 from .lrtable import LRTable
@@ -25,55 +25,6 @@ from .lrtable import LRTable
 
 class ParseError(ValueError):
     """Input token outside the grammar's terminal set."""
-
-
-@dataclass(frozen=True)
-class TreeNode:
-    """One node of an unpacked derivation tree.
-
-    Leaves carry the PoS tag and an empty child tuple; internal nodes
-    carry the grammar rule that built them.  Spans are half-open token
-    intervals.
-    """
-
-    rule: Optional[Rule]
-    start: int
-    end: int
-    children: tuple["TreeNode", ...] = ()
-    tag: Optional[str] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.rule is None
-
-    @property
-    def label(self) -> str:
-        return self.tag if self.rule is None else self.rule.mother
-
-    def head_leaf(self) -> "TreeNode":
-        """The lexical head reached by following head daughters."""
-        node = self
-        while node.rule is not None:
-            node = node.children[node.rule.head_index]
-        return node
-
-    def leftmost_leaf(self) -> "TreeNode":
-        node = self
-        while node.children:
-            node = node.children[0]
-        return node
-
-    def leaves(self) -> Iterator["TreeNode"]:
-        if self.rule is None:
-            yield self
-        else:
-            for child in self.children:
-                yield from child.leaves()
-
-    def iter_nodes(self) -> Iterator["TreeNode"]:
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
 
 
 class ForestNode:

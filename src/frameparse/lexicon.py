@@ -65,9 +65,6 @@ class SubcatLexicon:
     def entries(self) -> list[SubcatEntry]:
         return sorted(self._index.values(), key=lambda e: (e.lemma, e.frame))
 
-    def lemmas(self) -> list[str]:
-        return sorted(self._totals)
-
     def get(self, lemma: str, frame: str):
         return self._index.get((lemma, frame))
 

@@ -1,4 +1,4 @@
-"""Bracketed treebank files.
+"""The tree type, and bracketed treebank files.
 
 One sentence per record in the usual notation, e.g.
 ``(S (NP (n Paul)) (VP (v intends) ...))`` with ``(tag word)`` leaves.
@@ -10,15 +10,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from .glr import TreeNode
-from .grammar import Grammar
+from .grammar import Grammar, Rule
 
 _SEXP_TOKEN = re.compile(r"\(|\)|[^\s()]+")
 
-# Reading, training on and evaluating a tree recurse once or twice per
-# level, so deeper records would exhaust Python's stack.
+# Reading and training on a tree recurse once or twice per level, so
+# deeper records would exhaust Python's stack.
 MAX_DEPTH = 300
 
 
@@ -32,37 +31,63 @@ class UnderivableTreeError(ValueError):
 
 @dataclass(frozen=True)
 class Tree:
-    """A raw bracketed tree: labels and words only, no grammar binding.
+    """A tree over a token sequence: a gold tree as read, or a
+    derivation tree bound to grammar rules.
 
-    Leaves are ``(tag word)`` nodes with ``children == ()`` and ``word``
-    set; internal nodes have at least one child and no word.
+    A node is a leaf iff it has no children, and a leaf's ``label`` is
+    its PoS tag; ``word`` is set on the leaves of a tree read from
+    text.  ``rule`` is the grammar rule that built an internal node of
+    a derivation tree.  Spans are half-open token intervals.
     """
 
     label: str
+    start: int
+    end: int
     children: tuple["Tree", ...] = ()
+    rule: Optional[Rule] = None
     word: Optional[str] = None
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.word is not None
+    def head_leaf(self) -> "Tree":
+        """The lexical head reached by following head daughters."""
+        node = self
+        while node.rule is not None:
+            node = node.children[node.rule.head_index]
+        return node
+
+    def leftmost_leaf(self) -> "Tree":
+        node = self
+        while node.children:
+            node = node.children[0]
+        return node
+
+    def iter_nodes(self) -> Iterator["Tree"]:
+        """Every node, in preorder."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def leaves(self) -> Iterator["Tree"]:
-        if self.is_leaf:
-            yield self
-        else:
-            for child in self.children:
-                yield from child.leaves()
+        return (node for node in self.iter_nodes() if not node.children)
 
-    def tags(self) -> list[str]:
-        return [leaf.label for leaf in self.leaves()]
-
-    def words(self) -> list[str]:
-        return [leaf.word for leaf in self.leaves()]
-
-    def render(self) -> str:
-        if self.is_leaf:
-            return "(%s %s)" % (self.label, self.word)
-        return "(%s %s)" % (self.label, " ".join(c.render() for c in self.children))
+    def render(self, words: Optional[Sequence[str]] = None) -> str:
+        """Bracketed text with ``(tag word)`` leaves, the words taken
+        from ``words`` by position when given."""
+        parts: list[str] = []
+        stack: list[Optional[Tree]] = [self]
+        while stack:
+            node = stack.pop()
+            if node is None:  # the end of an internal node
+                parts[-1] += ")"
+            elif node.children:
+                parts.append("(" + node.label)
+                stack.append(None)
+                stack.extend(reversed(node.children))
+            else:
+                word = node.word if words is None else words[node.start]
+                parts.append("(%s %s)" % (node.label, word))
+        return " ".join(parts)
 
 
 def parse_tree(text: str) -> Tree:
@@ -70,9 +95,10 @@ def parse_tree(text: str) -> Tree:
     if not tokens:
         raise TreebankError("empty tree text")
     pos = 0
+    position = 0  # tokens read so far
 
     def parse_node() -> Tree:
-        nonlocal pos
+        nonlocal pos, position
         if tokens[pos] != "(":
             raise TreebankError(f"expected '(' at token {pos}: {tokens[pos]!r}")
         pos += 1
@@ -80,6 +106,7 @@ def parse_tree(text: str) -> Tree:
             raise TreebankError("missing node label")
         label = tokens[pos]
         pos += 1
+        start = position
         children: list[Tree] = []
         word = None
         while pos < len(tokens) and tokens[pos] != ")":
@@ -91,12 +118,13 @@ def parse_tree(text: str) -> Tree:
                         f"leaf {label!r} must dominate exactly one word")
                 word = tokens[pos]
                 pos += 1
+                position += 1
         if pos >= len(tokens):
             raise TreebankError("unbalanced brackets")
         pos += 1  # closing paren
         if word is None and not children:
             raise TreebankError(f"empty node {label!r}")
-        return Tree(label, tuple(children), word)
+        return Tree(label, start, position, tuple(children), word=word)
 
     tree = parse_node()
     if pos != len(tokens):
@@ -153,42 +181,26 @@ def write_treebank(trees, path) -> None:
         "\n".join(t.render() for t in trees) + "\n", encoding="utf-8")
 
 
-def to_derivation_tree(tree: Tree, grammar: Grammar) -> TreeNode:
-    """Bind a raw tree to grammar rules, producing a derivation tree.
+def to_derivation_tree(tree: Tree, grammar: Grammar) -> Tree:
+    """Bind a raw tree to grammar rules, producing a derivation tree
+    with the same labels, spans and leaves.
 
     Node labels plus daughter-label sequences must name existing rules;
     anything else raises :class:`UnderivableTreeError`.
     """
-    position = 0
 
-    def convert(node: Tree) -> TreeNode:
-        nonlocal position
-        if node.is_leaf:
+    def convert(node: Tree) -> Tree:
+        if not node.children:
             if node.label not in grammar.terminals:
                 raise UnderivableTreeError(
                     f"leaf tag {node.label!r} is not a grammar terminal")
-            leaf = TreeNode(None, position, position + 1, (), node.label)
-            position += 1
-            return leaf
+            return node
         children = tuple(convert(child) for child in node.children)
         rule = grammar.rule_by_shape(node.label,
                                      [child.label for child in children])
         if rule is None:
             shape = " ".join(child.label for child in children)
             raise UnderivableTreeError(f"no rule {node.label} -> {shape}")
-        return TreeNode(rule, children[0].start, children[-1].end, children)
+        return Tree(node.label, node.start, node.end, children, rule)
 
     return convert(tree)
-
-
-def from_derivation_tree(node: TreeNode, words=None) -> Tree:
-    """Render a derivation tree as a raw tree; leaf words come from
-    ``words`` by position when given, else the tag is repeated."""
-
-    def convert(inner: TreeNode) -> Tree:
-        if inner.is_leaf:
-            word = words[inner.start] if words is not None else inner.tag
-            return Tree(inner.tag, (), word)
-        return Tree(inner.label, tuple(convert(c) for c in inner.children))
-
-    return convert(node)

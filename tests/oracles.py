@@ -11,16 +11,16 @@ shift/reduce stack.  Ranking is checked against every tree of
 import itertools
 import random
 
-from frameparse import (Derivation, Grammar, TreeNode, UnderivableTreeError,
+from frameparse import (Derivation, Grammar, Tree, UnderivableTreeError,
                         parse_grammar, tree_actions, verb_frames)
 from frameparse.actions import trace_sort_key
 
 
 def canon(tree):
     """Canonical tuple form shared by oracle trees and GLR trees."""
-    if isinstance(tree, TreeNode):
-        if tree.is_leaf:
-            return ("leaf", tree.tag, tree.start)
+    if isinstance(tree, Tree):
+        if not tree.children:
+            return ("leaf", tree.label, tree.start)
         return (tree.label, tuple(canon(c) for c in tree.children))
     return tree
 
@@ -49,7 +49,7 @@ def all_trees(forest):
         if cached is not None:
             return cached
         if node.leaf:
-            trees = (TreeNode(None, node.start, node.end, (), node.symbol),)
+            trees = (Tree(node.symbol, node.start, node.end),)
         else:
             ordered = sorted(
                 node.alternatives,
@@ -58,7 +58,8 @@ def all_trees(forest):
             built = []
             for rule, children in ordered:
                 for combo in itertools.product(*(unpack(c) for c in children)):
-                    built.append(TreeNode(rule, node.start, node.end, combo))
+                    built.append(Tree(node.symbol, node.start, node.end, combo,
+                                      rule))
             trees = tuple(built)
         memo[key] = trees
         return trees
@@ -73,15 +74,15 @@ def replay_actions(trace, table):
     position = 0
     for _state, lookahead, action in trace:
         if action[0] == "shift":
-            stack.append(TreeNode(None, position, position + 1, (), lookahead))
+            stack.append(Tree(lookahead, position, position + 1))
             position += 1
         elif action[0] == "reduce":
             rule = table.grammar.rules[action[1]]
             arity = len(rule.daughters)
             children = tuple(stack[len(stack) - arity:])
             del stack[len(stack) - arity:]
-            stack.append(TreeNode(rule, children[0].start, children[-1].end,
-                                  children))
+            stack.append(Tree(rule.mother, children[0].start,
+                              children[-1].end, children, rule))
     if len(stack) != 1:
         raise UnderivableTreeError("trace does not reduce to a single tree")
     return stack[0]

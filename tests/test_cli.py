@@ -213,6 +213,23 @@ def test_treebank_nested_too_deep_exit_2(tmp_path, capsys):
     assert not model.exists()
 
 
+def test_parse_805_token_sentence(model_file, capsys):
+    # The top tree nests 806 levels deep, past Python's recursion limit
+    # for any walker that recurses once per level.
+    sentence = "Paul intends" + " to intend" * 400 + " to leave IBM"
+    args = ["parse", "--grammar", "@demo/demo.grammar",
+            "--wordlist", "@demo/demo.wordlist",
+            "--model", str(model_file), "--n", "5", sentence]
+    expected = _control_chain(401, "(VP (v leave) (NP (pn IBM)))")
+    assert _nesting(expected) == 806
+    assert main(args) == 0
+    assert "\ntree\t%s\n" % expected in capsys.readouterr().out
+    assert main(args + ["--format", "machine-readable"]) == 0
+    [record] = json.loads(capsys.readouterr().out)
+    assert len(record["tokens"]) == 805
+    assert [analysis["tree"] for analysis in record["analyses"]] == [expected]
+
+
 def test_acquire_summary(lexicon_file):
     lex = fp.load_lexicon(lexicon_file)
     assert lex.count("hear", "NP") == 9
@@ -243,7 +260,7 @@ def test_acquire_cap_one(tmp_path, model_file):
                  "--cap", "1", "--out", str(out)])
     assert code == 0
     lex = fp.load_lexicon(out)
-    for lemma in lex.lemmas():
+    for lemma in {e.lemma for e in lex.entries()}:
         assert lex.total(lemma) == 1
 
 

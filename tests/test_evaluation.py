@@ -43,7 +43,7 @@ class TestBrackets:
 
     def test_helper_nodes_excluded(self, demo_table):
         forest = fp.glr_parse("pn pn pn v det n".split(), demo_table)
-        tree = fp.from_derivation_tree(all_trees(forest)[0])
+        tree = all_trees(forest)[0]
         spans = fp.extract_brackets(tree)
         assert all(label != "@rep_pn" for label in
                    [s.label for s in fp.labeled_spans(tree)])

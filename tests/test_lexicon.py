@@ -52,12 +52,12 @@ def test_inconsistent_relfreq_rejected():
 def test_empty_file_is_valid_empty_lexicon():
     lex = fp.parse_lexicon("")
     assert len(lex) == 0
-    assert lex.lemmas() == []
+    assert lex.entries() == []
 
 
 def test_per_lemma_relfreqs_sum_to_one():
     lex = fp.load_lexicon(fp.demo_path("demo.lexicon"))
-    for lemma in lex.lemmas():
+    for lemma in {e.lemma for e in lex.entries()}:
         total = math.fsum(e.relfreq for e in lex.entries() if e.lemma == lemma)
         assert abs(total - 1.0) <= 1e-9
 
@@ -95,7 +95,7 @@ class TestFrameLogprob:
     def test_smoothed_distribution_proper(self, acquired_lexicon):
         for lex in (acquired_lexicon,
                     fp.load_lexicon(fp.demo_path("demo.lexicon"))):
-            for lemma in lex.lemmas():
+            for lemma in {e.lemma for e in lex.entries()}:
                 total = math.fsum(math.exp(lex.frame_logprob(lemma, frame))
                                   for frame in lex.inventory)
                 assert abs(total - 1.0) <= 1e-9

@@ -27,13 +27,19 @@ def relations(draw):
 
 
 @st.composite
-def trees(draw, depth=3):
+def bracketed(draw, depth=3):
     tag = draw(st.sampled_from(["a", "b", "c"]))
     if depth == 0 or draw(st.booleans()):
-        return fp.Tree(tag, (), word=draw(lemmas))
-    children = draw(st.lists(trees(depth=depth - 1), min_size=1, max_size=3))
+        return "(%s %s)" % (tag, draw(lemmas))
+    children = draw(st.lists(bracketed(depth=depth - 1), min_size=1,
+                             max_size=3))
     label = draw(st.sampled_from(["S", "NP", "VP", "@rep_x"]))
-    return fp.Tree(label, tuple(children))
+    return "(%s %s)" % (label, " ".join(children))
+
+
+def trees():
+    """Trees read from bracketed text, so the reader sets the spans."""
+    return bracketed().map(fp.parse_tree)
 
 
 @given(relations())

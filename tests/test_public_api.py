@@ -1,15 +1,17 @@
-"""Every public function and class has a caller in the program, and
-every module uses each name it imports.
+"""Every public function and class, and every public method and
+property of an exported class, has a caller in the program, and every
+module uses each name it imports.
 
-A name exported by ``frameparse`` counts as used when the package (its
-``__init__`` aside) or the benchmark under ``perfbench/`` mentions it as
-an identifier, an attribute or an exact string (the benchmark's tracer
-looks functions up by name).  Helpers that only tests call are deleted
-or moved into the tests, except the few kept below.
+A name counts as used when the package (its ``__init__`` aside) or the
+benchmark under ``perfbench/`` mentions it as an identifier, an
+attribute or an exact string (the benchmark's tracer looks functions up
+by name).  Helpers that only tests call are deleted or moved into the
+tests, except the few kept below.
 """
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import frameparse as fp
@@ -49,8 +51,14 @@ def test_every_public_function_and_class_has_a_caller():
     public = {name for name in fp.__all__
               if inspect.isfunction(getattr(fp, name))
               or inspect.isclass(getattr(fp, name))}
+    methods = {f"{name}.{attr}"
+               for name in public if inspect.isclass(getattr(fp, name))
+               for attr, value in vars(getattr(fp, name)).items()
+               if not attr.startswith("_")
+               and (inspect.isfunction(value) or isinstance(value, property))}
     assert set(KEPT) <= public
-    assert public - mentioned == set(KEPT)
+    assert {name for name in public | methods
+            if name.rsplit(".", 1)[-1] not in mentioned} == set(KEPT)
 
 
 def _unused_imports(path):
@@ -74,3 +82,15 @@ def test_no_module_imports_a_name_it_does_not_use():
               if path.name != "__init__.py"
               for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_readme_api_session_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [session] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(session, "README.md", "exec"), {})
+    tree, *relations = capsys.readouterr().out.splitlines()
+    assert tree == ("(S (NP (pn Paul)) (VP (v intends) (VPto (to to) "
+                    "(VP (v leave) (NP (pn IBM))))))")
+    assert relations == ["dobj(leave,IBM,_)", "ncsubj(intend,Paul,_)",
+                         "ncsubj(leave,Paul,_)", "xcomp(to,intend,leave)"]
+    assert all(f"`{relation}`" in readme for relation in relations)
