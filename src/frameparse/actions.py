@@ -25,6 +25,13 @@ parsing", Algorithm 3).  Its cost is polynomial in the forest, plus
 are built as trees.  An optional lexical term is a share per rule
 application: the search adds each share to its edge's weight, and the
 term reported for an analysis is the sum of the same shares.
+
+The search trusts the forest: it holds exactly the grammar's
+derivations, and over an LALR(1) table that keeps every conflict each is
+a valid action sequence (a canonical LR(1) reduce item is valid for every
+viable prefix it completes; merging states only adds lookaheads).  So
+every shift, goto and reduce it looks up exists; its one check, once per
+forest, is that the forest's rules are the model's own rule objects.
 """
 
 from __future__ import annotations
@@ -251,68 +258,48 @@ class _ForestSearch:
         self.tokens = forest.tokens
         self.model = model
         self.lexical = lexical
-        self.vertices: dict[tuple[ForestNode, int], Optional[_Vertex]] = {}
+        self.vertices: dict[tuple[ForestNode, int], _Vertex] = {}
 
-    def visit(self, node: ForestNode, state: int) -> Optional[_Vertex]:
-        """The vertex of ``node`` entered from ``state`` with its best
-        derivation, or ``None`` if the table cannot derive it there."""
+    def visit(self, node: ForestNode, state: int) -> _Vertex:
+        """The vertex of ``node`` entered from ``state``, with its best
+        derivation."""
         key = (node, state)
-        if key in self.vertices:
-            return self.vertices[key]
-        self.vertices[key] = None  # the forest is acyclic; guards a malformed one
+        vertex = self.vertices.get(key)
+        if vertex is not None:
+            return vertex
         table = self.model.table
         if node.leaf:
             target = table.shift_target(state, node.symbol)
-            if target is None:
-                return None
             step = (state, node.symbol, ("shift", target))
             weight = self.model.logprob(*step)
             vertex = _Vertex(node, target, [(None, (), step, weight, 0.0)],
                              0, weight, False)
             self.vertices[key] = vertex
             return vertex
-        grammar = table.grammar
-        for rule, _ in node.alternatives:
-            if (rule.rule_id >= len(grammar.rules)
-                    or grammar.rules[rule.rule_id] is not rule):
-                raise ValueError("model/table mismatch: forest built from a "
-                                 "different grammar")
-        exit_state = table.gotos.get((state, node.symbol))
-        if exit_state is None:
-            return None
         lookahead = (self.tokens[node.end] if node.end < len(self.tokens)
                      else END_MARKER)
         edges = []
-        best = best_score = None
-        ambiguous = False
+        scores = []
+        ambiguous = len(node.alternatives) > 1
         for rule, daughters in node.alternatives:
             tails = []
             entry = state
             score = 0.0
             for daughter in daughters:
                 tail = self.visit(daughter, entry)
-                if tail is None:
-                    break
                 tails.append(tail)
                 score += tail.derivations[0][0]
                 entry = tail.exit
-            else:
-                action = ("reduce", rule.rule_id)
-                if action not in table.actions.get((entry, lookahead), ()):
-                    continue
-                step = (entry, lookahead, action)
-                share = (self.lexical(rule, daughters)
-                         if self.lexical is not None else 0.0)
-                weight = self.model.logprob(*step) + share
-                score += weight
-                if best is None or score > best_score:
-                    best, best_score = len(edges), score
-                edges.append((rule, tuple(tails), step, weight, share))
-                ambiguous = ambiguous or any(t.ambiguous for t in tails)
-        if best is None:
-            return None
-        vertex = _Vertex(node, exit_state, edges, best, best_score,
-                         ambiguous or len(edges) > 1)
+                ambiguous = ambiguous or tail.ambiguous
+            step = (entry, lookahead, ("reduce", rule.rule_id))
+            share = (self.lexical(rule, daughters)
+                     if self.lexical is not None else 0.0)
+            weight = self.model.logprob(*step) + share
+            edges.append((rule, tuple(tails), step, weight, share))
+            scores.append(score + weight)
+        best = max(range(len(edges)), key=scores.__getitem__)
+        vertex = _Vertex(node, table.gotos[(state, node.symbol)], edges,
+                         best, scores[best], ambiguous)
         self.vertices[key] = vertex
         return vertex
 
@@ -387,14 +374,17 @@ def unpack_n_best(forest: Forest, model: ActionModel, n: int,
         raise ValueError(f"n must be an int of at least 1, got {n!r}")
     if forest.root is None:
         return []
-    table = model.table
+    # The search trusts the forest once its rules are the model's own.
+    grammar = model.table.grammar
+    for node in forest.nodes.values():
+        for rule, _ in node.alternatives:
+            if (rule.rule_id >= len(grammar.rules)
+                    or grammar.rules[rule.rule_id] is not rule):
+                raise ValueError("model/table mismatch: forest built from a "
+                                 "different grammar")
     search = _ForestSearch(forest, model, lexical)
-    root = search.visit(forest.root, table.start_state)
-    if root is None:
-        return []
+    root = search.visit(forest.root, model.table.start_state)
     accept = (root.exit, END_MARKER, ("accept",))
-    if accept[2] not in table.actions.get(accept[:2], ()):
-        return []
     accept_logprob = model.logprob(*accept)
     popped = 0
     floor = None

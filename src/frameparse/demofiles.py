@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 DEMO_FILES = (
@@ -23,9 +22,10 @@ def demo_path(name: str) -> Path:
     """Filesystem path of a shipped demo file.
 
     The CLI accepts ``@demo/<name>`` in any path argument as shorthand
-    for these.
+    for these.  The files sit next to this module, so the package must be
+    installed or run from a directory, not imported from a zip archive.
     """
     if name not in DEMO_FILES:
         raise FileNotFoundError(
             f"no demo file {name!r}; available: {', '.join(DEMO_FILES)}")
-    return Path(str(resources.files("frameparse").joinpath("data", name)))
+    return Path(__file__).parent / "data" / name

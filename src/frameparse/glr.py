@@ -82,7 +82,6 @@ class Forest:
                 return 1
             key = node.key()
             if key not in memo:
-                memo[key] = 0  # grammar is cycle-free; guards malformed input
                 total = 0
                 for _, children in node.alternatives:
                     product = 1

@@ -376,21 +376,30 @@ def _check_cycle_free(grammar: Grammar) -> None:
             child = rule.daughters[0]
             if child in grammar.nonterminals:
                 edges.setdefault(rule.mother, set()).add(child)
+    # Depth-first in sorted order over an explicit stack, since unit
+    # chains can be as long as the grammar: ``trail`` is the path walked
+    # so far (state 1), ``pending`` each of its symbols' children left to
+    # try, and a finished symbol has state 2.
     state: dict[str, int] = {}
-
-    def visit(node: str, trail: list[str]) -> None:
-        state[node] = 1
-        for nxt in sorted(edges.get(node, ())):
-            if state.get(nxt) == 1:
-                cycle = " -> ".join(trail + [node, nxt])
-                raise GrammarError(f"grammar has a derivation cycle: {cycle}")
-            if nxt not in state:
-                visit(nxt, trail + [node])
-        state[node] = 2
-
     for label in sorted(edges):
-        if label not in state:
-            visit(label, [])
+        if label in state:
+            continue
+        state[label] = 1
+        trail = [label]
+        pending = [iter(sorted(edges[label]))]
+        while pending:
+            for nxt in pending[-1]:
+                if state.get(nxt) == 1:
+                    cycle = " -> ".join(trail + [nxt])
+                    raise GrammarError(f"grammar has a derivation cycle: {cycle}")
+                if nxt not in state:
+                    state[nxt] = 1
+                    trail.append(nxt)
+                    pending.append(iter(sorted(edges.get(nxt, ()))))
+                    break
+            else:
+                pending.pop()
+                state[trail.pop()] = 2
 
 
 def _remap_template(tpl: GRTemplate, index_map: dict[int, int]) -> Optional[GRTemplate]:

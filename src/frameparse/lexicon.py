@@ -65,15 +65,9 @@ class SubcatLexicon:
     def entries(self) -> list[SubcatEntry]:
         return sorted(self._index.values(), key=lambda e: (e.lemma, e.frame))
 
-    def get(self, lemma: str, frame: str):
-        return self._index.get((lemma, frame))
-
     def count(self, lemma: str, frame: str) -> float:
         entry = self._index.get((lemma, frame))
         return entry.count if entry else 0.0
-
-    def total(self, lemma: str) -> float:
-        return self._totals.get(lemma, 0.0)
 
     def frame_logprob(self, lemma: str, frame: str) -> float:
         """Add-1-smoothed log probability of ``frame`` for ``lemma``.

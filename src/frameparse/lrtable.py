@@ -197,8 +197,9 @@ def build_table(grammar: Grammar) -> LRTable:
             else:
                 actions.setdefault((merged_id, la), set()).add(("reduce", rule_id))
 
+    # Sorted keys: the item sets above iterate in hash order.
     frozen_actions = {key: tuple(sorted(acts, key=action_sort_key))
-                      for key, acts in actions.items()}
+                      for key, acts in sorted(actions.items())}
     return LRTable(grammar=grammar, n_states=len(merged_items),
                    actions=frozen_actions, gotos=gotos,
                    start_state=merged_of[0])

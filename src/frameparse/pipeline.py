@@ -90,6 +90,5 @@ class ParserPipeline:
         frame term is added unless ``lexicalized=False`` forces baseline
         (structural) ranking."""
         if lexicalized and self.lexicon is not None:
-            return rank_analyses(forest, self.model, self.lexicon,
-                                 self.grammar, tokens, n)
+            return rank_analyses(forest, self.model, self.lexicon, tokens, n)
         return unpack_n_best(forest, self.model, n)

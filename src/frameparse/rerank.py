@@ -70,11 +70,14 @@ def verb_frames(derivation: Derivation, grammar: Grammar,
 
 
 def rank_analyses(forest: Forest, model: ActionModel,
-                  lexicon: SubcatLexicon, grammar: Grammar,
-                  tokens: Sequence[Token], n: int) -> list[RankedAnalysis]:
+                  lexicon: SubcatLexicon, tokens: Sequence[Token],
+                  n: int) -> list[RankedAnalysis]:
     """The ``n`` best analyses with the frame term as the lexical term
     of :func:`~frameparse.actions.unpack_n_best`: ranked by total score,
-    ties broken on the action trace exactly as in structural ranking."""
+    ties broken on the action trace exactly as in structural ranking;
+    verb instances are those of the model's grammar."""
+    grammar = model.table.grammar
+
     def instance_term(rule: Rule, daughters: tuple[ForestNode, ...]) -> float:
         frame = _instance_frame(rule, grammar)
         if frame is None:

@@ -62,16 +62,18 @@ class TestHypothesize:
         for frame in ["NP"] * 7 + ["NONE"] * 3:
             store.add("v", frame)
         lex = fp.hypothesize_entries(store, min_count=1, min_relfreq=0.0)
-        assert lex.get("v", "NP").relfreq == pytest.approx(0.7)
-        assert lex.get("v", "NONE").relfreq == pytest.approx(0.3)
+        [none, np] = lex.entries()
+        assert (none.frame, np.frame) == ("NONE", "NP")
+        assert np.relfreq == pytest.approx(0.7)
+        assert none.relfreq == pytest.approx(0.3)
 
     def test_renormalization_over_survivors(self):
         store = fp.ObservationStore(cap=100)
         for frame in ["NP"] * 7 + ["PP"]:
             store.add("v", frame)
         lex = fp.hypothesize_entries(store, min_count=2)
-        assert lex.get("v", "PP") is None
-        entry = lex.get("v", "NP")
+        [entry] = lex.entries()
+        assert (entry.lemma, entry.frame) == ("v", "NP")
         assert entry.relfreq == pytest.approx(1.0)
         assert entry.count == 7
 

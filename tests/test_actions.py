@@ -158,6 +158,21 @@ def test_forest_from_other_grammar_rejected(demo_table):
         fp.unpack_n_best(forest, fp.ActionModel(other), 1)
 
 
+def test_forest_from_equal_but_distinct_grammar_rejected(demo_grammar,
+                                                         demo_table):
+    # Equal rules make equal tables, so only rule identity tells the
+    # two grammars apart; the search itself would run.
+    forest = fp.glr_parse("det n v det n prep det n".split(), demo_table)
+    twin = fp.build_table(fp.normalize_kleene(demo_grammar))
+    assert twin.grammar == demo_table.grammar
+    assert twin.grammar.rules[0] is not demo_table.grammar.rules[0]
+    for rank in (fp.unpack_n_best,
+                 lambda forest, model, n: fp.rank_analyses(
+                     forest, model, fp.SubcatLexicon([]), [], n)):
+        with pytest.raises(ValueError, match="model/table mismatch"):
+            rank(forest, fp.ActionModel(twin), 5)
+
+
 def test_logprob_is_log_of_prob_exactly(demo_table, adversarial_model):
     # the precomputed table must hold the very floats prob() gives
     for (state, lookahead), actions in demo_table.actions.items():

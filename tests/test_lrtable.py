@@ -70,6 +70,12 @@ def test_gotos_deterministic(demo_table):
     assert rebuilt.n_states == demo_table.n_states
 
 
+def test_action_keys_in_sorted_order(demo_table):
+    # Item sets iterate in hash order; the table must not, or models
+    # drawn over its classes would differ from run to run.
+    assert list(demo_table.actions) == sorted(demo_table.actions)
+
+
 def test_action_order_shift_before_reduce():
     actions = [("reduce", 7), ("accept",), ("shift", 3), ("reduce", 2)]
     assert sorted(actions, key=action_sort_key) == [

@@ -46,8 +46,7 @@ class TestVerbFrames:
 def _rank_all(pipeline, sentence, lexicon):
     tokens = pipeline.tag(sentence)
     forest = pipeline.parse_tags([t.tag for t in tokens])
-    return tokens, fp.rank_analyses(forest, pipeline.model, lexicon,
-                                    pipeline.grammar, tokens,
+    return tokens, fp.rank_analyses(forest, pipeline.model, lexicon, tokens,
                                     forest.derivation_count())
 
 
@@ -59,7 +58,7 @@ class TestLexicalizedScore:
         forest = fp.glr_parse(["det", "n"], table)
         tokens = [fp.Token("the", "det", "the"), fp.Token("dog", "n", "dog")]
         [scored] = fp.rank_analyses(forest, fp.ActionModel(table), lexicon,
-                                    table.grammar, tokens, 99)
+                                    tokens, 99)
         assert scored.lexical_logprob == 0.0
         assert isinstance(scored.lexical_logprob, float)
         assert scored.total_score == scored.structural_logprob
@@ -151,7 +150,7 @@ class TestRankAnalyses:
         tokens = adversarial_pipeline.tag("the child sleeps")
         forest = adversarial_pipeline.parse_tags([t.tag for t in tokens])
         ranked = fp.rank_analyses(forest, adversarial_pipeline.model, lexicon,
-                                  adversarial_pipeline.grammar, tokens, 99)
+                                  tokens, 99)
         assert len(ranked) == 1
 
     def test_uniform_lexicon_matches_structural_order(self, adversarial_pipeline,
@@ -164,8 +163,7 @@ class TestRankAnalyses:
             structural = fp.unpack_n_best(forest, adversarial_pipeline.model,
                                           count)
             reranked = fp.rank_analyses(forest, adversarial_pipeline.model,
-                                        empty, adversarial_pipeline.grammar,
-                                        tokens, count)
+                                        empty, tokens, count)
             assert [_analysis_key(a) for a in structural] == \
                 [_analysis_key(a) for a in reranked]
 
@@ -191,8 +189,7 @@ class TestRankAnalyses:
             lexicon = fp.parse_lexicon(rows)
             forest = uniform_pipeline.parse_tags([t.tag for t in tokens])
             ranked = fp.rank_analyses(forest, uniform_pipeline.model, lexicon,
-                                      uniform_pipeline.grammar, tokens,
-                                      forest.derivation_count())
+                                      tokens, forest.derivation_count())
             for position, analysis in enumerate(ranked):
                 frames = fp.verb_frames(analysis.derivation,
                                         uniform_pipeline.grammar, tokens)
