@@ -3,10 +3,11 @@
 Every command below runs in-process through ``cli.main``, in order, in
 one fresh working directory: the ``train`` and ``acquire`` commands at
 the top write the model and lexicon the later ones read, under
-relative names, so no temporary path reaches an output.  The expected
-stdout (``<name>.out``), stderr (``<name>.err``), exit status
-(``status.tsv``) and written files are under ``tests/golden/``.  After
-a deliberate output change, rewrite them with
+relative names, so no temporary path reaches an output.  The treebank
+files of the ``train`` error repros are written there the same way.
+The expected stdout (``<name>.out``), stderr (``<name>.err``), exit
+status (``status.tsv``) and written files are under ``tests/golden/``.
+After a deliberate output change, rewrite them with
 ``PYTHONPATH=src python tests/golden/regenerate.py`` and name each
 changed file and the reason in CHANGES.md.
 """
@@ -36,6 +37,21 @@ INPUTS = {"suite": SUITE, "ladder": LADDER + NESTED}
 LEXICONS = {"baseline": [], "acquired": ["--lexicon", "acq.lexicon"],
             "demo": ["--lexicon", "@demo/demo.lexicon"]}
 FORMATS = {"text": [], "json": ["--format", "machine-readable"]}
+# One treebank file per fault that stops reading (exit 2), and one
+# whose underivable trees are skipped with a warning.
+TREEBANKS = {
+    "junk-before-tree": "abc (S (NP (pn Paul)) (VP (v sleeps)))\n",
+    "missing-label": "(S (NP (pn Paul)) ())\n",
+    "leaf-two-words": "(S (NP pn Paul) (VP (v sleeps)))\n",
+    "empty-node": "(S (NP) (VP (v sleeps)))\n",
+    "unbalanced-close": "(S (NP (pn Paul)) (VP (v sleeps))))\n",
+    "unbalanced-open": "(S (NP (pn Paul))\n   (VP (v sleeps))\n",
+    "text-outside": "(S (NP (pn Paul)) (VP (v sleeps)))\nsleeps\n",
+    "underivable": "(S (NP (pn Paul)) (VP (v sleeps)))\n"
+                   "(S (VP (v sleeps)) (NP (pn Paul)))\n"
+                   "(S (NP Paul) (VP (v sleeps)))\n"
+                   "(NP (pn Paul))\n",
+}
 
 
 def _commands():
@@ -45,6 +61,11 @@ def _commands():
     yield "train-adversarial", ["train", "--grammar", "@demo/demo.grammar",
                                 "--treebank", "@demo/adversarial.treebank",
                                 "--model", "adv.model"]
+    for name in TREEBANKS:
+        yield f"train-{name}", ["train", "--grammar", "@demo/demo.grammar",
+                                "--treebank", f"{name}.treebank",
+                                "--model", f"{name}.model"]
+    yield "build-table", ["build-table", "--grammar", "@demo/demo.grammar"]
     yield "acquire", ["acquire", *PIPELINE, "--corpus", "@demo/acquisition.txt",
                       "--out", "acq.lexicon"]
     for fmt, fmt_args in FORMATS.items():
@@ -69,7 +90,7 @@ def _commands():
 
 
 COMMANDS = dict(_commands())
-WRITTEN = ("train.model", "adv.model", "acq.lexicon")
+WRITTEN = ("train.model", "adv.model", "acq.lexicon", "underivable.model")
 
 
 def run_commands(workdir: Path) -> dict[str, str]:
@@ -80,6 +101,8 @@ def run_commands(workdir: Path) -> dict[str, str]:
     previous = os.getcwd()
     os.chdir(workdir)
     try:
+        for name, text in TREEBANKS.items():
+            Path(f"{name}.treebank").write_text(text, encoding="utf-8")
         for name, argv in COMMANDS.items():
             stdout, stderr = io.StringIO(), io.StringIO()
             with redirect_stdout(stdout), redirect_stderr(stderr):
