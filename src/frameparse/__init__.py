@@ -17,7 +17,7 @@ from .lrtable import LRTable, build_table
 from .glr import Forest, ForestNode, ParseError, glr_parse
 from .treebank import (Tree, TreebankError, UnderivableTreeError,
                        load_treebank, parse_tree, read_treebank,
-                       to_derivation_tree, write_treebank)
+                       write_treebank)
 from .actions import (ActionModel, Derivation, RankedAnalysis, load_model,
                       save_model, train_actions, tree_actions, unpack_n_best)
 from .lexicon import (LexiconError, SubcatEntry, SubcatLexicon,
@@ -30,10 +30,10 @@ from .acquire import ObservationStore, hypothesize_entries, observe_corpus
 from .grs import (GR, GRError, RELATION_PARENTS, RELATION_SLOTS, gr_match,
                   gr_scores, parse_gr, read_gr_file, relation_histogram,
                   render_gr_file)
-from .evaluation import (BracketReport, EvaluationError, GRReport, Span,
+from .evaluation import (BracketReport, EvaluationError, GRReport,
                          TTestResult, aggregate_brackets, aggregate_grs,
                          bracket_scores, extract_brackets, extract_grs,
-                         labeled_spans, paired_t_test)
+                         paired_t_test)
 from .pipeline import ParserPipeline, SentenceResult
 from .demofiles import DEMO_FILES, demo_path
 

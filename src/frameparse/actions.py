@@ -11,7 +11,9 @@ throughout.
 The action trace of a derivation is a deterministic function of its tree
 given the table (shifts in leaf order, each reduce as soon as its
 daughters are complete), which is also how gold treebank trees are
-turned into training events.
+turned into training events: :func:`tree_actions` binds a raw tree's
+nodes to grammar rules by their labels and traces the result, trusting
+the table as the search below does.
 
 Ranking never unpacks the forest.  An action's probability depends only
 on (state, lookahead); a forest node's final reduce reads the token at
@@ -47,58 +49,64 @@ from .grammar import END_MARKER, Rule
 from .glr import Forest, ForestNode
 from .lrtable import LRTable, action_sort_key, parse_action, render_action
 from .preprocess import _read_table
-from .treebank import Tree, UnderivableTreeError, to_derivation_tree
+from .treebank import Tree, UnderivableTreeError
 
 
 def tree_actions(tree: Tree, table: LRTable) -> tuple[tuple[int, str, tuple], ...]:
-    """The (state, lookahead, action) trace that builds the derivation
-    tree ``tree``."""
-    ops: list[tuple] = []
+    """The (state, lookahead, action) trace that builds the gold tree
+    ``tree``, as read from a treebank.
 
-    def linearize(node: Tree) -> None:
+    Its nodes are bound to the table's grammar in postorder: a leaf's
+    tag must be a terminal, each other node's label and daughters'
+    labels must name a rule, and the root must be the start symbol;
+    otherwise :class:`UnderivableTreeError` is raised.  The bound tree
+    is a derivation of the grammar, so, as in ranking, every step it
+    takes exists in the table.
+    """
+    grammar = table.grammar
+    # Postorder: the reverse of a preorder that pushes children left to
+    # right.
+    nodes = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node.children)
+    nodes.reverse()
+    rules: list[Optional[Rule]] = []
+    for node in nodes:
         if not node.children:
-            ops.append(("shift", node.label))
-            return
-        for child in node.children:
-            linearize(child)
-        ops.append(("reduce", node.rule))
-
-    linearize(tree)
+            if node.label not in grammar.terminals:
+                raise UnderivableTreeError(
+                    f"leaf tag {node.label!r} is not a grammar terminal")
+            rules.append(None)
+            continue
+        shape = [child.label for child in node.children]
+        rule = grammar.rule_by_shape(node.label, shape)
+        if rule is None:
+            raise UnderivableTreeError(
+                f"no rule {node.label} -> {' '.join(shape)}")
+        rules.append(rule)
+    if tree.label != grammar.start_symbol:
+        raise UnderivableTreeError(f"root {tree.label!r} is not the start "
+                                   f"symbol {grammar.start_symbol!r}")
     tags = [leaf.label for leaf in tree.leaves()]
     states = [table.start_state]
     trace: list[tuple[int, str, tuple]] = []
     consumed = 0
-    for op in ops:
+    for node, rule in zip(nodes, rules):
         state = states[-1]
-        if op[0] == "shift":
-            lookahead = op[1]
-            target = table.shift_target(state, lookahead)
-            if target is None:
-                raise UnderivableTreeError(
-                    f"no shift on {lookahead!r} from state {state}")
-            trace.append((state, lookahead, ("shift", target)))
+        if rule is None:
+            target = table.shift_target(state, node.label)
+            trace.append((state, node.label, ("shift", target)))
             states.append(target)
             consumed += 1
         else:
-            rule = op[1]
             lookahead = tags[consumed] if consumed < len(tags) else END_MARKER
-            action = ("reduce", rule.rule_id)
-            if action not in table.actions.get((state, lookahead), ()):
-                raise UnderivableTreeError(
-                    f"no reduce by rule {rule.rule_id} "
-                    f"({rule.mother} -> {' '.join(rule.daughters)}) "
-                    f"in state {state} on {lookahead!r}")
-            trace.append((state, lookahead, action))
+            trace.append((state, lookahead, ("reduce", rule.rule_id)))
             del states[len(states) - len(rule.daughters):]
-            goto = table.gotos.get((states[-1], rule.mother))
-            if goto is None:
-                raise UnderivableTreeError(
-                    f"no goto on {rule.mother!r} from state {states[-1]}")
-            states.append(goto)
-    state = states[-1]
-    if ("accept",) not in table.actions.get((state, END_MARKER), ()):
-        raise UnderivableTreeError(f"state {state} does not accept at end of input")
-    trace.append((state, END_MARKER, ("accept",)))
+            states.append(table.gotos[(states[-1], rule.mother)])
+    trace.append((states[-1], END_MARKER, ("accept",)))
     return tuple(trace)
 
 
@@ -190,13 +198,14 @@ class ActionModel:
 def train_actions(trees: Iterable[Tree], table: LRTable
                   ) -> tuple[ActionModel, list[tuple[int, str]]]:
     """Train from raw gold trees, counting the actions along each one's
-    trace; returns the model and the ``(index, reason)`` of every tree
-    the grammar/table cannot derive, which is left out."""
+    :func:`tree_actions` trace; returns the model and the ``(index,
+    reason)`` of every tree the grammar cannot derive (a tag, shape or
+    root fault), which is left out."""
     counts: dict[tuple[int, str], Counter] = {}
     skipped = []
     for index, tree in enumerate(trees):
         try:
-            trace = tree_actions(to_derivation_tree(tree, table.grammar), table)
+            trace = tree_actions(tree, table)
         except UnderivableTreeError as exc:
             skipped.append((index, str(exc)))
             continue

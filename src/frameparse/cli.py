@@ -256,7 +256,7 @@ def _top_trees_and_grs(pipeline, sentences, modes):
     for index, sentence in enumerate(sentences):
         tokens = pipeline.tag(sentence)
         forest = pipeline.parse_tags([token.tag for token in tokens])
-        if forest.is_empty:
+        if forest.root is None:
             print(f"warning: out of coverage: sentence {index}", file=sys.stderr)
         for (trees, gr_sets), lexicalized in zip(out, modes):
             analyses = pipeline.rank(forest, tokens, 1, lexicalized)

@@ -35,24 +35,12 @@ class EvaluationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Span:
-    start: int
-    end: int
-    label: str  # ignored for unlabelled scoring
-
-
-def labeled_spans(tree: Tree) -> list[Span]:
-    """One span per node covering at least two tokens, in preorder,
-    excluding Kleene helper nodes."""
-    return [Span(node.start, node.end, node.label) for node in tree.iter_nodes()
-            if node.end - node.start >= 2
-            and not node.label.startswith(HELPER_PREFIX)]
-
-
 def extract_brackets(tree: Tree) -> Counter:
-    """Multiset of unlabelled spans for bracket scoring."""
-    return Counter((span.start, span.end) for span in labeled_spans(tree))
+    """Multiset of unlabelled spans for bracket scoring: one per node
+    covering at least two tokens, excluding Kleene helper nodes."""
+    return Counter((node.start, node.end) for node in tree.iter_nodes()
+                   if node.end - node.start >= 2
+                   and not node.label.startswith(HELPER_PREFIX))
 
 
 def _crosses(test: tuple[int, int], gold: tuple[int, int]) -> bool:

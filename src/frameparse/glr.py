@@ -68,30 +68,33 @@ class Forest:
     root: Optional[ForestNode]
     nodes: dict[tuple[str, int, int], ForestNode] = field(default_factory=dict)
 
-    @property
-    def is_empty(self) -> bool:
-        return self.root is None
-
     def derivation_count(self) -> int:
         if self.root is None:
             return 0
-        memo: dict[tuple, int] = {}
-
-        def count(node: ForestNode) -> int:
-            if node.leaf:
-                return 1
-            key = node.key()
-            if key not in memo:
-                total = 0
-                for _, children in node.alternatives:
-                    product = 1
-                    for child in children:
-                        product *= count(child)
-                    total += product
-                memo[key] = total
-            return memo[key]
-
-        return count(self.root)
+        # A node is counted once all its non-leaf daughters are.
+        counts: dict[tuple, int] = {}
+        stack = [self.root]
+        while stack:
+            node = stack[-1]
+            if node.key() in counts:
+                stack.pop()
+                continue
+            pending = [child for _, children in node.alternatives
+                       for child in children
+                       if not child.leaf and child.key() not in counts]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            total = 0
+            for _, children in node.alternatives:
+                product = 1
+                for child in children:
+                    if not child.leaf:
+                        product *= counts[child.key()]
+                total += product
+            counts[node.key()] = total
+        return counts[self.root.key()]
 
 
 class _GssNode:

@@ -12,13 +12,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from .grammar import Grammar, Rule
+from .grammar import Rule
 
 _SEXP_TOKEN = re.compile(r"\(|\)|[^\s()]+")
-
-# Reading and training on a tree recurse once or twice per level, so
-# deeper records would exhaust Python's stack.
-MAX_DEPTH = 300
 
 
 class TreebankError(ValueError):
@@ -94,49 +90,44 @@ def parse_tree(text: str) -> Tree:
     tokens = _SEXP_TOKEN.findall(text)
     if not tokens:
         raise TreebankError("empty tree text")
+    if tokens[0] != "(":
+        raise TreebankError(f"expected '(' at token 0: {tokens[0]!r}")
+    # One [label, start, children, word] per bracket still open.
+    open_nodes: list[list] = []
+    position = 0  # words read so far
     pos = 0
-    position = 0  # tokens read so far
-
-    def parse_node() -> Tree:
-        nonlocal pos, position
-        if tokens[pos] != "(":
-            raise TreebankError(f"expected '(' at token {pos}: {tokens[pos]!r}")
+    while pos < len(tokens):
+        token = tokens[pos]
         pos += 1
-        if pos >= len(tokens) or tokens[pos] in "()":
-            raise TreebankError("missing node label")
-        label = tokens[pos]
-        pos += 1
-        start = position
-        children: list[Tree] = []
-        word = None
-        while pos < len(tokens) and tokens[pos] != ")":
-            if tokens[pos] == "(":
-                children.append(parse_node())
-            else:
-                if word is not None or children:
-                    raise TreebankError(
-                        f"leaf {label!r} must dominate exactly one word")
-                word = tokens[pos]
-                pos += 1
-                position += 1
-        if pos >= len(tokens):
-            raise TreebankError("unbalanced brackets")
-        pos += 1  # closing paren
-        if word is None and not children:
-            raise TreebankError(f"empty node {label!r}")
-        return Tree(label, start, position, tuple(children), word=word)
-
-    tree = parse_node()
-    if pos != len(tokens):
-        raise TreebankError("trailing text after tree")
-    return tree
+        if token == "(":
+            if pos >= len(tokens) or tokens[pos] in "()":
+                raise TreebankError("missing node label")
+            open_nodes.append([tokens[pos], position, [], None])
+            pos += 1
+        elif token == ")":
+            label, start, children, word = open_nodes.pop()
+            if word is None and not children:
+                raise TreebankError(f"empty node {label!r}")
+            tree = Tree(label, start, position, tuple(children), word=word)
+            if not open_nodes:
+                if pos != len(tokens):
+                    raise TreebankError("trailing text after tree")
+                return tree
+            open_nodes[-1][2].append(tree)
+        else:
+            node = open_nodes[-1]
+            if node[3] is not None or node[2]:
+                raise TreebankError(
+                    f"leaf {node[0]!r} must dominate exactly one word")
+            node[3] = token
+            position += 1
+    raise TreebankError("unbalanced brackets")
 
 
 def read_treebank(text: str) -> list[Tree]:
     """Split on bracket balance and parse each record; ``#`` comments.
-    Errors read ``line N: ...``, N being the line of the stray ``)``,
-    of the ``(`` nested deeper than :data:`MAX_DEPTH`, or the line the
-    faulty record starts on."""
+    Errors read ``line N: ...``, N being the line of the stray ``)`` or
+    the line the faulty record starts on."""
     trees = []
     depth = 0
     buffer: list[str] = []
@@ -150,9 +141,6 @@ def read_treebank(text: str) -> list[Tree]:
             buffer.append(ch)
             if ch == "(":
                 depth += 1
-                if depth > MAX_DEPTH:
-                    raise TreebankError(f"line {lineno}: brackets nest deeper "
-                                        f"than {MAX_DEPTH}")
             elif ch == ")":
                 depth -= 1
                 if depth < 0:
@@ -179,28 +167,3 @@ def load_treebank(path) -> list[Tree]:
 def write_treebank(trees, path) -> None:
     Path(path).write_text(
         "\n".join(t.render() for t in trees) + "\n", encoding="utf-8")
-
-
-def to_derivation_tree(tree: Tree, grammar: Grammar) -> Tree:
-    """Bind a raw tree to grammar rules, producing a derivation tree
-    with the same labels, spans and leaves.
-
-    Node labels plus daughter-label sequences must name existing rules;
-    anything else raises :class:`UnderivableTreeError`.
-    """
-
-    def convert(node: Tree) -> Tree:
-        if not node.children:
-            if node.label not in grammar.terminals:
-                raise UnderivableTreeError(
-                    f"leaf tag {node.label!r} is not a grammar terminal")
-            return node
-        children = tuple(convert(child) for child in node.children)
-        rule = grammar.rule_by_shape(node.label,
-                                     [child.label for child in children])
-        if rule is None:
-            shape = " ".join(child.label for child in children)
-            raise UnderivableTreeError(f"no rule {node.label} -> {shape}")
-        return Tree(node.label, node.start, node.end, children, rule)
-
-    return convert(tree)

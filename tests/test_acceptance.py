@@ -112,7 +112,7 @@ def test_criterion_05_argmax_invariance(adversarial_pipeline, trained_model,
         for sentence in corpora:
             tokens = adversarial_pipeline.tag(sentence)
             forest = adversarial_pipeline.parse_tags([t.tag for t in tokens])
-            if forest.is_empty:
+            if forest.root is None:
                 continue
             count = forest.derivation_count()
             structural = [trace_sort_key(a.derivation.actions) for a in

@@ -88,24 +88,21 @@ def test_modification_trained_model_ranks_modification_first(demo_normalized,
     assert any(node.rule is mod for node in top.tree.iter_nodes())
 
 
-def test_underivable_tree_reports_sentence(demo_normalized, demo_table):
+def test_underivable_tree_reports_sentence(demo_table):
     good = fp.read_treebank("(S (NP (pn Paul)) (VP (v sleeps)))")[0]
     bad = fp.read_treebank("(S (VP (v sleeps)) (NP (pn Paul)))")[0]
     with pytest.raises(fp.UnderivableTreeError, match="no rule"):
-        fp.to_derivation_tree(bad, demo_normalized)
+        fp.tree_actions(bad, demo_table)
     # training leaves the underivable tree out and names it
     model, skipped = fp.train_actions([good, bad], demo_table)
     alone, none_skipped = fp.train_actions([good], demo_table)
     assert skipped == [(1, "no rule S -> VP NP")]
     assert none_skipped == []
     assert model.counts == alone.counts and model.counts
-    # a tree bound to a different grammar cannot replay against this table
-    other = fp.parse_grammar(
-        "terminals: pn v\nstart: S\nS -> NP VP(head)\nNP -> pn\nVP -> v\n")
-    foreign = fp.to_derivation_tree(good, other)
+    # a tree whose root is not the start symbol is no sentence
     with pytest.raises(fp.UnderivableTreeError,
-                       match=r"no reduce by rule 1 \(NP -> pn\)"):
-        fp.tree_actions(foreign, demo_table)
+                       match=r"^root 'NP' is not the start symbol 'S'$"):
+        fp.tree_actions(good.children[0], demo_table)
 
 
 def test_trace_replay_round_trip(demo_table):

@@ -5,7 +5,6 @@ import pytest
 
 import frameparse as fp
 from frameparse.cli import build_arg_parser, main
-from frameparse.treebank import MAX_DEPTH
 
 
 @pytest.fixture(scope="module")
@@ -193,35 +192,44 @@ def _nesting(text):
     return deepest
 
 
-def test_train_accepts_nesting_to_the_bound(tmp_path, capsys):
-    record = _control_chain(148, "(VP (v leave) (NP (pn IBM)))")
-    assert _nesting(record) == MAX_DEPTH
+def test_train_and_eval_bracket_at_803_tokens(tmp_path, capsys):
+    record = _control_chain(400, "(VP (v leave) (NP (pn IBM)))")
     treebank = tmp_path / "deep.treebank"
     treebank.write_text(record + "\n")
-    code = main(["train", "--grammar", "@demo/demo.grammar",
-                 "--treebank", str(treebank),
-                 "--model", str(tmp_path / "deep.model")])
+    model = tmp_path / "deep.model"
+    assert main(["train", "--grammar", "@demo/demo.grammar",
+                 "--treebank", str(treebank), "--model", str(model)]) == 0
+    assert "trained\t1\nskipped\t0\n" in capsys.readouterr().out
+    sentence = "Paul intends" + " to intend" * 399 + " to leave IBM"
+    assert len(sentence.split()) == 803
+    corpus = tmp_path / "deep.txt"
+    corpus.write_text(sentence + "\n")
+    code = main(["eval-bracket", "--grammar", "@demo/demo.grammar",
+                 "--wordlist", "@demo/demo.wordlist", "--model", str(model),
+                 "--corpus", str(corpus), "--treebank", str(treebank)])
     captured = capsys.readouterr()
     assert code == 0
-    assert "trained\t1" in captured.out
+    assert captured.err == ""
+    assert captured.out.startswith("sentences\t1\nrecall\t1.0000\n"
+                                   "precision\t1.0000\n")
 
 
-def test_treebank_nested_too_deep_exit_2(tmp_path, capsys):
-    # derivable too, one level deeper through VP -> v NP PP
-    record = _control_chain(148, "(VP (v leave) (NP (pn IBM)) "
+def test_train_and_treebank_round_trip_at_2003_levels(tmp_path, capsys):
+    # derivable: 999 control clauses ending in VP -> v NP PP
+    record = _control_chain(999, "(VP (v leave) (NP (pn IBM)) "
                                  "(PP (prep in) (NP (n park))))")
-    assert _nesting(record) == MAX_DEPTH + 1
+    assert _nesting(record) == 2003
     treebank = tmp_path / "deep.treebank"
-    treebank.write_text("(S (NP (n Paul)) (VP (v sleeps)))\n" + record + "\n")
-    model = tmp_path / "deep.model"
-    code = main(["train", "--grammar", "@demo/demo.grammar",
-                 "--treebank", str(treebank), "--model", str(model)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == (f"error: {treebank}: line 2: brackets nest "
-                            f"deeper than 300\n")
-    assert not model.exists()
+    treebank.write_text(record + "\n")
+    assert main(["train", "--grammar", "@demo/demo.grammar",
+                 "--treebank", str(treebank),
+                 "--model", str(tmp_path / "deep.model")]) == 0
+    assert "trained\t1\nskipped\t0\n" in capsys.readouterr().out
+    trees = fp.load_treebank(treebank)
+    out = tmp_path / "written.treebank"
+    fp.write_treebank(trees, out)
+    assert out.read_text() == record + "\n"
+    assert fp.read_treebank(out.read_text())[0].render() == record
 
 
 def test_parse_805_token_sentence(model_file, capsys):

@@ -49,9 +49,20 @@ def test_unknown_terminal_reports_position(demo_table):
 
 def test_out_of_coverage_is_empty(demo_table):
     forest = fp.glr_parse(["det", "det"], demo_table)
-    assert forest.is_empty
+    assert forest.root is None
     assert all_trees(forest) == []
     assert forest.derivation_count() == 0
+
+
+def test_derivation_count_of_a_deep_unit_chain():
+    # A0 -> A1, ..., A1199 -> A1200, A1200 -> a: the one-token forest
+    # nests 1,201 levels deep
+    depth = 1200
+    rules = "".join(f"A{i} -> A{i + 1}\n" for i in range(depth))
+    grammar = fp.parse_grammar(f"terminals: a\nstart: A0\n{rules}"
+                               f"A{depth} -> a\n")
+    forest = fp.glr_parse(["a"], fp.build_table(grammar))
+    assert forest.derivation_count() == 1
 
 
 def test_forest_spans_tile_parent():
@@ -104,4 +115,4 @@ def test_multi_word_name_parses_once(demo_table):
 
 
 def test_empty_input_out_of_coverage(demo_table):
-    assert fp.glr_parse([], demo_table).is_empty
+    assert fp.glr_parse([], demo_table).root is None

@@ -13,7 +13,8 @@ from frameparse.lexicon import LexiconError
 from frameparse.preprocess import WordlistError
 from frameparse.treebank import TreebankError
 
-from oracles import random_grammar
+from oracles import (all_trees, canon, random_grammar, random_sentences,
+                     replay_actions)
 
 lemmas = st.text(alphabet="abcdefgh", min_size=1, max_size=6)
 fillers = st.one_of(st.none(), st.sampled_from(["from", "to", "obj", "in"]))
@@ -88,6 +89,48 @@ def test_random_grammar_normalize_idempotent(seed):
     grammar = random_grammar(random.Random(seed))
     once = fp.normalize_kleene(grammar)
     assert fp.normalize_kleene(once) is once
+
+
+def _raw_copy(tree, target=None, label=None):
+    """``tree`` without rules, as a treebank holds it, with the node
+    ``target`` relabelled to ``label``."""
+    children = tuple(_raw_copy(child, target, label) for child in tree.children)
+    return fp.Tree(label if tree is target else tree.label, tree.start,
+                   tree.end, children)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_tree_actions_traces_or_rejects_relabelled_trees(seed):
+    rng = random.Random(seed)
+    grammar = random_grammar(rng)
+    table = fp.build_table(grammar)
+    model = fp.ActionModel(table)
+    symbols = sorted(grammar.terminals | grammar.nonterminals)
+    others = sorted(grammar.nonterminals - {grammar.start_symbol})
+    for tokens in random_sentences(grammar, rng, 8, max_len=6):
+        for tree in all_trees(fp.glr_parse(tokens, table))[:20]:
+            nodes = list(tree.iter_nodes())
+            internal = [node for node in nodes[1:] if node.children]
+            leaf = rng.choice([node for node in nodes if not node.children])
+            copies = [_raw_copy(tree),
+                      _raw_copy(tree, tree, rng.choice(others)),
+                      _raw_copy(tree, leaf, rng.choice(symbols))]
+            if internal:
+                copies.append(_raw_copy(tree, rng.choice(internal),
+                                        rng.choice(symbols)))
+            for copy in copies:
+                try:
+                    trace = fp.tree_actions(copy, table)
+                except fp.UnderivableTreeError:
+                    # a tree the parser built is always derivable
+                    assert copy is not copies[0]
+                    continue
+                # a root other than the start symbol never is
+                assert copy is not copies[1]
+                for step in trace:
+                    model.logprob(*step)
+                assert canon(replay_actions(trace, table)) == canon(copy)
 
 
 # The five tab-separated formats, the treebank and gold GRs: (sample

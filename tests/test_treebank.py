@@ -3,6 +3,8 @@ import pytest
 import frameparse as fp
 from frameparse.treebank import TreebankError, parse_tree
 
+from oracles import replay_actions
+
 
 def test_parse_leaf_and_node():
     tree = parse_tree("(S (NP (n Paul)) (VP (v sleeps)))")
@@ -38,30 +40,31 @@ def test_malformed_trees_rejected(bad):
         fp.read_treebank(bad)
 
 
-def test_to_derivation_tree_binds_rules(demo_normalized):
+def test_tree_actions_binds_rules(demo_normalized, demo_table):
     tree = parse_tree("(S (NP (det the) (n child)) (VP (v sleeps)))")
-    bound = fp.to_derivation_tree(tree, demo_normalized)
+    bound = replay_actions(fp.tree_actions(tree, demo_table), demo_table)
     assert bound.rule is demo_normalized.rule_by_shape("S", ["NP", "VP"])
     assert [leaf.label for leaf in bound.leaves()] == ["det", "n", "v"]
     assert bound.start == 0 and bound.end == 3
 
 
-def test_to_derivation_tree_unknown_shape(demo_normalized):
+def test_tree_actions_unknown_shape(demo_table):
     tree = parse_tree("(S (VP (v sleeps)))")
     with pytest.raises(fp.UnderivableTreeError, match="no rule S -> VP"):
-        fp.to_derivation_tree(tree, demo_normalized)
+        fp.tree_actions(tree, demo_table)
 
 
-def test_to_derivation_tree_unknown_tag(demo_normalized):
+def test_tree_actions_unknown_tag(demo_table):
     tree = parse_tree("(S (NP (xx the)) (VP (v sleeps)))")
     with pytest.raises(fp.UnderivableTreeError, match="xx"):
-        fp.to_derivation_tree(tree, demo_normalized)
+        fp.tree_actions(tree, demo_table)
 
 
-def test_derivation_tree_render_round_trip(demo_normalized, demo_table):
+def test_derivation_tree_render_round_trip(demo_table):
     text = "(S (NP (det the) (n child)) (VP (v sleeps)))"
-    bound = fp.to_derivation_tree(parse_tree(text), demo_normalized)
-    assert bound.render() == bound.render(["the", "child", "sleeps"]) == text
+    bound = replay_actions(fp.tree_actions(parse_tree(text), demo_table),
+                           demo_table)
+    assert bound.render(["the", "child", "sleeps"]) == text
 
 
 def test_load_and_write(tmp_path):
