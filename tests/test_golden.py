@@ -33,7 +33,9 @@ LADDER = ["the child sees a dog" + " in the park" * k for k in range(7)]
 # second sentence in any order but preorder changes the last bit.
 NESTED = ["Paul intends to intend to leave IBM",
           "Paul intends to see to hear a story"]
-INPUTS = {"suite": SUITE, "ladder": LADDER + NESTED}
+# Larger forests: k = 12 packs 1.3e6 derivations.
+LONG = ["the child sees a dog" + " in the park" * k for k in (9, 12)]
+INPUTS = {"suite": SUITE, "ladder": LADDER + NESTED, "long": LONG}
 LEXICONS = {"baseline": [], "acquired": ["--lexicon", "acq.lexicon"],
             "demo": ["--lexicon", "@demo/demo.lexicon"]}
 FORMATS = {"text": [], "json": ["--format", "machine-readable"]}
@@ -43,6 +45,7 @@ TREEBANKS = {
     "junk-before-tree": "abc (S (NP (pn Paul)) (VP (v sleeps)))\n",
     "missing-label": "(S (NP (pn Paul)) ())\n",
     "leaf-two-words": "(S (NP pn Paul) (VP (v sleeps)))\n",
+    "word-before-child": "(S (NP Paul (n x)) (VP (v sleeps)))\n",
     "empty-node": "(S (NP) (VP (v sleeps)))\n",
     "unbalanced-close": "(S (NP (pn Paul)) (VP (v sleeps))))\n",
     "unbalanced-open": "(S (NP (pn Paul))\n   (VP (v sleeps))\n",
