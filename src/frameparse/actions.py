@@ -12,8 +12,9 @@ The action trace of a derivation is a deterministic function of its tree
 given the table (shifts in leaf order, each reduce as soon as its
 daughters are complete), which is also how gold treebank trees are
 turned into training events: :func:`tree_actions` binds a raw tree's
-nodes to grammar rules by their labels and traces the result, trusting
-the table as the search below does.
+nodes to grammar rules by their labels and traces the result, reading
+the table's compiled ``shifts`` and trusting it as the search below
+does.
 
 Ranking never unpacks the forest.  An action's probability depends only
 on (state, lookahead); a forest node's final reduce reads the token at
@@ -23,8 +24,12 @@ the vertices ``(forest node, entry state)`` of a hypergraph, and
 :func:`unpack_n_best` finds the best one with one Viterbi pass and the
 next ones with lazy k-best search (Huang & Chiang 2005, "Better k-best
 parsing", Algorithm 3).  Its cost is polynomial in the forest, plus
-``O(n log n)`` heap work for ``n`` analyses; only the analyses returned
-are built as trees.  An optional lexical term is a share per rule
+``O(n log n)`` heap work for ``n`` analyses.  It reads the table's
+compiled ``shifts`` and the model's flat log-probabilities, keyed by
+``(state, tag)`` for a shift and ``(state, lookahead, rule id)`` for a
+reduce; an edge records only the state its action is taken in, and the
+trees and ``(state, lookahead, action)`` steps are built for the
+analyses returned alone.  An optional lexical term is a share per rule
 application: the search adds each share to its edge's weight, and the
 term reported for an analysis is the sum of the same shares.
 
@@ -97,7 +102,7 @@ def tree_actions(tree: Tree, table: LRTable) -> tuple[tuple[int, str, tuple], ..
     for node, rule in zip(nodes, rules):
         state = states[-1]
         if rule is None:
-            target = table.shift_target(state, node.label)
+            target = table.shifts[(state, node.label)]
             trace.append((state, node.label, ("shift", target)))
             states.append(target)
             consumed += 1
@@ -143,7 +148,10 @@ class ActionModel:
 
     Immutable in use: training happens through the constructor (see
     :func:`train_actions`), after which instances are safely shared
-    across concurrent parses.
+    across concurrent parses.  For the search, ``shift_logprobs`` holds
+    each shift's log-probability by ``(state, tag)`` and
+    ``reduce_logprobs`` each reduce's by ``(state, lookahead, rule
+    id)``: the same floats :meth:`logprob` returns.
     """
 
     def __init__(self, table: LRTable,
@@ -179,6 +187,13 @@ class ActionModel:
                     (count + 1) / (total + len(available))
         self._logprobs = {step: math.log(prob)
                           for step, prob in self._probs.items()}
+        self.shift_logprobs: dict[tuple[int, str], float] = {}
+        self.reduce_logprobs: dict[tuple[int, str, int], float] = {}
+        for (state, lookahead, action), logprob in self._logprobs.items():
+            if action[0] == "shift":
+                self.shift_logprobs[(state, lookahead)] = logprob
+            elif action[0] == "reduce":
+                self.reduce_logprobs[(state, lookahead, action[1])] = logprob
 
     def prob(self, state: int, lookahead: str, action: tuple) -> float:
         """Raises ``KeyError`` for a step the table does not list."""
@@ -229,12 +244,12 @@ _TIE_BAND = 1e-9
 class _Vertex:
     """A (forest node, entry state) vertex of the ranking hypergraph.
 
-    Each edge is ``(rule, tails, step, weight, share)``: the rule
+    Each edge is ``(rule, tails, state, weight, share)``: the rule
     applied (``None`` for a leaf's shift), the daughter vertices, the
-    action step it ends with, that step's log-probability plus the
-    lexical share, and the share alone.  ``derivations`` lists
-    ``(score, edge index, tail ranks)`` best first, as far as they have
-    been found.
+    state its closing action (that shift, or the rule's reduce) is taken
+    in, that action's log-probability plus the lexical share, and the
+    share alone.  ``derivations`` lists ``(score, edge index, tail
+    ranks)`` best first, as far as they have been found.
     """
 
     __slots__ = ("node", "exit", "edges", "ambiguous", "derivations",
@@ -264,52 +279,53 @@ class _ForestSearch:
     def __init__(self, forest: Forest, model: ActionModel,
                  lexical: Optional[Callable[[Rule, tuple[ForestNode, ...]],
                                             float]]):
-        self.tokens = forest.tokens
+        # the lookahead of a node's final reduce, by the node's end
+        self.lookaheads = forest.tokens + (END_MARKER,)
         self.model = model
         self.lexical = lexical
         self.vertices: dict[tuple[ForestNode, int], _Vertex] = {}
 
     def visit(self, node: ForestNode, state: int) -> _Vertex:
-        """The vertex of ``node`` entered from ``state``, with its best
-        derivation."""
-        key = (node, state)
-        vertex = self.vertices.get(key)
-        if vertex is not None:
-            return vertex
-        table = self.model.table
+        """The vertex of ``node`` entered from ``state``, not made yet,
+        with its best derivation."""
+        vertices = self.vertices
+        model = self.model
         if node.leaf:
-            target = table.shift_target(state, node.symbol)
-            step = (state, node.symbol, ("shift", target))
-            weight = self.model.logprob(*step)
-            vertex = _Vertex(node, target, [(None, (), step, weight, 0.0)],
-                             0, weight, False)
-            self.vertices[key] = vertex
+            key = (state, node.symbol)
+            weight = model.shift_logprobs[key]
+            vertex = vertices[(node, state)] = _Vertex(
+                node, model.table.shifts[key], [(None, (), state, weight, 0.0)],
+                0, weight, False)
             return vertex
-        lookahead = (self.tokens[node.end] if node.end < len(self.tokens)
-                     else END_MARKER)
+        lookahead = self.lookaheads[node.end]
+        reduce_logprobs = model.reduce_logprobs
+        lexical = self.lexical
         edges = []
-        scores = []
+        best = -1
+        best_score = 0.0
         ambiguous = len(node.alternatives) > 1
         for rule, daughters in node.alternatives:
             tails = []
             entry = state
             score = 0.0
             for daughter in daughters:
-                tail = self.visit(daughter, entry)
+                tail = vertices.get((daughter, entry))
+                if tail is None:
+                    tail = self.visit(daughter, entry)
                 tails.append(tail)
                 score += tail.derivations[0][0]
                 entry = tail.exit
                 ambiguous = ambiguous or tail.ambiguous
-            step = (entry, lookahead, ("reduce", rule.rule_id))
-            share = (self.lexical(rule, daughters)
-                     if self.lexical is not None else 0.0)
-            weight = self.model.logprob(*step) + share
-            edges.append((rule, tuple(tails), step, weight, share))
-            scores.append(score + weight)
-        best = max(range(len(edges)), key=scores.__getitem__)
-        vertex = _Vertex(node, table.gotos[(state, node.symbol)], edges,
-                         best, scores[best], ambiguous)
-        self.vertices[key] = vertex
+            share = lexical(rule, daughters) if lexical is not None else 0.0
+            weight = reduce_logprobs[(entry, lookahead, rule.rule_id)] + share
+            score += weight
+            if best < 0 or score > best_score:  # the first of the best
+                best = len(edges)
+                best_score = score
+            edges.append((rule, tuple(tails), entry, weight, share))
+        vertex = vertices[(node, state)] = _Vertex(
+            node, model.table.gotos[(state, node.symbol)], edges, best,
+            best_score, ambiguous)
         return vertex
 
     def has_derivation(self, vertex: _Vertex, k: int) -> bool:
@@ -353,16 +369,17 @@ class _ForestSearch:
         steps are appended to ``trace`` in trace order and the lexical
         shares of its rule applications to ``shares`` in preorder."""
         _, index, ranks = vertex.derivations[k]
-        rule, tails, step, _, share = vertex.edges[index]
+        rule, tails, state, _, share = vertex.edges[index]
         node = vertex.node
         if rule is None:
-            trace.append(step)
+            trace.append((state, node.symbol, ("shift", vertex.exit)))
             return Tree(node.symbol, node.start, node.end)
         shares.append(share)
         children = []
         for tail, rank in zip(tails, ranks):
             children.append(self.build(tail, rank, trace, shares))
-        trace.append(step)
+        trace.append((state, self.lookaheads[node.end],
+                      ("reduce", rule.rule_id)))
         return Tree(node.symbol, node.start, node.end, tuple(children), rule)
 
 
@@ -413,8 +430,9 @@ def unpack_n_best(forest: Forest, model: ActionModel, n: int,
         derivation = Derivation(tree, tuple(trace))
         scored.append((derivation, model.trace_logprob(derivation.actions),
                        sum(shares, 0.0)))
-    scored.sort(key=lambda item: (-(item[1] + item[2]),
-                                  trace_sort_key(item[0].actions)))
+    if len(scored) > 1:
+        scored.sort(key=lambda item: (-(item[1] + item[2]),
+                                      trace_sort_key(item[0].actions)))
     return [RankedAnalysis(*item) for item in scored[:n]]
 
 

@@ -103,11 +103,9 @@ class _GssNode:
     def __init__(self, state: int, pos: int):
         self.state = state
         self.pos = pos
-        # Edges run backwards in the input: (forest label, earlier node).
-        self.edges: list[tuple[ForestNode, "_GssNode"]] = []
-
-    def has_edge(self, label: ForestNode, target: "_GssNode") -> bool:
-        return any(fn is label and node is target for fn, node in self.edges)
+        # Edges run backwards in the input: (forest label, earlier node)
+        # keys, in insertion order.  Both are compared by identity.
+        self.edges: dict[tuple[ForestNode, "_GssNode"], None] = {}
 
 
 def _paths(node: _GssNode, length: int,
@@ -140,64 +138,57 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
             raise ParseError(f"unknown terminal {tok!r} at index {i}")
 
     nodes: dict[tuple[str, int, int], ForestNode] = {}
-
-    def forest_node(symbol: str, start: int, end: int, leaf: bool = False) -> ForestNode:
-        key = (symbol, start, end)
-        node = nodes.get(key)
-        if node is None:
-            node = ForestNode(symbol, start, end, leaf=leaf)
-            nodes[key] = node
-        return node
-
     n = len(tokens)
     frontier: dict[int, _GssNode] = {
         table.start_state: _GssNode(table.start_state, 0)}
 
     def schedule(node: _GssNode, via: Optional[tuple] = None) -> None:
         # queue node's reductions on the lookahead, pinned to a new edge
-        for action in table.actions.get((node.state, lookahead), ()):
-            if action[0] == "reduce":
-                work.append((node, action[1], via))
+        for rule in table.reduces.get((node.state, lookahead), ()):
+            work.append((node, rule, via))
 
     for i in range(n + 1):
         lookahead = tokens[i] if i < n else END_MARKER
-        work: list[tuple[_GssNode, int, Optional[tuple]]] = []
+        work: list[tuple[_GssNode, Rule, Optional[tuple]]] = []
         for state in sorted(frontier):
             schedule(frontier[state])
         cursor = 0
         while cursor < len(work):
-            node, rule_id, via = work[cursor]
+            node, rule, via = work[cursor]
             cursor += 1
-            rule = grammar.rules[rule_id]
+            lhs = rule.mother
             for children, base in _paths(node, len(rule.daughters), via):
-                lhs = rule.mother
-                packed = forest_node(lhs, base.pos, i)
+                key = (lhs, base.pos, i)
+                packed = nodes.get(key)
+                if packed is None:
+                    packed = nodes[key] = ForestNode(lhs, base.pos, i)
                 packed.add_alternative(rule, children)
                 target_state = table.gotos[(base.state, lhs)]
+                edge = (packed, base)
                 existing = frontier.get(target_state)
                 if existing is None:
                     fresh = _GssNode(target_state, i)
                     frontier[target_state] = fresh
-                    fresh.edges.append((packed, base))
+                    fresh.edges[edge] = None
                     schedule(fresh)
-                elif not existing.has_edge(packed, base):
-                    edge = (packed, base)
-                    existing.edges.append(edge)
+                elif edge not in existing.edges:
+                    existing.edges[edge] = None
                     schedule(existing, edge)
         if i == n:
             break
-        leaf = forest_node(lookahead, i, i + 1, leaf=True)
+        # no node ends past i yet, so the leaf is new
+        leaf = nodes[(lookahead, i, i + 1)] = ForestNode(lookahead, i, i + 1,
+                                                         leaf=True)
         next_frontier: dict[int, _GssNode] = {}
         for state in sorted(frontier):
-            node = frontier[state]
-            target = table.shift_target(state, lookahead)
+            target = table.shifts.get((state, lookahead))
             if target is None:
                 continue
             shifted = next_frontier.get(target)
             if shifted is None:
                 shifted = _GssNode(target, i + 1)
                 next_frontier[target] = shifted
-            shifted.edges.append((leaf, node))
+            shifted.edges[(leaf, frontier[state])] = None
         frontier = next_frontier
         if not frontier:
             return Forest(tuple(tokens), None)

@@ -144,6 +144,24 @@ class Grammar:
             grouped.setdefault(r.mother, []).append(r)
         return {k: tuple(v) for k, v in grouped.items()}
 
+    @cached_property
+    def instance_frames(self) -> tuple[Optional[str], ...]:
+        """By rule id, the frame of the verb instance an application of
+        the rule makes, or ``None`` if it makes none.
+
+        An instance is a verbal argument rule (see :func:`vsubcat_of`,
+        whose head daughter is then a leaf) whose head tag is a verb
+        tag, when the grammar declares any.
+        """
+        frames = []
+        for rule in self.rules:
+            frame = vsubcat_of(rule, self)
+            head = rule.daughters[rule.head_index]
+            if self.verb_tags and head not in self.verb_tags:
+                frame = None
+            frames.append(frame)
+        return tuple(frames)
+
     def has_repetition(self) -> bool:
         return any(r.has_repetition() for r in self.rules)
 

@@ -10,15 +10,19 @@ Construction builds the canonical LR(1) collection and merges states
 with equal cores.  Tables are immutable once built and shareable across
 concurrent parses.  State numbering depends only on the grammar, never
 on hash order, so persisted action models remain valid across runs.
+
+``actions`` is the table as listed and persisted.  The parser, the
+forest search and training read its compiled form, built once with it:
+``shifts`` maps (state, terminal) to the shift target and ``reduces``
+maps (state, lookahead) to the rules to reduce, in ``actions`` order.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
 
-from .grammar import END_MARKER, Grammar, GrammarError
+from .grammar import END_MARKER, Grammar, GrammarError, Rule
 
 # Actions are plain tuples: ("shift", state), ("reduce", rule_id), ("accept",).
 _AUGMENTED = -1  # virtual rule id for  @S -> start-symbol
@@ -55,6 +59,8 @@ class LRTable:
     n_states: int
     actions: dict[tuple[int, str], tuple[tuple, ...]] = field(compare=False)
     gotos: dict[tuple[int, str], int] = field(compare=False)
+    shifts: dict[tuple[int, str], int] = field(compare=False)
+    reduces: dict[tuple[int, str], tuple[Rule, ...]] = field(compare=False)
     start_state: int = 0
 
     def conflicts(self) -> list[tuple[int, str, tuple[tuple, ...]]]:
@@ -63,12 +69,6 @@ class LRTable:
                  if len(acts) > 1]
         found.sort()
         return found
-
-    def shift_target(self, state: int, terminal: str) -> Optional[int]:
-        for action in self.actions.get((state, terminal), ()):
-            if action[0] == "shift":
-                return action[1]
-        return None
 
 
 def _first_sets(grammar: Grammar) -> dict[str, frozenset[str]]:
@@ -200,6 +200,16 @@ def build_table(grammar: Grammar) -> LRTable:
     # Sorted keys: the item sets above iterate in hash order.
     frozen_actions = {key: tuple(sorted(acts, key=action_sort_key))
                       for key, acts in sorted(actions.items())}
+    shifts: dict[tuple[int, str], int] = {}
+    reduces: dict[tuple[int, str], tuple[Rule, ...]] = {}
+    for key, acts in frozen_actions.items():
+        for action in acts:
+            if action[0] == "shift":
+                shifts[key] = action[1]
+        reducible = tuple(rules[action[1]] for action in acts
+                          if action[0] == "reduce")
+        if reducible:
+            reduces[key] = reducible
     return LRTable(grammar=grammar, n_states=len(merged_items),
-                   actions=frozen_actions, gotos=gotos,
-                   start_state=merged_of[0])
+                   actions=frozen_actions, gotos=gotos, shifts=shifts,
+                   reduces=reduces, start_state=merged_of[0])

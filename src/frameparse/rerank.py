@@ -19,11 +19,11 @@ functions here are pure over immutable inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .actions import ActionModel, Derivation, RankedAnalysis, unpack_n_best
 from .glr import Forest, ForestNode
-from .grammar import Grammar, Rule, vsubcat_of
+from .grammar import Grammar, Rule
 from .lexicon import SubcatLexicon
 from .preprocess import Token
 
@@ -36,32 +36,17 @@ class FrameInstance:
     frame: str
 
 
-def _instance_frame(rule: Rule, grammar: Grammar) -> Optional[str]:
-    """The frame of the verb instance an application of ``rule`` makes,
-    or ``None`` if it makes none.
-
-    An instance is a verbal argument rule (see
-    :func:`~frameparse.grammar.vsubcat_of`, whose head daughter is then
-    a leaf) whose head tag is a verb tag, when the grammar declares any;
-    its lemma is that of the head token.
-    """
-    frame = vsubcat_of(rule, grammar)
-    if frame is None or (grammar.verb_tags and rule.daughters[rule.head_index]
-                         not in grammar.verb_tags):
-        return None
-    return frame
-
-
 def verb_frames(derivation: Derivation, grammar: Grammar,
                 tokens: Sequence[Token]) -> list[FrameInstance]:
     """One instance per verb token dominated by a verbal argument rule,
     in preorder, hence left to right; the lemma comes from the token's
     lemmatized form."""
+    frames = grammar.instance_frames
     instances = []
     for node in derivation.tree.iter_nodes():
         if node.rule is None:
             continue
-        frame = _instance_frame(node.rule, grammar)
+        frame = frames[node.rule.rule_id]
         if frame is None:
             continue
         head = node.children[node.rule.head_index]
@@ -76,10 +61,10 @@ def rank_analyses(forest: Forest, model: ActionModel,
     of :func:`~frameparse.actions.unpack_n_best`: ranked by total score,
     ties broken on the action trace exactly as in structural ranking;
     verb instances are those of the model's grammar."""
-    grammar = model.table.grammar
+    frames = model.table.grammar.instance_frames
 
     def instance_term(rule: Rule, daughters: tuple[ForestNode, ...]) -> float:
-        frame = _instance_frame(rule, grammar)
+        frame = frames[rule.rule_id]
         if frame is None:
             return 0.0
         head = daughters[rule.head_index]

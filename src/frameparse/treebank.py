@@ -8,7 +8,6 @@ Records may span lines; they are delimited by bracket balance.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -25,7 +24,6 @@ class UnderivableTreeError(ValueError):
     """A gold tree that the grammar/table cannot derive."""
 
 
-@dataclass(frozen=True)
 class Tree:
     """A tree over a token sequence: a gold tree as read, or a
     derivation tree bound to grammar rules.
@@ -33,15 +31,38 @@ class Tree:
     A node is a leaf iff it has no children, and a leaf's ``label`` is
     its PoS tag; ``word`` is set on the leaves of a tree read from
     text.  ``rule`` is the grammar rule that built an internal node of
-    a derivation tree.  Spans are half-open token intervals.
+    a derivation tree.  Spans are half-open token intervals.  Trees
+    are not changed once built; two are equal, and hash alike, when
+    all six fields are.
     """
 
-    label: str
-    start: int
-    end: int
-    children: tuple["Tree", ...] = ()
-    rule: Optional[Rule] = None
-    word: Optional[str] = None
+    __slots__ = ("label", "start", "end", "children", "rule", "word")
+
+    def __init__(self, label: str, start: int, end: int,
+                 children: tuple["Tree", ...] = (),
+                 rule: Optional[Rule] = None, word: Optional[str] = None):
+        self.label = label
+        self.start = start
+        self.end = end
+        self.children = children
+        self.rule = rule
+        self.word = word
+
+    def _fields(self) -> tuple:
+        return (self.label, self.start, self.end, self.children, self.rule,
+                self.word)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return ("Tree(label=%r, start=%r, end=%r, children=%r, rule=%r, "
+                "word=%r)" % self._fields())
 
     def head_leaf(self) -> "Tree":
         """The lexical head reached by following head daughters."""
@@ -100,6 +121,9 @@ def parse_tree(text: str) -> Tree:
         token = tokens[pos]
         pos += 1
         if token == "(":
+            if open_nodes and open_nodes[-1][3] is not None:
+                raise TreebankError(
+                    f"leaf {open_nodes[-1][0]!r} must dominate exactly one word")
             if pos >= len(tokens) or tokens[pos] in "()":
                 raise TreebankError("missing node label")
             open_nodes.append([tokens[pos], position, [], None])

@@ -35,6 +35,20 @@ def test_class_distributions_sum_to_one(demo_table, adversarial_model):
             assert abs(total - 1.0) <= 1e-9
 
 
+def test_flat_log_probabilities_are_the_models(demo_table, adversarial_model):
+    for model in (fp.ActionModel(demo_table), adversarial_model):
+        shifts, reduces = {}, {}
+        for (state, lookahead), actions in demo_table.actions.items():
+            for action in actions:
+                logprob = model.logprob(state, lookahead, action)
+                if action[0] == "shift":
+                    shifts[(state, lookahead)] = logprob
+                elif action[0] == "reduce":
+                    reduces[(state, lookahead, action[1])] = logprob
+        assert model.shift_logprobs == shifts
+        assert model.reduce_logprobs == reduces
+
+
 def _mod_model(table):
     model, skipped = fp.train_actions(fp.read_treebank(MOD_TREEBANK), table)
     assert skipped == []

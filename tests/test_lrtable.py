@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
 import frameparse as fp
 from frameparse.grammar import END_MARKER, GrammarError
 from frameparse.lrtable import action_sort_key, parse_action, render_action
+
+from oracles import random_grammar
 
 PP_GRAMMAR = """
 terminals: n v det prep
@@ -87,3 +91,20 @@ def test_action_render_round_trip():
         assert parse_action(render_action(action)) == action
     with pytest.raises(ValueError):
         parse_action("jump:3")
+
+
+@pytest.mark.parametrize("seed", [None, *range(40)])
+def test_compiled_steps_are_the_listed_actions(seed, demo_table):
+    table = (demo_table if seed is None
+             else fp.build_table(random_grammar(random.Random(seed))))
+    # shifts and reduces hold exactly the shift and reduce actions,
+    # keyed as listed and in the listed order
+    shifts = [(key, action[1]) for key, acts in table.actions.items()
+              for action in acts if action[0] == "shift"]
+    reduces = [(key, action[1]) for key, acts in table.actions.items()
+               for action in acts if action[0] == "reduce"]
+    assert list(table.shifts.items()) == shifts
+    assert [(key, rule.rule_id) for key, rules in table.reduces.items()
+            for rule in rules] == reduces
+    assert all(rule is table.grammar.rules[rule.rule_id]
+               for rules in table.reduces.values() for rule in rules)

@@ -40,6 +40,37 @@ def test_malformed_trees_rejected(bad):
         fp.read_treebank(bad)
 
 
+def test_word_before_a_child_rejected():
+    # the word would be dropped and the tree would cover three tokens
+    # with two leaves
+    with pytest.raises(TreebankError, match="line 1: leaf 'NP' must "
+                       "dominate exactly one word"):
+        fp.read_treebank("(S (NP Paul (n x)) (VP (v sleeps)))")
+
+
+def test_trees_compare_and_hash_by_their_fields(demo_normalized):
+    rule = demo_normalized.rule_by_shape("NP", ["pn"])
+
+    def build(**changed):
+        fields = dict(label="NP", start=0, end=1,
+                      children=(fp.Tree("pn", 0, 1, word="Paul"),),
+                      rule=rule, word=None)
+        fields.update(changed)
+        return fp.Tree(**fields)
+    first, second = build(), build()
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+    others = [build(label="VP"), build(start=1), build(end=2),
+              build(children=(fp.Tree("pn", 0, 1, word="IBM"),)),
+              build(rule=None), build(word="Paul")]
+    for other in others:
+        assert first != other and not first == other
+    assert len({first, *others}) == 7
+    assert repr(first).startswith("Tree(label='NP', start=0, end=1, children=(")
+
+
 def test_tree_actions_binds_rules(demo_normalized, demo_table):
     tree = parse_tree("(S (NP (det the) (n child)) (VP (v sleeps)))")
     bound = replay_actions(fp.tree_actions(tree, demo_table), demo_table)
