@@ -4,7 +4,8 @@ Every command below runs in-process through ``cli.main``, in order, in
 one fresh working directory: the ``train`` and ``acquire`` commands at
 the top write the model and lexicon the later ones read, under
 relative names, so no temporary path reaches an output.  The treebank
-files of the ``train`` error repros are written there the same way.
+and grammar files of the error repros and an empty corpus are written
+there the same way.
 The expected stdout (``<name>.out``), stderr (``<name>.err``), exit
 status (``status.tsv``) and written files are under ``tests/golden/``.
 After a deliberate output change, rewrite them with
@@ -55,6 +56,16 @@ TREEBANKS = {
                    "(S (NP Paul) (VP (v sleeps)))\n"
                    "(NP (pn Paul))\n",
 }
+# One grammar file per grammar fault that ``build-table`` reports (exit 2).
+GRAMMARS = {
+    "duplicate-feature": "terminals: v n\nstart: VP\n"
+                         "VP -> v(head) n : VSUBCAT=NP, VSUBCAT=BOGUS\n",
+    "cycle": "terminals: a b\nstart: S\n"
+             "S -> T(head) a?\nT -> S(head) b?\nT -> b\n",
+}
+# A comma and a non-ASCII letter inside a word must not leave coverage.
+TOKENIZING = ["the child sees a dog, in the park", "the naïve child sleeps"]
+EMPTY = ["--corpus", "empty.txt"]
 
 
 def _commands():
@@ -69,8 +80,26 @@ def _commands():
                                 "--treebank", f"{name}.treebank",
                                 "--model", f"{name}.model"]
     yield "build-table", ["build-table", "--grammar", "@demo/demo.grammar"]
+    for name in GRAMMARS:
+        yield f"build-table-{name}", ["build-table",
+                                      "--grammar", f"{name}.grammar"]
     yield "acquire", ["acquire", *PIPELINE, "--corpus", "@demo/acquisition.txt",
                       "--out", "acq.lexicon"]
+    # An unwritable output exits 2 before the corpus is read.
+    yield "acquire-no-dir", ["acquire", *PIPELINE,
+                             "--corpus", "@demo/acquisition.txt",
+                             "--out", "nodir/x.lexicon"]
+    yield "parse-missing-corpus", ["parse", *PIPELINE,
+                                   "--corpus", "missing.txt"]
+    yield "parse-tokenizing", ["parse", *PIPELINE, *TOKENIZING]
+    # An empty corpus: parse prints nothing, the reports exit 1.
+    yield "empty-parse", ["parse", *PIPELINE, *EMPTY]
+    yield "empty-eval-bracket", ["eval-bracket", *PIPELINE, *EMPTY,
+                                 "--treebank", "empty.txt"]
+    yield "empty-eval-gr", ["eval-gr", *PIPELINE, *EMPTY,
+                            "--gold-gr", "empty.txt"]
+    yield "empty-compare", ["compare", *PIPELINE, *LEXICONS["acquired"],
+                            *EMPTY, "--gold-gr", "empty.txt"]
     for fmt, fmt_args in FORMATS.items():
         for n in (1, 5):
             for lexicon, lexicon_args in LEXICONS.items():
@@ -106,6 +135,9 @@ def run_commands(workdir: Path) -> dict[str, str]:
     try:
         for name, text in TREEBANKS.items():
             Path(f"{name}.treebank").write_text(text, encoding="utf-8")
+        for name, text in GRAMMARS.items():
+            Path(f"{name}.grammar").write_text(text, encoding="utf-8")
+        Path("empty.txt").write_text("", encoding="utf-8")
         for name, argv in COMMANDS.items():
             stdout, stderr = io.StringIO(), io.StringIO()
             with redirect_stdout(stdout), redirect_stderr(stderr):
