@@ -12,7 +12,7 @@ grammatical-relation metrics.
 from .frames import DEFAULT_FRAME_INVENTORY
 from .grammar import (ADJUNCT, ARGUMENT, Grammar, GrammarError, GRTemplate,
                       Rule, SlotRef, load_grammar, normalize_kleene,
-                      parse_grammar, render_grammar, vsubcat_of)
+                      parse_grammar, render_grammar)
 from .lrtable import LRTable, build_table
 from .glr import Forest, ForestNode, ParseError, glr_parse
 from .treebank import (Tree, TreebankError, UnderivableTreeError,

@@ -1,10 +1,9 @@
 """Verb subcategorisation frame inventory.
 
-The default inventory lists the complement-frame symbols a grammar may
-assign to verbal rules through the VSUBCAT feature; grammar files are
-checked against it.  For lexicons the inventory is data, not a closed
-enum: a lexicon may be loaded against a custom inventory, and smoothing
-always uses the size of whatever inventory is in force.
+The inventory is closed: it lists every complement frame a grammar may
+assign to a verbal rule through the VSUBCAT feature.  Grammar files are
+checked against it, lexicon entries must name one of its frames, and
+frame probabilities are smoothed over all of it (K = 29).
 """
 
 DEFAULT_FRAME_INVENTORY = (
@@ -38,3 +37,5 @@ DEFAULT_FRAME_INVENTORY = (
     "VPPRT",
     "WHPP",
 )
+
+FRAMES = frozenset(DEFAULT_FRAME_INVENTORY)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .frames import DEFAULT_FRAME_INVENTORY
+from .frames import FRAMES
 from .grs import RELATION_SLOTS
 
 ARGUMENT = "argument"
@@ -30,9 +30,6 @@ ADJUNCT = "adjunct"
 # non-terminals under this prefix and evaluation excludes their brackets.
 HELPER_PREFIX = "@"
 END_MARKER = "@$"
-
-# The VSUBCAT values a grammar file may use.
-_FRAMES = frozenset(DEFAULT_FRAME_INVENTORY)
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_']*$")
 _TEMPLATE_RE = re.compile(r"^([a-z_0-9]+)\s*\(\s*(.*?)\s*\)$")
@@ -149,17 +146,16 @@ class Grammar:
         """By rule id, the frame of the verb instance an application of
         the rule makes, or ``None`` if it makes none.
 
-        An instance is a verbal argument rule (see :func:`vsubcat_of`,
-        whose head daughter is then a leaf) whose head tag is a verb
-        tag, when the grammar declares any.
+        A verb instance is an argument rule whose head daughter is a
+        terminal, and a verb tag when the grammar declares any, and which
+        carries a VSUBCAT value: the frame it assigns to its verb.
         """
         frames = []
         for rule in self.rules:
-            frame = vsubcat_of(rule, self)
             head = rule.daughters[rule.head_index]
-            if self.verb_tags and head not in self.verb_tags:
-                frame = None
-            frames.append(frame)
+            verbal = (rule.kind == ARGUMENT and head in self.terminals
+                      and (not self.verb_tags or head in self.verb_tags))
+            frames.append(rule.feature("VSUBCAT") if verbal else None)
         return tuple(frames)
 
     def has_repetition(self) -> bool:
@@ -167,20 +163,6 @@ class Grammar:
 
     def rule_by_shape(self, mother: str, daughters: Sequence[str]) -> Optional[Rule]:
         return self.shape_index.get((mother, tuple(daughters)))
-
-
-def vsubcat_of(rule: Rule, grammar: Grammar) -> Optional[str]:
-    """The complement frame a verbal argument rule of ``grammar`` assigns
-    to its verb.
-
-    Absent for adjunct rules, for rules whose head is not a terminal, and
-    for rules carrying no VSUBCAT feature.
-    """
-    if rule.kind != ARGUMENT:
-        return None
-    if rule.daughters[rule.head_index] not in grammar.terminals:
-        return None
-    return rule.feature("VSUBCAT")
 
 
 def _check_symbol(name: str, line: Optional[int]) -> str:
@@ -349,7 +331,7 @@ def parse_grammar(text: str) -> Grammar:
             if name not in terminal_set and name not in nonterminals:
                 raise GrammarError(f"undeclared symbol {name!r}", rule.line)
         vsubcat = rule.feature("VSUBCAT")
-        if vsubcat is not None and vsubcat not in _FRAMES:
+        if vsubcat is not None and vsubcat not in FRAMES:
             raise GrammarError(f"unknown VSUBCAT value {vsubcat!r}", rule.line)
     grammar = Grammar(tuple(rules), start, terminal_set, frozenset(verb_tags))
     _validate(grammar, check_cycles=not grammar.has_repetition())

@@ -1,11 +1,12 @@
 """Per-verb subcategorisation frame lexicons.
 
-Entries record, per verb lemma, how often each complement frame was
-observed, plus the relative frequency normalised over the lemma's
-entries.  Frame probabilities for scoring are add-1 smoothed over the
-whole frame inventory, giving a proper distribution that reserves mass
-for unseen frames; verbs absent from the lexicon fall back to the
-uniform distribution so reranking stays neutral for them.
+Entries record, per verb lemma, how often each complement frame of the
+closed inventory in :mod:`frameparse.frames` was observed, plus the
+relative frequency normalised over the lemma's entries.  Frame
+probabilities for scoring are add-1 smoothed over that whole inventory,
+giving a proper distribution that reserves mass for unseen frames;
+verbs absent from the lexicon fall back to the uniform distribution so
+reranking stays neutral for them.
 
 Counts are integers for acquired lexicons.  Lexicons produced by
 collapsing fine-grained class probabilities carry probability mass in
@@ -20,10 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .frames import DEFAULT_FRAME_INVENTORY
+from .frames import FRAMES
 from .preprocess import _read_table
+
+
+_K = len(FRAMES)
+_UNKNOWN_LOGPROB = -math.log(_K)
 
 
 class LexiconError(ValueError):
@@ -39,17 +44,14 @@ class SubcatEntry:
 
 
 class SubcatLexicon:
-    def __init__(self, entries: Iterable[SubcatEntry] = (),
-                 inventory: Sequence[str] = DEFAULT_FRAME_INVENTORY):
-        self.inventory: tuple[str, ...] = tuple(inventory)
-        self._frames = frozenset(self.inventory)
+    def __init__(self, entries: Iterable[SubcatEntry] = ()):
         self._index: dict[tuple[str, str], SubcatEntry] = {}
         self._totals: dict[str, float] = {}
         for entry in entries:
             self._add(entry)
 
     def _add(self, entry: SubcatEntry) -> None:
-        if entry.frame not in self._frames:
+        if entry.frame not in FRAMES:
             raise LexiconError(f"unknown frame {entry.frame!r} for {entry.lemma!r}")
         if entry.count < 0:
             raise LexiconError(f"negative count for {entry.lemma!r}/{entry.frame}")
@@ -72,18 +74,17 @@ class SubcatLexicon:
     def frame_logprob(self, lemma: str, frame: str) -> float:
         """Add-1-smoothed log probability of ``frame`` for ``lemma``.
 
-        Known lemma with total N and frame count c over an inventory of
-        K frames: log((c + 1) / (N + K)).  Unknown lemma: log(1 / K).
-        Total: never fails for an in-inventory frame.
+        Known lemma with total N and frame count c over the inventory's
+        K = 29 frames: log((c + 1) / (N + K)).  Unknown lemma:
+        log(1 / K).  Total: never fails for an in-inventory frame.
         """
-        if frame not in self._frames:
+        if frame not in FRAMES:
             raise LexiconError(f"frame {frame!r} not in inventory")
-        k = len(self.inventory)
         if lemma not in self._totals:
-            return -math.log(k)
+            return _UNKNOWN_LOGPROB
         total = self._totals[lemma]
         count = self.count(lemma, frame)
-        return math.log((count + 1.0) / (total + k))
+        return math.log((count + 1.0) / (total + _K))
 
 
 def _format_count(count: float) -> str:
@@ -92,8 +93,7 @@ def _format_count(count: float) -> str:
     return repr(count)
 
 
-def parse_lexicon(text: str,
-                  inventory: Sequence[str] = DEFAULT_FRAME_INVENTORY) -> SubcatLexicon:
+def parse_lexicon(text: str) -> SubcatLexicon:
     """Parse ``lemma<TAB>FRAME<TAB>count<TAB>relfreq`` lines.
 
     Relative frequencies are recomputed from the counts and must agree
@@ -104,7 +104,7 @@ def parse_lexicon(text: str,
     def row(fields):
         lemma, frame = fields[0], fields[1]
         count, relfreq = float(fields[2]), float(fields[3])
-        if frame not in inventory:
+        if frame not in FRAMES:
             raise ValueError(f"unknown frame {frame!r} for {lemma!r}")
         if not 0 <= count < math.inf:
             raise ValueError(f"count {fields[2]} for {lemma!r}/{frame} is "
@@ -124,12 +124,11 @@ def parse_lexicon(text: str,
                 f"line {lineno}: stored relfreq {relfreq} disagrees with "
                 f"count-derived {recomputed:.6f}")
         entries.append(SubcatEntry(lemma, frame, count, recomputed))
-    return SubcatLexicon(entries, inventory)
+    return SubcatLexicon(entries)
 
 
-def load_lexicon(path,
-                 inventory: Sequence[str] = DEFAULT_FRAME_INVENTORY) -> SubcatLexicon:
-    return parse_lexicon(Path(path).read_text(encoding="utf-8"), inventory)
+def load_lexicon(path) -> SubcatLexicon:
+    return parse_lexicon(Path(path).read_text(encoding="utf-8"))
 
 
 def save_lexicon(lexicon: SubcatLexicon, path) -> None:
@@ -141,9 +140,7 @@ def save_lexicon(lexicon: SubcatLexicon, path) -> None:
 
 
 def collapse_classes(fine: Iterable[tuple[str, str, float]],
-                     class_map: Mapping[str, str],
-                     inventory: Sequence[str] = DEFAULT_FRAME_INVENTORY
-                     ) -> SubcatLexicon:
+                     class_map: Mapping[str, str]) -> SubcatLexicon:
     """Collapse fine-grained class probabilities onto inventory frames.
 
     ``fine`` holds (lemma, fine class id, probability) triples and
@@ -170,7 +167,7 @@ def collapse_classes(fine: Iterable[tuple[str, str, float]],
     for lemma, frame in sorted(order):
         mass = math.fsum(grouped[(lemma, frame)])
         entries.append(SubcatEntry(lemma, frame, mass, mass))
-    return SubcatLexicon(entries, inventory)
+    return SubcatLexicon(entries)
 
 
 def load_class_map(path) -> dict[str, str]:

@@ -140,7 +140,7 @@ def test_criterion_06_smoothing_soundness(acquired_lexicon):
     for name, lexicon in lexica.items():
         for lemma in {e.lemma for e in lexicon.entries()}:
             total = math.fsum(math.exp(lexicon.frame_logprob(lemma, frame))
-                              for frame in lexicon.inventory)
+                              for frame in fp.DEFAULT_FRAME_INVENTORY)
             assert abs(total - 1.0) <= 1e-9, (name, lemma)
     # mass preservation, exactly, on exactly-representable inputs
     fine = [("v", f"c{i}", 1 / 8) for i in range(8)]

@@ -29,7 +29,7 @@ def test_verbal_rule_carries_vsubcat():
     g = fp.parse_grammar(MINI)
     rule = g.rule_by_shape("VP", ["v", "NP"])
     assert rule.features == (("VSUBCAT", "NP"),)
-    assert fp.vsubcat_of(rule, g) == "NP"
+    assert g.instance_frames[rule.rule_id] == "NP"
 
 
 def test_undeclared_symbol_is_named():
@@ -121,20 +121,22 @@ class TestKinds:
                   and rule.daughters[rule.head_index] in demo_normalized.verb_tags]
         assert verbal
         assert [rule for rule in verbal
-                if fp.vsubcat_of(rule, demo_normalized) is None] == []
+                if demo_normalized.instance_frames[rule.rule_id] is None] == []
 
     def test_vsubcat_of_nonverbal_rule_absent(self):
         g = fp.parse_grammar(MINI)
-        assert fp.vsubcat_of(g.rule_by_shape("NP", ["det", "n"]), g) is None
-        assert fp.vsubcat_of(g.rule_by_shape("NP", ["NP", "PP"]), g) is None
+        for shape in (["det", "n"], ["NP", "PP"]):
+            rule = g.rule_by_shape("NP", shape)
+            assert g.instance_frames[rule.rule_id] is None
         # a VSUBCAT on a rule whose head is not a terminal assigns no frame
         phrasal = fp.parse_grammar(
             "terminals: v n\nstart: S\nS -> V(head) n : VSUBCAT=NP\nV -> v\n")
-        assert fp.vsubcat_of(phrasal.rules[0], phrasal) is None
+        assert phrasal.instance_frames[phrasal.rules[0].rule_id] is None
 
     def test_vsubcat_of_intransitive(self):
         g = fp.parse_grammar(MINI)
-        assert fp.vsubcat_of(g.rule_by_shape("VP", ["v"]), g) == "NONE"
+        rule = g.rule_by_shape("VP", ["v"])
+        assert g.instance_frames[rule.rule_id] == "NONE"
 
 
 class TestRoundTrip:

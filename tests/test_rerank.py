@@ -85,7 +85,7 @@ class TestLexicalizedScore:
     def test_uniform_lexicon_constant_shift(self, uniform_pipeline):
         empty = fp.SubcatLexicon([])
         tokens, ranked = _rank_all(uniform_pipeline, HEAR, empty)
-        k = len(empty.inventory)
+        k = len(fp.DEFAULT_FRAME_INVENTORY)
         assert len(ranked) == 4
         for scored in ranked:
             n_verbs = len(fp.verb_frames(scored.derivation,
@@ -110,16 +110,14 @@ class TestLexicalizedScore:
             pytest.approx(math.log(4))
 
     def test_tied_pair_separated_by_exactly_log_seven(self, uniform_pipeline):
-        # With a four-frame inventory and six NP observations for "hear",
-        # smoothing gives P(hear, NP) = 0.7 and P(hear, NP_PP) = 0.1, so
+        # With the 29-frame inventory and six NP observations for "hear",
+        # smoothing gives P(hear, NP) = 7/35 and P(hear, NP_PP) = 1/35, so
         # the modification reading wins by exactly log 7.
-        inventory = ("NP", "NP_PP", "PP", "NONE")
-        lexicon = fp.SubcatLexicon(
-            [fp.SubcatEntry("hear", "NP", 6, 1.0)], inventory=inventory)
+        lexicon = fp.SubcatLexicon([fp.SubcatEntry("hear", "NP", 6, 1.0)])
         assert math.exp(lexicon.frame_logprob("hear", "NP")) == \
-            pytest.approx(0.7)
+            pytest.approx(7 / 35)
         assert math.exp(lexicon.frame_logprob("hear", "NP_PP")) == \
-            pytest.approx(0.1)
+            pytest.approx(1 / 35)
         tokens, ranked = _rank_all(uniform_pipeline, HEAR, lexicon)
         scored = {}
         for analysis in ranked:
