@@ -188,9 +188,13 @@ def extract_grs(derivation: Derivation, grammar: Grammar,
                 initial=initial)
         return gr, (head_leaf, dep_leaf)
 
-    def walk(node: Tree, subject: Optional[Tree]) -> None:
+    # Preorder over an explicit stack of (node, subject in scope), since
+    # derivations may be deeper than Python's recursion limit.
+    stack: list[tuple[Tree, Optional[Tree]]] = [(derivation.tree, None)]
+    while stack:
+        node, subject = stack.pop()
         if node.rule is None:
-            return
+            continue
         subject_bindings: list[tuple[Tree, Tree]] = []
         for tpl in node.rule.gr_templates:
             gr, leaves = instantiate(tpl, node, subject)
@@ -199,15 +203,13 @@ def extract_grs(derivation: Derivation, grammar: Grammar,
             out.add(gr)
             if tpl.relation in SUBJECT_RELATIONS:
                 subject_bindings.append(leaves)
-        for child in node.children:
+        for child in reversed(node.children):
             child_subject = subject
             child_head = child.head_leaf()
             for head_leaf, dep_leaf in subject_bindings:
                 if head_leaf is child_head:
                     child_subject = dep_leaf
-            walk(child, child_subject)
-
-    walk(derivation.tree, None)
+            stack.append((child, child_subject))
     return out
 
 

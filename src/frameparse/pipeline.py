@@ -59,14 +59,14 @@ class ParserPipeline:
                 kind = "unknown-word" if tag in unknown_word_tags else "wordlist"
                 raise ValueError(f"{kind} tag {tag!r} is not a grammar terminal")
 
-    def tag(self, sentence_or_words) -> list[Token]:
+    def tag(self, sentence: str) -> list[Token]:
+        # Looked up at call time: ``perfbench/tracing`` patches
+        # ``preprocess.tokenize`` after this module is loaded.
+        from .preprocess import tokenize
         # Unlisted punctuation would be tagged a noun by the unknown-word
         # rule and put the sentence out of coverage, so it is dropped
         # (``isalnum`` first: it settles most words without the scan).
-        if isinstance(sentence_or_words, str):
-            from .preprocess import tokenize
-            sentence_or_words = tokenize(sentence_or_words)
-        words = [word for word in sentence_or_words
+        words = [word for word in tokenize(sentence)
                  if word.isalnum() or any(c.isalnum() for c in word)
                  or self.wordlist.lookup(word)]
         return tag_tokens(words, self.wordlist, self.lemmatizer)

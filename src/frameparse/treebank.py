@@ -48,21 +48,24 @@ class Tree:
         self.rule = rule
         self.word = word
 
-    def _fields(self) -> tuple:
-        return (self.label, self.start, self.end, self.children, self.rule,
-                self.word)
+    def _nodes(self) -> tuple:
+        # Each node's own fields and child count, in preorder: two trees
+        # are equal exactly when these are, and no walk recurses.
+        return tuple((node.label, node.start, node.end, len(node.children),
+                      node.rule, node.word) for node in self.iter_nodes())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._nodes() == other._nodes()
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._nodes())
 
     def __repr__(self):
         return ("Tree(label=%r, start=%r, end=%r, children=%r, rule=%r, "
-                "word=%r)" % self._fields())
+                "word=%r)" % (self.label, self.start, self.end,
+                              self.children, self.rule, self.word))
 
     def head_leaf(self) -> "Tree":
         """The lexical head reached by following head daughters."""

@@ -6,6 +6,8 @@ import pytest
 import frameparse as fp
 from frameparse.cli import build_arg_parser, main
 
+from oracles import replay_actions
+
 
 @pytest.fixture(scope="module")
 def model_file(tmp_path_factory):
@@ -230,6 +232,39 @@ def test_train_and_treebank_round_trip_at_2003_levels(tmp_path, capsys):
     fp.write_treebank(trees, out)
     assert out.read_text() == record + "\n"
     assert fp.read_treebank(out.read_text())[0].render() == record
+
+
+def test_2003_level_records_compare_and_hash():
+    # Both walk the two trees down to the deepest word.
+    def read(word):
+        [tree] = fp.read_treebank(_control_chain(
+            999, "(VP (v leave) (NP (pn IBM)) (PP (prep in) (NP (n %s))))"
+            % word))
+        return tree
+    first, second = read("park"), read("park")
+    assert first is not second
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+    changed = read("garden")
+    assert first != changed and not first == changed
+
+
+def test_extract_grs_on_a_2001_token_chain(adversarial_pipeline):
+    # The derivation comes from the gold record's trace, since the
+    # search would overflow on it first.
+    def grs(clauses):
+        record = _control_chain(clauses, "(VP (v leave) (NP (pn IBM)))")
+        table = adversarial_pipeline.table
+        trace = fp.tree_actions(fp.parse_tree(record), table)
+        sentence = "Paul intends" + " to intend" * (clauses - 1) \
+            + " to leave IBM"
+        tokens = adversarial_pipeline.tag(sentence)
+        assert len(tokens) == 2 * clauses + 3
+        derivation = fp.Derivation(replay_actions(trace, table), trace)
+        return fp.extract_grs(derivation, adversarial_pipeline.grammar,
+                              tokens)
+    assert grs(999) == grs(2)
 
 
 def test_parse_805_token_sentence(model_file, capsys):

@@ -8,7 +8,10 @@ identifier, an attribute or an exact string (the benchmark's tracer
 looks functions up by name); a method or property only when they
 mention it as an attribute (``x.name``), since a local variable or a
 string of the same name calls nothing.  Helpers that only tests call
-are deleted or moved into the tests, except the few kept below.
+are deleted or moved into the tests, except the few kept below.  A
+parameter with a default, of a public function or method written with
+``def``, must be passed by some call in the program: an option that
+only tests set is a second code path with no user.
 """
 
 import ast
@@ -63,6 +66,67 @@ def test_every_public_function_and_class_has_a_caller():
     assert ({name for name in public if name not in mentioned}
             | {name for name in methods
                if name.rsplit(".", 1)[-1] not in attributes}) == set(KEPT)
+
+
+def _program_calls():
+    """Per callee name (``f(...)`` or ``x.f(...)``), the call sites in
+    the package and the benchmark, each as the number of positional
+    arguments (None after a ``*`` argument) and the keywords (None
+    after a ``**`` argument)."""
+    calls = {}
+    paths = sorted((ROOT / "src" / "frameparse").glob("*.py"))
+    paths += sorted((ROOT / "perfbench").rglob("*.py"))
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.setdefault(name, []).append(
+                (None if starred else len(node.args),
+                 None if None in keywords else keywords))
+    return calls
+
+
+def _public_defs():
+    """(call name, qualified name, function, leading bound arguments)
+    for every public function, and every public method or ``__init__``
+    of an exported class, written with ``def``."""
+    for name in fp.__all__:
+        value = getattr(fp, name)
+        if inspect.isfunction(value):
+            yield name, name, value, 0
+        elif inspect.isclass(value):
+            for attr, method in vars(value).items():
+                # a dataclass's generated __init__ has no source file
+                if not inspect.isfunction(method) \
+                        or method.__code__.co_filename == "<string>":
+                    continue
+                if attr == "__init__":
+                    yield name, f"{name}.__init__", method, 1
+                elif not attr.startswith("_"):
+                    yield attr, f"{name}.{attr}", method, 1
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    calls = _program_calls()
+    unpassed = []
+    for call_name, qualname, function, bound in _public_defs():
+        sites = calls.get(call_name, [])
+        params = list(inspect.signature(function).parameters.values())[bound:]
+        for index, param in enumerate(params):
+            if param.default is inspect.Parameter.empty \
+                    or param.kind in (param.VAR_POSITIONAL, param.VAR_KEYWORD):
+                continue
+            positional = param.kind == param.POSITIONAL_OR_KEYWORD
+            if not any((positional and (count is None or count > index))
+                       or keywords is None or param.name in keywords
+                       for count, keywords in sites):
+                unpassed.append(f"{qualname}({param.name}=)")
+    assert unpassed == []
 
 
 def _unused_imports(path):
