@@ -63,7 +63,8 @@ GRAMMARS = {
     "cycle": "terminals: a b\nstart: S\n"
              "S -> T(head) a?\nT -> S(head) b?\nT -> b\n",
 }
-# A comma and a non-ASCII letter inside a word must not leave coverage.
+# A comma must not put a sentence out of coverage, nor a non-ASCII
+# letter split a word.
 TOKENIZING = ["the child sees a dog, in the park", "the naïve child sleeps"]
 EMPTY = ["--corpus", "empty.txt"]
 
