@@ -29,9 +29,9 @@ compiled ``shifts`` and the model's flat log-probabilities, keyed by
 ``(state, tag)`` for a shift and ``(state, lookahead, rule id)`` for a
 reduce; an edge records only the state its action is taken in, and the
 trees and ``(state, lookahead, action)`` steps are built for the
-analyses returned alone.  An optional lexical term is a share per rule
-application: the search adds each share to its edge's weight, and the
-term reported for an analysis is the sum of the same shares.
+analyses returned alone.  Each term reported is a sum of what its edges
+hold: the steps' log-probabilities, and an optional lexical term's share
+per rule application, which the search adds to the edge's weight.
 
 The search trusts the forest: it holds exactly the grammar's
 derivations, and over an LALR(1) table that keeps every conflict each is
@@ -148,10 +148,10 @@ class ActionModel:
 
     Immutable in use: training happens through the constructor (see
     :func:`train_actions`), after which instances are safely shared
-    across concurrent parses.  For the search, ``shift_logprobs`` holds
-    each shift's log-probability by ``(state, tag)`` and
-    ``reduce_logprobs`` each reduce's by ``(state, lookahead, rule
-    id)``: the same floats :meth:`logprob` returns.
+    across concurrent parses.  :meth:`prob` gives each listed step's
+    probability; for the search, ``shift_logprobs`` holds each shift's
+    log-probability by ``(state, tag)`` and ``reduce_logprobs`` each
+    reduce's by ``(state, lookahead, rule id)``.
     """
 
     def __init__(self, table: LRTable,
@@ -175,39 +175,27 @@ class ActionModel:
                         kept[action] = count
                 if kept:
                     self.counts[key] = kept
-        # One add-1-smoothed probability per available (state, lookahead,
-        # action), and its log; every step the program scores is one.
+        # An add-1-smoothed probability per listed step (every step the
+        # program scores is one), and the logs the search reads.
         self._probs: dict[tuple[int, str, tuple], float] = {}
+        self.shift_logprobs: dict[tuple[int, str], float] = {}
+        self.reduce_logprobs: dict[tuple[int, str, int], float] = {}
         for (state, lookahead), available in table.actions.items():
             class_counts = self.counts.get((state, lookahead), {})
             total = sum(class_counts.values())
             for action in available:
                 count = class_counts.get(action, 0)
-                self._probs[(state, lookahead, action)] = \
-                    (count + 1) / (total + len(available))
-        self._logprobs = {step: math.log(prob)
-                          for step, prob in self._probs.items()}
-        self.shift_logprobs: dict[tuple[int, str], float] = {}
-        self.reduce_logprobs: dict[tuple[int, str, int], float] = {}
-        for (state, lookahead, action), logprob in self._logprobs.items():
-            if action[0] == "shift":
-                self.shift_logprobs[(state, lookahead)] = logprob
-            elif action[0] == "reduce":
-                self.reduce_logprobs[(state, lookahead, action[1])] = logprob
+                prob = (count + 1) / (total + len(available))
+                self._probs[(state, lookahead, action)] = prob
+                if action[0] == "shift":
+                    self.shift_logprobs[(state, lookahead)] = math.log(prob)
+                elif action[0] == "reduce":
+                    self.reduce_logprobs[(state, lookahead, action[1])] = \
+                        math.log(prob)
 
     def prob(self, state: int, lookahead: str, action: tuple) -> float:
         """Raises ``KeyError`` for a step the table does not list."""
         return self._probs[(state, lookahead, action)]
-
-    def logprob(self, state: int, lookahead: str, action: tuple) -> float:
-        """Raises ``KeyError`` for a step the table does not list."""
-        return self._logprobs[(state, lookahead, action)]
-
-    def trace_logprob(self, trace: Sequence[tuple[int, str, tuple]]) -> float:
-        return sum(self.logprob(*step) for step in trace)
-
-    def classes(self) -> list[tuple[int, str]]:
-        return sorted(self.table.actions)
 
 
 def train_actions(trees: Iterable[Tree], table: LRTable
@@ -229,9 +217,9 @@ def train_actions(trees: Iterable[Tree], table: LRTable
     return ActionModel(table, counts), skipped
 
 
-# The search sums a derivation's log-probabilities in tree order, the
-# rescoring in trace order and the lexical shares in preorder, so the
-# two totals of one derivation can differ in the last bits.  Each is a
+# The search sums a derivation's log-probabilities in tree order, its
+# report in trace order and the lexical shares in preorder, so the two
+# totals of one derivation can differ in the last bits.  Each is a
 # sum of m terms of one sign (all at most 0), hence within
 # m * 2**-53 * |total| of the real sum, and the two within twice that.
 # A derivation left out of the search holds a score more than
@@ -244,12 +232,12 @@ _TIE_BAND = 1e-9
 class _Vertex:
     """A (forest node, entry state) vertex of the ranking hypergraph.
 
-    Each edge is ``(rule, tails, state, weight, share)``: the rule
-    applied (``None`` for a leaf's shift), the daughter vertices, the
-    state its closing action (that shift, or the rule's reduce) is taken
-    in, that action's log-probability plus the lexical share, and the
-    share alone.  ``derivations`` lists ``(score, edge index, tail
-    ranks)`` best first, as far as they have been found.
+    Each edge is ``(rule, tails, state, weight, share, logprob)``: the
+    rule applied (``None`` for a leaf's shift), the daughter vertices,
+    the state its closing action (that shift, or the rule's reduce) is
+    taken in, that action's log-probability plus the lexical share, the
+    share alone and the log-probability alone.  ``derivations`` lists
+    ``(score, edge index, tail ranks)`` best first, as far as found.
     """
 
     __slots__ = ("node", "exit", "edges", "ambiguous", "derivations",
@@ -294,8 +282,8 @@ class _ForestSearch:
             key = (state, node.symbol)
             weight = model.shift_logprobs[key]
             vertex = vertices[(node, state)] = _Vertex(
-                node, model.table.shifts[key], [(None, (), state, weight, 0.0)],
-                0, weight, False)
+                node, model.table.shifts[key],
+                [(None, (), state, weight, 0.0, weight)], 0, weight, False)
             return vertex
         lookahead = self.lookaheads[node.end]
         reduce_logprobs = model.reduce_logprobs
@@ -317,12 +305,13 @@ class _ForestSearch:
                 entry = tail.exit
                 ambiguous = ambiguous or tail.ambiguous
             share = lexical(rule, daughters) if lexical is not None else 0.0
-            weight = reduce_logprobs[(entry, lookahead, rule.rule_id)] + share
+            logprob = reduce_logprobs[(entry, lookahead, rule.rule_id)]
+            weight = logprob + share
             score += weight
             if best < 0 or score > best_score:  # the first of the best
                 best = len(edges)
                 best_score = score
-            edges.append((rule, tuple(tails), entry, weight, share))
+            edges.append((rule, tuple(tails), entry, weight, share, logprob))
         vertex = vertices[(node, state)] = _Vertex(
             node, model.table.gotos[(state, node.symbol)], edges, best,
             best_score, ambiguous)
@@ -363,23 +352,26 @@ class _ForestSearch:
             found.append((-score, index, ranks))
         return True
 
-    def build(self, vertex: _Vertex, k: int, trace: list,
+    def build(self, vertex: _Vertex, k: int, trace: list, logprobs: list,
               shares: list) -> Tree:
         """The tree of ``vertex``'s rank-``k`` derivation; its action
-        steps are appended to ``trace`` in trace order and the lexical
-        shares of its rule applications to ``shares`` in preorder."""
+        steps and their log-probabilities are appended to ``trace`` and
+        ``logprobs`` in trace order, and the lexical shares of its rule
+        applications to ``shares`` in preorder."""
         _, index, ranks = vertex.derivations[k]
-        rule, tails, state, _, share = vertex.edges[index]
+        rule, tails, state, _, share, logprob = vertex.edges[index]
         node = vertex.node
         if rule is None:
             trace.append((state, node.symbol, ("shift", vertex.exit)))
+            logprobs.append(logprob)
             return Tree(node.symbol, node.start, node.end)
         shares.append(share)
         children = []
         for tail, rank in zip(tails, ranks):
-            children.append(self.build(tail, rank, trace, shares))
+            children.append(self.build(tail, rank, trace, logprobs, shares))
         trace.append((state, self.lookaheads[node.end],
                       ("reduce", rule.rule_id)))
+        logprobs.append(logprob)
         return Tree(node.symbol, node.start, node.end, tuple(children), rule)
 
 
@@ -388,11 +380,11 @@ def unpack_n_best(forest: Forest, model: ActionModel, n: int,
                                              float]] = None
                   ) -> list[RankedAnalysis]:
     """The ``min(n, total)`` best analyses by total score, descending,
-    with ties broken by :func:`trace_sort_key`.  The total is the
-    derivation's action-model log-probability plus its lexical term:
-    the sum, in preorder, of ``lexical(rule, daughters)`` over its rule
-    applications, each a log-probability (at most 0) given the forest
-    nodes the application combines; ``0.0`` without ``lexical``.
+    with ties broken by :func:`trace_sort_key`.  The total is the sum,
+    in trace order, of the derivation's step log-probabilities plus its
+    lexical term: the sum, in preorder, of ``lexical(rule, daughters)``
+    over its rule applications, each a log-probability (at most 0) given
+    the forest nodes the application combines; ``0.0`` without ``lexical``.
 
     The forest is searched, not unpacked: see the module docstring.
     """
@@ -411,7 +403,7 @@ def unpack_n_best(forest: Forest, model: ActionModel, n: int,
     search = _ForestSearch(forest, model, lexical)
     root = search.visit(forest.root, model.table.start_state)
     accept = (root.exit, END_MARKER, ("accept",))
-    accept_logprob = model.logprob(*accept)
+    accept_logprob = math.log(model.prob(*accept))
     popped = 0
     floor = None
     while search.has_derivation(root, popped):
@@ -424,11 +416,12 @@ def unpack_n_best(forest: Forest, model: ActionModel, n: int,
     scored = []
     for k in range(popped):
         trace: list = []
+        logprobs: list = []
         shares: list = []
-        tree = search.build(root, k, trace, shares)
+        tree = search.build(root, k, trace, logprobs, shares)
         trace.append(accept)
-        derivation = Derivation(tree, tuple(trace))
-        scored.append((derivation, model.trace_logprob(derivation.actions),
+        logprobs.append(accept_logprob)
+        scored.append((Derivation(tree, tuple(trace)), sum(logprobs),
                        sum(shares, 0.0)))
     if len(scored) > 1:
         scored.sort(key=lambda item: (-(item[1] + item[2]),
@@ -443,8 +436,8 @@ def save_model(model: ActionModel, path) -> None:
     ones, so the file alone determines the distributions.
     """
     lines = []
-    for state, lookahead in model.classes():
-        for action in model.table.actions[(state, lookahead)]:
+    for (state, lookahead), available in model.table.actions.items():
+        for action in available:
             count = model.counts.get((state, lookahead), {}).get(action, 0)
             prob = model.prob(state, lookahead, action)
             lines.append("%d\t%s\t%s\t%d\t%.10f" % (

@@ -291,6 +291,7 @@ def parse_grammar(text: str) -> Grammar:
         NP -> NP(head) PP
         NP -> pn+ pn(head)
 
+    Each declaration may appear once, and ``verbs:`` names terminals.
     Kleene markers (``?``, ``*``, ``+``) are preserved; run
     :func:`normalize_kleene` before building parse tables.
     """
@@ -298,18 +299,25 @@ def parse_grammar(text: str) -> Grammar:
     start: Optional[str] = None
     verb_tags: list[str] = []
     rules: list[Rule] = []
+    declared: dict[str, int] = {}  # declaration keyword -> its line
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("terminals:"):
-            terminals = [_check_symbol(s, lineno) for s in line[10:].split()]
+        keyword, _, values = line.partition(":")
+        if keyword in ("terminals", "start", "verbs"):
+            if keyword in declared:
+                raise GrammarError(f"duplicate '{keyword}:' declaration "
+                                   f"(first on line {declared[keyword]})", lineno)
+            declared[keyword] = lineno
+        if keyword == "terminals":
+            terminals = [_check_symbol(s, lineno) for s in values.split()]
             if not terminals:
                 raise GrammarError("empty terminals declaration", lineno)
-        elif line.startswith("start:"):
-            start = _check_symbol(line[6:].strip(), lineno)
-        elif line.startswith("verbs:"):
-            verb_tags = [_check_symbol(s, lineno) for s in line[6:].split()]
+        elif keyword == "start":
+            start = _check_symbol(values.strip(), lineno)
+        elif keyword == "verbs":
+            verb_tags = [_check_symbol(s, lineno) for s in values.split()]
         elif "->" in line:
             rules.append(_parse_rule_line(line, lineno, len(rules)))
         else:
@@ -322,6 +330,10 @@ def parse_grammar(text: str) -> Grammar:
         raise GrammarError("grammar has no rules")
 
     terminal_set = frozenset(terminals)
+    for tag in verb_tags:
+        if tag not in terminal_set:
+            raise GrammarError(f"verb tag {tag!r} is not a terminal",
+                               declared["verbs"])
     nonterminals = frozenset(rule.mother for rule in rules)
     for rule in rules:
         if rule.mother in terminal_set:

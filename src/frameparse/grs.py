@@ -183,9 +183,9 @@ def gr_match(test: GR, gold: GR) -> bool:
     return True
 
 
-def _max_matching(adjacency: Sequence[Sequence[int]], n_right: int,
-                  match_right: list[int]) -> None:
-    """Kuhn's augmenting-path matching; extends match_right in place."""
+def _max_matching(adjacency: Sequence[Sequence[int]], n_right: int) -> int:
+    """The size of a maximum matching, by Kuhn's augmenting paths."""
+    match_right = [-1] * n_right
 
     def try_augment(left: int, visited: list[bool]) -> bool:
         for right in adjacency[left]:
@@ -197,33 +197,21 @@ def _max_matching(adjacency: Sequence[Sequence[int]], n_right: int,
                 return True
         return False
 
-    matched_left = set(m for m in match_right if m >= 0)
-    for left in range(len(adjacency)):
-        if left in matched_left:
-            continue
-        try_augment(left, [False] * n_right)
+    return sum(try_augment(left, [False] * n_right)
+               for left in range(len(adjacency)))
 
 
 def gr_scores(test: set[GR], gold: set[GR]) -> dict:
-    """Per-sentence counts under one-to-one assignment.
-
-    Each gold relation is consumed by at most one test relation.  Exact
-    name matches are assigned first; subsumption matches may only extend
-    the assignment, never displace an exact pairing's count.
-    """
-    test_list = sorted(test, key=GR.render)
-    gold_list = sorted(gold, key=GR.render)
-    exact = [[j for j, g in enumerate(gold_list)
-              if t.relation == g.relation and gr_match(t, g)]
-             for t in test_list]
-    full = [[j for j, g in enumerate(gold_list) if gr_match(t, g)]
-            for t in test_list]
-    match_right = [-1] * len(gold_list)
-    _max_matching(exact, len(gold_list), match_right)
-    _max_matching(full, len(gold_list), match_right)
-    matched = sum(1 for m in match_right if m >= 0)
-    return {"matched": matched, "test_total": len(test_list),
-            "gold_total": len(gold_list)}
+    """Per-sentence counts under one-to-one assignment: ``matched`` is
+    the size of a largest one-to-one assignment of test relations to
+    gold relations they match (:func:`gr_match`), so each gold relation
+    is consumed by at most one test relation and each test relation
+    consumes at most one."""
+    gold_list = list(gold)
+    adjacency = [[j for j, g in enumerate(gold_list) if gr_match(t, g)]
+                 for t in test]
+    return {"matched": _max_matching(adjacency, len(gold_list)),
+            "test_total": len(test), "gold_total": len(gold_list)}
 
 
 def relation_histogram(sets: Iterable[set[GR]]) -> tuple[dict[str, int], float]:

@@ -9,6 +9,7 @@ shift/reduce stack.  Ranking is checked against every tree of
 """
 
 import itertools
+import math
 import random
 
 from frameparse import (Derivation, Grammar, Tree, UnderivableTreeError,
@@ -97,7 +98,7 @@ def rank_by_enumeration(forest, model, lexicon=None, tokens=()):
     ranked = []
     for tree in all_trees(forest):
         trace = tree_actions(tree, model.table)
-        structural = sum(model.logprob(*step) for step in trace)
+        structural = sum(math.log(model.prob(*step)) for step in trace)
         lexical = 0.0
         if lexicon is not None:
             instances = verb_frames(Derivation(tree, trace), grammar, tokens)

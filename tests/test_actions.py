@@ -22,7 +22,7 @@ def _distribution(model, state, lookahead):
 def test_empty_treebank_is_uniform(demo_table):
     model, skipped = fp.train_actions([], demo_table)
     assert skipped == []
-    for state, lookahead in model.classes():
+    for state, lookahead in demo_table.actions:
         dist = _distribution(model, state, lookahead)
         k = len(dist)
         assert all(abs(p - 1.0 / k) < 1e-12 for p in dist.values())
@@ -30,17 +30,18 @@ def test_empty_treebank_is_uniform(demo_table):
 
 def test_class_distributions_sum_to_one(demo_table, adversarial_model):
     for model in (fp.ActionModel(demo_table), adversarial_model):
-        for state, lookahead in model.classes():
+        for state, lookahead in demo_table.actions:
             total = sum(_distribution(model, state, lookahead).values())
             assert abs(total - 1.0) <= 1e-9
 
 
 def test_flat_log_probabilities_are_the_models(demo_table, adversarial_model):
+    # the flat maps must hold the very floats math.log(prob()) gives
     for model in (fp.ActionModel(demo_table), adversarial_model):
         shifts, reduces = {}, {}
         for (state, lookahead), actions in demo_table.actions.items():
             for action in actions:
-                logprob = model.logprob(state, lookahead, action)
+                logprob = math.log(model.prob(state, lookahead, action))
                 if action[0] == "shift":
                     shifts[(state, lookahead)] = logprob
                 elif action[0] == "reduce":
@@ -59,7 +60,7 @@ def test_modification_treebank_trains_that_reduce(demo_normalized, demo_table):
     model = _mod_model(demo_table)
     mod = demo_normalized.rule_by_shape("NP", ["NP", "PP"]).rule_id
     arg = demo_normalized.rule_by_shape("VP", ["v", "NP", "PP"]).rule_id
-    conflict = [key for key in model.classes()
+    conflict = [key for key in demo_table.actions
                 if ("reduce", mod) in demo_table.actions[key]
                 and ("reduce", arg) in demo_table.actions[key]]
     assert conflict
@@ -130,7 +131,7 @@ def test_single_action_probability_one_scores_zero(demo_table):
     model = fp.ActionModel(demo_table)
     for (state, lookahead), actions in demo_table.actions.items():
         if len(actions) == 1:
-            assert model.logprob(state, lookahead, actions[0]) == 0.0
+            assert math.log(model.prob(state, lookahead, actions[0])) == 0.0
             break
 
 
@@ -184,22 +185,12 @@ def test_forest_from_equal_but_distinct_grammar_rejected(demo_grammar,
             rank(forest, fp.ActionModel(twin), 5)
 
 
-def test_logprob_is_log_of_prob_exactly(demo_table, adversarial_model):
-    # the precomputed table must hold the very floats prob() gives
-    for (state, lookahead), actions in demo_table.actions.items():
-        for action in actions:
-            assert adversarial_model.logprob(state, lookahead, action) == \
-                math.log(adversarial_model.prob(state, lookahead, action))
-
-
 def test_step_outside_table_raises(demo_table):
     model = fp.ActionModel(demo_table)
     for step in ((demo_table.n_states + 7, "det", ("shift", 1)),
                  (demo_table.start_state, "det", ("reduce", 10 ** 6))):
         with pytest.raises(KeyError):
             model.prob(*step)
-        with pytest.raises(KeyError):
-            model.logprob(*step)
 
 
 def test_nbest_ordering_monotone(demo_table):
@@ -258,7 +249,7 @@ class TestPersistence:
         fp.save_model(adversarial_model, path)
         loaded = fp.load_model(path, demo_table)
         assert loaded.counts == adversarial_model.counts
-        for state, lookahead in adversarial_model.classes():
+        for state, lookahead in demo_table.actions:
             assert _distribution(loaded, state, lookahead) == pytest.approx(
                 _distribution(adversarial_model, state, lookahead))
 

@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from frameparse.cli import main
+from frameparse.demofiles import demo_path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -62,6 +63,11 @@ GRAMMARS = {
                          "VP -> v(head) n : VSUBCAT=NP, VSUBCAT=BOGUS\n",
     "cycle": "terminals: a b\nstart: S\n"
              "S -> T(head) a?\nT -> S(head) b?\nT -> b\n",
+    # a typo for "v" that once left every verb without a frame
+    "verb-not-terminal": demo_path("demo.grammar").read_text(
+        encoding="utf-8").replace("verbs: v\n", "verbs: vb\n"),
+    "duplicate-terminals": "terminals: a b\nstart: S\nterminals: a\n"
+                           "S -> a b(head)\n",
 }
 # A comma must not put a sentence out of coverage, nor a non-ASCII
 # letter split a word.

@@ -93,6 +93,26 @@ def test_missing_declarations_rejected():
         fp.parse_grammar("terminals: a\nS -> a\n")
 
 
+def test_verb_tag_must_be_a_terminal():
+    # a typo for "v" would leave the grammar with no verb instances
+    text = fp.demo_path("demo.grammar").read_text().replace(
+        "verbs: v\n", "verbs: vb\n")
+    with pytest.raises(GrammarError,
+                       match=r"^line 8: verb tag 'vb' is not a terminal$"):
+        fp.parse_grammar(text)
+
+
+@pytest.mark.parametrize("declaration, first", [
+    ("terminals: det n v prep", 2), ("verbs: v", 3), ("start: S", 4)])
+def test_duplicate_declaration_rejected(declaration, first):
+    keyword = declaration.split(":")[0]
+    text = MINI.replace("start: S\n", "start: S\n" + declaration + "\n")
+    with pytest.raises(GrammarError, match=(
+            rf"^line 5: duplicate '{keyword}:' declaration "
+            rf"\(first on line {first}\)$")):
+        fp.parse_grammar(text)
+
+
 def test_template_index_out_of_range():
     text = "terminals: v n\nstart: VP\nVP -> v(head) n | gr: dobj(_, self, 3, _)\n"
     with pytest.raises(GrammarError, match="out of range"):

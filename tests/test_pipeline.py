@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import random
 from collections import Counter
 from pathlib import Path
@@ -168,8 +169,8 @@ def test_rank_long_ladder_without_enumeration(lexicalized_pipeline):
         assert keys == sorted(keys)
         for analysis in ranked:
             actions = analysis.derivation.actions
-            assert analysis.structural_logprob == \
-                pipeline.model.trace_logprob(actions)
+            assert analysis.structural_logprob == sum(
+                math.log(pipeline.model.prob(*step)) for step in actions)
             assert replay_actions(actions, pipeline.table) == \
                 analysis.derivation.tree
         if lexicalized:

@@ -4,7 +4,7 @@ input, not just the shipped data."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import frameparse as fp
@@ -76,6 +76,48 @@ def test_gr_matched_bounded(test_set, gold_set):
     assert scores["matched"] <= min(len(test_set), len(gold_set))
 
 
+# A pool small enough that test and gold relations often match.
+pooled_lemmas = st.sampled_from(["give", "Mary"])
+pooled_fillers = st.sampled_from([None, "to"])
+
+
+@st.composite
+def pooled_relations(draw):
+    return fp.GR(relation=draw(st.sampled_from(sorted(RELATION_SLOTS))),
+                 head=draw(pooled_lemmas), dependent=draw(pooled_lemmas),
+                 gr_type=draw(pooled_fillers), initial=draw(pooled_fillers))
+
+
+def _largest_assignment(test_list, gold_list):
+    """Brute force: the most pairs in any one-to-one assignment of test
+    relations to gold relations they match."""
+    if not test_list:
+        return 0
+    first, rest = test_list[0], test_list[1:]
+    best = _largest_assignment(rest, gold_list)
+    for j, gold in enumerate(gold_list):
+        if fp.gr_match(first, gold):
+            best = max(best, 1 + _largest_assignment(
+                rest, gold_list[:j] + gold_list[j + 1:]))
+    return best
+
+
+def _gadgets(*texts):
+    return {fp.parse_gr(text % pair) for text in texts
+            for pair in (("give", "Mary"), ("Mary", "give"))}
+
+
+@given(st.sets(pooled_relations(), max_size=5),
+       st.sets(pooled_relations(), max_size=5))
+# The wildcard test relation matches both gold ones; a matching that
+# gives it the "to" one must re-assign it to reach the largest.
+@example(_gadgets("iobj(_,%s,%s)", "iobj(to,%s,%s)"),
+         _gadgets("iobj(to,%s,%s)", "iobj(_,%s,%s)"))
+def test_gr_matched_is_largest_assignment(test_set, gold_set):
+    assert fp.gr_scores(test_set, gold_set)["matched"] == \
+        _largest_assignment(list(test_set), list(gold_set))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000))
 def test_random_grammar_round_trip(seed):
@@ -129,7 +171,7 @@ def test_tree_actions_traces_or_rejects_relabelled_trees(seed):
                 # a root other than the start symbol never is
                 assert copy is not copies[1]
                 for step in trace:
-                    model.logprob(*step)
+                    model.prob(*step)
                 assert canon(replay_actions(trace, table)) == canon(copy)
 
 
