@@ -185,6 +185,25 @@ def test_forest_from_equal_but_distinct_grammar_rejected(demo_grammar,
             rank(forest, fp.ActionModel(twin), 5)
 
 
+def test_logprob_is_log_of_prob_exactly(demo_table, adversarial_model):
+    # each listed step's log-probability, looked up where the search
+    # reads it, must be the very float math.log(prob()) gives
+    checked = 0
+    for (state, lookahead), actions in demo_table.actions.items():
+        for action in actions:
+            if action[0] == "shift":
+                logprob = adversarial_model.shift_logprobs[(state, lookahead)]
+            elif action[0] == "reduce":
+                logprob = adversarial_model.reduce_logprobs[
+                    (state, lookahead, action[1])]
+            else:
+                continue
+            assert logprob == \
+                math.log(adversarial_model.prob(state, lookahead, action))
+            checked += 1
+    assert checked
+
+
 def test_step_outside_table_raises(demo_table):
     model = fp.ActionModel(demo_table)
     for step in ((demo_table.n_states + 7, "det", ("shift", 1)),
