@@ -13,21 +13,23 @@ since the cap semantics depend on that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 from typing import Iterable
 
 from .lexicon import SubcatEntry, SubcatLexicon
 from .rerank import verb_frames
 
 
-@dataclass
 class ObservationStore:
     """Per-lemma frame observations, capped and in corpus order."""
 
-    cap: int = 1000
-    frames: dict[str, list[str]] = field(default_factory=dict)
-    parsed_sentences: int = 0
-    skipped_sentences: int = 0
+    __slots__ = ("cap", "frames", "parsed_sentences", "skipped_sentences")
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.frames: dict[str, list[str]] = {}
+        self.parsed_sentences = 0
+        self.skipped_sentences = 0
 
     def add(self, lemma: str, frame: str) -> bool:
         observed = self.frames.setdefault(lemma, [])
@@ -73,8 +75,8 @@ def hypothesize_entries(store: ObservationStore, min_count: int = 1,
     relative frequencies are renormalised so each lemma's entries sum
     to one.
     """
-    if min_count < 0 or min_relfreq < 0:
-        raise ValueError("thresholds must be non-negative")
+    if min_count < 0 or not 0 <= min_relfreq < math.inf:
+        raise ValueError("thresholds must be finite and non-negative")
     entries = []
     for lemma in sorted(store.frames):
         observed = store.frames[lemma]

@@ -46,9 +46,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .grammar import END_MARKER, Rule
 from .glr import Forest, ForestNode
@@ -122,16 +121,14 @@ def trace_sort_key(trace: Sequence[tuple[int, str, tuple]]) -> tuple:
     return tuple(action_sort_key(action) for _, _, action in trace)
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """A single parse tree plus the action trace that built it."""
 
     tree: Tree
     actions: tuple[tuple[int, str, tuple], ...]
 
 
-@dataclass(frozen=True)
-class RankedAnalysis:
+class RankedAnalysis(NamedTuple):
     """A derivation with the two terms of its ranking score."""
 
     derivation: Derivation

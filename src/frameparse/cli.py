@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -143,8 +144,8 @@ def _positive_int(text: str) -> int:
 
 def _nonneg_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError("must be a finite number >= 0")
     return value
 
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .actions import Derivation
 from .grammar import HELPER_PREFIX, Grammar
@@ -70,8 +69,7 @@ def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator else 1.0
 
 
-@dataclass(frozen=True)
-class BracketReport:
+class BracketReport(NamedTuple):
     sentences: int
     recall: float
     precision: float
@@ -102,17 +100,25 @@ def aggregate_brackets(per_sentence: Sequence[dict]) -> BracketReport:
     )
 
 
-@dataclass(frozen=True)
 class GRReport:
-    sentences: int
-    recall: float
-    precision: float
-    returned_by_relation: dict[str, int] = field(compare=False)
-    gold_by_relation: dict[str, int] = field(compare=False)
-    mean_returned: float = 0.0
-    mean_gold: float = 0.0
-    per_sentence_recall: tuple[float, ...] = ()
-    per_sentence_precision: tuple[float, ...] = ()
+    __slots__ = ("sentences", "recall", "precision", "returned_by_relation",
+                 "gold_by_relation", "mean_returned", "mean_gold",
+                 "per_sentence_recall", "per_sentence_precision")
+
+    def __init__(self, sentences: int, recall: float, precision: float,
+                 returned_by_relation: dict[str, int],
+                 gold_by_relation: dict[str, int], mean_returned: float,
+                 mean_gold: float, per_sentence_recall: tuple[float, ...],
+                 per_sentence_precision: tuple[float, ...]):
+        self.sentences = sentences
+        self.recall = recall
+        self.precision = precision
+        self.returned_by_relation = returned_by_relation
+        self.gold_by_relation = gold_by_relation
+        self.mean_returned = mean_returned
+        self.mean_gold = mean_gold
+        self.per_sentence_recall = per_sentence_recall
+        self.per_sentence_precision = per_sentence_precision
 
     def fields(self) -> dict:
         return {"sentences": self.sentences, "recall": self.recall,
@@ -213,8 +219,7 @@ def extract_grs(derivation: Derivation, grammar: Grammar,
     return out
 
 
-@dataclass(frozen=True)
-class TTestResult:
+class TTestResult(NamedTuple):
     t: float
     df: int
     p_two_sided: float

@@ -16,7 +16,6 @@ node that received it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .grammar import END_MARKER, Rule
@@ -59,14 +58,17 @@ class ForestNode:
             self.symbol, self.start, self.end, len(self.alternatives))
 
 
-@dataclass
 class Forest:
     """Packed parse forest; empty (``root is None``) iff the input is out
     of coverage."""
 
-    tokens: tuple[str, ...]
-    root: Optional[ForestNode]
-    nodes: dict[tuple[str, int, int], ForestNode] = field(default_factory=dict)
+    __slots__ = ("tokens", "root", "nodes")
+
+    def __init__(self, tokens: tuple[str, ...], root: Optional[ForestNode],
+                 nodes: dict[tuple[str, int, int], ForestNode]):
+        self.tokens = tokens
+        self.root = root
+        self.nodes = nodes
 
     def derivation_count(self) -> int:
         if self.root is None:
@@ -191,7 +193,7 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
             shifted.edges[(leaf, frontier[state])] = None
         frontier = next_frontier
         if not frontier:
-            return Forest(tuple(tokens), None)
+            return Forest(tuple(tokens), None, {})
 
     # No accept flag: with no empty rules only the start state lives at
     # position 0, so a start-symbol node over the input was reduced onto

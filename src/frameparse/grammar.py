@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .frames import FRAMES
 from .grs import RELATION_SLOTS
@@ -45,8 +44,7 @@ class GrammarError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class SlotRef:
+class SlotRef(NamedTuple):
     """One template slot: a daughter index (1-based), the node's own head
     word (``self``), the matrix subject (``control``), a quoted literal,
     or unspecified."""
@@ -69,13 +67,12 @@ SLOT_SELF = SlotRef("self")
 SLOT_CONTROL = SlotRef("control")
 
 
-@dataclass(frozen=True)
-class GRTemplate:
+class GRTemplate(NamedTuple):
     relation: str
-    type_slot: SlotRef = SLOT_NONE
-    head_slot: SlotRef = SLOT_SELF
-    dependent_slot: SlotRef = SLOT_NONE
-    initial_slot: SlotRef = SLOT_NONE
+    type_slot: SlotRef
+    head_slot: SlotRef
+    dependent_slot: SlotRef
+    initial_slot: SlotRef
 
     def render(self) -> str:
         return "gr: %s(%s, %s, %s, %s)" % (
@@ -83,16 +80,38 @@ class GRTemplate:
             self.dependent_slot.render(), self.initial_slot.render())
 
 
-@dataclass(frozen=True)
 class Rule:
-    mother: str
-    daughters: tuple[str, ...]
-    head_index: int  # 0-based
-    markers: tuple[str, ...]  # per daughter: "", "?", "*" or "+"
-    features: tuple[tuple[str, str], ...] = ()  # the mother's
-    gr_templates: tuple[GRTemplate, ...] = ()
-    rule_id: int = -1
-    line: Optional[int] = field(default=None, compare=False)
+    """One grammar rule.  Immutable by convention; rules compare and
+    hash by every field but ``line``, the source line it was read from."""
+
+    __slots__ = ("mother", "daughters", "head_index", "markers", "features",
+                 "gr_templates", "rule_id", "line")
+
+    def __init__(self, mother: str, daughters: tuple[str, ...],
+                 head_index: int, markers: tuple[str, ...],
+                 features: tuple[tuple[str, str], ...],
+                 gr_templates: tuple[GRTemplate, ...], rule_id: int,
+                 line: Optional[int]):
+        self.mother = mother
+        self.daughters = daughters
+        self.head_index = head_index  # 0-based
+        self.markers = markers  # per daughter: "", "?", "*" or "+"
+        self.features = features  # the mother's
+        self.gr_templates = gr_templates
+        self.rule_id = rule_id
+        self.line = line
+
+    def _key(self) -> tuple:
+        return (self.mother, self.daughters, self.head_index, self.markers,
+                self.features, self.gr_templates, self.rule_id)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def kind(self) -> str:
@@ -119,12 +138,28 @@ class Rule:
         return text
 
 
-@dataclass(frozen=True)
 class Grammar:
-    rules: tuple[Rule, ...]
-    start_symbol: str
-    terminals: frozenset[str]
-    verb_tags: frozenset[str] = frozenset()
+    """Rules, start symbol, terminals and verb tags.  Immutable by
+    convention; grammars compare and hash by those four fields.  The
+    derived indexes below are computed once, on first use."""
+
+    def __init__(self, rules: tuple[Rule, ...], start_symbol: str,
+                 terminals: frozenset[str], verb_tags: frozenset[str]):
+        self.rules = rules
+        self.start_symbol = start_symbol
+        self.terminals = terminals
+        self.verb_tags = verb_tags
+
+    def _key(self) -> tuple:
+        return (self.rules, self.start_symbol, self.terminals, self.verb_tags)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @cached_property
     def nonterminals(self) -> frozenset[str]:

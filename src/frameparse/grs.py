@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 # Slot layout per relation name, in surface order.  "type" holds e.g. a
@@ -77,26 +76,43 @@ class GRError(ValueError):
     """Malformed grammatical-relation text."""
 
 
-@dataclass(frozen=True)
 class GR:
     """One grammatical-relation tuple.
 
     ``gr_type`` and ``initial`` are None when unspecified; they render
-    as ``_``.  Instances are immutable and hashable, so plain sets are
-    used for per-sentence relation sets.
+    as ``_``.  Instances are immutable by convention and hash by their
+    five fields, so plain sets are used for per-sentence relation sets.
     """
 
-    relation: str
-    head: str
-    dependent: str
-    gr_type: Optional[str] = None
-    initial: Optional[str] = None
+    __slots__ = ("relation", "head", "dependent", "gr_type", "initial")
 
-    def __post_init__(self):
-        if self.relation not in RELATION_SLOTS:
-            raise GRError(f"unknown relation name {self.relation!r}")
-        if not self.head or not self.dependent:
-            raise GRError(f"{self.relation}: head and dependent must be non-empty")
+    def __init__(self, relation: str, head: str, dependent: str,
+                 gr_type: Optional[str], initial: Optional[str]):
+        if relation not in RELATION_SLOTS:
+            raise GRError(f"unknown relation name {relation!r}")
+        if not head or not dependent:
+            raise GRError(f"{relation}: head and dependent must be non-empty")
+        self.relation = relation
+        self.head = head
+        self.dependent = dependent
+        self.gr_type = gr_type
+        self.initial = initial
+
+    def _key(self) -> tuple:
+        return (self.relation, self.head, self.dependent, self.gr_type,
+                self.initial)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return ("GR(relation=%r, head=%r, dependent=%r, gr_type=%r, "
+                "initial=%r)" % self._key())
 
     def render(self) -> str:
         parts = []

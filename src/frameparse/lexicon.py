@@ -19,9 +19,8 @@ Lexicons are immutable after loading and shareable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .frames import FRAMES
 from .preprocess import _read_table
@@ -35,8 +34,7 @@ class LexiconError(ValueError):
     """Malformed lexicon data."""
 
 
-@dataclass(frozen=True)
-class SubcatEntry:
+class SubcatEntry(NamedTuple):
     lemma: str
     frame: str
     count: float
@@ -156,8 +154,9 @@ def collapse_classes(fine: Iterable[tuple[str, str, float]],
         frame = class_map.get(fine_id)
         if frame is None:
             raise LexiconError(f"fine class {fine_id!r} has no mapping")
-        if prob < 0:
-            raise LexiconError(f"negative probability for {lemma!r}/{fine_id}")
+        if not 0 <= prob < math.inf:
+            raise LexiconError(f"probability {prob} for {lemma!r}/{fine_id} "
+                               "is negative or not finite")
         key = (lemma, frame)
         if key not in grouped:
             grouped[key] = []

@@ -20,7 +20,6 @@ maps (state, lookahead) to the rules to reduce, in ``actions`` order.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .grammar import END_MARKER, Grammar, GrammarError, Rule
 
@@ -53,15 +52,23 @@ def parse_action(text: str) -> tuple:
     raise ValueError(f"cannot parse action {text!r}")
 
 
-@dataclass(frozen=True)
 class LRTable:
-    grammar: Grammar
-    n_states: int
-    actions: dict[tuple[int, str], tuple[tuple, ...]] = field(compare=False)
-    gotos: dict[tuple[int, str], int] = field(compare=False)
-    shifts: dict[tuple[int, str], int] = field(compare=False)
-    reduces: dict[tuple[int, str], tuple[Rule, ...]] = field(compare=False)
-    start_state: int = 0
+    __slots__ = ("grammar", "n_states", "actions", "gotos", "shifts",
+                 "reduces", "start_state")
+
+    def __init__(self, grammar: Grammar, n_states: int,
+                 actions: dict[tuple[int, str], tuple[tuple, ...]],
+                 gotos: dict[tuple[int, str], int],
+                 shifts: dict[tuple[int, str], int],
+                 reduces: dict[tuple[int, str], tuple[Rule, ...]],
+                 start_state: int):
+        self.grammar = grammar
+        self.n_states = n_states
+        self.actions = actions
+        self.gotos = gotos
+        self.shifts = shifts
+        self.reduces = reduces
+        self.start_state = start_state
 
     def conflicts(self) -> list[tuple[int, str, tuple[tuple, ...]]]:
         """All (state, lookahead) pairs admitting more than one action."""

@@ -8,7 +8,6 @@ sentences may be analyzed concurrently; a single analysis is sequential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .actions import ActionModel, RankedAnalysis, unpack_n_best
@@ -21,13 +20,16 @@ from .preprocess import (COMMON_TAG, PROPER_TAG, Lemmatizer, Token, Wordlist,
 from .rerank import rank_analyses
 
 
-@dataclass
 class SentenceResult:
     """Ranked analyses for one sentence; empty iff out of coverage."""
 
-    sentence: str
-    tokens: list[Token]
-    analyses: list[RankedAnalysis]
+    __slots__ = ("sentence", "tokens", "analyses")
+
+    def __init__(self, sentence: str, tokens: list[Token],
+                 analyses: list[RankedAnalysis]):
+        self.sentence = sentence
+        self.tokens = tokens
+        self.analyses = analyses
 
 
 class ParserPipeline:

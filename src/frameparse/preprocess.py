@@ -12,9 +12,8 @@ Everything here is pure and safe to use concurrently.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 _TOKEN_RE = re.compile(r"[^\W_]+(?:['’-][^\W_]+)*|\S")
 
@@ -32,8 +31,7 @@ class WordlistError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     tag: str
     lemma: str
@@ -44,12 +42,14 @@ def tokenize(sentence: str) -> list[str]:
     return _TOKEN_RE.findall(sentence)
 
 
-@dataclass(frozen=True)
 class Wordlist:
     """Surface form to PoS tags; the first listed tag is the single-best
     choice."""
 
-    tags: Mapping[str, tuple[str, ...]]
+    __slots__ = ("tags",)
+
+    def __init__(self, tags: Mapping[str, tuple[str, ...]]):
+        self.tags = tags
 
     def lookup(self, surface: str) -> Optional[tuple[str, ...]]:
         found = self.tags.get(surface)
@@ -140,13 +140,16 @@ def _apply_suffix_rules(word: str) -> str:
     return word
 
 
-@dataclass(frozen=True)
 class Lemmatizer:
     """Exception table first, then suffix rules for common nouns and
     verbs; identity elsewhere.  Lowercases everything except proper
     nouns."""
 
-    exceptions: Mapping[tuple[str, str], str] = field(default_factory=dict)
+    __slots__ = ("exceptions",)
+
+    def __init__(self,
+                 exceptions: Optional[Mapping[tuple[str, str], str]] = None):
+        self.exceptions = {} if exceptions is None else exceptions
 
     def lemmatize(self, surface: str, tag: str) -> str:
         if not surface:

@@ -18,8 +18,7 @@ functions here are pure over immutable inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .actions import ActionModel, Derivation, RankedAnalysis, unpack_n_best
 from .glr import Forest, ForestNode
@@ -28,8 +27,7 @@ from .lexicon import SubcatLexicon
 from .preprocess import Token
 
 
-@dataclass(frozen=True)
-class FrameInstance:
+class FrameInstance(NamedTuple):
     """One verb token together with the frame its analysis consumes."""
 
     lemma: str

@@ -85,7 +85,7 @@ class TestHypothesize:
         assert [e.frame for e in lex.entries()] == ["NP"]
 
     def test_empty_store_empty_lexicon(self):
-        lex = fp.hypothesize_entries(fp.ObservationStore())
+        lex = fp.hypothesize_entries(fp.ObservationStore(cap=100))
         assert len(lex) == 0
 
     def test_per_lemma_sums(self, acquired_lexicon):
@@ -97,6 +97,14 @@ class TestHypothesize:
 
     def test_negative_thresholds_rejected(self):
         with pytest.raises(ValueError):
-            fp.hypothesize_entries(fp.ObservationStore(), min_count=-1)
+            fp.hypothesize_entries(fp.ObservationStore(cap=100), min_count=-1)
         with pytest.raises(ValueError):
             fp.observe_corpus([], None, cap=-1)
+
+    @pytest.mark.parametrize("min_relfreq", [-0.5, float("nan"), float("inf")])
+    def test_non_finite_min_relfreq_rejected(self, min_relfreq):
+        # NaN fails every comparison, so it would silently drop every frame
+        store = fp.ObservationStore(cap=100)
+        store.add("v", "NP")
+        with pytest.raises(ValueError, match="finite"):
+            fp.hypothesize_entries(store, min_relfreq=min_relfreq)

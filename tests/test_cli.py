@@ -482,6 +482,19 @@ def test_command_reads_every_option(tmp_path, model_file, lexicon_file,
     assert set(vars(parsed)) - {"command", "func"} - args.read == set()
 
 
+@pytest.mark.parametrize("value", ["-0.1", "nan", "inf"])
+def test_acquire_rejects_non_finite_min_relfreq_exit_2(model_file, tmp_path,
+                                                      capsys, value):
+    out = tmp_path / "acq.lexicon"
+    with pytest.raises(SystemExit) as exc:
+        main(["acquire", "--grammar", "@demo/demo.grammar",
+              "--model", str(model_file), "--corpus", "@demo/acquisition.txt",
+              "--min-relfreq", value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--min-relfreq" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_acquire_without_out_exits_2_before_reading_corpus(model_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["acquire", "--grammar", "@demo/demo.grammar",

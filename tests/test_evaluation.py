@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 from collections import Counter
@@ -162,6 +163,31 @@ class TestGRMatch:
         for text in ("dobj(a)", "frob(a,b)", "dobj a b", "dobj(,x,_)"):
             with pytest.raises(GRError):
                 fp.parse_gr(text)
+
+    def test_constructor_validates(self):
+        with pytest.raises(GRError, match="unknown relation name 'nosuch'"):
+            fp.GR("nosuch", "a", "b", None, None)
+        with pytest.raises(GRError, match="must be non-empty"):
+            fp.GR("dobj", "leave", "", None, None)
+
+    def test_relations_compare_and_hash_by_their_fields(self):
+        first = fp.parse_gr("iobj(from,hear,Hatfield)")
+        second = fp.GR("iobj", "hear", "Hatfield", "from", None)
+        assert first is not second
+        assert first == second and not first != second
+        assert hash(first) == hash(second)
+        assert len({first, second}) == 1
+        others = [fp.GR("ncmod", "hear", "Hatfield", "from", None),
+                  fp.GR("iobj", "see", "Hatfield", "from", None),
+                  fp.GR("iobj", "hear", "Mark", "from", None),
+                  fp.GR("iobj", "hear", "Hatfield", None, None),
+                  fp.GR("iobj", "hear", "Hatfield", "from", "obj")]
+        for other in others:
+            assert first != other and not first == other
+        assert len({first, *others}) == 6
+        assert repr(first) == ("GR(relation='iobj', head='hear', "
+                               "dependent='Hatfield', gr_type='from', "
+                               "initial=None)")
 
     def test_gr_file_error_names_line(self):
         with pytest.raises(GRError, match=r"^line 4: cannot parse relation"):
@@ -356,4 +382,16 @@ def test_import_loads_no_scipy_or_numpy():
             "if m.split('.')[0] in ('scipy', 'numpy')))" % root)
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
+    assert out == "[]\n"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # Every frameparse process pays for its imports at start-up.  -S
+    # skips site, so no .pth file outside the package decides the result.
+    src = str(Path(fp.__file__).resolve().parent.parent)
+    code = ("import frameparse.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
     assert out == "[]\n"

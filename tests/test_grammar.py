@@ -159,6 +159,26 @@ class TestKinds:
         assert g.instance_frames[rule.rule_id] == "NONE"
 
 
+def test_rules_and_grammars_compare_and_hash_without_lines():
+    first, second = fp.parse_grammar(MINI), fp.parse_grammar("# moved\n" + MINI)
+    assert first is not second
+    for a, b in zip(first.rules, second.rules):
+        assert a.line != b.line
+        assert a == b and not a != b and hash(a) == hash(b)
+    assert len(set(first.rules) | set(second.rules)) == len(first.rules)
+    assert first.rules[2] != first.rules[3]
+    assert first == second and not first != second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+    others = [fp.parse_grammar(MINI.replace("verbs: v\n", "")),
+              fp.parse_grammar(MINI.replace("start: S\n", "start: VP\n")),
+              fp.parse_grammar(MINI.replace("det n v prep", "det n v prep x")),
+              fp.parse_grammar(MINI.replace("VSUBCAT=NONE", "VSUBCAT=NP"))]
+    for other in others:
+        assert first != other and not first == other
+    assert len({first, *others}) == 5
+
+
 class TestRoundTrip:
     def test_mini_round_trip(self):
         g = fp.parse_grammar(MINI)

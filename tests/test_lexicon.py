@@ -140,6 +140,13 @@ class TestCollapse:
         with pytest.raises(LexiconError, match="no mapping"):
             fp.collapse_classes([("v", "mystery", 1.0)], {})
 
+    @pytest.mark.parametrize("prob", [-0.1, math.nan, math.inf])
+    def test_negative_or_non_finite_probability_rejected(self, prob):
+        # a NaN mass would reach frame_logprob and poison ranking
+        with pytest.raises(LexiconError, match="negative or not finite"):
+            fp.collapse_classes([("see", "c1", prob), ("see", "c2", 0.5)],
+                                {"c1": "NP", "c2": "NP_PP"})
+
     def test_mass_preserved_exactly_dyadic(self):
         # dyadic probabilities sum exactly in floating point
         fine = [("v", f"c{i}", 1 / 16) for i in range(16)]

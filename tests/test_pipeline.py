@@ -77,6 +77,17 @@ def test_mismatched_table_rejected(demo_grammar):
         fp.ParserPipeline(demo_grammar, table=other)
 
 
+def test_table_of_an_equal_grammar_accepted(demo_grammar):
+    # A leading comment moves every rule's line, which grammars do not
+    # compare.
+    text = fp.demo_path("demo.grammar").read_text(encoding="utf-8")
+    moved = fp.parse_grammar("# moved\n" + text)
+    assert all(a.line != b.line
+               for a, b in zip(moved.rules, demo_grammar.rules))
+    table = fp.build_table(fp.normalize_kleene(moved))
+    assert fp.ParserPipeline(demo_grammar, table=table).table is table
+
+
 def test_n_limits_analyses(uniform_pipeline):
     sentence = "the meeting will hear a greeting from the senator"
     assert len(uniform_pipeline.analyze(sentence, n=2).analyses) == 2
