@@ -1,5 +1,6 @@
-"""Rewrite the golden CLI outputs of ``tests/test_golden.py`` from the
-current tree, after deleting the old ones:
+"""Rewrite the golden CLI outputs of ``tests/test_golden.py`` and the
+forest and ranking digests of ``tests/test_differential.py`` from the
+current tree, after deleting the old files:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 """
@@ -11,6 +12,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 
+from test_differential import DIGESTS, digests  # noqa: E402
 from test_golden import run_commands  # noqa: E402
 
 
@@ -22,7 +24,8 @@ def main() -> None:
             path.unlink()
     for name, text in outputs.items():
         (HERE / name).write_bytes(text.encode("utf-8"))
-    print(f"wrote {len(outputs)} files to {HERE}")
+    DIGESTS.write_bytes(digests().encode("utf-8"))
+    print(f"wrote {len(outputs) + 1} files to {HERE}")
 
 
 if __name__ == "__main__":

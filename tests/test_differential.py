@@ -1,0 +1,137 @@
+"""A standing differential gate for forests and rankings.
+
+For a fixed list of ``oracles.random_grammar`` seeds, every
+``random_sentences`` forest is hashed (node keys in insertion order,
+each node's alternatives in order, and the root), and so is every
+``unpack_n_best`` result for n = 1 and 5, with and without a lexical
+share: each analysis's trace and the ``repr`` of both scores.  Odd seeds
+draw random counts over the table's sorted keys; even seeds use the
+uniform model, so that ties occur.  The demo ladder k = 0..12 and the
+acquisition corpus are hashed the same way through the pipeline, with
+the demo lexicon, together with their tokens.
+
+One digest per block is stored in ``tests/golden/differential.tsv``, so
+a failure names each block that moved.  After a deliberate change of a
+forest or a ranking, rewrite it with ``tests/golden/regenerate.py``.
+"""
+
+import hashlib
+import random
+from collections import Counter
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+import frameparse as fp
+from oracles import random_grammar, random_sentences
+
+DIGESTS = Path(__file__).resolve().parent / "golden" / "differential.tsv"
+
+SEED_BLOCKS = {f"seeds-{low:03d}-{low + 99:03d}": range(low, low + 100)
+               for low in range(0, 600, 100)}
+LADDER = ["the child sees a dog" + " in the park" * k for k in range(13)]
+
+
+def _share(rule, daughters):
+    # A few repeated values, so that tied totals occur; tenths are not
+    # exact binary fractions, so the order of summing them shows.
+    return -0.1 * ((rule.rule_id + daughters[0].start + daughters[-1].end) % 4)
+
+
+def _hash_forest(digest, forest):
+    for key, node in forest.nodes.items():
+        alternatives = tuple((rule.rule_id, tuple(c.key() for c in children))
+                             for rule, children in node.alternatives)
+        digest.update(repr((key, node.leaf, alternatives)).encode())
+    root = forest.root.key() if forest.root is not None else None
+    digest.update(repr(("root", root)).encode())
+
+
+def _hash_ranking(digest, analyses):
+    digest.update(repr(("analyses", len(analyses))).encode())
+    for analysis in analyses:
+        digest.update(repr((analysis.derivation.actions,
+                            repr(analysis.structural_logprob),
+                            repr(analysis.lexical_logprob))).encode())
+
+
+def _seed_digest(seeds) -> str:
+    digest = hashlib.sha256()
+    for seed in seeds:
+        rng = random.Random(seed)
+        table = fp.build_table(random_grammar(rng))
+        counts = None
+        if seed % 2:
+            counts = {key: Counter({action: rng.randint(0, 3)
+                                    for action in table.actions[key]})
+                      for key in sorted(table.actions)}
+        model = fp.ActionModel(table, counts)
+        for tags in random_sentences(table.grammar, rng, 6):
+            forest = fp.glr_parse(tags, table)
+            _hash_forest(digest, forest)
+            for n in (1, 5):
+                for lexical in (None, _share):
+                    _hash_ranking(digest, fp.unpack_n_best(forest, model, n,
+                                                           lexical))
+    return digest.hexdigest()
+
+
+@lru_cache(maxsize=None)
+def _demo_pipeline():
+    grammar = fp.load_grammar(fp.demo_path("demo.grammar"))
+    table = fp.build_table(fp.normalize_kleene(grammar))
+    model, _ = fp.train_actions(
+        fp.load_treebank(fp.demo_path("adversarial.treebank")), table)
+    return fp.ParserPipeline(
+        grammar, table=table, model=model,
+        wordlist=fp.load_wordlist(fp.demo_path("demo.wordlist")),
+        lemmatizer=fp.Lemmatizer(fp.load_lemma_exceptions(
+            fp.demo_path("demo.lemma_exceptions"))),
+        lexicon=fp.load_lexicon(fp.demo_path("demo.lexicon")))
+
+
+def _demo_digest(sentences) -> str:
+    pipeline = _demo_pipeline()
+    digest = hashlib.sha256()
+    for sentence in sentences:
+        tokens = pipeline.tag(sentence)
+        digest.update(repr(tokens).encode())
+        forest = pipeline.parse_tags([token.tag for token in tokens])
+        _hash_forest(digest, forest)
+        for n in (1, 5):
+            for lexicalized in (False, True):
+                _hash_ranking(digest, pipeline.rank(forest, tokens, n,
+                                                    lexicalized))
+    return digest.hexdigest()
+
+
+def _acquisition_sentences():
+    return [line for line in
+            fp.demo_path("acquisition.txt").read_text().splitlines()
+            if line.strip()]
+
+
+BLOCKS = {**{name: (lambda seeds=seeds: _seed_digest(seeds))
+             for name, seeds in SEED_BLOCKS.items()},
+          "demo-ladder": lambda: _demo_digest(LADDER),
+          "demo-acquisition": lambda: _demo_digest(_acquisition_sentences())}
+
+
+def digests() -> str:
+    """The contents of the digest file for the current tree."""
+    return "".join(f"{name}\t{block()}\n" for name, block in BLOCKS.items())
+
+
+def _stored() -> dict[str, str]:
+    lines = DIGESTS.read_text(encoding="utf-8").splitlines()
+    return dict(line.split("\t") for line in lines)
+
+
+def test_stored_blocks_are_the_blocks():
+    assert list(_stored()) == list(BLOCKS)
+
+
+@pytest.mark.parametrize("name", list(BLOCKS))
+def test_block_digest_unchanged(name):
+    assert BLOCKS[name]() == _stored()[name]
