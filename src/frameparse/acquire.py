@@ -75,7 +75,7 @@ def hypothesize_entries(store: ObservationStore, min_count: int = 1,
     relative frequencies are renormalised so each lemma's entries sum
     to one.
     """
-    if min_count < 0 or not 0 <= min_relfreq < math.inf:
+    if not (0 <= min_count < math.inf and 0 <= min_relfreq < math.inf):
         raise ValueError("thresholds must be finite and non-negative")
     entries = []
     for lemma in sorted(store.frames):

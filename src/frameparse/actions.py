@@ -147,8 +147,9 @@ class ActionModel:
     :func:`train_actions`), after which instances are safely shared
     across concurrent parses.  :meth:`prob` gives each listed step's
     probability; for the search, ``shift_logprobs`` holds each shift's
-    log-probability by ``(state, tag)`` and ``reduce_logprobs`` each
-    reduce's by ``(state, lookahead, rule id)``.
+    log-probability by ``(state, tag)``, ``reduce_logprobs`` each
+    reduce's by ``(state, lookahead, rule id)`` and ``accept_logprobs``
+    each accept's by state.
     """
 
     def __init__(self, table: LRTable,
@@ -177,6 +178,7 @@ class ActionModel:
         self._probs: dict[tuple[int, str, tuple], float] = {}
         self.shift_logprobs: dict[tuple[int, str], float] = {}
         self.reduce_logprobs: dict[tuple[int, str, int], float] = {}
+        self.accept_logprobs: dict[int, float] = {}
         for (state, lookahead), available in table.actions.items():
             class_counts = self.counts.get((state, lookahead), {})
             total = sum(class_counts.values())
@@ -189,6 +191,8 @@ class ActionModel:
                 elif action[0] == "reduce":
                     self.reduce_logprobs[(state, lookahead, action[1])] = \
                         math.log(prob)
+                else:
+                    self.accept_logprobs[state] = math.log(prob)
 
     def prob(self, state: int, lookahead: str, action: tuple) -> float:
         """Raises ``KeyError`` for a step the table does not list."""
@@ -247,8 +251,9 @@ class _Vertex:
         self.edges = edges
         self.ambiguous = ambiguous
         self.derivations = [(score, best, (0,) * len(edges[best][1]))]
+        # both made when a second derivation is first asked for
         self.candidates: Optional[list] = None
-        self.seen: set = set()
+        self.seen: Optional[set] = None
 
 
 def _edge_score(edge: tuple, ranks: tuple[int, ...]) -> float:
@@ -271,17 +276,10 @@ class _ForestSearch:
         self.vertices: dict[tuple[ForestNode, int], _Vertex] = {}
 
     def visit(self, node: ForestNode, state: int) -> _Vertex:
-        """The vertex of ``node`` entered from ``state``, not made yet,
-        with its best derivation."""
+        """The vertex of the non-leaf ``node`` entered from ``state``, not
+        made yet, with its best derivation."""
         vertices = self.vertices
         model = self.model
-        if node.leaf:
-            key = (state, node.symbol)
-            weight = model.shift_logprobs[key]
-            vertex = vertices[(node, state)] = _Vertex(
-                node, model.table.shifts[key],
-                [(None, (), state, weight, 0.0, weight)], 0, weight, False)
-            return vertex
         lookahead = self.lookaheads[node.end]
         reduce_logprobs = model.reduce_logprobs
         lexical = self.lexical
@@ -296,7 +294,16 @@ class _ForestSearch:
             for daughter in daughters:
                 tail = vertices.get((daughter, entry))
                 if tail is None:
-                    tail = self.visit(daughter, entry)
+                    if daughter.leaf:
+                        # a leaf's one edge is its shift
+                        key = (entry, daughter.symbol)
+                        weight = model.shift_logprobs[key]
+                        tail = vertices[(daughter, entry)] = _Vertex(
+                            daughter, model.table.shifts[key],
+                            [(None, (), entry, weight, 0.0, weight)], 0,
+                            weight, False)
+                    else:
+                        tail = self.visit(daughter, entry)
                 tails.append(tail)
                 score += tail.derivations[0][0]
                 entry = tail.exit
@@ -326,9 +333,10 @@ class _ForestSearch:
         if heap is None:
             # GetCandidates: every other edge's best derivation
             heap = vertex.candidates = []
+            seen = vertex.seen = set()
             for index, edge in enumerate(vertex.edges):
                 ranks = (0,) * len(edge[1])
-                vertex.seen.add((index, ranks))
+                seen.add((index, ranks))
                 if index != found[0][1]:
                     heap.append((-_edge_score(edge, ranks), index, ranks))
             heapq.heapify(heap)
@@ -400,7 +408,7 @@ def unpack_n_best(forest: Forest, model: ActionModel, n: int,
     search = _ForestSearch(forest, model, lexical)
     root = search.visit(forest.root, model.table.start_state)
     accept = (root.exit, END_MARKER, ("accept",))
-    accept_logprob = math.log(model.prob(*accept))
+    accept_logprob = model.accept_logprobs[root.exit]
     popped = 0
     floor = None
     while search.has_derivation(root, popped):

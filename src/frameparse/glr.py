@@ -28,30 +28,21 @@ class ParseError(ValueError):
 
 class ForestNode:
     """Packed node for one (category, span); ambiguity lives in
-    ``alternatives``, each a (rule, daughter forest nodes) pair."""
+    ``alternatives``, each a (rule, daughter forest nodes) pair.  A leaf
+    has none."""
 
-    __slots__ = ("symbol", "start", "end", "leaf", "alternatives", "_alt_keys")
+    __slots__ = ("symbol", "start", "end", "leaf", "alternatives")
 
     def __init__(self, symbol: str, start: int, end: int, leaf: bool = False):
         self.symbol = symbol
         self.start = start
         self.end = end
         self.leaf = leaf
-        self.alternatives: list[tuple[Rule, tuple["ForestNode", ...]]] = []
-        self._alt_keys: set = set()
+        self.alternatives: list[tuple[Rule, tuple["ForestNode", ...]]] = \
+            () if leaf else []
 
     def key(self) -> tuple[str, int, int]:
         return (self.symbol, self.start, self.end)
-
-    def add_alternative(self, rule: Rule, children: tuple["ForestNode", ...]) -> bool:
-        # Nodes are unique per (symbol, start, end) within one parse, so
-        # the daughters' identity tells alternatives apart.
-        alt_key = (rule.rule_id, children)
-        if alt_key in self._alt_keys:
-            return False
-        self._alt_keys.add(alt_key)
-        self.alternatives.append((rule, children))
-        return True
 
     def __repr__(self):
         return "ForestNode(%s, %d, %d, alts=%d)" % (
@@ -110,23 +101,6 @@ class _GssNode:
         self.edges: dict[tuple[ForestNode, "_GssNode"], None] = {}
 
 
-def _paths(node: _GssNode, length: int,
-           via: Optional[tuple[ForestNode, _GssNode]]):
-    """All backward paths of exactly ``length`` edges from ``node``.
-
-    When ``via`` is given the first step is pinned to that edge, which
-    restricts a re-run reduction to paths through a newly added edge.
-    Returns (daughter forest nodes left-to-right, path base node) pairs.
-    """
-    # Extending every path by one edge at a time, in edge order, lists
-    # them in the order of a depth-first walk.
-    paths = [((), node)] if via is None else [((via[0],), via[1])]
-    for _ in range(length - len(paths[0][0])):
-        paths = [((label,) + labels, target) for labels, base in paths
-                 for label, target in base.edges]
-    return paths
-
-
 def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
     """Parse a PoS-tag sequence into a packed forest.
 
@@ -140,42 +114,63 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
             raise ParseError(f"unknown terminal {tok!r} at index {i}")
 
     nodes: dict[tuple[str, int, int], ForestNode] = {}
+    # (packed node, rule id, daughters) of every alternative added:
+    # nodes are unique per (symbol, start, end) within one parse, so the
+    # daughters' identity tells alternatives apart.
+    added: set[tuple[ForestNode, int, tuple[ForestNode, ...]]] = set()
+    reduces = table.reduces
+    gotos = table.gotos
     n = len(tokens)
     frontier: dict[int, _GssNode] = {
         table.start_state: _GssNode(table.start_state, 0)}
 
-    def schedule(node: _GssNode, via: Optional[tuple] = None) -> None:
-        # queue node's reductions on the lookahead, pinned to a new edge
-        for rule in table.reduces.get((node.state, lookahead), ()):
-            work.append((node, rule, via))
-
     for i in range(n + 1):
         lookahead = tokens[i] if i < n else END_MARKER
+        # (node, rule, edge): a reduction of node on the lookahead, its
+        # paths pinned to a newly added first edge when one is given.
+        # The loop below runs the reductions it appends as well.
         work: list[tuple[_GssNode, Rule, Optional[tuple]]] = []
         for state in sorted(frontier):
-            schedule(frontier[state])
-        cursor = 0
-        while cursor < len(work):
-            node, rule, via = work[cursor]
-            cursor += 1
+            node = frontier[state]
+            for rule in reduces.get((state, lookahead), ()):
+                work.append((node, rule, None))
+        for node, rule, via in work:
             lhs = rule.mother
-            for children, base in _paths(node, len(rule.daughters), via):
+            # Every backward path of the rule's length, as (daughters
+            # left to right, base node): extending every path by one
+            # edge at a time, in edge order, lists them in the order of
+            # a depth-first walk.
+            length = len(rule.daughters)
+            if via is None:
+                paths = [((), node)]
+            else:
+                paths = [((via[0],), via[1])]
+                length -= 1
+            for _ in range(length):
+                paths = [((label,) + labels, target) for labels, base in paths
+                         for label, target in base.edges]
+            for children, base in paths:
                 key = (lhs, base.pos, i)
                 packed = nodes.get(key)
                 if packed is None:
                     packed = nodes[key] = ForestNode(lhs, base.pos, i)
-                packed.add_alternative(rule, children)
-                target_state = table.gotos[(base.state, lhs)]
+                alternative = (packed, rule.rule_id, children)
+                if alternative not in added:
+                    added.add(alternative)
+                    packed.alternatives.append((rule, children))
+                target_state = gotos[(base.state, lhs)]
                 edge = (packed, base)
                 existing = frontier.get(target_state)
                 if existing is None:
                     fresh = _GssNode(target_state, i)
                     frontier[target_state] = fresh
                     fresh.edges[edge] = None
-                    schedule(fresh)
+                    for next_rule in reduces.get((target_state, lookahead), ()):
+                        work.append((fresh, next_rule, None))
                 elif edge not in existing.edges:
                     existing.edges[edge] = None
-                    schedule(existing, edge)
+                    for next_rule in reduces.get((target_state, lookahead), ()):
+                        work.append((existing, next_rule, edge))
         if i == n:
             break
         # no node ends past i yet, so the leaf is new

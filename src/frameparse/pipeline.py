@@ -2,7 +2,8 @@
 
 Bundles the immutable components (grammar, table, action model,
 wordlist, lemmatizer, optional frame lexicon) behind one object so the
-CLI, acquisition, and evaluation drive the same code path.  Distinct
+CLI, acquisition, and evaluation drive the same code path; its only
+mutable state is a memo of the listed words' tokens.  Distinct
 sentences may be analyzed concurrently; a single analysis is sequential.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from . import preprocess
 from .actions import ActionModel, RankedAnalysis, unpack_n_best
 from .glr import Forest, glr_parse
 from .grammar import Grammar, normalize_kleene
@@ -60,18 +62,32 @@ class ParserPipeline:
             if tag not in self.grammar.terminals:
                 kind = "unknown-word" if tag in unknown_word_tags else "wordlist"
                 raise ValueError(f"{kind} tag {tag!r} is not a grammar terminal")
+        # The token of each listed surface form seen: tagging is per
+        # word, so it is the same in every sentence.  Unlisted forms are
+        # tagged afresh, so this holds at most the wordlist's forms and
+        # the case variants seen of them.
+        self._listed_tokens: dict[str, Token] = {}
 
     def tag(self, sentence: str) -> list[Token]:
-        # Looked up at call time: ``perfbench/tracing`` patches
-        # ``preprocess.tokenize`` after this module is loaded.
-        from .preprocess import tokenize
-        # Unlisted punctuation would be tagged a noun by the unknown-word
-        # rule and put the sentence out of coverage, so it is dropped
-        # (``isalnum`` first: it settles most words without the scan).
-        words = [word for word in tokenize(sentence)
-                 if word.isalnum() or any(c.isalnum() for c in word)
-                 or self.wordlist.lookup(word)]
-        return tag_tokens(words, self.wordlist, self.lemmatizer)
+        # ``tokenize`` is looked up on its module at call time, where
+        # ``perfbench/tracing`` patches it after this module is loaded.
+        memo = self._listed_tokens
+        tokens = []
+        for word in preprocess.tokenize(sentence):
+            token = memo.get(word)
+            if token is None:
+                listed = self.wordlist.lookup(word)
+                # Unlisted punctuation would be tagged a noun by the
+                # unknown-word rule and put the sentence out of coverage,
+                # so it is dropped.
+                if not (listed or word.isalnum()
+                        or any(c.isalnum() for c in word)):
+                    continue
+                token = tag_tokens([word], self.wordlist, self.lemmatizer)[0]
+                if listed:
+                    memo[word] = token
+            tokens.append(token)
+        return tokens
 
     def parse_tags(self, tags: Sequence[str]) -> Forest:
         return glr_parse(tags, self.table)

@@ -108,3 +108,11 @@ class TestHypothesize:
         store.add("v", "NP")
         with pytest.raises(ValueError, match="finite"):
             fp.hypothesize_entries(store, min_relfreq=min_relfreq)
+
+    @pytest.mark.parametrize("min_count", [float("nan"), float("inf")])
+    def test_non_finite_min_count_rejected(self, min_count):
+        # both would silently drop every frame
+        store = fp.ObservationStore(cap=100)
+        store.add("v", "NP")
+        with pytest.raises(ValueError, match="finite"):
+            fp.hypothesize_entries(store, min_count=min_count)

@@ -58,6 +58,22 @@ def test_listed_punctuation_kept(demo_grammar):
     assert [t.surface for t in pipe.tag("the , the ;")] == ["the", ",", "the"]
 
 
+def test_listed_tokens_memoized(demo_grammar, demo_table, demo_wordlist,
+                                demo_lemmatizer):
+    pipe = fp.ParserPipeline(demo_grammar, table=demo_table,
+                             wordlist=demo_wordlist, lemmatizer=demo_lemmatizer)
+    # "The" is listed through its lowercase form; "Zork" and "blorf" are
+    # unlisted, and the comma and the full stop are dropped
+    sentence = "The child sees Zork, the blorf."
+    expected = fp.tag_tokens(["The", "child", "sees", "Zork", "the", "blorf"],
+                             demo_wordlist, demo_lemmatizer)
+    # tagged afresh, then partly from the memo
+    assert pipe.tag(sentence) == expected
+    assert pipe.tag(sentence) == expected
+    assert set(pipe._listed_tokens) == {"The", "child", "sees", "the"}
+    assert pipe._listed_tokens["The"].lemma == "the"
+
+
 def test_wordlist_tag_outside_terminals_rejected(demo_grammar):
     wl = fp.parse_wordlist("weird\tzz\n")
     with pytest.raises(ValueError, match="^wordlist tag 'zz' is not a grammar "
@@ -207,9 +223,17 @@ def test_n_below_one_rejected(uniform_pipeline, n):
         uniform_pipeline.analyze("the child sees a dog", n=n)
 
 
-def test_benchmark_tracer_installs(lexicalized_pipeline):
+def test_benchmark_tracer_installs(demo_grammar, demo_table, adversarial_model,
+                                   demo_wordlist, demo_lemmatizer,
+                                   acquired_lexicon):
     # perfbench/tracing.py wraps functions under the names their callers
     # look up, so renaming one of them breaks every traced benchmark run.
+    # A fresh pipeline has tagged no word yet, so tag_tokens runs inside
+    # the traced window.
+    lexicalized_pipeline = fp.ParserPipeline(
+        demo_grammar, table=demo_table, model=adversarial_model,
+        wordlist=demo_wordlist, lemmatizer=demo_lemmatizer,
+        lexicon=acquired_lexicon)
     path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
