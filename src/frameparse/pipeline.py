@@ -80,8 +80,7 @@ class ParserPipeline:
                 # Unlisted punctuation would be tagged a noun by the
                 # unknown-word rule and put the sentence out of coverage,
                 # so it is dropped.
-                if not (listed or word.isalnum()
-                        or any(c.isalnum() for c in word)):
+                if not (listed or any(c.isalnum() for c in word)):
                     continue
                 token = tag_tokens([word], self.wordlist, self.lemmatizer)[0]
                 if listed:
