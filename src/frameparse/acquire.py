@@ -1,14 +1,18 @@
 """Subcategorisation acquisition from a raw corpus.
 
-Each corpus sentence is parsed with the baseline (purely structural)
-model; the verb frames of the top-ranked analysis are recorded per
-lemma, in corpus order, keeping only the first ``cap`` cases per verb.
-Frames with enough evidence are then hypothesized into lexicon entries,
-with relative frequencies renormalised over the surviving entries.
+Each corpus sentence is parsed; the verb frames of its top analysis
+under the baseline (purely structural) model are recorded per lemma, in
+corpus order, keeping only the first ``cap`` cases per verb.  A parsed
+sentence is ranked only if one of its verb tokens (a token whose tag
+heads a frame-assigning rule) has a lemma that is not yet full: the
+frames of any other sentence would all be dropped by the cap.  Frames
+with enough evidence are then hypothesized into lexicon entries, with
+relative frequencies renormalised over the surviving entries.
 
-Observations are deterministic in corpus order; parsing sentences
-concurrently is fine as long as appends stay serialized per lemma,
-since the cap semantics depend on that order.
+Observations are deterministic in corpus order.  Tagging and parsing
+sentences concurrently is fine, but whether a sentence is ranked reads
+the store, so that decision and the appends must be made in corpus
+order, since the cap semantics depend on that order.
 """
 
 from __future__ import annotations
@@ -26,10 +30,18 @@ class ObservationStore:
     __slots__ = ("cap", "frames", "parsed_sentences", "skipped_sentences")
 
     def __init__(self, cap: int):
+        if not isinstance(cap, int) or cap < 0:
+            raise ValueError(f"cap must be a non-negative int, got {cap!r}")
         self.cap = cap
         self.frames: dict[str, list[str]] = {}
         self.parsed_sentences = 0
         self.skipped_sentences = 0
+
+    def full(self, lemma: str) -> bool:
+        """True iff ``lemma`` is registered and holds ``cap`` frames, so
+        that :meth:`add` for it returns ``False`` and changes nothing."""
+        observed = self.frames.get(lemma)
+        return observed is not None and len(observed) >= self.cap
 
     def add(self, lemma: str, frame: str) -> bool:
         observed = self.frames.setdefault(lemma, [])
@@ -48,20 +60,31 @@ def observe_corpus(sentences: Iterable[str], pipeline, cap: int = 1000
 
     ``pipeline`` is a :class:`frameparse.pipeline.ParserPipeline`; the
     structural top parse is used regardless of any attached lexicon.
-    Out-of-coverage sentences are skipped and counted.
+    Out-of-coverage sentences are skipped and counted.  A parsed
+    sentence is ranked only if some token whose tag heads a rule with a
+    frame (see :attr:`~frameparse.grammar.Grammar.instance_frames`) has
+    a lemma the store does not yet hold ``cap`` frames for; a sentence
+    without one could add no observation.  ``cap`` must be an int >= 0.
     """
-    if cap < 0:
-        raise ValueError("cap must be non-negative")
     store = ObservationStore(cap=cap)
+    grammar = pipeline.grammar
+    # verb_frames reads the lemma of a frame rule's head daughter, a
+    # terminal, so only tokens with these tags can yield an observation.
+    verb_tags = {rule.daughters[rule.head_index]
+                 for rule, frame in zip(grammar.rules, grammar.instance_frames)
+                 if frame is not None}
     for sentence in sentences:
-        result = pipeline.analyze(sentence, n=1, lexicalized=False)
-        if not result.analyses:
+        tokens = pipeline.tag(sentence)
+        forest = pipeline.parse_tags([token.tag for token in tokens])
+        if forest.root is None:
             store.skipped_sentences += 1
             continue
         store.parsed_sentences += 1
-        top = result.analyses[0]
-        for instance in verb_frames(top.derivation, pipeline.grammar,
-                                    result.tokens):
+        if all(token.tag not in verb_tags or store.full(token.lemma)
+               for token in tokens):
+            continue
+        top = pipeline.rank(forest, tokens, 1, False)[0]
+        for instance in verb_frames(top.derivation, grammar, tokens):
             store.add(instance.lemma, instance.frame)
     return store
 

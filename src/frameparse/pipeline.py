@@ -91,13 +91,12 @@ class ParserPipeline:
     def parse_tags(self, tags: Sequence[str]) -> Forest:
         return glr_parse(tags, self.table)
 
-    def analyze(self, sentence: str, n: int = 1,
-                lexicalized: bool = True) -> SentenceResult:
-        """Tokenize, tag, parse, and rank one sentence (see :meth:`rank`)."""
+    def analyze(self, sentence: str, n: int = 1) -> SentenceResult:
+        """Tokenize, tag, parse, and rank one sentence (see :meth:`rank`),
+        with the attached lexicon's frame term if there is one."""
         tokens = self.tag(sentence)
         forest = self.parse_tags([token.tag for token in tokens])
-        return SentenceResult(sentence, tokens,
-                              self.rank(forest, tokens, n, lexicalized))
+        return SentenceResult(sentence, tokens, self.rank(forest, tokens, n))
 
     def rank(self, forest: Forest, tokens: Sequence[Token], n: int = 1,
              lexicalized: bool = True) -> list[RankedAnalysis]:

@@ -160,19 +160,19 @@ def test_criterion_07_end_to_end_direction(adversarial_pipeline,
     assert len(suite_sentences) == 20
     assert lexicalized_pipeline.lexicon is not None  # acquisition-derived
 
-    def top_gr_sets(pipeline, lexicalized):
+    def top_gr_sets(pipeline):
         sets = []
         for sentence in suite_sentences:
-            result = pipeline.analyze(sentence, n=1, lexicalized=lexicalized)
+            result = pipeline.analyze(sentence, n=1)
             assert result.analyses, sentence
             sets.append(fp.extract_grs(result.analyses[0].derivation,
                                        pipeline.grammar, result.tokens))
         return sets
 
     base_report = fp.aggregate_grs(
-        list(zip(top_gr_sets(adversarial_pipeline, False), suite_gold_grs)))
+        list(zip(top_gr_sets(adversarial_pipeline), suite_gold_grs)))
     lex_report = fp.aggregate_grs(
-        list(zip(top_gr_sets(lexicalized_pipeline, True), suite_gold_grs)))
+        list(zip(top_gr_sets(lexicalized_pipeline), suite_gold_grs)))
     assert lex_report.precision > base_report.precision
     t_test = fp.paired_t_test(lex_report.per_sentence_precision,
                               base_report.per_sentence_precision)

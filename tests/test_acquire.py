@@ -27,6 +27,72 @@ def test_out_of_coverage_counted(adversarial_pipeline):
     assert store.parsed_sentences == 0
 
 
+def _count_ranks(monkeypatch, pipeline):
+    calls = []
+    rank = pipeline.rank
+
+    def counted(*args):
+        calls.append(args)
+        return rank(*args)
+    monkeypatch.setattr(pipeline, "rank", counted)
+    return calls
+
+
+def test_sentence_of_capped_verbs_is_not_ranked(adversarial_pipeline,
+                                                monkeypatch):
+    calls = _count_ranks(monkeypatch, adversarial_pipeline)
+    store = fp.observe_corpus(["the child sees a dog"] * 5,
+                              adversarial_pipeline, cap=1)
+    assert len(calls) == 1
+    assert store.frames == {"see": ["NP"]}
+    assert store.parsed_sentences == 5
+    assert store.skipped_sentences == 0
+
+
+def test_out_of_coverage_with_capped_verb_counted(adversarial_pipeline):
+    store = fp.observe_corpus(["the child sees a dog",
+                               "the child sees the the"],
+                              adversarial_pipeline, cap=1)
+    assert store.frames == {"see": ["NP"]}
+    assert store.parsed_sentences == 1
+    assert store.skipped_sentences == 1
+
+
+def test_uncapped_verb_beside_capped_one_recorded(adversarial_pipeline):
+    store = fp.observe_corpus(["Paul intends to sleep",
+                               "Paul intends to leave IBM"],
+                              adversarial_pipeline, cap=1)
+    assert store.frames == {"intend": ["VPINF"], "sleep": ["NONE"],
+                            "leave": ["NP"]}
+
+
+def test_zero_cap_registers_each_lemma_once(adversarial_pipeline,
+                                            monkeypatch):
+    calls = _count_ranks(monkeypatch, adversarial_pipeline)
+    store = fp.observe_corpus(["the child sees a dog"] * 3
+                              + ["Paul intends to leave IBM"],
+                              adversarial_pipeline, cap=0)
+    assert store.frames == {"see": [], "intend": [], "leave": []}
+    assert len(calls) == 2
+    assert store.parsed_sentences == 4
+
+
+def test_grammar_without_frames_ranks_nothing(demo_wordlist, demo_lemmatizer,
+                                              monkeypatch):
+    grammar = fp.parse_grammar(
+        "terminals: det n pn v aux prep to\nverbs: v\nstart: S\n"
+        "S -> NP VP(head)\nNP -> det n(head)\nNP -> pn(head)\n"
+        "VP -> v(head) NP\n")
+    pipeline = fp.ParserPipeline(grammar, wordlist=demo_wordlist,
+                                 lemmatizer=demo_lemmatizer)
+    calls = _count_ranks(monkeypatch, pipeline)
+    store = fp.observe_corpus(["Paul sees the dog", "the child sees Paul"],
+                              pipeline)
+    assert calls == []
+    assert store.frames == {}
+    assert store.parsed_sentences == 2
+
+
 def test_determinism(adversarial_pipeline):
     sentences = [line for line in
                  fp.demo_path("acquisition.txt").read_text().splitlines()
@@ -100,6 +166,15 @@ class TestHypothesize:
             fp.hypothesize_entries(fp.ObservationStore(cap=100), min_count=-1)
         with pytest.raises(ValueError):
             fp.observe_corpus([], None, cap=-1)
+
+    @pytest.mark.parametrize("cap", [float("nan"), 1.5, 2.0, "2", None])
+    def test_non_int_cap_rejected(self, cap):
+        # NaN compares false with every length, so it would keep every
+        # frame; 1.5 would act as 2
+        with pytest.raises(ValueError, match="non-negative int"):
+            fp.observe_corpus([], None, cap=cap)
+        with pytest.raises(ValueError, match="non-negative int"):
+            fp.ObservationStore(cap=cap)
 
     @pytest.mark.parametrize("min_relfreq", [-0.5, float("nan"), float("inf")])
     def test_non_finite_min_relfreq_rejected(self, min_relfreq):

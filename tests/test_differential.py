@@ -8,7 +8,10 @@ share: each analysis's trace and the ``repr`` of both scores.  Odd seeds
 draw random counts over the table's sorted keys; even seeds use the
 uniform model, so that ties occur.  The demo ladder k = 0..12 and the
 acquisition corpus are hashed the same way through the pipeline, with
-the demo lexicon, together with their tokens.
+the demo lexicon, together with their tokens.  The acquisition corpus,
+cycled three times, is also run through ``observe_corpus`` at caps 0,
+1, 2, 3 and 1000, hashing the store (frames in order and both sentence
+counts) and the hypothesized entries, so that a cap that binds shows.
 
 One digest per block is stored in ``tests/golden/differential.tsv``, so
 a failure names each block that moved.  After a deliberate change of a
@@ -112,10 +115,22 @@ def _acquisition_sentences():
             if line.strip()]
 
 
+def _store_digest(sentences) -> str:
+    digest = hashlib.sha256()
+    for cap in (0, 1, 2, 3, 1000):
+        store = fp.observe_corpus(sentences, _demo_pipeline(), cap=cap)
+        digest.update(repr((cap, store.frames, store.parsed_sentences,
+                            store.skipped_sentences)).encode())
+        digest.update(repr(fp.hypothesize_entries(store).entries()).encode())
+    return digest.hexdigest()
+
+
 BLOCKS = {**{name: (lambda seeds=seeds: _seed_digest(seeds))
              for name, seeds in SEED_BLOCKS.items()},
           "demo-ladder": lambda: _demo_digest(LADDER),
-          "demo-acquisition": lambda: _demo_digest(_acquisition_sentences())}
+          "demo-acquisition": lambda: _demo_digest(_acquisition_sentences()),
+          "demo-acquisition-store":
+              lambda: _store_digest(_acquisition_sentences() * 3)}
 
 
 def digests() -> str:

@@ -33,11 +33,12 @@ def test_baseline_mode_lexical_zero(adversarial_pipeline):
 
 
 def test_lexicalized_flag_forced_off(lexicalized_pipeline):
-    sentence = "the child sees a dog in the park"
-    base = lexicalized_pipeline.analyze(sentence, lexicalized=False)
-    assert base.analyses[0].lexical_logprob == 0.0
-    lex = lexicalized_pipeline.analyze(sentence, lexicalized=True)
-    assert lex.analyses[0].lexical_logprob < 0.0
+    tokens = lexicalized_pipeline.tag("the child sees a dog in the park")
+    forest = lexicalized_pipeline.parse_tags([token.tag for token in tokens])
+    [base] = lexicalized_pipeline.rank(forest, tokens, 1, False)
+    assert base.lexical_logprob == 0.0
+    [lex] = lexicalized_pipeline.rank(forest, tokens, 1, True)
+    assert lex.lexical_logprob < 0.0
 
 
 def test_unlisted_punctuation_dropped(adversarial_pipeline):
