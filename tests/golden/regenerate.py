@@ -1,6 +1,6 @@
 """Rewrite the golden CLI outputs of ``tests/test_golden.py`` and the
-forest and ranking digests of ``tests/test_differential.py`` from the
-current tree, after deleting the old files:
+table, forest and ranking digests of ``tests/test_differential.py`` from
+the current tree, after deleting the old files:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 """

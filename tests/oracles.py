@@ -229,6 +229,48 @@ def random_grammar(rng: random.Random) -> Grammar:
             continue  # e.g. a unit cycle through two non-terminals
 
 
+def wide_grammar(rng: random.Random, rules: int, nonterminals: int,
+                 terminals: int) -> Grammar:
+    """A random grammar of ``rules`` distinct rules of length 1-4 over
+    non-terminals ``N0`` (the start symbol) to ``N<nonterminals-1>`` and
+    terminals ``t0`` to ``t<terminals-1>``.
+
+    Each non-terminal's first rule is all terminals, so every one is
+    productive, and a unit rule only names a later non-terminal, so no
+    derivation cycle arises.  Such grammars are denser in conflicts than
+    a natural-language grammar is, which makes them a hard case for
+    table construction."""
+    mothers = ["N%d" % i for i in range(nonterminals)]
+    words = ["t%d" % i for i in range(terminals)]
+    shapes = [(nt, tuple(rng.choice(words) for _ in range(rng.randint(1, 2))))
+              for nt in mothers]
+    for index in range(1, nonterminals):
+        # an earlier non-terminal names this one, so all are reachable
+        rhs = [rng.choice(words + mothers) for _ in range(rng.randint(1, 3))]
+        rhs.insert(rng.randint(0, len(rhs)), mothers[index])
+        shapes.append((mothers[rng.randrange(index)], tuple(rhs)))
+    seen = set(shapes)
+    while len(shapes) < rules:
+        index = rng.randrange(nonterminals)
+        length = rng.randint(1, 4)
+        if length == 1:
+            rhs = (rng.choice(words + mothers[index + 1:]),)
+        else:
+            rhs = tuple(rng.choice((words, mothers)[rng.randrange(2)])
+                        for _ in range(length))
+        shape = (mothers[index], rhs)
+        if shape not in seen:
+            seen.add(shape)
+            shapes.append(shape)
+    lines = ["terminals: " + " ".join(words), "start: N0"]
+    for nt, rhs in shapes:
+        head = rng.randrange(len(rhs))
+        lines.append("%s -> %s" % (nt, " ".join(
+            sym + "(head)" if k == head and len(rhs) > 1 else sym
+            for k, sym in enumerate(rhs))))
+    return parse_grammar("\n".join(lines))
+
+
 def random_sentences(grammar: Grammar, rng: random.Random, count: int,
                      max_len: int = 10):
     """Half sampled from the grammar, half uniform noise."""

@@ -1,4 +1,4 @@
-"""A standing differential gate for forests and rankings.
+"""A standing differential gate for parse tables, forests and rankings.
 
 For a fixed list of ``oracles.random_grammar`` seeds, every
 ``random_sentences`` forest is hashed (node keys in insertion order,
@@ -12,10 +12,13 @@ the demo lexicon, together with their tokens.  The acquisition corpus,
 cycled three times, is also run through ``observe_corpus`` at caps 0,
 1, 2, 3 and 1000, hashing the store (frames in order and both sentence
 counts) and the hypothesized entries, so that a cap that binds shows.
+The parse tables of the demo grammar, of the same seeds' grammars and of
+the 50- and 100-rule ``wide_grammar`` fixtures are hashed too: the state
+count, the start state, the actions and the gotos, in their dict order.
 
 One digest per block is stored in ``tests/golden/differential.tsv``, so
 a failure names each block that moved.  After a deliberate change of a
-forest or a ranking, rewrite it with ``tests/golden/regenerate.py``.
+table, a forest or a ranking, rewrite it with ``tests/golden/regenerate.py``.
 """
 
 import hashlib
@@ -27,13 +30,14 @@ from pathlib import Path
 import pytest
 
 import frameparse as fp
-from oracles import random_grammar, random_sentences
+from oracles import random_grammar, random_sentences, wide_grammar
 
 DIGESTS = Path(__file__).resolve().parent / "golden" / "differential.tsv"
 
 SEED_BLOCKS = {f"seeds-{low:03d}-{low + 99:03d}": range(low, low + 100)
                for low in range(0, 600, 100)}
 LADDER = ["the child sees a dog" + " in the park" * k for k in range(13)]
+WIDE_SHAPES = ((50, 10), (100, 12))  # (rules, non-terminals), 15 terminals
 
 
 def _share(rule, daughters):
@@ -125,12 +129,28 @@ def _store_digest(sentences) -> str:
     return digest.hexdigest()
 
 
+def _table_digest() -> str:
+    demo = fp.load_grammar(fp.demo_path("demo.grammar"))
+    grammars = [fp.normalize_kleene(demo)]
+    grammars += [random_grammar(random.Random(seed)) for seed in range(600)]
+    grammars += [wide_grammar(random.Random(0), rules, nonterminals, 15)
+                 for rules, nonterminals in WIDE_SHAPES]
+    digest = hashlib.sha256()
+    for grammar in grammars:
+        table = fp.build_table(grammar)
+        digest.update(repr((table.n_states, table.start_state,
+                            list(table.actions.items()),
+                            list(table.gotos.items()))).encode())
+    return digest.hexdigest()
+
+
 BLOCKS = {**{name: (lambda seeds=seeds: _seed_digest(seeds))
              for name, seeds in SEED_BLOCKS.items()},
           "demo-ladder": lambda: _demo_digest(LADDER),
           "demo-acquisition": lambda: _demo_digest(_acquisition_sentences()),
           "demo-acquisition-store":
-              lambda: _store_digest(_acquisition_sentences() * 3)}
+              lambda: _store_digest(_acquisition_sentences() * 3),
+          "tables": _table_digest}
 
 
 def digests() -> str:
