@@ -327,6 +327,9 @@ def parse_grammar(text: str) -> Grammar:
         NP -> pn+ pn(head)
 
     Each declaration may appear once, and ``verbs:`` names terminals.
+    Every non-terminal must derive some terminal string, counting a
+    daughter marked ``?`` or ``*`` as left out; the first that derives
+    none is an error, located at its first rule.
     Kleene markers (``?``, ``*``, ``+``) are preserved; run
     :func:`normalize_kleene` before building parse tables.
     """
@@ -413,6 +416,38 @@ def _validate(grammar: Grammar, check_cycles: bool) -> None:
         seen_shapes.add(shape)
     if check_cycles:
         _check_cycle_free(grammar)
+    _check_productive(grammar)
+
+
+def _check_productive(grammar: Grammar) -> None:
+    # A non-terminal derives a terminal string once one of its rules has
+    # only such daughters, not counting those marked ``?`` or ``*``.  Each
+    # rule counts the daughters it still waits for, so a long chain of
+    # rules is settled in one pass over them.
+    waiting: list[set[str]] = []
+    users: dict[str, list[int]] = {}
+    ready = []
+    for index, rule in enumerate(grammar.rules):
+        needed = {symbol for symbol, marker in zip(rule.daughters, rule.markers)
+                  if marker in ("", "+") and symbol not in grammar.terminals}
+        waiting.append(needed)
+        for symbol in needed:
+            users.setdefault(symbol, []).append(index)
+        if not needed:
+            ready.append(rule.mother)
+    productive: set[str] = set()
+    while ready:
+        symbol = ready.pop()
+        if symbol not in productive:
+            productive.add(symbol)
+            for index in users.get(symbol, ()):
+                waiting[index].discard(symbol)
+                if not waiting[index]:
+                    ready.append(grammar.rules[index].mother)
+    for rule in grammar.rules:
+        if rule.mother not in productive:
+            raise GrammarError(f"non-terminal {rule.mother!r} derives no "
+                               f"terminal string", rule.line)
 
 
 def _check_cycle_free(grammar: Grammar) -> None:

@@ -559,3 +559,14 @@ def test_unwritable_output_exits_2_before_any_work(tmp_path, model_file,
         assert captured.err == "error: file not found: /nowhere/input\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
     assert existing.read_bytes() == b"kept\n"
+
+
+def test_build_table_rejects_unproductive_nonterminal(tmp_path, capsys):
+    grammar = tmp_path / "dead.grammar"
+    grammar.write_text("terminals: a b c\nstart: S\nS -> a\nS -> C B(head)\n"
+                       "C -> c\nB -> B(head) b\n")
+    assert main(["build-table", "--grammar", str(grammar)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {grammar}: line 6: non-terminal 'B' "
+                            f"derives no terminal string\n")

@@ -247,3 +247,23 @@ class TestNormalize:
         # the dobj template referenced the omitted daughter and is dropped
         assert [t.relation for t in without_n.gr_templates] == ["iobj"]
         assert without_n.gr_templates[0].dependent_slot.value == 2
+
+
+def test_unproductive_nonterminal_rejected():
+    # B derives no terminal string, so its FIRST set is empty
+    text = ("terminals: a b c\nstart: S\nS -> a\nS -> C B(head)\nC -> c\n"
+            "B -> B(head) b\n")
+    with pytest.raises(GrammarError, match=(
+            r"^line 6: non-terminal 'B' derives no terminal string$")):
+        fp.parse_grammar(text)
+
+
+def test_optional_daughters_need_not_be_productive():
+    # S derives "a" by leaving T out, and T then derives "a b"
+    grammar = fp.parse_grammar(
+        "terminals: a b\nstart: S\nS -> T* a(head)\nT -> S(head) b\n")
+    assert fp.normalize_kleene(grammar).nonterminals == {"S", "T", "@rep_T"}
+    with pytest.raises(GrammarError,
+                       match="^line 3: non-terminal 'S' derives no"):
+        fp.parse_grammar(
+            "terminals: a b\nstart: S\nS -> T+ a(head)\nT -> S(head) b\n")
