@@ -6,10 +6,12 @@ reduce/reduce conflicts are not resolved: every action admissible for a
 (shifts before reduces, reduces by rule id, accept last) that also
 serves as the deterministic tie-break for equal derivation scores.
 
-Construction builds the canonical LR(1) collection and merges states
-with equal cores.  Tables are immutable once built and shareable across
-concurrent parses.  State numbering depends only on the grammar, never
-on hash order, so persisted action models remain valid across runs.
+Construction walks the LR(0) kernels and propagates lookahead sets
+along their transitions until none grows (Aho, Sethi & Ullman 1986,
+section 4.7), so the canonical LR(1) collection is never built.  Tables
+are immutable once built and shareable across concurrent parses.  State
+numbering depends only on the grammar, never on hash order, so persisted
+action models remain valid across runs.
 
 ``actions`` is the table as listed and persisted.  The parser, the
 forest search and training read its compiled form, built once with it:
@@ -100,7 +102,8 @@ def build_table(grammar: Grammar) -> LRTable:
     """Build the LALR(1) table for a normalized grammar.
 
     The grammar must be free of repetition markers (see
-    :func:`frameparse.grammar.normalize_kleene`) and cycle-free.
+    :func:`frameparse.grammar.normalize_kleene`) and cycle-free, and each
+    of its non-terminals must derive a terminal string, as loading checks.
     """
     if not grammar.rules:
         raise GrammarError("cannot build a table for an empty rule set")
@@ -121,88 +124,84 @@ def build_table(grammar: Grammar) -> LRTable:
             return (grammar.start_symbol,)
         return rules[rule_id].daughters
 
-    def closure(items: frozenset) -> frozenset:
-        out = set(items)
-        queue = deque(items)
-        while queue:
-            rule_id, dot, la = queue.popleft()
+    def closure(kernel: dict) -> dict:
+        # An added dot-0 item takes FIRST of what follows the non-terminal
+        # it expands, or, when nothing follows, the expanding item's own
+        # lookaheads; an item is expanded again whenever its set grows.
+        items = {item: set(las) for item, las in kernel.items()}
+        work = list(items)
+        while work:
+            rule_id, dot = item = work.pop()
             body = rhs(rule_id)
-            if dot >= len(body):
+            if dot >= len(body) or body[dot] not in nonterminals:
                 continue
-            symbol = body[dot]
-            if symbol not in nonterminals:
-                continue
-            lookaheads = first[body[dot + 1]] if dot + 1 < len(body) else (la,)
-            for sub in rules_by_lhs[symbol]:
-                for la2 in lookaheads:
-                    item = (sub.rule_id, 0, la2)
-                    if item not in out:
-                        out.add(item)
-                        queue.append(item)
-        return frozenset(out)
+            las = first[body[dot + 1]] if dot + 1 < len(body) else items[item]
+            for sub in rules_by_lhs[body[dot]]:
+                added = (sub.rule_id, 0)
+                target = items.setdefault(added, set())
+                if not las <= target:
+                    target |= las
+                    work.append(added)
+        return items
 
-    # Canonical LR(1) collection, explored in sorted-symbol order so the
-    # numbering is reproducible.
-    initial = closure(frozenset({(_AUGMENTED, 0, END_MARKER)}))
-    lr1_states: list[frozenset] = [initial]
-    lr1_index = {initial: 0}
-    lr1_moves: list[dict[str, int]] = [{}]
-    queue = deque([0])
+    # One worklist over LR(0) kernels whose items hold lookahead sets.  A
+    # state's successors are made on its first visit, in sorted-symbol
+    # order, so states are numbered in LR(0) breadth-first order and the
+    # numbering is reproducible.  Each visit pushes every item's set into
+    # its shifted item, and a successor whose set grew is visited again.
+    kernels: list[dict] = [{(_AUGMENTED, 0): {END_MARKER}}]
+    index = {frozenset(kernels[0]): 0}
+    moves: list[dict[str, int]] = []
+    queue, queued = deque([0]), {0}
     while queue:
         state_id = queue.popleft()
-        grouped: dict[str, set] = {}
-        for rule_id, dot, la in lr1_states[state_id]:
+        queued.discard(state_id)
+        grouped: dict[str, dict] = {}
+        for (rule_id, dot), las in closure(kernels[state_id]).items():
             body = rhs(rule_id)
             if dot < len(body):
-                grouped.setdefault(body[dot], set()).add((rule_id, dot + 1, la))
-        for symbol in sorted(grouped):
-            target = closure(frozenset(grouped[symbol]))
-            target_id = lr1_index.get(target)
-            if target_id is None:
-                target_id = len(lr1_states)
-                lr1_states.append(target)
-                lr1_index[target] = target_id
-                lr1_moves.append({})
-                queue.append(target_id)
-            lr1_moves[state_id][symbol] = target_id
+                grouped.setdefault(body[dot], {})[(rule_id, dot + 1)] = las
+        if state_id == len(moves):
+            successors = {}
+            for symbol in sorted(grouped):
+                core = frozenset(grouped[symbol])
+                target_id = index.get(core)
+                if target_id is None:
+                    target_id = index[core] = len(kernels)
+                    kernels.append({item: set() for item in grouped[symbol]})
+                    queue.append(target_id)
+                    queued.add(target_id)
+                successors[symbol] = target_id
+            moves.append(successors)
+        for symbol, target_id in moves[state_id].items():
+            kernel = kernels[target_id]
+            for item, las in grouped[symbol].items():
+                if not las <= kernel[item]:
+                    kernel[item] |= las
+                    if target_id not in queued:
+                        queue.append(target_id)
+                        queued.add(target_id)
 
-    # Merge states with equal cores (LALR).  States sharing a core also
-    # share per-symbol successors up to core equality, so transitions
-    # survive the merge unchanged.
-    def core_of(items: frozenset) -> frozenset:
-        return frozenset((rule_id, dot) for rule_id, dot, _ in items)
-
-    merged_of: dict[int, int] = {}
-    core_index: dict[frozenset, int] = {}
-    merged_items: list[set] = []
-    for state_id, items in enumerate(lr1_states):
-        core = core_of(items)
-        merged_id = core_index.get(core)
-        if merged_id is None:
-            merged_id = len(merged_items)
-            core_index[core] = merged_id
-            merged_items.append(set())
-        merged_of[state_id] = merged_id
-        merged_items[merged_id] |= items
-
+    # Closure adds only dot-0 items and no rule is empty, so every reduce
+    # and accept item is a kernel item.
     actions: dict[tuple[int, str], set] = {}
     gotos: dict[tuple[int, str], int] = {}
-    for state_id, moves in enumerate(lr1_moves):
-        merged_id = merged_of[state_id]
-        for symbol, target in moves.items():
+    for state_id, successors in enumerate(moves):
+        for symbol, target_id in successors.items():
             if symbol in nonterminals:
-                gotos[(merged_id, symbol)] = merged_of[target]
+                gotos[(state_id, symbol)] = target_id
             else:
-                actions.setdefault((merged_id, symbol), set()).add(
-                    ("shift", merged_of[target]))
-    for merged_id, items in enumerate(merged_items):
-        for rule_id, dot, la in items:
+                actions.setdefault((state_id, symbol), set()).add(
+                    ("shift", target_id))
+        for (rule_id, dot), las in kernels[state_id].items():
             if dot < len(rhs(rule_id)):
                 continue
             if rule_id == _AUGMENTED:
-                actions.setdefault((merged_id, END_MARKER), set()).add(("accept",))
+                actions.setdefault((state_id, END_MARKER), set()).add(("accept",))
             else:
-                actions.setdefault((merged_id, la), set()).add(("reduce", rule_id))
+                for la in las:
+                    actions.setdefault((state_id, la), set()).add(
+                        ("reduce", rule_id))
 
     # Sorted keys: the item sets above iterate in hash order.
     frozen_actions = {key: tuple(sorted(acts, key=action_sort_key))
@@ -217,6 +216,6 @@ def build_table(grammar: Grammar) -> LRTable:
                           if action[0] == "reduce")
         if reducible:
             reduces[key] = reducible
-    return LRTable(grammar=grammar, n_states=len(merged_items),
+    return LRTable(grammar=grammar, n_states=len(kernels),
                    actions=frozen_actions, gotos=gotos, shifts=shifts,
-                   reduces=reduces, start_state=merged_of[0])
+                   reduces=reduces, start_state=0)

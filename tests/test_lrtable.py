@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,7 +7,7 @@ import frameparse as fp
 from frameparse.grammar import END_MARKER, GrammarError
 from frameparse.lrtable import action_sort_key, parse_action, render_action
 
-from oracles import random_grammar
+from oracles import random_grammar, wide_grammar
 
 PP_GRAMMAR = """
 terminals: n v det prep
@@ -108,3 +109,13 @@ def test_compiled_steps_are_the_listed_actions(seed, demo_table):
             for rule in rules] == reduces
     assert all(rule is table.grammar.rules[rule.rule_id]
                for rules in table.reduces.values() for rule in rules)
+
+
+def test_wide_grammar_table_builds_in_seconds():
+    # 100 rules over 12 non-terminals and 15 terminals, denser in
+    # conflicts than a natural-language grammar of that size
+    grammar = wide_grammar(random.Random(0), 100, 12, 15)
+    started = time.perf_counter()
+    table = fp.build_table(grammar)
+    assert time.perf_counter() - started < 10
+    assert table.n_states == 240
