@@ -231,9 +231,9 @@ def random_grammar(rng: random.Random) -> Grammar:
 
 def wide_grammar(rng: random.Random, rules: int, nonterminals: int,
                  terminals: int) -> Grammar:
-    """A random grammar of ``rules`` distinct rules of length 1-4 over
-    non-terminals ``N0`` (the start symbol) to ``N<nonterminals-1>`` and
-    terminals ``t0`` to ``t<terminals-1>``.
+    """A random grammar of at least ``rules`` distinct rules of length
+    1-4 over non-terminals ``N0`` (the start symbol) to
+    ``N<nonterminals-1>`` and terminals ``t0`` to ``t<terminals-1>``.
 
     Each non-terminal's first rule is all terminals, so every one is
     productive, and a unit rule only names a later non-terminal, so no
@@ -242,14 +242,14 @@ def wide_grammar(rng: random.Random, rules: int, nonterminals: int,
     table construction."""
     mothers = ["N%d" % i for i in range(nonterminals)]
     words = ["t%d" % i for i in range(terminals)]
-    shapes = [(nt, tuple(rng.choice(words) for _ in range(rng.randint(1, 2))))
-              for nt in mothers]
+    shapes = dict.fromkeys(  # an insertion-ordered set
+        (nt, tuple(rng.choice(words) for _ in range(rng.randint(1, 2))))
+        for nt in mothers)
     for index in range(1, nonterminals):
         # an earlier non-terminal names this one, so all are reachable
         rhs = [rng.choice(words + mothers) for _ in range(rng.randint(1, 3))]
         rhs.insert(rng.randint(0, len(rhs)), mothers[index])
-        shapes.append((mothers[rng.randrange(index)], tuple(rhs)))
-    seen = set(shapes)
+        shapes.setdefault((mothers[rng.randrange(index)], tuple(rhs)))
     while len(shapes) < rules:
         index = rng.randrange(nonterminals)
         length = rng.randint(1, 4)
@@ -258,10 +258,7 @@ def wide_grammar(rng: random.Random, rules: int, nonterminals: int,
         else:
             rhs = tuple(rng.choice((words, mothers)[rng.randrange(2)])
                         for _ in range(length))
-        shape = (mothers[index], rhs)
-        if shape not in seen:
-            seen.add(shape)
-            shapes.append(shape)
+        shapes.setdefault((mothers[index], rhs))
     lines = ["terminals: " + " ".join(words), "start: N0"]
     for nt, rhs in shapes:
         head = rng.randrange(len(rhs))
