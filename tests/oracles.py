@@ -15,6 +15,7 @@ import random
 from frameparse import (Derivation, Grammar, Tree, UnderivableTreeError,
                         parse_grammar, tree_actions, verb_frames)
 from frameparse.actions import trace_sort_key
+from frameparse.frames import DEFAULT_FRAME_INVENTORY
 
 
 def canon(tree):
@@ -265,6 +266,67 @@ def wide_grammar(rng: random.Random, rules: int, nonterminals: int,
         lines.append("%s -> %s" % (nt, " ".join(
             sym + "(head)" if k == head and len(rhs) > 1 else sym
             for k, sym in enumerate(rhs))))
+    return parse_grammar("\n".join(lines))
+
+
+# English-shaped phrase structure for ``english_grammar``: heads are
+# marked, modifiers Chomsky-adjoin (``X -> X(head) PP``), and a few
+# rules carry repetition markers so that ``normalize_kleene`` has work.
+_ENGLISH_RULES = """
+ROOT  -> S(head) stop?
+S     -> NP VP(head)                     | gr: ncsubj(_, 2, 1, _)
+S     -> ADVP S(head)
+S     -> SADV S(head)
+SADV  -> sub S(head)
+NP    -> det? N1(head)
+NP    -> pn* pn(head)
+NP    -> pro
+NP    -> NP(head) PP
+NP    -> NP(head) PPOF
+NP    -> NP(head) REL
+N1    -> AP* n(head)
+AP    -> adv* adj(head)
+ADVP  -> adv
+PP    -> prep NP(head)
+PPOF  -> of NP(head)
+REL   -> rel VP(head)
+SCOMP -> comp? S(head)
+SINF  -> for NP VPINF(head)
+SING  -> NP VPING(head)
+VPINF -> to VPBSE(head)
+WHPP  -> prep wh(head)
+WHS   -> wh S(head)
+WHVP  -> wh VPINF(head)
+VP    -> modal VPBSE(head)
+VP    -> aux VPING(head)
+VP    -> aux VPPRT(head)
+"""
+
+# Each verb form's projection and its head tag; every form takes every
+# frame of the inventory, and PP and ADVP adjoin to each.
+_VERB_FORMS = (("VP", "v"), ("VPBSE", "vb"), ("VPING", "vbg"),
+               ("VPPRT", "vbn"))
+
+
+def english_grammar() -> Grammar:
+    """A wide grammar shaped like English, built through the
+    grammar-file parser with its repetition markers kept.
+
+    Besides the phrase structure above, each verb form has one argument
+    rule per frame of ``DEFAULT_FRAME_INVENTORY``, carrying the frame as
+    its ``VSUBCAT`` value; a frame's complements are the non-terminals
+    its name lists (``NP_PP`` takes ``NP PP``, ``NONE`` takes none)."""
+    lines = ["terminals: stop det pn pro n adj adv sub prep of rel comp for "
+             "to wh modal aux " + " ".join(tag for _, tag in _VERB_FORMS),
+             "verbs: " + " ".join(tag for _, tag in _VERB_FORMS),
+             "start: ROOT", _ENGLISH_RULES]
+    for phrase, tag in _VERB_FORMS:
+        for frame in DEFAULT_FRAME_INVENTORY:
+            complements = [] if frame == "NONE" else frame.split("_")
+            lines.append("%s -> %s(head) %s : VSUBCAT=%s"
+                         % (phrase, tag, " ".join(complements), frame))
+        lines.append("%s -> %s(head) PP" % (phrase, phrase))
+        lines.append("%s -> %s(head) ADVP" % (phrase, phrase))
     return parse_grammar("\n".join(lines))
 
 

@@ -15,6 +15,8 @@ counts) and the hypothesized entries, so that a cap that binds shows.
 The parse tables of the demo grammar, of the same seeds' grammars and of
 the 50- and 100-rule ``wide_grammar`` fixtures are hashed too: the state
 count, the start state, the actions and the gotos, in their dict order.
+The table of the normalized ``english_grammar`` is hashed the same way,
+in a block of its own.
 
 One digest per block is stored in ``tests/golden/differential.tsv``, so
 a failure names each block that moved.  After a deliberate change of a
@@ -30,7 +32,8 @@ from pathlib import Path
 import pytest
 
 import frameparse as fp
-from oracles import random_grammar, random_sentences, wide_grammar
+from oracles import (english_grammar, random_grammar, random_sentences,
+                     wide_grammar)
 
 DIGESTS = Path(__file__).resolve().parent / "golden" / "differential.tsv"
 
@@ -129,12 +132,16 @@ def _store_digest(sentences) -> str:
     return digest.hexdigest()
 
 
-def _table_digest() -> str:
+def _table_grammars():
     demo = fp.load_grammar(fp.demo_path("demo.grammar"))
     grammars = [fp.normalize_kleene(demo)]
     grammars += [random_grammar(random.Random(seed)) for seed in range(600)]
     grammars += [wide_grammar(random.Random(0), rules, nonterminals, 15)
                  for rules, nonterminals in WIDE_SHAPES]
+    return grammars
+
+
+def _table_digest(grammars) -> str:
     digest = hashlib.sha256()
     for grammar in grammars:
         table = fp.build_table(grammar)
@@ -150,7 +157,9 @@ BLOCKS = {**{name: (lambda seeds=seeds: _seed_digest(seeds))
           "demo-acquisition": lambda: _demo_digest(_acquisition_sentences()),
           "demo-acquisition-store":
               lambda: _store_digest(_acquisition_sentences() * 3),
-          "tables": _table_digest}
+          "tables": lambda: _table_digest(_table_grammars()),
+          "english-table":
+              lambda: _table_digest([fp.normalize_kleene(english_grammar())])}
 
 
 def digests() -> str:

@@ -4,10 +4,12 @@ import time
 import pytest
 
 import frameparse as fp
+from frameparse.frames import DEFAULT_FRAME_INVENTORY
 from frameparse.grammar import END_MARKER, GrammarError
 from frameparse.lrtable import action_sort_key, parse_action, render_action
 
-from oracles import random_grammar, wide_grammar
+from oracles import (english_grammar, enumerate_parses, random_grammar,
+                     random_sentences, wide_grammar)
 
 PP_GRAMMAR = """
 terminals: n v det prep
@@ -119,3 +121,19 @@ def test_wide_grammar_table_builds_in_seconds():
     table = fp.build_table(grammar)
     assert time.perf_counter() - started < 10
     assert table.n_states == 240
+
+
+def test_english_grammar_forests_match_enumeration():
+    grammar = english_grammar()
+    assert grammar.has_repetition()
+    normalized = fp.normalize_kleene(grammar)
+    assert {frame for frame in normalized.instance_frames
+            if frame is not None} == set(DEFAULT_FRAME_INVENTORY)
+    table = fp.build_table(normalized)
+    counts = []
+    for tags in random_sentences(normalized, random.Random(0), 60, 8):
+        count = fp.glr_parse(tags, table).derivation_count()
+        assert count == len(enumerate_parses(normalized, tags)), tags
+        counts.append(count)
+    # sampled sentences parse, some of them ambiguously; noise does not
+    assert max(counts) > 1 and counts.count(0) >= 30
