@@ -6,9 +6,11 @@ reduce/reduce conflicts are not resolved: every action admissible for a
 (shifts before reduces, reduces by rule id, accept last) that also
 serves as the deterministic tie-break for equal derivation scores.
 
-Construction walks the LR(0) kernels and propagates lookahead sets
-along their transitions until none grows (Aho, Sethi & Ullman 1986,
-section 4.7), so the canonical LR(1) collection is never built.  Tables
+Construction builds the LR(0) automaton, closing each state once, and
+then computes the LALR(1) lookaheads on it by DeRemer & Pennello's
+includes and lookback relations ("Efficient computation of LALR(1)
+look-ahead sets", 1982); no rule is empty, so their reads relation is
+not needed.  The canonical LR(1) collection is never built.  Tables
 are immutable once built and shareable across concurrent parses.  State
 numbering depends only on the grammar, never on hash order, so persisted
 action models remain valid across runs.
@@ -20,8 +22,6 @@ maps (state, lookahead) to the rules to reduce, in ``actions`` order.
 """
 
 from __future__ import annotations
-
-from collections import deque
 
 from .grammar import END_MARKER, Grammar, GrammarError, Rule
 
@@ -80,30 +80,13 @@ class LRTable:
         return found
 
 
-def _first_sets(grammar: Grammar) -> dict[str, frozenset[str]]:
-    # No empty rules, hence no nullable symbols: FIRST of a sequence is
-    # the FIRST set of its first symbol.
-    first: dict[str, set[str]] = {t: {t} for t in grammar.terminals}
-    for nt in grammar.nonterminals:
-        first.setdefault(nt, set())
-    changed = True
-    while changed:
-        changed = False
-        for rule in grammar.rules:
-            lead = rule.daughters[0]
-            target = first[rule.mother]
-            before = len(target)
-            target |= first.get(lead, set())
-            changed = changed or len(target) != before
-    return {k: frozenset(v) for k, v in first.items()}
-
-
 def build_table(grammar: Grammar) -> LRTable:
     """Build the LALR(1) table for a normalized grammar.
 
     The grammar must be free of repetition markers (see
     :func:`frameparse.grammar.normalize_kleene`) and cycle-free, and each
-    of its non-terminals must derive a terminal string, as loading checks.
+    of its non-terminals must derive a terminal string, as loading checks;
+    no rule may be empty.
     """
     if not grammar.rules:
         raise GrammarError("cannot build a table for an empty rule set")
@@ -113,77 +96,49 @@ def build_table(grammar: Grammar) -> LRTable:
         raise GrammarError("grammar contains repetition markers; normalize first")
     if grammar.start_symbol not in grammar.nonterminals:
         raise GrammarError(f"start symbol {grammar.start_symbol!r} has no rule")
+    for rule in grammar.rules:
+        if not rule.daughters:
+            raise GrammarError(f"rule {rule.rule_id} of {rule.mother!r} has no "
+                               f"daughters (empty rules are not allowed)",
+                               rule.line)
 
     rules = grammar.rules
     rules_by_lhs = grammar.rules_by_lhs
-    first = _first_sets(grammar)
     nonterminals = grammar.nonterminals
+    start = grammar.start_symbol
+    # An item is (rule id, dot); the augmented rule's body is last, so
+    # that _AUGMENTED indexes it.
+    bodies = [rule.daughters for rule in rules] + [(start,)]
 
-    def rhs(rule_id: int) -> tuple[str, ...]:
-        if rule_id == _AUGMENTED:
-            return (grammar.start_symbol,)
-        return rules[rule_id].daughters
-
-    def closure(kernel: dict) -> dict:
-        # An added dot-0 item takes FIRST of what follows the non-terminal
-        # it expands, or, when nothing follows, the expanding item's own
-        # lookaheads; an item is expanded again whenever its set grows.
-        items = {item: set(las) for item, las in kernel.items()}
-        work = list(items)
-        while work:
-            rule_id, dot = item = work.pop()
-            body = rhs(rule_id)
-            if dot >= len(body) or body[dot] not in nonterminals:
-                continue
-            las = first[body[dot + 1]] if dot + 1 < len(body) else items[item]
-            for sub in rules_by_lhs[body[dot]]:
-                added = (sub.rule_id, 0)
-                target = items.setdefault(added, set())
-                if not las <= target:
-                    target |= las
-                    work.append(added)
-        return items
-
-    # One worklist over LR(0) kernels whose items hold lookahead sets.  A
-    # state's successors are made on its first visit, in sorted-symbol
-    # order, so states are numbered in LR(0) breadth-first order and the
-    # numbering is reproducible.  Each visit pushes every item's set into
-    # its shifted item, and a successor whose set grew is visited again.
-    kernels: list[dict] = [{(_AUGMENTED, 0): {END_MARKER}}]
-    index = {frozenset(kernels[0]): 0}
+    # The LR(0) automaton, breadth first.  A state's closure adds the
+    # dot-0 items of each non-terminal after a dot once, and its
+    # successors are made in sorted-symbol order, so the numbering is
+    # reproducible.
+    kernels = [frozenset({(_AUGMENTED, 0)})]
+    index = {kernels[0]: 0}
     moves: list[dict[str, int]] = []
-    queue, queued = deque([0]), {0}
-    while queue:
-        state_id = queue.popleft()
-        queued.discard(state_id)
-        grouped: dict[str, dict] = {}
-        for (rule_id, dot), las in closure(kernels[state_id]).items():
-            body = rhs(rule_id)
+    for kernel in kernels:  # the loop also visits the kernels it appends
+        items = list(kernel)
+        expanded = set()
+        grouped: dict[str, list] = {}
+        for rule_id, dot in items:  # likewise for the items
+            body = bodies[rule_id]
             if dot < len(body):
-                grouped.setdefault(body[dot], {})[(rule_id, dot + 1)] = las
-        if state_id == len(moves):
-            successors = {}
-            for symbol in sorted(grouped):
-                core = frozenset(grouped[symbol])
-                target_id = index.get(core)
-                if target_id is None:
-                    target_id = index[core] = len(kernels)
-                    kernels.append({item: set() for item in grouped[symbol]})
-                    queue.append(target_id)
-                    queued.add(target_id)
-                successors[symbol] = target_id
-            moves.append(successors)
-        for symbol, target_id in moves[state_id].items():
-            kernel = kernels[target_id]
-            for item, las in grouped[symbol].items():
-                if not las <= kernel[item]:
-                    kernel[item] |= las
-                    if target_id not in queued:
-                        queue.append(target_id)
-                        queued.add(target_id)
+                symbol = body[dot]
+                grouped.setdefault(symbol, []).append((rule_id, dot + 1))
+                if symbol in nonterminals and symbol not in expanded:
+                    expanded.add(symbol)
+                    items.extend((sub.rule_id, 0) for sub in rules_by_lhs[symbol])
+        successors = {}
+        for symbol in sorted(grouped):
+            core = frozenset(grouped[symbol])
+            target_id = index.get(core)
+            if target_id is None:
+                target_id = index[core] = len(kernels)
+                kernels.append(core)
+            successors[symbol] = target_id
+        moves.append(successors)
 
-    # Closure adds only dot-0 items and no rule is empty, so every reduce
-    # and accept item is a kernel item.
     actions: dict[tuple[int, str], set] = {}
     gotos: dict[tuple[int, str], int] = {}
     for state_id, successors in enumerate(moves):
@@ -193,17 +148,42 @@ def build_table(grammar: Grammar) -> LRTable:
             else:
                 actions.setdefault((state_id, symbol), set()).add(
                     ("shift", target_id))
-        for (rule_id, dot), las in kernels[state_id].items():
-            if dot < len(rhs(rule_id)):
-                continue
-            if rule_id == _AUGMENTED:
-                actions.setdefault((state_id, END_MARKER), set()).add(("accept",))
-            else:
-                for la in las:
-                    actions.setdefault((state_id, la), set()).add(
-                        ("reduce", rule_id))
 
-    # Sorted keys: the item sets above iterate in hash order.
+    # LALR(1) lookaheads by DeRemer & Pennello (1982).  No rule is empty,
+    # so no symbol is nullable: the follow set of a goto (p, A) holds the
+    # terminals goto(p, A) shifts, joined with the follow set of (p', B)
+    # for each rule B -> ... A walked from p' to p, and a rule of B
+    # walked from p to q reduces in q on the follow sets of (p, B).
+    follow = {key: {symbol for symbol in moves[target_id]
+                    if symbol not in nonterminals}
+              for key, target_id in gotos.items()}
+    follow[(0, start)].add(END_MARKER)
+    includes: list[tuple[set, set]] = []
+    lookback: dict[tuple[int, int], list[set]] = {}
+    for (state_id, mother), source in follow.items():
+        for rule in rules_by_lhs[mother]:
+            state = state_id
+            for symbol in rule.daughters[:-1]:
+                state = moves[state][symbol]
+            last = rule.daughters[-1]
+            if last in nonterminals:
+                includes.append((follow[(state, last)], source))
+            lookback.setdefault((moves[state][last], rule.rule_id),
+                                []).append(source)
+    changed = True
+    while changed:
+        changed = False
+        for target, source in includes:
+            if not source <= target:
+                target |= source
+                changed = True
+    actions.setdefault((gotos[(0, start)], END_MARKER), set()).add(("accept",))
+    for (state_id, rule_id), sources in lookback.items():
+        for lookahead in set().union(*sources):
+            actions.setdefault((state_id, lookahead), set()).add(
+                ("reduce", rule_id))
+
+    # Sorted keys: the sets above iterate in hash order.
     frozen_actions = {key: tuple(sorted(acts, key=action_sort_key))
                       for key, acts in sorted(actions.items())}
     shifts: dict[tuple[int, str], int] = {}

@@ -5,7 +5,7 @@ import pytest
 
 import frameparse as fp
 from frameparse.frames import DEFAULT_FRAME_INVENTORY
-from frameparse.grammar import END_MARKER, GrammarError
+from frameparse.grammar import END_MARKER, Grammar, GrammarError, Rule
 from frameparse.lrtable import action_sort_key, parse_action, render_action
 
 from oracles import (english_grammar, enumerate_parses, random_grammar,
@@ -41,6 +41,15 @@ def test_singleton_language_table():
 def test_empty_rule_set_rejected():
     with pytest.raises(GrammarError):
         fp.parse_grammar("terminals: a\nstart: S\n")
+
+
+def test_empty_rule_rejected():
+    # the grammar-file parser refuses empty rules; the constructors do not
+    rules = (Rule("S", ("a",), 0, ("",), (), (), 0, None),
+             Rule("S", (), 0, (), (), (), 1, None))
+    grammar = Grammar(rules, "S", frozenset({"a"}), frozenset())
+    with pytest.raises(GrammarError, match="rule 1 of 'S' has no daughters"):
+        fp.build_table(grammar)
 
 
 def test_unnormalized_grammar_rejected():
