@@ -30,7 +30,7 @@ from .grammar import Grammar, load_grammar, normalize_kleene
 from .grs import read_gr_file
 from .lexicon import load_lexicon, save_lexicon
 from .lrtable import build_table, render_action
-from .pipeline import ParserPipeline
+from .pipeline import UNKNOWN_WORD_TAGS, ParserPipeline, check_tags
 from .preprocess import Lemmatizer, load_lemma_exceptions, load_wordlist
 from .treebank import load_treebank
 
@@ -98,11 +98,23 @@ def _fmt_stat(value: float) -> str:
     return "%.6g" % value
 
 
+def _check_tags(value: str, grammar: Grammar, tags, kind: str) -> None:
+    """Exit 2 naming the file ``value`` if it asks for a tag that
+    ``grammar`` lacks."""
+    try:
+        check_tags(grammar, tags, kind)
+    except ValueError as exc:
+        raise CliError(f"{_resolve(value)}: {exc}", code=2) from exc
+
+
 def _load_pipeline(args) -> ParserPipeline:
     grammar = _load_grammar(args.grammar)
+    _check_tags(args.grammar, grammar, UNKNOWN_WORD_TAGS, "unknown-word")
     table = build_table(grammar)
     model = _load(load_model, args.model, table)
     wordlist = _load(load_wordlist, args.wordlist)
+    if wordlist is not None:
+        _check_tags(args.wordlist, grammar, wordlist.all_tags(), "wordlist")
     exceptions = _load(load_lemma_exceptions, args.lemma_exceptions)
     lexicon = _load(load_lexicon, getattr(args, "lexicon", None))
     return ParserPipeline(grammar, table=table, model=model, wordlist=wordlist,

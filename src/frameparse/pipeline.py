@@ -22,6 +22,17 @@ from .preprocess import (COMMON_TAG, PROPER_TAG, Lemmatizer, Token, Wordlist,
 from .rerank import rank_analyses
 
 
+UNKNOWN_WORD_TAGS = frozenset({PROPER_TAG, COMMON_TAG})
+
+
+def check_tags(grammar: Grammar, tags, kind: str) -> None:
+    """Raise ValueError naming the first of ``tags`` in sorted order that
+    is not a terminal of ``grammar``; ``kind`` says what asks for it."""
+    for tag in sorted(tags):
+        if tag not in grammar.terminals:
+            raise ValueError(f"{kind} tag {tag!r} is not a grammar terminal")
+
+
 class SentenceResult:
     """Ranked analyses for one sentence; empty iff out of coverage."""
 
@@ -57,11 +68,8 @@ class ParserPipeline:
         self.wordlist = wordlist if wordlist is not None else Wordlist({})
         self.lemmatizer = lemmatizer if lemmatizer is not None else Lemmatizer()
         self.lexicon = lexicon
-        unknown_word_tags = {PROPER_TAG, COMMON_TAG}
-        for tag in sorted(self.wordlist.all_tags() | unknown_word_tags):
-            if tag not in self.grammar.terminals:
-                kind = "unknown-word" if tag in unknown_word_tags else "wordlist"
-                raise ValueError(f"{kind} tag {tag!r} is not a grammar terminal")
+        check_tags(self.grammar, UNKNOWN_WORD_TAGS, "unknown-word")
+        check_tags(self.grammar, self.wordlist.all_tags(), "wordlist")
         # The token of each listed surface form seen: tagging is per
         # word, so it is the same in every sentence.  Unlisted forms are
         # tagged afresh, so this holds at most the wordlist's forms and

@@ -426,6 +426,37 @@ def test_malformed_input_file_exit_2(tmp_path, model_file, lexicon_file,
     assert captured.err.count("\n") == 1
 
 
+def test_wordlist_tag_outside_grammar_exit_2(tmp_path, model_file, capsys):
+    wordlist = tmp_path / "odd.wordlist"
+    wordlist.write_text("weird\tzz\n")
+    code = main(["parse", "--grammar", "@demo/demo.grammar",
+                 "--model", str(model_file), "--wordlist", str(wordlist),
+                 "the child sleeps"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: {wordlist}: wordlist tag 'zz' is not a "
+                            f"grammar terminal\n")
+
+
+def test_grammar_without_unknown_word_tags_exit_2(tmp_path, capsys):
+    grammar = tmp_path / "tiny.grammar"
+    grammar.write_text("terminals: a\nstart: S\nS -> a\n")
+    treebank = tmp_path / "tiny.treebank"
+    treebank.write_text("(S (a x))\n")
+    model = tmp_path / "tiny.model"
+    assert main(["train", "--grammar", str(grammar), "--treebank",
+                 str(treebank), "--model", str(model)]) == 0
+    capsys.readouterr()
+    code = main(["parse", "--grammar", str(grammar), "--model", str(model),
+                 "x"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (f"error: {grammar}: unknown-word tag 'n' is not "
+                            f"a grammar terminal\n")
+
+
 def test_unknown_demo_file_exit_2(capsys):
     code = main(["build-table", "--grammar", "@demo/absent.grammar"])
     assert code == 2
