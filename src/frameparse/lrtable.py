@@ -117,7 +117,10 @@ def build_table(grammar: Grammar) -> LRTable:
     kernels = [frozenset({(_AUGMENTED, 0)})]
     index = {kernels[0]: 0}
     moves: list[dict[str, int]] = []
-    for kernel in kernels:  # the loop also visits the kernels it appends
+    actions: dict[tuple[int, str], set] = {}
+    gotos: dict[tuple[int, str], int] = {}
+    # the loop also visits the kernels it appends
+    for state_id, kernel in enumerate(kernels):
         items = list(kernel)
         expanded = set()
         grouped: dict[str, list] = {}
@@ -137,17 +140,11 @@ def build_table(grammar: Grammar) -> LRTable:
                 target_id = index[core] = len(kernels)
                 kernels.append(core)
             successors[symbol] = target_id
-        moves.append(successors)
-
-    actions: dict[tuple[int, str], set] = {}
-    gotos: dict[tuple[int, str], int] = {}
-    for state_id, successors in enumerate(moves):
-        for symbol, target_id in successors.items():
             if symbol in nonterminals:
                 gotos[(state_id, symbol)] = target_id
             else:
-                actions.setdefault((state_id, symbol), set()).add(
-                    ("shift", target_id))
+                actions[(state_id, symbol)] = {("shift", target_id)}
+        moves.append(successors)
 
     # LALR(1) lookaheads by DeRemer & Pennello (1982).  No rule is empty,
     # so no symbol is nullable: the follow set of a goto (p, A) holds the
