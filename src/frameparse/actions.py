@@ -36,8 +36,8 @@ per rule application, which the search adds to the edge's weight.
 The search trusts the forest: it holds exactly the grammar's
 derivations, and over an LALR(1) table that keeps every conflict each is
 a valid action sequence (a canonical LR(1) reduce item is valid for every
-viable prefix it completes, and the lookahead sets propagated over the
-LR(0) kernels are those of the canonical states with the same core
+viable prefix it completes, and the LALR(1) lookaheads computed over the
+LR(0) automaton are those of the canonical states with the same core
 joined, so they only add lookaheads).  So
 every shift, goto and reduce it looks up exists; its one check, once per
 forest, is that the forest's rules are the model's own rule objects.
