@@ -13,7 +13,7 @@ given the table (shifts in leaf order, each reduce as soon as its
 daughters are complete), which is also how gold treebank trees are
 turned into training events: :func:`tree_actions` binds a raw tree's
 nodes to grammar rules by their labels and traces the result, reading
-the table's compiled ``shifts`` and trusting it as the search below
+the table's per-state ``moves`` and trusting it as the search below
 does.
 
 Ranking never unpacks the forest.  An action's probability depends only
@@ -25,13 +25,18 @@ the vertices ``(forest node, entry state)`` of a hypergraph, and
 next ones with lazy k-best search (Huang & Chiang 2005, "Better k-best
 parsing", Algorithm 3).  Its cost is polynomial in the forest, plus
 ``O(n log n)`` heap work for ``n`` analyses.  It reads the table's
-compiled ``shifts`` and the model's flat log-probabilities, keyed by
-``(state, tag)`` for a shift and ``(state, lookahead, rule id)`` for a
-reduce; an edge records only the state its action is taken in, and the
-trees and ``(state, lookahead, action)`` steps are built for the
-analyses returned alone.  Each term reported is a sum of what its edges
-hold: the steps' log-probabilities, and an optional lexical term's share
-per rule application, which the search adds to the edge's weight.
+per-state ``moves`` and the model's flat log-probabilities, keyed by
+``(state, lookahead, rule id)`` for a reduce; an edge records only the
+state its action is taken in, and the trees and ``(state, lookahead,
+action)`` steps are built for the analyses returned alone.  A leaf's
+vertex depends only on its entry state and tag, so the model builds one
+per listed shift, holding that shift's log-probability, and every search
+shares them read-only: a leaf has one derivation, so the lazy search
+never extends it, and a tree takes a leaf's span from the forest node
+that the parent's alternative names.  Each term reported is a sum of
+what its edges hold: the steps' log-probabilities, and an optional
+lexical term's share per rule application, which the search adds to the
+edge's weight.
 
 The search trusts the forest: it holds exactly the grammar's
 derivations, and over an LALR(1) table that keeps every conflict each is
@@ -40,7 +45,8 @@ viable prefix it completes, and the LALR(1) lookaheads computed over the
 LR(0) automaton are those of the canonical states with the same core
 joined, so they only add lookaheads).  So
 every shift, goto and reduce it looks up exists; its one check, once per
-forest, is that the forest's rules are the model's own rule objects.
+forest, is that the forest was parsed over the model's grammar, so that
+its rules are the model's own rule objects.
 """
 
 from __future__ import annotations
@@ -103,7 +109,7 @@ def tree_actions(tree: Tree, table: LRTable) -> tuple[tuple[int, str, tuple], ..
     for node, rule in zip(nodes, rules):
         state = states[-1]
         if rule is None:
-            target = table.shifts[(state, node.label)]
+            target = table.moves[state][node.label]
             trace.append((state, node.label, ("shift", target)))
             states.append(target)
             consumed += 1
@@ -111,7 +117,7 @@ def tree_actions(tree: Tree, table: LRTable) -> tuple[tuple[int, str, tuple], ..
             lookahead = tags[consumed] if consumed < len(tags) else END_MARKER
             trace.append((state, lookahead, ("reduce", rule.rule_id)))
             del states[len(states) - len(rule.daughters):]
-            states.append(table.gotos[(states[-1], rule.mother)])
+            states.append(table.moves[states[-1]][rule.mother])
     trace.append((states[-1], END_MARKER, ("accept",)))
     return tuple(trace)
 
@@ -151,7 +157,8 @@ class ActionModel:
     probability; for the search, ``shift_logprobs`` holds each shift's
     log-probability by ``(state, tag)``, ``reduce_logprobs`` each
     reduce's by ``(state, lookahead, rule id)`` and ``accept_logprobs``
-    each accept's by state.
+    each accept's by state, and ``leaves[state][tag]`` is the shared
+    hypergraph vertex of a leaf ``tag`` entered from ``state``.
     """
 
     def __init__(self, table: LRTable,
@@ -181,6 +188,8 @@ class ActionModel:
         self.shift_logprobs: dict[tuple[int, str], float] = {}
         self.reduce_logprobs: dict[tuple[int, str, int], float] = {}
         self.accept_logprobs: dict[int, float] = {}
+        self.leaves: list[dict[str, _Vertex]] = [
+            {} for _ in range(table.n_states)]
         for (state, lookahead), available in table.actions.items():
             class_counts = self.counts.get((state, lookahead), {})
             total = sum(class_counts.values())
@@ -189,7 +198,13 @@ class ActionModel:
                 prob = (count + 1) / (total + len(available))
                 self._probs[(state, lookahead, action)] = prob
                 if action[0] == "shift":
-                    self.shift_logprobs[(state, lookahead)] = math.log(prob)
+                    logprob = math.log(prob)
+                    self.shift_logprobs[(state, lookahead)] = logprob
+                    # a leaf's one edge is its shift
+                    self.leaves[state][lookahead] = _Vertex(
+                        None, action[1],
+                        [(None, (), state, logprob, 0.0, logprob)], 0,
+                        logprob, False)
                 elif action[0] == "reduce":
                     self.reduce_logprobs[(state, lookahead, action[1])] = \
                         math.log(prob)
@@ -233,7 +248,8 @@ _TIE_BAND = 1e-9
 
 
 class _Vertex:
-    """A (forest node, entry state) vertex of the ranking hypergraph.
+    """A (forest node, entry state) vertex of the ranking hypergraph; a
+    leaf's, shared by every forest, has no node.
 
     Each edge is ``(rule, tails, state, weight, share, logprob)``: the
     rule applied (``None`` for a leaf's shift), the daughter vertices,
@@ -282,6 +298,7 @@ class _ForestSearch:
         made yet, with its best derivation."""
         vertices = self.vertices
         model = self.model
+        leaves = model.leaves
         lookahead = self.lookaheads[node.end]
         reduce_logprobs = model.reduce_logprobs
         lexical = self.lexical
@@ -294,22 +311,16 @@ class _ForestSearch:
             entry = state
             score = 0.0
             for daughter in daughters:
-                tail = vertices.get((daughter, entry))
-                if tail is None:
-                    if daughter.leaf:
-                        # a leaf's one edge is its shift
-                        key = (entry, daughter.symbol)
-                        weight = model.shift_logprobs[key]
-                        tail = vertices[(daughter, entry)] = _Vertex(
-                            daughter, model.table.shifts[key],
-                            [(None, (), entry, weight, 0.0, weight)], 0,
-                            weight, False)
-                    else:
+                if daughter.leaf:
+                    tail = leaves[entry][daughter.symbol]
+                else:
+                    tail = vertices.get((daughter, entry))
+                    if tail is None:
                         tail = self.visit(daughter, entry)
+                    ambiguous = ambiguous or tail.ambiguous
                 tails.append(tail)
                 score += tail.derivations[0][0]
                 entry = tail.exit
-                ambiguous = ambiguous or tail.ambiguous
             share = lexical(rule, daughters) if lexical is not None else 0.0
             logprob = reduce_logprobs[(entry, lookahead, rule.rule_id)]
             weight = logprob + share
@@ -319,7 +330,7 @@ class _ForestSearch:
                 best_score = score
             edges.append((rule, tuple(tails), entry, weight, share, logprob))
         vertex = vertices[(node, state)] = _Vertex(
-            node, model.table.gotos[(state, node.symbol)], edges, best,
+            node, model.table.moves[state][node.symbol], edges, best,
             best_score, ambiguous)
         return vertex
 
@@ -361,21 +372,27 @@ class _ForestSearch:
 
     def build(self, vertex: _Vertex, k: int, trace: list, logprobs: list,
               shares: list) -> Tree:
-        """The tree of ``vertex``'s rank-``k`` derivation; its action
-        steps and their log-probabilities are appended to ``trace`` and
-        ``logprobs`` in trace order, and the lexical shares of its rule
+        """The tree of the non-leaf ``vertex``'s rank-``k`` derivation; its
+        action steps and their log-probabilities are appended to ``trace``
+        and ``logprobs`` in trace order, and the lexical shares of its rule
         applications to ``shares`` in preorder."""
         _, index, ranks = vertex.derivations[k]
         rule, tails, state, _, share, logprob = vertex.edges[index]
         node = vertex.node
-        if rule is None:
-            trace.append((state, node.symbol, ("shift", vertex.exit)))
-            logprobs.append(logprob)
-            return Tree(node.symbol, node.start, node.end)
         shares.append(share)
         children = []
-        for tail, rank in zip(tails, ranks):
-            children.append(self.build(tail, rank, trace, logprobs, shares))
+        # edges[index] was made from alternatives[index]
+        daughters = node.alternatives[index][1]
+        for tail, rank, daughter in zip(tails, ranks, daughters):
+            if daughter.leaf:
+                _, _, entry, _, _, shift_logprob = tail.edges[0]
+                trace.append((entry, daughter.symbol, ("shift", tail.exit)))
+                logprobs.append(shift_logprob)
+                children.append(Tree(daughter.symbol, daughter.start,
+                                     daughter.end))
+            else:
+                children.append(self.build(tail, rank, trace, logprobs,
+                                           shares))
         trace.append((state, self.lookaheads[node.end],
                       ("reduce", rule.rule_id)))
         logprobs.append(logprob)
@@ -399,14 +416,11 @@ def unpack_n_best(forest: Forest, model: ActionModel, n: int,
         raise ValueError(f"n must be an int of at least 1, got {n!r}")
     if forest.root is None:
         return []
-    # The search trusts the forest once its rules are the model's own.
-    grammar = model.table.grammar
-    for node in forest.nodes.values():
-        for rule, _ in node.alternatives:
-            if (rule.rule_id >= len(grammar.rules)
-                    or grammar.rules[rule.rule_id] is not rule):
-                raise ValueError("model/table mismatch: forest built from a "
-                                 "different grammar")
+    # The search trusts the forest once it was parsed over the model's
+    # grammar, whose rule objects the model's table holds.
+    if forest.grammar is not model.table.grammar:
+        raise ValueError("model/table mismatch: forest built from a "
+                         "different grammar")
     search = _ForestSearch(forest, model, lexical)
     root = search.visit(forest.root, model.table.start_state)
     accept = (root.exit, END_MARKER, ("accept",))

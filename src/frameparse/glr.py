@@ -11,14 +11,18 @@ searches it without unpacking (see :mod:`frameparse.actions`).
 The grammar excludes empty rules after normalization, so every stack
 edge spans at least one token and reductions never loop within a
 position; a newly added edge only ever re-triggers reductions of the
-node that received it.
+node that received it.  Each step reads the table's per-state rows:
+``reduces[state]`` for the rules to reduce on the lookahead and
+``moves[state]`` for the state a shift or goto enters.  A forest
+records the grammar it was parsed over, so ranking checks once per
+forest that it is the model's.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .grammar import END_MARKER, Rule
+from .grammar import END_MARKER, Grammar, Rule
 from .lrtable import LRTable
 
 
@@ -50,16 +54,19 @@ class ForestNode:
 
 
 class Forest:
-    """Packed parse forest; empty (``root is None``) iff the input is out
-    of coverage."""
+    """Packed parse forest over ``grammar``, whose rule objects its
+    alternatives hold; empty (``root is None``) iff the input is out of
+    coverage."""
 
-    __slots__ = ("tokens", "root", "nodes")
+    __slots__ = ("tokens", "root", "nodes", "grammar")
 
     def __init__(self, tokens: tuple[str, ...], root: Optional[ForestNode],
-                 nodes: dict[tuple[str, int, int], ForestNode]):
+                 nodes: dict[tuple[str, int, int], ForestNode],
+                 grammar: Grammar):
         self.tokens = tokens
         self.root = root
         self.nodes = nodes
+        self.grammar = grammar
 
     def derivation_count(self) -> int:
         if self.root is None:
@@ -109,17 +116,19 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
     yields an empty forest.
     """
     grammar = table.grammar
-    for i, tok in enumerate(tokens):
-        if tok not in grammar.terminals:
-            raise ParseError(f"unknown terminal {tok!r} at index {i}")
+    terminals = grammar.terminals
+    if not terminals.issuperset(tokens):
+        for i, tok in enumerate(tokens):
+            if tok not in terminals:
+                raise ParseError(f"unknown terminal {tok!r} at index {i}")
 
     nodes: dict[tuple[str, int, int], ForestNode] = {}
     # (packed node, rule id, daughters) of every alternative added:
     # nodes are unique per (symbol, start, end) within one parse, so the
     # daughters' identity tells alternatives apart.
     added: set[tuple[ForestNode, int, tuple[ForestNode, ...]]] = set()
+    moves = table.moves
     reduces = table.reduces
-    gotos = table.gotos
     n = len(tokens)
     frontier: dict[int, _GssNode] = {
         table.start_state: _GssNode(table.start_state, 0)}
@@ -130,23 +139,23 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
         # paths pinned to a newly added first edge when one is given.
         # The loop below runs the reductions it appends as well.
         work: list[tuple[_GssNode, Rule, Optional[tuple]]] = []
-        for state in sorted(frontier):
+        # states in sorted order; most frontiers hold one
+        for state in (sorted(frontier) if len(frontier) > 1 else frontier):
             node = frontier[state]
-            for rule in reduces.get((state, lookahead), ()):
+            for rule in reduces[state].get(lookahead, ()):
                 work.append((node, rule, None))
         for node, rule, via in work:
             lhs = rule.mother
             # Every backward path of the rule's length, as (daughters
             # left to right, base node): extending every path by one
             # edge at a time, in edge order, lists them in the order of
-            # a depth-first walk.
-            length = len(rule.daughters)
+            # a depth-first walk.  No rule is empty, so the first edge
+            # is the pinned one or one of the node's own.
             if via is None:
-                paths = [((), node)]
+                paths = [((label,), target) for label, target in node.edges]
             else:
                 paths = [((via[0],), via[1])]
-                length -= 1
-            for _ in range(length):
+            for _ in range(len(rule.daughters) - 1):
                 paths = [((label,) + labels, target) for labels, base in paths
                          for label, target in base.edges]
             for children, base in paths:
@@ -154,22 +163,25 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
                 packed = nodes.get(key)
                 if packed is None:
                     packed = nodes[key] = ForestNode(lhs, base.pos, i)
-                alternative = (packed, rule.rule_id, children)
-                if alternative not in added:
-                    added.add(alternative)
+                    added.add((packed, rule.rule_id, children))
                     packed.alternatives.append((rule, children))
-                target_state = gotos[(base.state, lhs)]
+                else:
+                    alternative = (packed, rule.rule_id, children)
+                    if alternative not in added:
+                        added.add(alternative)
+                        packed.alternatives.append((rule, children))
+                target_state = moves[base.state][lhs]
                 edge = (packed, base)
                 existing = frontier.get(target_state)
                 if existing is None:
                     fresh = _GssNode(target_state, i)
                     frontier[target_state] = fresh
                     fresh.edges[edge] = None
-                    for next_rule in reduces.get((target_state, lookahead), ()):
+                    for next_rule in reduces[target_state].get(lookahead, ()):
                         work.append((fresh, next_rule, None))
                 elif edge not in existing.edges:
                     existing.edges[edge] = None
-                    for next_rule in reduces.get((target_state, lookahead), ()):
+                    for next_rule in reduces[target_state].get(lookahead, ()):
                         work.append((existing, next_rule, edge))
         if i == n:
             break
@@ -177,8 +189,8 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
         leaf = nodes[(lookahead, i, i + 1)] = ForestNode(lookahead, i, i + 1,
                                                          leaf=True)
         next_frontier: dict[int, _GssNode] = {}
-        for state in sorted(frontier):
-            target = table.shifts.get((state, lookahead))
+        for state in (sorted(frontier) if len(frontier) > 1 else frontier):
+            target = moves[state].get(lookahead)
             if target is None:
                 continue
             shifted = next_frontier.get(target)
@@ -188,10 +200,11 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
             shifted.edges[(leaf, frontier[state])] = None
         frontier = next_frontier
         if not frontier:
-            return Forest(tuple(tokens), None, {})
+            return Forest(tuple(tokens), None, {}, grammar)
 
     # No accept flag: with no empty rules only the start state lives at
     # position 0, so a start-symbol node over the input was reduced onto
     # it, entering goto(start, S), the only state with the accept item.
     root = nodes.get((grammar.start_symbol, 0, n))
-    return Forest(tuple(tokens), root, nodes if root is not None else {})
+    return Forest(tuple(tokens), root, nodes if root is not None else {},
+                  grammar)

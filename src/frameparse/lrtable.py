@@ -15,10 +15,14 @@ are immutable once built and shareable across concurrent parses.  State
 numbering depends only on the grammar, never on hash order, so persisted
 action models remain valid across runs.
 
-``actions`` is the table as listed and persisted.  The parser, the
-forest search and training read its compiled form, built once with it:
-``shifts`` maps (state, terminal) to the shift target and ``reduces``
-maps (state, lookahead) to the rules to reduce, in ``actions`` order.
+``actions`` and ``gotos`` are the table as listed, which model files
+and ``conflicts`` read.  The parser, the forest search and training read
+its steps compiled into one row per state, built once with it: ``moves[state]`` maps a symbol,
+terminal or non-terminal, to the state that shifting it or going to it
+enters, and ``reduces[state]`` maps a lookahead to the rules to reduce,
+in ``actions`` order.  A rule's id must be its position in the
+grammar's rules, as loading ensures, so ``reduces`` holds the grammar's
+own rule objects.
 """
 
 from __future__ import annotations
@@ -55,20 +59,20 @@ def parse_action(text: str) -> tuple:
 
 
 class LRTable:
-    __slots__ = ("grammar", "n_states", "actions", "gotos", "shifts",
+    __slots__ = ("grammar", "n_states", "actions", "gotos", "moves",
                  "reduces", "start_state")
 
     def __init__(self, grammar: Grammar, n_states: int,
                  actions: dict[tuple[int, str], tuple[tuple, ...]],
                  gotos: dict[tuple[int, str], int],
-                 shifts: dict[tuple[int, str], int],
-                 reduces: dict[tuple[int, str], tuple[Rule, ...]],
+                 moves: list[dict[str, int]],
+                 reduces: list[dict[str, tuple[Rule, ...]]],
                  start_state: int):
         self.grammar = grammar
         self.n_states = n_states
         self.actions = actions
         self.gotos = gotos
-        self.shifts = shifts
+        self.moves = moves
         self.reduces = reduces
         self.start_state = start_state
 
@@ -85,8 +89,10 @@ def build_table(grammar: Grammar) -> LRTable:
 
     The grammar must be free of repetition markers (see
     :func:`frameparse.grammar.normalize_kleene`) and cycle-free, and each
-    of its non-terminals must derive a terminal string, as loading checks;
-    no rule may be empty.
+    of its non-terminals must derive a terminal string, as loading checks.
+    As loading also ensures, and the build checks, no rule may be empty,
+    a rule's id must be its position in ``grammar.rules`` and no terminal
+    may head a rule.
     """
     if not grammar.rules:
         raise GrammarError("cannot build a table for an empty rule set")
@@ -96,7 +102,15 @@ def build_table(grammar: Grammar) -> LRTable:
         raise GrammarError("grammar contains repetition markers; normalize first")
     if grammar.start_symbol not in grammar.nonterminals:
         raise GrammarError(f"start symbol {grammar.start_symbol!r} has no rule")
-    for rule in grammar.rules:
+    for position, rule in enumerate(grammar.rules):
+        if rule.rule_id != position:
+            raise GrammarError(f"rule {rule.rule_id} of {rule.mother!r} is at "
+                               f"position {position} (a rule's id must be "
+                               f"its position)", rule.line)
+        if rule.mother in grammar.terminals:
+            # moves holds shifts and gotos in one map per state
+            raise GrammarError(f"terminal {rule.mother!r} on a left-hand side",
+                               rule.line)
         if not rule.daughters:
             raise GrammarError(f"rule {rule.rule_id} of {rule.mother!r} has no "
                                f"daughters (empty rules are not allowed)",
@@ -183,16 +197,12 @@ def build_table(grammar: Grammar) -> LRTable:
     # Sorted keys: the sets above iterate in hash order.
     frozen_actions = {key: tuple(sorted(acts, key=action_sort_key))
                       for key, acts in sorted(actions.items())}
-    shifts: dict[tuple[int, str], int] = {}
-    reduces: dict[tuple[int, str], tuple[Rule, ...]] = {}
-    for key, acts in frozen_actions.items():
-        for action in acts:
-            if action[0] == "shift":
-                shifts[key] = action[1]
+    reduces: list[dict[str, tuple[Rule, ...]]] = [{} for _ in kernels]
+    for (state_id, lookahead), acts in frozen_actions.items():
         reducible = tuple(rules[action[1]] for action in acts
                           if action[0] == "reduce")
         if reducible:
-            reduces[key] = reducible
+            reduces[state_id][lookahead] = reducible
     return LRTable(grammar=grammar, n_states=len(kernels),
-                   actions=frozen_actions, gotos=gotos, shifts=shifts,
+                   actions=frozen_actions, gotos=gotos, moves=moves,
                    reduces=reduces, start_state=0)

@@ -185,6 +185,33 @@ def test_forest_from_equal_but_distinct_grammar_rejected(demo_grammar,
             rank(forest, fp.ActionModel(twin), 5)
 
 
+def test_model_from_second_table_over_same_grammar_ranks(demo_table,
+                                                         adversarial_model):
+    # the forest was parsed over the very grammar the second table holds
+    forest = fp.glr_parse("det n v det n prep det n".split(), demo_table)
+    second = fp.build_table(demo_table.grammar)
+    assert second is not demo_table
+    model = fp.ActionModel(second, adversarial_model.counts)
+    ranked = fp.unpack_n_best(forest, model, 5)
+    assert ranked == fp.unpack_n_best(forest, adversarial_model, 5)
+    assert len(ranked) == forest.derivation_count()
+
+
+def test_shared_leaf_vertices_stay_single(lexicalized_pipeline):
+    # leaf vertices are the model's, shared by every search: the lazy
+    # k-best search must never extend one
+    pipe = lexicalized_pipeline
+    tokens = pipe.tag("the child sees a dog" + " in the park" * 6)
+    forest = pipe.parse_tags([token.tag for token in tokens])
+    for lexicalized in (True, False):
+        assert len(pipe.rank(forest, tokens, 10, lexicalized)) == 10
+    leaves = [vertex for row in pipe.model.leaves for vertex in row.values()]
+    assert leaves
+    for vertex in leaves:
+        assert len(vertex.derivations) == 1
+        assert vertex.candidates is None and vertex.seen is None
+
+
 def test_logprob_is_log_of_prob_exactly(demo_table, adversarial_model):
     # each listed step's log-probability, looked up where the search
     # reads it, must be the very float math.log(prob()) gives

@@ -52,6 +52,28 @@ def test_empty_rule_rejected():
         fp.build_table(grammar)
 
 
+def test_rule_id_other_than_its_position_rejected():
+    # the rows hold grammar.rules[rule_id] for each reduce, so an id
+    # must name its own rule
+    rules = (Rule("S", ("a", "B"), 0, ("", ""), (), (), 1, 3),
+             Rule("B", ("b",), 0, ("",), (), (), 0, 4))
+    grammar = Grammar(rules, "S", frozenset({"a", "b"}), frozenset())
+    with pytest.raises(GrammarError,
+                       match="line 3: rule 1 of 'S' is at position 0"):
+        fp.build_table(grammar)
+
+
+def test_terminal_left_hand_side_rejected():
+    # one row per state holds both shifts and gotos, so a symbol may
+    # not be both
+    rules = (Rule("S", ("a",), 0, ("",), (), (), 0, 2),
+             Rule("a", ("b",), 0, ("",), (), (), 1, 3))
+    grammar = Grammar(rules, "S", frozenset({"a", "b"}), frozenset())
+    with pytest.raises(GrammarError,
+                       match="line 3: terminal 'a' on a left-hand side"):
+        fp.build_table(grammar)
+
+
 def test_unnormalized_grammar_rejected():
     g = fp.parse_grammar("terminals: a b\nstart: S\nS -> a* b(head)\n")
     with pytest.raises(GrammarError, match="normalize"):
@@ -109,17 +131,25 @@ def test_action_render_round_trip():
 def test_compiled_steps_are_the_listed_actions(seed, demo_table):
     table = (demo_table if seed is None
              else fp.build_table(random_grammar(random.Random(seed))))
-    # shifts and reduces hold exactly the shift and reduce actions,
-    # keyed as listed and in the listed order
-    shifts = [(key, action[1]) for key, acts in table.actions.items()
-              for action in acts if action[0] == "shift"]
+    # the moves rows hold exactly the shift actions and the gotos, and
+    # the reduces rows the reduce actions, keyed as listed and in the
+    # listed order
+    shifts = {key: action[1] for key, acts in table.actions.items()
+              for action in acts if action[0] == "shift"}
     reduces = [(key, action[1]) for key, acts in table.actions.items()
                for action in acts if action[0] == "reduce"]
-    assert list(table.shifts.items()) == shifts
-    assert [(key, rule.rule_id) for key, rules in table.reduces.items()
+    assert len(table.moves) == len(table.reduces) == table.n_states
+    assert not shifts.keys() & table.gotos.keys()
+    assert {(state, symbol): target
+            for state, row in enumerate(table.moves)
+            for symbol, target in row.items()} == {**shifts, **table.gotos}
+    assert [((state, lookahead), rule.rule_id)
+            for state, row in enumerate(table.reduces)
+            for lookahead, rules in row.items()
             for rule in rules] == reduces
     assert all(rule is table.grammar.rules[rule.rule_id]
-               for rules in table.reduces.values() for rule in rules)
+               for row in table.reduces for rules in row.values()
+               for rule in rules)
 
 
 def test_wide_grammar_table_builds_in_seconds():

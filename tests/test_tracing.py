@@ -1,0 +1,42 @@
+"""The benchmark's tracer patches frameparse's call sites by name, so a
+rename in the program would break ``perfbench/run.py --trace 1`` without
+a test of its own failing; this runs the tracer over the program as it
+is."""
+
+import importlib.util
+from pathlib import Path
+
+import frameparse as fp
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_records_parse_and_ranking_spans(adversarial_pipeline):
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        result = adversarial_pipeline.analyze("the child sees a dog")
+        store = fp.observe_corpus(["the child sees a dog in the park",
+                                   "Paul intends to leave IBM"],
+                                  adversarial_pipeline, cap=10)
+    finally:
+        uninstall()
+    assert len(result.analyses) == 1
+    assert store.parsed_sentences == 2
+    spans = tracer.by_name
+    # calls, total and self time per span name
+    assert spans["glr.glr_parse"][0] == 3
+    assert spans["actions.unpack_n_best"][0] == 3
+    assert spans["pipeline.ParserPipeline.analyze"][0] == 1
+    assert spans["acquire.observe_corpus"][0] == 1
+    # uninstalling restores the program's own functions
+    assert fp.observe_corpus.__module__ == "frameparse.acquire"
