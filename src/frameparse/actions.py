@@ -262,8 +262,8 @@ class _Vertex:
     __slots__ = ("node", "exit", "edges", "ambiguous", "derivations",
                  "candidates", "seen")
 
-    def __init__(self, node: ForestNode, exit_state: int, edges: list,
-                 best: int, score: float, ambiguous: bool):
+    def __init__(self, node: Optional[ForestNode], exit_state: int,
+                 edges: list, best: int, score: float, ambiguous: bool):
         self.node = node
         self.exit = exit_state
         self.edges = edges

@@ -17,12 +17,12 @@ action models remain valid across runs.
 
 ``actions`` and ``gotos`` are the table as listed, which model files
 and ``conflicts`` read.  The parser, the forest search and training read
-its steps compiled into one row per state, built once with it: ``moves[state]`` maps a symbol,
-terminal or non-terminal, to the state that shifting it or going to it
-enters, and ``reduces[state]`` maps a lookahead to the rules to reduce,
-in ``actions`` order.  A rule's id must be its position in the
-grammar's rules, as loading ensures, so ``reduces`` holds the grammar's
-own rule objects.
+its steps compiled into one row per state, built once with it:
+``moves[state]`` maps a symbol, terminal or non-terminal, to the state
+that shifting it or going to it enters, and ``reduces[state]`` maps a
+lookahead to the rules to reduce, in ``actions`` order.  A rule's id
+must be its position in the grammar's rules, as loading ensures, so
+``reduces`` holds the grammar's own rule objects.
 """
 
 from __future__ import annotations

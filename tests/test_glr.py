@@ -43,7 +43,7 @@ def test_pp_attachment_two_derivations(ambig_table):
 
 
 @pytest.mark.parametrize("tokens", [["det", "n", "xyz"],
-                                    # the parse dies at index 1
+                                    # the parse dies at index 0
                                     ["v", "v", "xyz"]])
 def test_unknown_terminal_reports_position(tokens, demo_table):
     with pytest.raises(ParseError, match="index 2"):
