@@ -42,12 +42,11 @@ def test_pp_attachment_two_derivations(ambig_table):
     assert Counter(canon(t) for t in trees) == Counter(oracle)
 
 
-@pytest.mark.parametrize("tokens", [["det", "n", "xyz"],
-                                    # the parse dies at index 0
-                                    ["v", "v", "xyz"]])
-def test_unknown_terminal_reports_position(tokens, demo_table):
-    with pytest.raises(ParseError, match="index 2"):
-        fp.glr_parse(tokens, demo_table)
+def test_unknown_terminal_reports_position(demo_table):
+    # the second parse would die at index 0
+    for tokens in (["det", "n", "xyz"], ["v", "v", "xyz"]):
+        with pytest.raises(ParseError, match="index 2"):
+            fp.glr_parse(tokens, demo_table)
 
 
 def test_out_of_coverage_is_empty(demo_table):
