@@ -24,19 +24,29 @@ the vertices ``(forest node, entry state)`` of a hypergraph, and
 :func:`unpack_n_best` finds the best one with one Viterbi pass and the
 next ones with lazy k-best search (Huang & Chiang 2005, "Better k-best
 parsing", Algorithm 3).  Its cost is polynomial in the forest, plus
-``O(n log n)`` heap work for ``n`` analyses.  It reads the table's
-per-state ``moves`` and the model's flat log-probabilities, keyed by
-``(state, lookahead, rule id)`` for a reduce; an edge records only the
-state its action is taken in, and the trees and ``(state, lookahead,
-action)`` steps are built for the analyses returned alone.  A leaf's
-vertex depends only on its entry state and tag, so the model builds one
-per listed shift, holding that shift's log-probability, and every search
-shares them read-only: a leaf has one derivation, so the lazy search
-never extends it, and a tree takes a leaf's span from the forest node
-that the parent's alternative names.  Each term reported is a sum of
-what its edges hold: the steps' log-probabilities, and an optional
-lexical term's share per rule application, which the search adds to the
-edge's weight.
+``O(n log n)`` heap work for ``n`` analyses.  The same pass gives each
+vertex its margin, its best score less its runner-up's: the runner-up
+takes another edge's best derivation or the best edge with one tail's
+runner-up, so the margin is the smaller of the best edge's lead over
+the other edges and its tails' margins (``inf`` with one derivation).
+For ``n = 1`` a root margin beyond the tie band (see ``_TIE_BAND``)
+proves that no other derivation can tie, and the Viterbi derivation is
+returned without a lazy search; a near-tie, and every ``n > 1``, runs
+the lazy search, whose final sort settles ties on the trace.
+
+The search reads the table's per-state ``moves`` and the model's
+per-state reduce rows, ``reduce_rows[state][lookahead][rule id]``, each
+entry a reduce's log-probability and its ``(state, lookahead, action)``
+step, built once per model.  A leaf's vertex depends only on its entry
+state and tag, so the model builds one per listed shift, whose one edge
+holds that shift's log-probability and step, and every search shares
+them read-only: a leaf has one derivation, so the lazy search never
+extends it, and a tree takes a leaf's span from the forest node that
+the parent's alternative names.  An edge records its action's prebuilt
+step, and the trees and traces are built for the analyses returned
+alone, from those steps.  Each term reported is a sum of what its edges
+hold: the steps' log-probabilities, and an optional lexical term's share
+per rule application, which the search adds to the edge's weight.
 
 The search trusts the forest: it holds exactly the grammar's
 derivations, and over an LALR(1) table that keeps every conflict each is
@@ -154,11 +164,14 @@ class ActionModel:
     Immutable in use: training happens through the constructor (see
     :func:`train_actions`), after which instances are safely shared
     across concurrent parses.  :meth:`prob` gives each listed step's
-    probability; for the search, ``shift_logprobs`` holds each shift's
-    log-probability by ``(state, tag)``, ``reduce_logprobs`` each
-    reduce's by ``(state, lookahead, rule id)`` and ``accept_logprobs``
-    each accept's by state, and ``leaves[state][tag]`` is the shared
-    hypergraph vertex of a leaf ``tag`` entered from ``state``.
+    probability.  For the search, built once per model:
+    ``reduce_rows[state][lookahead][rule id]`` is a reduce's
+    ``(log-probability, step)``, the step its ``(state, lookahead,
+    action)`` trace entry; ``accept_logprobs`` holds each accept's
+    log-probability by state; and ``leaves[state][tag]`` is the shared
+    hypergraph vertex of a leaf ``tag`` entered from ``state``, whose
+    one edge holds its shift's log-probability and step.  No flat map
+    keyed by whole steps is kept beside ``prob``.
     """
 
     def __init__(self, table: LRTable,
@@ -183,10 +196,11 @@ class ActionModel:
                 if kept:
                     self.counts[key] = kept
         # An add-1-smoothed probability per listed step (every step the
-        # program scores is one), and the logs the search reads.
+        # program scores is one), and for the search each step's log and
+        # the step itself, built once.
         self._probs: dict[tuple[int, str, tuple], float] = {}
-        self.shift_logprobs: dict[tuple[int, str], float] = {}
-        self.reduce_logprobs: dict[tuple[int, str, int], float] = {}
+        self.reduce_rows: list[dict[str, dict[int, tuple[float, tuple]]]] = [
+            {} for _ in range(table.n_states)]
         self.accept_logprobs: dict[int, float] = {}
         self.leaves: list[dict[str, _Vertex]] = [
             {} for _ in range(table.n_states)]
@@ -196,20 +210,20 @@ class ActionModel:
             for action in available:
                 count = class_counts.get(action, 0)
                 prob = (count + 1) / (total + len(available))
-                self._probs[(state, lookahead, action)] = prob
+                step = (state, lookahead, action)
+                self._probs[step] = prob
+                logprob = math.log(prob)
                 if action[0] == "shift":
-                    logprob = math.log(prob)
-                    self.shift_logprobs[(state, lookahead)] = logprob
                     # a leaf's one edge is its shift
                     self.leaves[state][lookahead] = _Vertex(
                         None, action[1],
-                        [(None, (), state, logprob, 0.0, logprob)], 0,
-                        logprob, False)
+                        [(None, (), logprob, 0.0, logprob, step)], 0,
+                        logprob, False, math.inf)
                 elif action[0] == "reduce":
-                    self.reduce_logprobs[(state, lookahead, action[1])] = \
-                        math.log(prob)
+                    self.reduce_rows[state].setdefault(lookahead, {})[
+                        action[1]] = (logprob, step)
                 else:
-                    self.accept_logprobs[state] = math.log(prob)
+                    self.accept_logprobs[state] = logprob
 
     def prob(self, state: int, lookahead: str, action: tuple) -> float:
         """Raises ``KeyError`` for a step the table does not list."""
@@ -244,6 +258,16 @@ def train_actions(trees: Iterable[Tree], table: LRTable
 # _TIE_BAND * |score| below the n-th best's; for m under 10**6 steps
 # that exceeds the rounding of both sides, so its exact total is below
 # the n-th best's and no tie is lost before the final sort.
+#
+# A vertex's margin is a difference of two such sums (or a tail's
+# margin), so it is within 2 * m * 2**-53 * |total| + (m + 1) * 2**-53
+# * margin of the exact gap to the runner-up, and the reported totals of
+# the two best derivations differ by the margin within _TIE_BAND *
+# (|first| + |second|).  The lazy search's score of each derivation is
+# within m * 2**-53 times its magnitude of the exact one, so a root
+# margin above 2 * _TIE_BAND * |total| puts every other derivation's
+# search score more than _TIE_BAND * |total| below the best's: the
+# search would pop none of them at n = 1, and unpack_n_best skips it.
 _TIE_BAND = 1e-9
 
 
@@ -251,23 +275,27 @@ class _Vertex:
     """A (forest node, entry state) vertex of the ranking hypergraph; a
     leaf's, shared by every forest, has no node.
 
-    Each edge is ``(rule, tails, state, weight, share, logprob)``: the
+    Each edge is ``(rule, tails, weight, share, logprob, step)``: the
     rule applied (``None`` for a leaf's shift), the daughter vertices,
-    the state its closing action (that shift, or the rule's reduce) is
-    taken in, that action's log-probability plus the lexical share, the
-    share alone and the log-probability alone.  ``derivations`` lists
-    ``(score, edge index, tail ranks)`` best first, as far as found.
+    the closing action's log-probability plus the lexical share, the
+    share alone, the log-probability alone and the ``(state, lookahead,
+    action)`` step of that action (the shift, or the rule's reduce).
+    ``derivations`` lists ``(score, edge index, tail ranks)`` best
+    first, as far as found; ``margin`` is the best score less the
+    runner-up's, ``inf`` with one derivation.
     """
 
-    __slots__ = ("node", "exit", "edges", "ambiguous", "derivations",
-                 "candidates", "seen")
+    __slots__ = ("node", "exit", "edges", "ambiguous", "margin",
+                 "derivations", "candidates", "seen")
 
     def __init__(self, node: Optional[ForestNode], exit_state: int,
-                 edges: list, best: int, score: float, ambiguous: bool):
+                 edges: list, best: int, score: float, ambiguous: bool,
+                 margin: float):
         self.node = node
         self.exit = exit_state
         self.edges = edges
         self.ambiguous = ambiguous
+        self.margin = margin
         self.derivations = [(score, best, (0,) * len(edges[best][1]))]
         # both made when a second derivation is first asked for
         self.candidates: Optional[list] = None
@@ -278,7 +306,7 @@ def _edge_score(edge: tuple, ranks: tuple[int, ...]) -> float:
     score = 0.0
     for tail, rank in zip(edge[1], ranks):
         score += tail.derivations[rank][0]
-    return score + edge[3]
+    return score + edge[2]
 
 
 class _ForestSearch:
@@ -295,16 +323,16 @@ class _ForestSearch:
 
     def visit(self, node: ForestNode, state: int) -> _Vertex:
         """The vertex of the non-leaf ``node`` entered from ``state``, not
-        made yet, with its best derivation."""
+        made yet, with its best derivation and its margin."""
         vertices = self.vertices
         model = self.model
         leaves = model.leaves
         lookahead = self.lookaheads[node.end]
-        reduce_logprobs = model.reduce_logprobs
+        reduce_rows = model.reduce_rows
         lexical = self.lexical
         edges = []
         best = -1
-        best_score = 0.0
+        best_score = runner = -math.inf
         ambiguous = len(node.alternatives) > 1
         for rule, daughters in node.alternatives:
             tails = []
@@ -322,16 +350,27 @@ class _ForestSearch:
                 score += tail.derivations[0][0]
                 entry = tail.exit
             share = lexical(rule, daughters) if lexical is not None else 0.0
-            logprob = reduce_logprobs[(entry, lookahead, rule.rule_id)]
+            logprob, step = reduce_rows[entry][lookahead][rule.rule_id]
             weight = logprob + share
             score += weight
             if best < 0 or score > best_score:  # the first of the best
                 best = len(edges)
+                runner = best_score
                 best_score = score
-            edges.append((rule, tuple(tails), entry, weight, share, logprob))
+            elif score > runner:
+                runner = score
+            edges.append((rule, tuple(tails), weight, share, logprob, step))
+        # The runner-up takes another edge's best derivation, or the best
+        # edge with one tail's runner-up.
+        margin = math.inf
+        if ambiguous:
+            margin = best_score - runner
+            for tail in edges[best][1]:
+                if tail.margin < margin:
+                    margin = tail.margin
         vertex = vertices[(node, state)] = _Vertex(
             node, model.table.moves[state][node.symbol], edges, best,
-            best_score, ambiguous)
+            best_score, ambiguous, margin)
         return vertex
 
     def has_derivation(self, vertex: _Vertex, k: int) -> bool:
@@ -377,7 +416,7 @@ class _ForestSearch:
         and ``logprobs`` in trace order, and the lexical shares of its rule
         applications to ``shares`` in preorder."""
         _, index, ranks = vertex.derivations[k]
-        rule, tails, state, _, share, logprob = vertex.edges[index]
+        rule, tails, _, share, logprob, step = vertex.edges[index]
         node = vertex.node
         shares.append(share)
         children = []
@@ -385,16 +424,15 @@ class _ForestSearch:
         daughters = node.alternatives[index][1]
         for tail, rank, daughter in zip(tails, ranks, daughters):
             if daughter.leaf:
-                _, _, entry, _, _, shift_logprob = tail.edges[0]
-                trace.append((entry, daughter.symbol, ("shift", tail.exit)))
-                logprobs.append(shift_logprob)
+                shift = tail.edges[0]
+                trace.append(shift[5])
+                logprobs.append(shift[4])
                 children.append(Tree(daughter.symbol, daughter.start,
                                      daughter.end))
             else:
                 children.append(self.build(tail, rank, trace, logprobs,
                                            shares))
-        trace.append((state, self.lookaheads[node.end],
-                      ("reduce", rule.rule_id)))
+        trace.append(step)
         logprobs.append(logprob)
         return Tree(node.symbol, node.start, node.end, tuple(children), rule)
 
@@ -425,15 +463,20 @@ def unpack_n_best(forest: Forest, model: ActionModel, n: int,
     root = search.visit(forest.root, model.table.start_state)
     accept = (root.exit, END_MARKER, ("accept",))
     accept_logprob = model.accept_logprobs[root.exit]
-    popped = 0
-    floor = None
-    while search.has_derivation(root, popped):
-        score = root.derivations[popped][0] + accept_logprob
-        if floor is not None and score < floor:
-            break
-        popped += 1
-        if popped == n:
-            floor = score - _TIE_BAND * abs(score)
+    best = root.derivations[0][0] + accept_logprob
+    if n == 1 and root.margin > 2 * _TIE_BAND * abs(best):
+        # no other derivation is within the tie band: see _TIE_BAND
+        popped = 1
+    else:
+        popped = 0
+        floor = None
+        while search.has_derivation(root, popped):
+            score = root.derivations[popped][0] + accept_logprob
+            if floor is not None and score < floor:
+                break
+            popped += 1
+            if popped == n:
+                floor = score - _TIE_BAND * abs(score)
     scored = []
     for k in range(popped):
         trace: list = []

@@ -1,11 +1,13 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 
 import frameparse as fp
-from frameparse.actions import trace_sort_key
+from frameparse.actions import _TIE_BAND, _ForestSearch, trace_sort_key
 from frameparse.grammar import END_MARKER
-from oracles import all_trees, replay_actions
+from oracles import all_trees, random_grammar, random_sentences, replay_actions
 
 MOD_TREEBANK = """
 (S (NP (det the) (n child)) (VP (v sees) (NP (NP (det a) (n dog)) (PP (prep in) (NP (det the) (n park))))))
@@ -36,18 +38,26 @@ def test_class_distributions_sum_to_one(demo_table, adversarial_model):
 
 
 def test_flat_log_probabilities_are_the_models(demo_table, adversarial_model):
-    # the flat maps must hold the very floats math.log(prob()) gives
+    # the leaves and the reduce rows must hold every listed shift's and
+    # reduce's step, and no other, with the very float math.log(prob())
+    # gives
     for model in (fp.ActionModel(demo_table), adversarial_model):
         shifts, reduces = {}, {}
         for (state, lookahead), actions in demo_table.actions.items():
             for action in actions:
-                logprob = math.log(model.prob(state, lookahead, action))
+                entry = (math.log(model.prob(state, lookahead, action)),
+                         (state, lookahead, action))
                 if action[0] == "shift":
-                    shifts[(state, lookahead)] = logprob
+                    shifts[(state, lookahead)] = entry
                 elif action[0] == "reduce":
-                    reduces[(state, lookahead, action[1])] = logprob
-        assert model.shift_logprobs == shifts
-        assert model.reduce_logprobs == reduces
+                    reduces[(state, lookahead, action[1])] = entry
+        assert {(state, tag): leaf.edges[0][4:]
+                for state, row in enumerate(model.leaves)
+                for tag, leaf in row.items()} == shifts
+        assert {(state, lookahead, rule_id): entry
+                for state, row in enumerate(model.reduce_rows)
+                for lookahead, rules in row.items()
+                for rule_id, entry in rules.items()} == reduces
 
 
 def _mod_model(table):
@@ -219,16 +229,56 @@ def test_logprob_is_log_of_prob_exactly(demo_table, adversarial_model):
     for (state, lookahead), actions in demo_table.actions.items():
         for action in actions:
             if action[0] == "shift":
-                logprob = adversarial_model.shift_logprobs[(state, lookahead)]
+                leaf = adversarial_model.leaves[state][lookahead]
+                # the Viterbi pass reads the score, build the edge
+                assert leaf.derivations[0][0] == leaf.edges[0][4]
+                logprob = leaf.edges[0][4]
             elif action[0] == "reduce":
-                logprob = adversarial_model.reduce_logprobs[
-                    (state, lookahead, action[1])]
+                logprob, _ = adversarial_model.reduce_rows[state][lookahead][
+                    action[1]]
             else:
                 continue
             assert logprob == \
                 math.log(adversarial_model.prob(state, lookahead, action))
             checked += 1
     assert checked
+
+
+def _share(rule, daughters):
+    # a few repeated tenths, as in the differential gate, so that tied
+    # and near-tied totals occur
+    return -0.1 * ((rule.rule_id + daughters[0].start + daughters[-1].end) % 4)
+
+
+def test_root_margin_is_the_runner_up_gap():
+    checked = single = tied = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        table = fp.build_table(random_grammar(rng))
+        counts = {key: Counter({action: rng.randint(0, 3)
+                                for action in table.actions[key]})
+                  for key in sorted(table.actions)}
+        for model in (fp.ActionModel(table), fp.ActionModel(table, counts)):
+            for tags in random_sentences(table.grammar, rng, 6):
+                forest = fp.glr_parse(tags, table)
+                if forest.root is None:
+                    continue
+                for lexical in (None, _share):
+                    root = _ForestSearch(forest, model, lexical).visit(
+                        forest.root, table.start_state)
+                    ranked = fp.unpack_n_best(forest, model, 2, lexical)
+                    assert (root.margin == math.inf) == \
+                        (forest.derivation_count() == 1)
+                    if len(ranked) == 1:
+                        single += 1
+                        continue
+                    first, second = (a.total_score for a in ranked)
+                    # the bound stated at _TIE_BAND
+                    assert abs(root.margin - (first - second)) <= \
+                        _TIE_BAND * (abs(first) + abs(second))
+                    checked += 1
+                    tied += root.margin <= 2 * _TIE_BAND * abs(first)
+    assert checked >= 300 and single >= 1000 and tied >= 80
 
 
 def test_step_outside_table_raises(demo_table):
@@ -272,6 +322,9 @@ Y -> b(head) c
     # shifting c sorts before reducing X -> a b, so rule 1 ranks first
     assert [a.derivation.tree.rule for a in ranked] == \
         [grammar.rules[1], grammar.rules[0]]
+    # the Viterbi pass keeps the first of the tied edges, rule 0's, so
+    # top-1 ranking too must settle the tie on the trace
+    assert fp.unpack_n_best(forest, model, 1) == ranked[:1]
 
 
 def test_nbest_cap(demo_table):
