@@ -63,9 +63,25 @@ class Tree:
         return hash(self._nodes())
 
     def __repr__(self):
-        return ("Tree(label=%r, start=%r, end=%r, children=%r, rule=%r, "
-                "word=%r)" % (self.label, self.start, self.end,
-                              self.children, self.rule, self.word))
+        # The children's text is that of their tuple's repr, built with
+        # an explicit stack of trees still to write and text to append.
+        parts = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                parts.append(item)
+                continue
+            parts.append("Tree(label=%r, start=%r, end=%r, children=(" % (
+                item.label, item.start, item.end))
+            children = item.children
+            stack.append("%s), rule=%r, word=%r)" % (
+                "," if len(children) == 1 else "", item.rule, item.word))
+            for index in range(len(children) - 1, -1, -1):
+                stack.append(children[index])
+                if index:
+                    stack.append(", ")
+        return "".join(parts)
 
     def head_leaf(self) -> "Tree":
         """The lexical head reached by following head daughters."""

@@ -104,3 +104,42 @@ def test_load_and_write(tmp_path):
     out = tmp_path / "tb.treebank"
     fp.write_treebank(trees, out)
     assert fp.load_treebank(out) == trees
+
+
+class _Nested:
+    """A tree whose repr is the one-call-per-level formula, the children
+    written by their tuple's own repr."""
+
+    def __init__(self, tree):
+        self.tree = tree
+
+    def __repr__(self):
+        tree = self.tree
+        return ("Tree(label=%r, start=%r, end=%r, children=%r, rule=%r, "
+                "word=%r)" % (tree.label, tree.start, tree.end,
+                              tuple(_Nested(child) for child in tree.children),
+                              tree.rule, tree.word))
+
+
+def test_repr_is_the_nested_formula_without_recursion(lexicalized_pipeline):
+    trees = list(fp.load_treebank(fp.demo_path("train.treebank")))
+    for k in range(7):
+        result = lexicalized_pipeline.analyze(
+            "the child sees a dog" + " in the park" * k)
+        trees.append(result.analyses[0].derivation.tree)
+    trees.append(fp.Tree("n", 0, 1, word="it's"))
+    for tree in trees:
+        assert repr(tree) == repr(_Nested(tree))
+    # a unary chain far deeper than the interpreter's recursion limit
+    deep = fp.Tree("a", 0, 1, word="x")
+    for _ in range(5000):
+        deep = fp.Tree("A", 0, 1, (deep,))
+    try:
+        text = repr(deep)
+    except RecursionError:  # left here: its traceback is 5,000 frames
+        text = None
+    assert text is not None, "repr recursed once per tree level"
+    assert text.count("Tree(") == 5001
+    assert text.startswith("Tree(label='A', start=0, end=1, children=(Tree(")
+    assert text.endswith("word='x'),), rule=None, word=None)" +
+                         ",), rule=None, word=None)" * 4999)
