@@ -16,7 +16,10 @@ The parse tables of the demo grammar, of the same seeds' grammars and of
 the 50- and 100-rule ``wide_grammar`` fixtures are hashed too: the state
 count, the start state, the actions and the gotos, in their dict order.
 The table of the normalized ``english_grammar`` is hashed the same way,
-in a block of its own.
+in a block of its own.  The wide fixtures' rules have up to four
+daughters, so their ``random_sentences`` forests, and the uniform
+model's n = 5 rankings of them, are hashed in a block too: there a
+reduction's paths run four edges back.
 
 One digest per block is stored in ``tests/golden/differential.tsv``, so
 a failure names each block that moved.  After a deliberate change of a
@@ -41,6 +44,7 @@ SEED_BLOCKS = {f"seeds-{low:03d}-{low + 99:03d}": range(low, low + 100)
                for low in range(0, 600, 100)}
 LADDER = ["the child sees a dog" + " in the park" * k for k in range(13)]
 WIDE_SHAPES = ((50, 10), (100, 12))  # (rules, non-terminals), 15 terminals
+WIDE_SENTENCES = 400  # about half parse; a quarter of those use 4 daughters
 
 
 def _share(rule, daughters):
@@ -151,12 +155,27 @@ def _table_digest(grammars) -> str:
     return digest.hexdigest()
 
 
+def _wide_forest_digest() -> str:
+    digest = hashlib.sha256()
+    for rules, nonterminals in WIDE_SHAPES:
+        rng = random.Random(0)
+        grammar = wide_grammar(rng, rules, nonterminals, 15)
+        table = fp.build_table(grammar)
+        model = fp.ActionModel(table)
+        for tags in random_sentences(grammar, rng, WIDE_SENTENCES):
+            forest = fp.glr_parse(tags, table)
+            _hash_forest(digest, forest)
+            _hash_ranking(digest, fp.unpack_n_best(forest, model, 5))
+    return digest.hexdigest()
+
+
 BLOCKS = {**{name: (lambda seeds=seeds: _seed_digest(seeds))
              for name, seeds in SEED_BLOCKS.items()},
           "demo-ladder": lambda: _demo_digest(LADDER),
           "demo-acquisition": lambda: _demo_digest(_acquisition_sentences()),
           "demo-acquisition-store":
               lambda: _store_digest(_acquisition_sentences() * 3),
+          "wide-forests": _wide_forest_digest,
           "tables": lambda: _table_digest(_table_grammars()),
           "english-table":
               lambda: _table_digest([fp.normalize_kleene(english_grammar())])}
