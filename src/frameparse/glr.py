@@ -13,7 +13,12 @@ edge spans at least one token and reductions never loop within a
 position; a newly added edge only ever re-triggers reductions of the
 node that received it.  Each step reads the table's per-state rows:
 ``reduces[state]`` for the rules to reduce on the lookahead and
-``moves[state]`` for the state a shift or goto enters.  A forest
+``moves[state]`` for the state a shift or goto enters.  A reduction
+lists its backward paths, in the order of a depth-first walk in edge
+order, before it adds any edge: a right-recursive rule's goto can land
+on the very node being reduced.  Rules of one to three daughters list
+them in one comprehension each; longer rules extend the paths one edge
+at a time.  A forest
 records the grammar it was parsed over, so ranking checks once per
 forest that it is the model's.
 """
@@ -147,17 +152,30 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
         for node, rule, via in work:
             lhs = rule.mother
             # Every backward path of the rule's length, as (daughters
-            # left to right, base node): extending every path by one
-            # edge at a time, in edge order, lists them in the order of
-            # a depth-first walk.  No rule is empty, so the first edge
-            # is the pinned one or one of the node's own.
-            if via is None:
-                paths = [((label,), target) for label, target in node.edges]
+            # left to right, base node), listed before the loop below
+            # can add an edge to node, in the order of a depth-first
+            # walk in edge order.  No rule is empty, so the first edge
+            # is the pinned one or one of the node's own.  Rules of up
+            # to three daughters take one comprehension; longer ones
+            # are extended one edge at a time.
+            first = node.edges if via is None else (via,)
+            length = len(rule.daughters)
+            if length == 1:
+                paths = [((label,), target) for label, target in first]
+            elif length == 2:
+                paths = [((label2, label), target) for label, base in first
+                         for label2, target in base.edges]
+            elif length == 3:
+                paths = [((label3, label2, label), target)
+                         for label, base in first
+                         for label2, base2 in base.edges
+                         for label3, target in base2.edges]
             else:
-                paths = [((via[0],), via[1])]
-            for _ in range(len(rule.daughters) - 1):
-                paths = [((label,) + labels, target) for labels, base in paths
-                         for label, target in base.edges]
+                paths = [((label,), target) for label, target in first]
+                for _ in range(length - 1):
+                    paths = [((label,) + labels, target)
+                             for labels, base in paths
+                             for label, target in base.edges]
             for children, base in paths:
                 key = (lhs, base.pos, i)
                 packed = nodes.get(key)
