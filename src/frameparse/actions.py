@@ -37,7 +37,8 @@ the lazy search, whose final sort settles ties on the trace.
 The search reads the table's per-state ``moves`` and the model's
 per-state reduce rows, ``reduce_rows[state][lookahead][rule id]``, each
 entry a reduce's log-probability and its ``(state, lookahead, action)``
-step, built once per model.  A leaf's vertex depends only on its entry
+step, built once per model and taken once per search; a vertex keeps
+its best score beside its derivations, for the vertices above it.  A leaf's vertex depends only on its entry
 state and tag, so the model builds one per listed shift, whose one edge
 holds that shift's log-probability and step, and every search shares
 them read-only: a leaf has one derivation, so the lazy search never
@@ -281,11 +282,12 @@ class _Vertex:
     share alone, the log-probability alone and the ``(state, lookahead,
     action)`` step of that action (the shift, or the rule's reduce).
     ``derivations`` lists ``(score, edge index, tail ranks)`` best
-    first, as far as found; ``margin`` is the best score less the
-    runner-up's, ``inf`` with one derivation.
+    first, as far as found; ``score`` is the best one's score, and
+    ``margin`` is that less the runner-up's, ``inf`` with one
+    derivation.
     """
 
-    __slots__ = ("node", "exit", "edges", "ambiguous", "margin",
+    __slots__ = ("node", "exit", "edges", "ambiguous", "score", "margin",
                  "derivations", "candidates", "seen")
 
     def __init__(self, node: Optional[ForestNode], exit_state: int,
@@ -295,6 +297,7 @@ class _Vertex:
         self.exit = exit_state
         self.edges = edges
         self.ambiguous = ambiguous
+        self.score = score
         self.margin = margin
         self.derivations = [(score, best, (0,) * len(edges[best][1]))]
         # both made when a second derivation is first asked for
@@ -312,12 +315,17 @@ def _edge_score(edge: tuple, ranks: tuple[int, ...]) -> float:
 class _ForestSearch:
     """Viterbi and lazy k-best search over one forest's hypergraph."""
 
+    __slots__ = ("lookaheads", "leaves", "reduce_rows", "moves", "lexical",
+                 "vertices")
+
     def __init__(self, forest: Forest, model: ActionModel,
                  lexical: Optional[Callable[[Rule, tuple[ForestNode, ...]],
                                             float]]):
         # the lookahead of a node's final reduce, by the node's end
         self.lookaheads = forest.tokens + (END_MARKER,)
-        self.model = model
+        self.leaves = model.leaves
+        self.reduce_rows = model.reduce_rows
+        self.moves = model.table.moves
         self.lexical = lexical
         self.vertices: dict[tuple[ForestNode, int], _Vertex] = {}
 
@@ -325,10 +333,9 @@ class _ForestSearch:
         """The vertex of the non-leaf ``node`` entered from ``state``, not
         made yet, with its best derivation and its margin."""
         vertices = self.vertices
-        model = self.model
-        leaves = model.leaves
+        leaves = self.leaves
         lookahead = self.lookaheads[node.end]
-        reduce_rows = model.reduce_rows
+        reduce_rows = self.reduce_rows
         lexical = self.lexical
         edges = []
         best = -1
@@ -347,7 +354,7 @@ class _ForestSearch:
                         tail = self.visit(daughter, entry)
                     ambiguous = ambiguous or tail.ambiguous
                 tails.append(tail)
-                score += tail.derivations[0][0]
+                score += tail.score
                 entry = tail.exit
             share = lexical(rule, daughters) if lexical is not None else 0.0
             logprob, step = reduce_rows[entry][lookahead][rule.rule_id]
@@ -369,7 +376,7 @@ class _ForestSearch:
                 if tail.margin < margin:
                     margin = tail.margin
         vertex = vertices[(node, state)] = _Vertex(
-            node, model.table.moves[state][node.symbol], edges, best,
+            node, self.moves[state][node.symbol], edges, best,
             best_score, ambiguous, margin)
         return vertex
 
@@ -463,7 +470,7 @@ def unpack_n_best(forest: Forest, model: ActionModel, n: int,
     root = search.visit(forest.root, model.table.start_state)
     accept = (root.exit, END_MARKER, ("accept",))
     accept_logprob = model.accept_logprobs[root.exit]
-    best = root.derivations[0][0] + accept_logprob
+    best = root.score + accept_logprob
     if n == 1 and root.margin > 2 * _TIE_BAND * abs(best):
         # no other derivation is within the tie band: see _TIE_BAND
         popped = 1
