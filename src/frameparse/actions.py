@@ -38,16 +38,17 @@ The search reads the table's per-state ``moves`` and the model's
 per-state reduce rows, ``reduce_rows[state][lookahead][rule id]``, each
 entry a reduce's log-probability and its ``(state, lookahead, action)``
 step, built once per model and taken once per search; a vertex keeps
-its best score beside its derivations, for the vertices above it.  A leaf's vertex depends only on its entry
-state and tag, so the model builds one per listed shift, whose one edge
-holds that shift's log-probability and step, and every search shares
-them read-only: a leaf has one derivation, so the lazy search never
-extends it, and a tree takes a leaf's span from the forest node that
-the parent's alternative names.  An edge records its action's prebuilt
-step, and the trees and traces are built for the analyses returned
-alone, from those steps.  Each term reported is a sum of what its edges
-hold: the steps' log-probabilities, and an optional lexical term's share
-per rule application, which the search adds to the edge's weight.
+its best score beside its derivations, for the vertices above it.  A
+leaf's vertex depends only on its entry state and tag, so the model
+builds one per listed shift, whose one edge holds that shift's
+log-probability and step, and every search shares them read-only: a
+leaf has one derivation, so the lazy search never extends it, and a
+tree takes a leaf's span from the forest node that the parent's
+alternative names.  An edge records its action's prebuilt step, and the
+trees and traces are built for the analyses returned alone, from those
+steps.  Each term reported is a sum of what its edges hold: the steps'
+log-probabilities, and an optional lexical term's share per rule
+application, which the search adds to the edge's weight.
 
 The search trusts the forest: it holds exactly the grammar's
 derivations, and over an LALR(1) table that keeps every conflict each is

@@ -16,11 +16,10 @@ node that received it.  Each step reads the table's per-state rows:
 ``moves[state]`` for the state a shift or goto enters.  A reduction
 lists its backward paths, in the order of a depth-first walk in edge
 order, before it adds any edge: a right-recursive rule's goto can land
-on the very node being reduced.  Rules of one to three daughters list
-them in one comprehension each; longer rules extend the paths one edge
-at a time.  A forest
-records the grammar it was parsed over, so ranking checks once per
-forest that it is the model's.
+on the very node being reduced.  A rule of one to three daughters lists
+them in one comprehension; a longer rule extends them one edge at a
+time.  A forest records the grammar it was parsed over, so ranking
+checks once per forest that it is the model's.
 """
 
 from __future__ import annotations
@@ -152,17 +151,12 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
         for node, rule, via in work:
             lhs = rule.mother
             # Every backward path of the rule's length, as (daughters
-            # left to right, base node), listed before the loop below
-            # can add an edge to node, in the order of a depth-first
-            # walk in edge order.  No rule is empty, so the first edge
-            # is the pinned one or one of the node's own.  Rules of up
-            # to three daughters take one comprehension; longer ones
-            # are extended one edge at a time.
+            # left to right, base node), listed in full before the loop
+            # below can add an edge to node.  No rule is empty, so the
+            # first edge is the pinned one or one of the node's own.
             first = node.edges if via is None else (via,)
             length = len(rule.daughters)
-            if length == 1:
-                paths = [((label,), target) for label, target in first]
-            elif length == 2:
+            if length == 2:
                 paths = [((label2, label), target) for label, base in first
                          for label2, target in base.edges]
             elif length == 3:
@@ -170,7 +164,7 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
                          for label, base in first
                          for label2, base2 in base.edges
                          for label3, target in base2.edges]
-            else:
+            else:  # one daughter, or four and more: edge by edge
                 paths = [((label,), target) for label, target in first]
                 for _ in range(length - 1):
                     paths = [((label,) + labels, target)
