@@ -44,7 +44,7 @@ SEED_BLOCKS = {f"seeds-{low:03d}-{low + 99:03d}": range(low, low + 100)
                for low in range(0, 600, 100)}
 LADDER = ["the child sees a dog" + " in the park" * k for k in range(13)]
 WIDE_SHAPES = ((50, 10), (100, 12))  # (rules, non-terminals), 15 terminals
-WIDE_SENTENCES = 400  # about half parse; a quarter of those use 4 daughters
+WIDE_SENTENCES = 400  # half parse; 30-50% of those use a 4-daughter rule
 
 
 def _share(rule, daughters):
