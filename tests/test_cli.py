@@ -380,9 +380,16 @@ def test_reports_byte_identical(tmp_path, model_file, lexicon_file):
 MALFORMED = [
     # option, malformed text, start of the message after the path
     pytest.param("--model", None, "line 2: ", id="--model"),  # second row cut short
+    pytest.param("--model", "0\tdet\tshift:4\t7\t1.0\n0\tn\tshift:5\t-1\t0.0\n",
+                 "line 2: negative count\n", id="--model-negative-count"),
     pytest.param("--lexicon", "hear\tNP\t9\t0.9\nhear\tPP\tone\t0.1\n",
                  "line 2: ", id="--lexicon"),
+    pytest.param("--lexicon", "see\tNP\t0\t0.0\n",
+                 "line 1: lemma 'see' has zero total count\n",
+                 id="--lexicon-zero-total"),
     pytest.param("--wordlist", "the\tdet\nchild\n", "line 2: ", id="--wordlist"),
+    pytest.param("--wordlist", "the\tdet\ndog\t,\n", "line 2: no tags for 'dog'\n",
+                 id="--wordlist-no-tags"),
     pytest.param("--lemma-exceptions", "meeting\tn\tmeeting\nMeeting\tn\tmeet\n",
                  "line 2: ", id="--lemma-exceptions"),
     pytest.param("--gold-gr", "ncsubj(sleep,child,_)\nbogus(x\n", "line 2: ",

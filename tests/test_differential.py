@@ -14,12 +14,16 @@ cycled three times, is also run through ``observe_corpus`` at caps 0,
 counts) and the hypothesized entries, so that a cap that binds shows.
 The parse tables of the demo grammar, of the same seeds' grammars and of
 the 50- and 100-rule ``wide_grammar`` fixtures are hashed too: the state
-count, the start state, the actions and the gotos, in their dict order.
-The table of the normalized ``english_grammar`` is hashed the same way,
-in a block of its own.  The wide fixtures' rules have up to four
-daughters, so their ``random_sentences`` forests, and the uniform
-model's n = 5 rankings of them, are hashed in a block too: there a
-reduction's paths run four edges back.
+count, the start state, the actions and the gotos (the non-terminal
+entries of the ``moves`` rows), in their dict order.  The table of the
+normalized ``english_grammar`` is hashed the same way, in a block of its
+own.  The wide fixtures' rules have up to four daughters, so their
+``random_sentences`` forests, and the uniform model's n = 5 rankings of
+them, are hashed in a block too: there a reduction's paths run four
+edges back.  The normalized ``english_grammar``'s ``random_sentences``
+forests and PP chains are hashed with their n = 1 and 5 rankings under
+the uniform model, whose ties are exact there, and under random counts,
+each with and without a lexical share.
 
 One digest per block is stored in ``tests/golden/differential.tsv``, so
 a failure names each block that moved.  After a deliberate change of a
@@ -45,6 +49,10 @@ SEED_BLOCKS = {f"seeds-{low:03d}-{low + 99:03d}": range(low, low + 100)
 LADDER = ["the child sees a dog" + " in the park" * k for k in range(13)]
 WIDE_SHAPES = ((50, 10), (100, 12))  # (rules, non-terminals), 15 terminals
 WIDE_SENTENCES = 400  # half parse; 30-50% of those use a 4-daughter rule
+ENGLISH_SENTENCES = 200  # about half parse
+# PP chains, where the exact ties of the uniform model pile up
+ENGLISH_CHAINS = [["pn", "v", "det", "n"] + ["prep", "det", "n"] * k
+                  for k in (1, 2, 4, 8)]
 
 
 def _share(rule, daughters):
@@ -70,24 +78,29 @@ def _hash_ranking(digest, analyses):
                             repr(analysis.lexical_logprob))).encode())
 
 
+def _hash_rankings(digest, forest, model):
+    for n in (1, 5):
+        for lexical in (None, _share):
+            _hash_ranking(digest, fp.unpack_n_best(forest, model, n, lexical))
+
+
+def _random_counts(table, rng):
+    return {key: Counter({action: rng.randint(0, 3)
+                          for action in table.actions[key]})
+            for key in sorted(table.actions)}
+
+
 def _seed_digest(seeds) -> str:
     digest = hashlib.sha256()
     for seed in seeds:
         rng = random.Random(seed)
         table = fp.build_table(random_grammar(rng))
-        counts = None
-        if seed % 2:
-            counts = {key: Counter({action: rng.randint(0, 3)
-                                    for action in table.actions[key]})
-                      for key in sorted(table.actions)}
-        model = fp.ActionModel(table, counts)
+        model = fp.ActionModel(table,
+                               _random_counts(table, rng) if seed % 2 else None)
         for tags in random_sentences(table.grammar, rng, 6):
             forest = fp.glr_parse(tags, table)
             _hash_forest(digest, forest)
-            for n in (1, 5):
-                for lexical in (None, _share):
-                    _hash_ranking(digest, fp.unpack_n_best(forest, model, n,
-                                                           lexical))
+            _hash_rankings(digest, forest, model)
     return digest.hexdigest()
 
 
@@ -149,9 +162,12 @@ def _table_digest(grammars) -> str:
     digest = hashlib.sha256()
     for grammar in grammars:
         table = fp.build_table(grammar)
+        gotos = [((state, symbol), target)
+                 for state, row in enumerate(table.moves)
+                 for symbol, target in row.items()
+                 if symbol in grammar.nonterminals]
         digest.update(repr((table.n_states, table.start_state,
-                            list(table.actions.items()),
-                            list(table.gotos.items()))).encode())
+                            list(table.actions.items()), gotos)).encode())
     return digest.hexdigest()
 
 
@@ -169,6 +185,22 @@ def _wide_forest_digest() -> str:
     return digest.hexdigest()
 
 
+def _english_forest_digest() -> str:
+    grammar = fp.normalize_kleene(english_grammar())
+    table = fp.build_table(grammar)
+    rng = random.Random(0)
+    sentences = random_sentences(grammar, rng, ENGLISH_SENTENCES)
+    models = (fp.ActionModel(table),
+              fp.ActionModel(table, _random_counts(table, rng)))
+    digest = hashlib.sha256()
+    for tags in sentences + ENGLISH_CHAINS:
+        forest = fp.glr_parse(tags, table)
+        _hash_forest(digest, forest)
+        for model in models:
+            _hash_rankings(digest, forest, model)
+    return digest.hexdigest()
+
+
 BLOCKS = {**{name: (lambda seeds=seeds: _seed_digest(seeds))
              for name, seeds in SEED_BLOCKS.items()},
           "demo-ladder": lambda: _demo_digest(LADDER),
@@ -178,7 +210,8 @@ BLOCKS = {**{name: (lambda seeds=seeds: _seed_digest(seeds))
           "wide-forests": _wide_forest_digest,
           "tables": lambda: _table_digest(_table_grammars()),
           "english-table":
-              lambda: _table_digest([fp.normalize_kleene(english_grammar())])}
+              lambda: _table_digest([fp.normalize_kleene(english_grammar())]),
+          "english-forests": _english_forest_digest}
 
 
 def digests() -> str:

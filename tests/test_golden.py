@@ -4,8 +4,9 @@ Every command below runs in-process through ``cli.main``, in order, in
 one fresh working directory: the ``train`` and ``acquire`` commands at
 the top write the model and lexicon the later ones read, under
 relative names, so no temporary path reaches an output.  The treebank
-and grammar files of the error repros and an empty corpus are written
-there the same way.
+and grammar files of the error repros, an empty corpus and a corpus
+with gold whose second sentence is out of coverage are written there
+the same way.
 The expected stdout (``<name>.out``), stderr (``<name>.err``), exit
 status (``status.tsv``) and written files are under ``tests/golden/``.
 After a deliberate output change, rewrite them with
@@ -68,7 +69,45 @@ GRAMMARS = {
         encoding="utf-8").replace("verbs: v\n", "verbs: vb\n"),
     "duplicate-terminals": "terminals: a b\nstart: S\nterminals: a\n"
                            "S -> a b(head)\n",
+    "empty-terminals": "terminals:\nstart: S\nS -> a\n",
+    "terminal-mother": "terminals: a b\nstart: S\nS -> a\na -> b\n",
+    "arrow-after-bar": "terminals: a b\nstart: S\nS | -> a b(head)\n",
+    "no-daughters": "terminals: a b\nstart: S\nS -> a\nS ->\n",
+    "marked-head": "terminals: a b\nstart: S\nS -> a b*(head)\n",
+    "feature-without-value": "terminals: a b\nstart: S\n"
+                             "S -> a b(head) : VSUBCAT\n",
+    "feature-empty-value": "terminals: a b\nstart: S\n"
+                           "S -> a b(head) : VSUBCAT=\n",
+    "bar-without-gr": "terminals: a b\nstart: S\n"
+                      "S -> a b(head) | ncsubj(_, 2, 1)\n",
+    "template-unparsable": "terminals: a b\nstart: S\n"
+                           "S -> a b(head) | gr: ncsubj\n",
+    "template-unknown-relation": "terminals: a b\nstart: S\n"
+                                 "S -> a b(head) | gr: bogus(_, 2, 1)\n",
+    "template-slot-count": "terminals: a b\nstart: S\n"
+                           "S -> a b(head) | gr: ncsubj(_, 2)\n",
+    "template-slot-unparsable": "terminals: a b\nstart: S\n"
+                                "S -> a b(head) | gr: ncsubj(_, 2, x)\n",
+    "template-control-outside-dependent":
+        "terminals: a b\nstart: S\nS -> a b(head) | gr: ncsubj(_, control, 1)\n",
+    "template-head-slot": "terminals: a b\nstart: S\n"
+                          "S -> a b(head) | gr: ncsubj(_, _, 1)\n",
+    "template-dependent-slot": "terminals: a b\nstart: S\n"
+                               "S -> a b(head) | gr: ncsubj(_, 2, self)\n",
+    # only Kleene expansion meets the second rule's template-less twin
+    "kleene-conflict": "terminals: a b\nstart: S\n"
+                       "S -> a(head) b? | gr: dobj(_, 1, 2)\nS -> a(head) b\n",
 }
+# Two sentences, the second out of coverage, with gold for both: the
+# reports count its gold and warn.
+OUT_OF_COVERAGE = {
+    "ooc.txt": "the child sees a dog in the park\nthe in the\n",
+    "ooc.treebank": "(S (NP (det the) (n child)) (VP (v sees) (NP (NP (det a) "
+                    "(n dog)) (PP (prep in) (NP (det the) (n park))))))\n"
+                    "(NP (det the) (PP (prep in) (NP (det the))))\n",
+    "ooc.grs": "ncsubj(see,child,_)\ndobj(see,dog,_)\n\nncsubj(in,the,_)\n",
+}
+OOC = ["--corpus", "ooc.txt"]
 # A comma must not put a sentence out of coverage, nor a non-ASCII
 # letter split a word.
 TOKENIZING = ["the child sees a dog, in the park", "the naïve child sleeps"]
@@ -107,6 +146,11 @@ def _commands():
                             "--gold-gr", "empty.txt"]
     yield "empty-compare", ["compare", *PIPELINE, *LEXICONS["acquired"],
                             *EMPTY, "--gold-gr", "empty.txt"]
+    yield "ooc-eval-bracket", ["eval-bracket", *PIPELINE, *OOC,
+                               "--treebank", "ooc.treebank"]
+    yield "ooc-eval-gr", ["eval-gr", *PIPELINE, *OOC, "--gold-gr", "ooc.grs"]
+    yield "ooc-compare", ["compare", *PIPELINE, *LEXICONS["acquired"], *OOC,
+                          "--gold-gr", "ooc.grs", "--treebank", "ooc.treebank"]
     for fmt, fmt_args in FORMATS.items():
         for n in (1, 5):
             for lexicon, lexicon_args in LEXICONS.items():
@@ -145,6 +189,8 @@ def run_commands(workdir: Path) -> dict[str, str]:
         for name, text in GRAMMARS.items():
             Path(f"{name}.grammar").write_text(text, encoding="utf-8")
         Path("empty.txt").write_text("", encoding="utf-8")
+        for name, text in OUT_OF_COVERAGE.items():
+            Path(name).write_text(text, encoding="utf-8")
         for name, argv in COMMANDS.items():
             stdout, stderr = io.StringIO(), io.StringIO()
             with redirect_stdout(stdout), redirect_stderr(stderr):

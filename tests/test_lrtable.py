@@ -33,7 +33,7 @@ def test_singleton_language_table():
     assert shift == (("shift", shift[0][1]),)
     after = shift[0][1]
     assert table.actions[(after, END_MARKER)] == (("reduce", 0),)
-    goto = table.gotos[(table.start_state, "S")]
+    goto = table.moves[table.start_state]["S"]
     assert table.actions[(goto, END_MARKER)] == (("accept",),)
     assert table.conflicts() == []
 
@@ -103,7 +103,7 @@ def test_demo_table_has_reduce_reduce_conflict(demo_table, demo_normalized):
 def test_gotos_deterministic(demo_table):
     # mapping keys are unique by construction; spot-check value stability
     rebuilt = fp.build_table(demo_table.grammar)
-    assert rebuilt.gotos == demo_table.gotos
+    assert rebuilt.moves == demo_table.moves
     assert rebuilt.actions == demo_table.actions
     assert rebuilt.n_states == demo_table.n_states
 
@@ -138,11 +138,15 @@ def test_compiled_steps_are_the_listed_actions(seed, demo_table):
               for action in acts if action[0] == "shift"}
     reduces = [(key, action[1]) for key, acts in table.actions.items()
                for action in acts if action[0] == "reduce"]
+    gotos = {(state, symbol): target
+             for state, row in enumerate(table.moves)
+             for symbol, target in row.items()
+             if symbol in table.grammar.nonterminals}
     assert len(table.moves) == len(table.reduces) == table.n_states
-    assert not shifts.keys() & table.gotos.keys()
+    assert not shifts.keys() & gotos.keys()
     assert {(state, symbol): target
             for state, row in enumerate(table.moves)
-            for symbol, target in row.items()} == {**shifts, **table.gotos}
+            for symbol, target in row.items()} == {**shifts, **gotos}
     assert [((state, lookahead), rule.rule_id)
             for state, row in enumerate(table.reduces)
             for lookahead, rules in row.items()
