@@ -141,7 +141,15 @@ class Rule:
 class Grammar:
     """Rules, start symbol, terminals and verb tags.  Immutable by
     convention; grammars compare and hash by those four fields.  The
-    derived indexes below are computed once, on first use."""
+    derived indexes below are computed once, on first use.
+
+    A grammar is valid by construction, however it was made: each rule's
+    id is its position, it has daughters, all declared, and no terminal
+    heads it; its VSUBCAT value is a frame; the start symbol has a rule;
+    no two rules share a shape; every non-terminal derives a terminal
+    string; and, once free of repetition markers, it has no derivation
+    cycle.  The constructor raises :class:`GrammarError` otherwise.
+    """
 
     def __init__(self, rules: tuple[Rule, ...], start_symbol: str,
                  terminals: frozenset[str], verb_tags: frozenset[str]):
@@ -149,6 +157,7 @@ class Grammar:
         self.start_symbol = start_symbol
         self.terminals = terminals
         self.verb_tags = verb_tags
+        _validate(self)
 
     def _key(self) -> tuple:
         return (self.rules, self.start_symbol, self.terminals, self.verb_tags)
@@ -364,28 +373,12 @@ def parse_grammar(text: str) -> Grammar:
         raise GrammarError("missing 'terminals:' declaration")
     if start is None:
         raise GrammarError("missing 'start:' declaration")
-    if not rules:
-        raise GrammarError("grammar has no rules")
-
-    terminal_set = frozenset(terminals)
     for tag in verb_tags:
-        if tag not in terminal_set:
+        if tag not in terminals:
             raise GrammarError(f"verb tag {tag!r} is not a terminal",
                                declared["verbs"])
-    nonterminals = frozenset(rule.mother for rule in rules)
-    for rule in rules:
-        if rule.mother in terminal_set:
-            raise GrammarError(f"terminal {rule.mother!r} on a left-hand side",
-                               rule.line)
-        for name in rule.daughters:
-            if name not in terminal_set and name not in nonterminals:
-                raise GrammarError(f"undeclared symbol {name!r}", rule.line)
-        vsubcat = rule.feature("VSUBCAT")
-        if vsubcat is not None and vsubcat not in FRAMES:
-            raise GrammarError(f"unknown VSUBCAT value {vsubcat!r}", rule.line)
-    grammar = Grammar(tuple(rules), start, terminal_set, frozenset(verb_tags))
-    _validate(grammar, check_cycles=not grammar.has_repetition())
-    return grammar
+    return Grammar(tuple(rules), start, frozenset(terminals),
+                   frozenset(verb_tags))
 
 
 def load_grammar(path) -> Grammar:
@@ -403,7 +396,29 @@ def render_grammar(grammar: Grammar) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _validate(grammar: Grammar, check_cycles: bool) -> None:
+def _validate(grammar: Grammar) -> None:
+    if not grammar.rules:
+        raise GrammarError("grammar has no rules")
+    if not grammar.terminals:
+        raise GrammarError("grammar declares no terminals")
+    for position, rule in enumerate(grammar.rules):
+        if rule.rule_id != position:
+            raise GrammarError(f"rule {rule.rule_id} of {rule.mother!r} is at "
+                               f"position {position} (a rule's id must be "
+                               f"its position)", rule.line)
+        if not rule.daughters:
+            raise GrammarError(f"rule {rule.rule_id} of {rule.mother!r} has no "
+                               f"daughters (empty rules are not allowed)",
+                               rule.line)
+        if rule.mother in grammar.terminals:
+            raise GrammarError(f"terminal {rule.mother!r} on a left-hand side",
+                               rule.line)
+        for name in rule.daughters:
+            if name not in grammar.terminals and name not in grammar.nonterminals:
+                raise GrammarError(f"undeclared symbol {name!r}", rule.line)
+        vsubcat = rule.feature("VSUBCAT")
+        if vsubcat is not None and vsubcat not in FRAMES:
+            raise GrammarError(f"unknown VSUBCAT value {vsubcat!r}", rule.line)
     if grammar.start_symbol not in grammar.nonterminals:
         raise GrammarError(f"start symbol {grammar.start_symbol!r} has no rule")
     seen_shapes: set[tuple] = set()
@@ -414,7 +429,9 @@ def _validate(grammar: Grammar, check_cycles: bool) -> None:
                 f"duplicate rule {rule.mother} -> {' '.join(rule.daughters)}",
                 rule.line)
         seen_shapes.add(shape)
-    if check_cycles:
+    # Kleene expansion checks a grammar with markers once it builds the
+    # marker-free one.
+    if not grammar.has_repetition():
         _check_cycle_free(grammar)
     _check_productive(grammar)
 
@@ -567,7 +584,5 @@ def normalize_kleene(grammar: Grammar) -> Grammar:
     for symbol, helper in sorted(helpers.items()):
         emit(helper, (symbol,), 0)
         emit(helper, (symbol, helper), 0)
-    normalized = Grammar(tuple(new_rules), grammar.start_symbol, grammar.terminals,
-                         grammar.verb_tags)
-    _validate(normalized, check_cycles=True)
-    return normalized
+    return Grammar(tuple(new_rules), grammar.start_symbol, grammar.terminals,
+                   grammar.verb_tags)

@@ -15,13 +15,13 @@ are immutable once built and shareable across concurrent parses.  State
 numbering depends only on the grammar, never on hash order, so persisted
 action models remain valid across runs.
 
-``actions`` and ``gotos`` are the table as listed, which model files
-and ``conflicts`` read.  The parser, the forest search and training read
+``actions`` is the table as listed, which model files and
+``conflicts`` read.  The parser, the forest search and training read
 its steps compiled into one row per state, built once with it:
 ``moves[state]`` maps a symbol, terminal or non-terminal, to the state
 that shifting it or going to it enters, and ``reduces[state]`` maps a
-lookahead to the rules to reduce, in ``actions`` order.  A rule's id
-must be its position in the grammar's rules, as loading ensures, so
+lookahead to the rules to reduce, in ``actions`` order.  A rule's id is
+its position in the grammar's rules, as every ``Grammar`` ensures, so
 ``reduces`` holds the grammar's own rule objects.
 """
 
@@ -59,19 +59,17 @@ def parse_action(text: str) -> tuple:
 
 
 class LRTable:
-    __slots__ = ("grammar", "n_states", "actions", "gotos", "moves",
-                 "reduces", "start_state")
+    __slots__ = ("grammar", "n_states", "actions", "moves", "reduces",
+                 "start_state")
 
     def __init__(self, grammar: Grammar, n_states: int,
                  actions: dict[tuple[int, str], tuple[tuple, ...]],
-                 gotos: dict[tuple[int, str], int],
                  moves: list[dict[str, int]],
                  reduces: list[dict[str, tuple[Rule, ...]]],
                  start_state: int):
         self.grammar = grammar
         self.n_states = n_states
         self.actions = actions
-        self.gotos = gotos
         self.moves = moves
         self.reduces = reduces
         self.start_state = start_state
@@ -88,33 +86,14 @@ def build_table(grammar: Grammar) -> LRTable:
     """Build the LALR(1) table for a normalized grammar.
 
     The grammar must be free of repetition markers (see
-    :func:`frameparse.grammar.normalize_kleene`) and cycle-free, and each
-    of its non-terminals must derive a terminal string, as loading checks.
-    As loading also ensures, and the build checks, no rule may be empty,
-    a rule's id must be its position in ``grammar.rules`` and no terminal
-    may head a rule.
+    :func:`frameparse.grammar.normalize_kleene`); the rest the table
+    relies on, a ``Grammar`` ensures when it is made: no rule is empty,
+    none is headed by a terminal (``moves`` holds shifts and gotos in one
+    map per state), there is no derivation cycle and each non-terminal
+    derives a terminal string.
     """
-    if not grammar.rules:
-        raise GrammarError("cannot build a table for an empty rule set")
-    if not grammar.terminals:
-        raise GrammarError("grammar declares no terminals")
     if grammar.has_repetition():
         raise GrammarError("grammar contains repetition markers; normalize first")
-    if grammar.start_symbol not in grammar.nonterminals:
-        raise GrammarError(f"start symbol {grammar.start_symbol!r} has no rule")
-    for position, rule in enumerate(grammar.rules):
-        if rule.rule_id != position:
-            raise GrammarError(f"rule {rule.rule_id} of {rule.mother!r} is at "
-                               f"position {position} (a rule's id must be "
-                               f"its position)", rule.line)
-        if rule.mother in grammar.terminals:
-            # moves holds shifts and gotos in one map per state
-            raise GrammarError(f"terminal {rule.mother!r} on a left-hand side",
-                               rule.line)
-        if not rule.daughters:
-            raise GrammarError(f"rule {rule.rule_id} of {rule.mother!r} has no "
-                               f"daughters (empty rules are not allowed)",
-                               rule.line)
 
     rules = grammar.rules
     rules_by_lhs = grammar.rules_by_lhs
@@ -204,5 +183,5 @@ def build_table(grammar: Grammar) -> LRTable:
         if reducible:
             reduces[state_id][lookahead] = reducible
     return LRTable(grammar=grammar, n_states=len(kernels),
-                   actions=frozen_actions, gotos=gotos, moves=moves,
-                   reduces=reduces, start_state=0)
+                   actions=frozen_actions, moves=moves, reduces=reduces,
+                   start_state=0)

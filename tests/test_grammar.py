@@ -1,7 +1,7 @@
 import pytest
 
 import frameparse as fp
-from frameparse.grammar import ADJUNCT, ARGUMENT, GrammarError
+from frameparse.grammar import ADJUNCT, ARGUMENT, Grammar, GrammarError, Rule
 
 from oracles import language
 
@@ -256,6 +256,27 @@ def test_unproductive_nonterminal_rejected():
     with pytest.raises(GrammarError, match=(
             r"^line 6: non-terminal 'B' derives no terminal string$")):
         fp.parse_grammar(text)
+
+
+def _unit(mother, daughter, rule_id):
+    return Rule(mother, (daughter,), 0, ("",), (), (), rule_id, None)
+
+
+def test_constructor_rejects_a_derivation_cycle():
+    # built by hand, not loaded: ranking such a grammar would recurse
+    # without end
+    rules = (_unit("S", "A", 0), _unit("A", "S", 1), _unit("S", "a", 2))
+    with pytest.raises(GrammarError,
+                       match="^grammar has a derivation cycle: A -> S -> A$"):
+        Grammar(rules, "S", frozenset({"a"}), frozenset())
+
+
+def test_constructor_rejects_an_unproductive_nonterminal():
+    rules = (_unit("S", "a", 0), _unit("S", "B", 1),
+             Rule("B", ("B", "a"), 0, ("", ""), (), (), 2, None))
+    with pytest.raises(GrammarError,
+                       match="^non-terminal 'B' derives no terminal string$"):
+        Grammar(rules, "S", frozenset({"a"}), frozenset())
 
 
 def test_optional_daughters_need_not_be_productive():

@@ -44,12 +44,12 @@ def test_empty_rule_set_rejected():
 
 
 def test_empty_rule_rejected():
-    # the grammar-file parser refuses empty rules; the constructors do not
+    # the grammar-file parser refuses empty rules, and so does a grammar
+    # built by hand
     rules = (Rule("S", ("a",), 0, ("",), (), (), 0, None),
              Rule("S", (), 0, (), (), (), 1, None))
-    grammar = Grammar(rules, "S", frozenset({"a"}), frozenset())
     with pytest.raises(GrammarError, match="rule 1 of 'S' has no daughters"):
-        fp.build_table(grammar)
+        Grammar(rules, "S", frozenset({"a"}), frozenset())
 
 
 def test_rule_id_other_than_its_position_rejected():
@@ -57,10 +57,9 @@ def test_rule_id_other_than_its_position_rejected():
     # must name its own rule
     rules = (Rule("S", ("a", "B"), 0, ("", ""), (), (), 1, 3),
              Rule("B", ("b",), 0, ("",), (), (), 0, 4))
-    grammar = Grammar(rules, "S", frozenset({"a", "b"}), frozenset())
     with pytest.raises(GrammarError,
                        match="line 3: rule 1 of 'S' is at position 0"):
-        fp.build_table(grammar)
+        Grammar(rules, "S", frozenset({"a", "b"}), frozenset())
 
 
 def test_terminal_left_hand_side_rejected():
@@ -68,10 +67,9 @@ def test_terminal_left_hand_side_rejected():
     # not be both
     rules = (Rule("S", ("a",), 0, ("",), (), (), 0, 2),
              Rule("a", ("b",), 0, ("",), (), (), 1, 3))
-    grammar = Grammar(rules, "S", frozenset({"a", "b"}), frozenset())
     with pytest.raises(GrammarError,
                        match="line 3: terminal 'a' on a left-hand side"):
-        fp.build_table(grammar)
+        Grammar(rules, "S", frozenset({"a", "b"}), frozenset())
 
 
 def test_unnormalized_grammar_rejected():
