@@ -59,6 +59,7 @@ TREEBANKS = {
                    "(NP (pn Paul))\n",
 }
 # One grammar file per grammar fault that ``build-table`` reports (exit 2).
+AB = "terminals: a b\nstart: S\n"
 GRAMMARS = {
     "duplicate-feature": "terminals: v n\nstart: VP\n"
                          "VP -> v(head) n : VSUBCAT=NP, VSUBCAT=BOGUS\n",
@@ -70,33 +71,24 @@ GRAMMARS = {
     "duplicate-terminals": "terminals: a b\nstart: S\nterminals: a\n"
                            "S -> a b(head)\n",
     "empty-terminals": "terminals:\nstart: S\nS -> a\n",
-    "terminal-mother": "terminals: a b\nstart: S\nS -> a\na -> b\n",
-    "arrow-after-bar": "terminals: a b\nstart: S\nS | -> a b(head)\n",
-    "no-daughters": "terminals: a b\nstart: S\nS -> a\nS ->\n",
-    "marked-head": "terminals: a b\nstart: S\nS -> a b*(head)\n",
-    "feature-without-value": "terminals: a b\nstart: S\n"
-                             "S -> a b(head) : VSUBCAT\n",
-    "feature-empty-value": "terminals: a b\nstart: S\n"
-                           "S -> a b(head) : VSUBCAT=\n",
-    "bar-without-gr": "terminals: a b\nstart: S\n"
-                      "S -> a b(head) | ncsubj(_, 2, 1)\n",
-    "template-unparsable": "terminals: a b\nstart: S\n"
-                           "S -> a b(head) | gr: ncsubj\n",
-    "template-unknown-relation": "terminals: a b\nstart: S\n"
-                                 "S -> a b(head) | gr: bogus(_, 2, 1)\n",
-    "template-slot-count": "terminals: a b\nstart: S\n"
-                           "S -> a b(head) | gr: ncsubj(_, 2)\n",
-    "template-slot-unparsable": "terminals: a b\nstart: S\n"
-                                "S -> a b(head) | gr: ncsubj(_, 2, x)\n",
+    "terminal-mother": AB + "S -> a\na -> b\n",
+    "arrow-after-bar": AB + "S | -> a b(head)\n",
+    "no-daughters": AB + "S -> a\nS ->\n",
+    "marked-head": AB + "S -> a b*(head)\n",
+    "feature-without-value": AB + "S -> a b(head) : VSUBCAT\n",
+    "feature-empty-value": AB + "S -> a b(head) : VSUBCAT=\n",
+    "bar-without-gr": AB + "S -> a b(head) | ncsubj(_, 2, 1)\n",
+    "template-unparsable": AB + "S -> a b(head) | gr: ncsubj\n",
+    "template-unknown-relation": AB + "S -> a b(head) | gr: bogus(_, 2, 1)\n",
+    "template-slot-count": AB + "S -> a b(head) | gr: ncsubj(_, 2)\n",
+    "template-slot-unparsable": AB + "S -> a b(head) | gr: ncsubj(_, 2, x)\n",
     "template-control-outside-dependent":
-        "terminals: a b\nstart: S\nS -> a b(head) | gr: ncsubj(_, control, 1)\n",
-    "template-head-slot": "terminals: a b\nstart: S\n"
-                          "S -> a b(head) | gr: ncsubj(_, _, 1)\n",
-    "template-dependent-slot": "terminals: a b\nstart: S\n"
-                               "S -> a b(head) | gr: ncsubj(_, 2, self)\n",
+        AB + "S -> a b(head) | gr: ncsubj(_, control, 1)\n",
+    "template-head-slot": AB + "S -> a b(head) | gr: ncsubj(_, _, 1)\n",
+    "template-dependent-slot": AB + "S -> a b(head) | gr: ncsubj(_, 2, self)\n",
     # only Kleene expansion meets the second rule's template-less twin
-    "kleene-conflict": "terminals: a b\nstart: S\n"
-                       "S -> a(head) b? | gr: dobj(_, 1, 2)\nS -> a(head) b\n",
+    "kleene-conflict": AB + "S -> a(head) b? | gr: dobj(_, 1, 2)\n"
+                            "S -> a(head) b\n",
 }
 # Two sentences, the second out of coverage, with gold for both: the
 # reports count its gold and warn.

@@ -129,22 +129,18 @@ def test_action_render_round_trip():
 def test_compiled_steps_are_the_listed_actions(seed, demo_table):
     table = (demo_table if seed is None
              else fp.build_table(random_grammar(random.Random(seed))))
-    # the moves rows hold exactly the shift actions and the gotos, and
-    # the reduces rows the reduce actions, keyed as listed and in the
+    # the moves rows' terminal entries are exactly the shift actions,
+    # and the reduces rows the reduce actions, keyed as listed and in the
     # listed order
     shifts = {key: action[1] for key, acts in table.actions.items()
               for action in acts if action[0] == "shift"}
     reduces = [(key, action[1]) for key, acts in table.actions.items()
                for action in acts if action[0] == "reduce"]
-    gotos = {(state, symbol): target
-             for state, row in enumerate(table.moves)
-             for symbol, target in row.items()
-             if symbol in table.grammar.nonterminals}
     assert len(table.moves) == len(table.reduces) == table.n_states
-    assert not shifts.keys() & gotos.keys()
     assert {(state, symbol): target
             for state, row in enumerate(table.moves)
-            for symbol, target in row.items()} == {**shifts, **gotos}
+            for symbol, target in row.items()
+            if symbol not in table.grammar.nonterminals} == shifts
     assert [((state, lookahead), rule.rule_id)
             for state, row in enumerate(table.reduces)
             for lookahead, rules in row.items()
