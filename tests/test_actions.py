@@ -195,6 +195,16 @@ def test_forest_from_equal_but_distinct_grammar_rejected(demo_grammar,
             rank(forest, fp.ActionModel(twin), 5)
 
 
+def test_constructor_rejects_counts_the_table_does_not_list(demo_table):
+    with pytest.raises(ValueError, match="model/table mismatch: no actions "
+                                         "for state 0 on 'zz'"):
+        fp.ActionModel(demo_table, {(0, "zz"): Counter({("shift", 4): 1})})
+    with pytest.raises(ValueError, match="model/table mismatch: action "
+                                         "shift:5 unavailable in state 0 "
+                                         "on 'det'"):
+        fp.ActionModel(demo_table, {(0, "det"): Counter({("shift", 5): 1})})
+
+
 def test_model_from_second_table_over_same_grammar_ranks(demo_table,
                                                          adversarial_model):
     # the forest was parsed over the very grammar the second table holds

@@ -111,6 +111,17 @@ def test_parse_rejects_zero_analyses_exit_2(model_file, capsys):
     assert "--n" in captured.err
 
 
+def test_parse_sentences_and_corpus_exit_2(model_file, capsys):
+    code = main(["parse", "--grammar", "@demo/demo.grammar",
+                 "--model", str(model_file), "--corpus", "@demo/ppsuite.txt",
+                 "the child sleeps"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: give sentences as arguments or --corpus, "
+                            "not both\n")
+
+
 def test_parse_machine_readable(model_file, capsys):
     assert main(["parse", "--grammar", "@demo/demo.grammar",
                  "--wordlist", "@demo/demo.wordlist",
@@ -344,6 +355,25 @@ def test_eval_gr_alignment_mismatch_aborts(tmp_path, model_file, capsys):
                  "--gold-gr", str(bad_gold)])
     assert code == 1
     assert "20 sentences" in capsys.readouterr().err
+
+
+def test_eval_bracket_token_count_mismatch_exit_1(tmp_path, model_file,
+                                                 capsys):
+    corpus = tmp_path / "two.txt"
+    corpus.write_text("the child sleeps\nthe child sees a dog\n")
+    treebank = tmp_path / "two.treebank"
+    treebank.write_text("(S (NP (det the) (n child)) (VP (v sleeps)))\n"
+                        "(S (NP (det the) (n child)) (VP (v sees) "
+                        "(NP (det a) (n big) (n dog))))\n")
+    code = main(["eval-bracket", "--grammar", "@demo/demo.grammar",
+                 "--wordlist", "@demo/demo.wordlist",
+                 "--model", str(model_file), "--corpus", str(corpus),
+                 "--treebank", str(treebank)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: sentence 1: token count mismatch: "
+                            "test 5, gold 6\n")
 
 
 def test_compare_reports_models_and_tests(model_file, lexicon_file, capsys):

@@ -304,6 +304,35 @@ class TestExtractGRs:
         grs = fp.extract_grs(fp.Derivation(np, ()), demo_table.grammar, tokens)
         assert grs == set()
 
+    @staticmethod
+    def _only_tree_grs(grammar_text, tokens):
+        grammar = fp.parse_grammar(grammar_text)
+        forest = fp.glr_parse([t.tag for t in tokens], fp.build_table(grammar))
+        [tree] = all_trees(forest)
+        return fp.extract_grs(fp.Derivation(tree, ()), grammar, tokens)
+
+    def test_literal_type_slot_and_control_without_subject(self):
+        # the quoted type fills gr_type as written; with no subject in
+        # scope the control template is skipped
+        grs = self._only_tree_grs(
+            "terminals: v n\nstart: VP\n"
+            'VP -> v(head) n : VSUBCAT=NP | gr: iobj("with", self, 2) '
+            "| gr: ncsubj(_, self, control, _)\n",
+            [fp.Token("sees", "v", "see"), fp.Token("dogs", "n", "dog")])
+        assert grs == {fp.GR("iobj", "see", "dog", "with", None)}
+
+    def test_subject_binds_only_under_its_head(self):
+        # the subject relation's head is the X daughter's, so X's control
+        # template takes Paul and Y's, under another head, is skipped
+        grs = self._only_tree_grs(
+            "terminals: n v\nstart: S\n"
+            "S -> n X(head) Y | gr: ncsubj(_, 2, 1, _)\n"
+            "X -> v(head) | gr: xsubj(_, self, control, _)\n"
+            "Y -> v(head) | gr: xsubj(_, self, control, _)\n",
+            [fp.Token("Paul", "n", "Paul"), fp.Token("runs", "v", "run"),
+             fp.Token("sings", "v", "sing")])
+        assert grs == _grs("ncsubj(run,Paul,_)", "xsubj(run,Paul,_)")
+
 
 class TestPairedTTest:
     def test_identical_vectors(self):

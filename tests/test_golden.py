@@ -71,6 +71,7 @@ GRAMMARS = {
     "duplicate-terminals": "terminals: a b\nstart: S\nterminals: a\n"
                            "S -> a b(head)\n",
     "empty-terminals": "terminals:\nstart: S\nS -> a\n",
+    "start-without-rule": "terminals: a b\nstart: T\nS -> a b(head)\n",
     "terminal-mother": AB + "S -> a\na -> b\n",
     "arrow-after-bar": AB + "S | -> a b(head)\n",
     "no-daughters": AB + "S -> a\nS ->\n",

@@ -51,6 +51,16 @@ def test_inconsistent_relfreq_rejected():
         fp.parse_lexicon("hear\tNP\t3\t0.5\nhear\tNP_PP\t1\t0.5\n")
 
 
+def test_constructor_rejects_unknown_frame_negative_count_and_duplicate():
+    see = fp.SubcatEntry("see", "NP", 1, 1.0)
+    with pytest.raises(LexiconError, match="unknown frame 'NP_QQ' for 'see'"):
+        fp.SubcatLexicon([see._replace(frame="NP_QQ")])
+    with pytest.raises(LexiconError, match="negative"):
+        fp.SubcatLexicon([see._replace(count=-1)])
+    with pytest.raises(LexiconError, match="duplicate entry 'see'/NP"):
+        fp.SubcatLexicon([see, see])
+
+
 def test_empty_file_is_valid_empty_lexicon():
     lex = fp.parse_lexicon("")
     assert len(lex) == 0
