@@ -24,8 +24,7 @@ from .actions import load_model, save_model, train_actions
 from .acquire import hypothesize_entries, observe_corpus
 from .demofiles import demo_path
 from .evaluation import (EvaluationError, aggregate_brackets, aggregate_grs,
-                         bracket_scores, extract_brackets, extract_grs,
-                         paired_t_test)
+                         bracket_scores, extract_grs, paired_t_test)
 from .grammar import Grammar, load_grammar, normalize_kleene
 from .grs import read_gr_file
 from .lexicon import load_lexicon, save_lexicon
@@ -287,11 +286,6 @@ def _top_trees_and_grs(pipeline, sentences, modes):
 def _bracket_per_sentence(test_trees, gold_trees):
     per_sentence = []
     for index, (test, gold) in enumerate(zip(test_trees, gold_trees)):
-        if test is None:
-            per_sentence.append({"matched": 0, "test_total": 0,
-                                 "gold_total": sum(extract_brackets(gold).values()),
-                                 "crossings": 0})
-            continue
         try:
             per_sentence.append(bracket_scores(test, gold))
         except EvaluationError as exc:

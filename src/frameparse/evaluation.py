@@ -47,14 +47,17 @@ def _crosses(test: tuple[int, int], gold: tuple[int, int]) -> bool:
             or gold[0] < test[0] < gold[1] < test[1])
 
 
-def bracket_scores(test: Tree, gold: Tree) -> dict:
-    """Per-sentence bracket counts for one test/gold tree pair."""
-    test_tokens = test.end - test.start
-    gold_tokens = gold.end - gold.start
-    if test_tokens != gold_tokens:
-        raise EvaluationError(
-            f"token count mismatch: test {test_tokens}, gold {gold_tokens}")
-    test_spans = extract_brackets(test)
+def bracket_scores(test: Optional[Tree], gold: Tree) -> dict:
+    """Per-sentence bracket counts for one test/gold tree pair; a test
+    of None, a sentence out of coverage, has no brackets."""
+    test_spans: Counter = Counter()
+    if test is not None:
+        test_tokens = test.end - test.start
+        gold_tokens = gold.end - gold.start
+        if test_tokens != gold_tokens:
+            raise EvaluationError(
+                f"token count mismatch: test {test_tokens}, gold {gold_tokens}")
+        test_spans = extract_brackets(test)
     gold_spans = extract_brackets(gold)
     matched = sum((test_spans & gold_spans).values())
     crossings = sum(count for span, count in test_spans.items()
@@ -69,6 +72,15 @@ def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator else 1.0
 
 
+def _micro_average(per_sentence: Sequence[dict]) -> tuple[float, float]:
+    """Recall and precision over the summed per-sentence counts."""
+    if not per_sentence:
+        raise EvaluationError("no sentences to aggregate")
+    matched = sum(s["matched"] for s in per_sentence)
+    return (_ratio(matched, sum(s["gold_total"] for s in per_sentence)),
+            _ratio(matched, sum(s["test_total"] for s in per_sentence)))
+
+
 class BracketReport(NamedTuple):
     sentences: int
     recall: float
@@ -77,48 +89,28 @@ class BracketReport(NamedTuple):
     zero_crossings_pct: float
 
     def fields(self) -> dict:
-        return {"sentences": self.sentences, "recall": self.recall,
-                "precision": self.precision,
-                "mean_crossings": self.mean_crossings,
-                "zero_crossings_pct": self.zero_crossings_pct}
+        return self._asdict()
 
 
 def aggregate_brackets(per_sentence: Sequence[dict]) -> BracketReport:
     """Micro-averaged recall/precision; crossings averaged per sentence."""
-    if not per_sentence:
-        raise EvaluationError("no sentences to aggregate")
-    matched = sum(s["matched"] for s in per_sentence)
-    test_total = sum(s["test_total"] for s in per_sentence)
-    gold_total = sum(s["gold_total"] for s in per_sentence)
+    recall, precision = _micro_average(per_sentence)
     crossings = [s["crossings"] for s in per_sentence]
-    return BracketReport(
-        sentences=len(per_sentence),
-        recall=_ratio(matched, gold_total),
-        precision=_ratio(matched, test_total),
-        mean_crossings=sum(crossings) / len(crossings),
-        zero_crossings_pct=sum(1 for c in crossings if c == 0) / len(crossings),
-    )
+    return BracketReport(len(per_sentence), recall, precision,
+                         sum(crossings) / len(crossings),
+                         crossings.count(0) / len(crossings))
 
 
-class GRReport:
-    __slots__ = ("sentences", "recall", "precision", "returned_by_relation",
-                 "gold_by_relation", "mean_returned", "mean_gold",
-                 "per_sentence_recall", "per_sentence_precision")
-
-    def __init__(self, sentences: int, recall: float, precision: float,
-                 returned_by_relation: dict[str, int],
-                 gold_by_relation: dict[str, int], mean_returned: float,
-                 mean_gold: float, per_sentence_recall: tuple[float, ...],
-                 per_sentence_precision: tuple[float, ...]):
-        self.sentences = sentences
-        self.recall = recall
-        self.precision = precision
-        self.returned_by_relation = returned_by_relation
-        self.gold_by_relation = gold_by_relation
-        self.mean_returned = mean_returned
-        self.mean_gold = mean_gold
-        self.per_sentence_recall = per_sentence_recall
-        self.per_sentence_precision = per_sentence_precision
+class GRReport(NamedTuple):
+    sentences: int
+    recall: float
+    precision: float
+    returned_by_relation: dict[str, int]
+    gold_by_relation: dict[str, int]
+    mean_returned: float
+    mean_gold: float
+    per_sentence_recall: tuple[float, ...]
+    per_sentence_precision: tuple[float, ...]
 
     def fields(self) -> dict:
         return {"sentences": self.sentences, "recall": self.recall,
@@ -130,27 +122,13 @@ class GRReport:
 def aggregate_grs(pairs: Sequence[tuple[set[GR], set[GR]]]) -> GRReport:
     """Fold (test set, gold set) pairs into a corpus report with the
     per-sentence score vectors needed for significance testing."""
-    if not pairs:
-        raise EvaluationError("no sentences to aggregate")
     per_sentence = [gr_scores(test, gold) for test, gold in pairs]
-    matched = sum(s["matched"] for s in per_sentence)
-    test_total = sum(s["test_total"] for s in per_sentence)
-    gold_total = sum(s["gold_total"] for s in per_sentence)
+    recall, precision = _micro_average(per_sentence)
+    recalls, precisions = zip(*(_micro_average([s]) for s in per_sentence))
     returned_hist, mean_returned = relation_histogram([t for t, _ in pairs])
     gold_hist, mean_gold = relation_histogram([g for _, g in pairs])
-    return GRReport(
-        sentences=len(pairs),
-        recall=_ratio(matched, gold_total),
-        precision=_ratio(matched, test_total),
-        returned_by_relation=returned_hist,
-        gold_by_relation=gold_hist,
-        mean_returned=mean_returned,
-        mean_gold=mean_gold,
-        per_sentence_recall=tuple(_ratio(s["matched"], s["gold_total"])
-                                  for s in per_sentence),
-        per_sentence_precision=tuple(_ratio(s["matched"], s["test_total"])
-                                     for s in per_sentence),
-    )
+    return GRReport(len(pairs), recall, precision, returned_hist, gold_hist,
+                    mean_returned, mean_gold, recalls, precisions)
 
 
 def extract_grs(derivation: Derivation, grammar: Grammar,
@@ -168,32 +146,6 @@ def extract_grs(derivation: Derivation, grammar: Grammar,
     """
     del grammar  # templates travel on the rules inside the derivation
     out: set[GR] = set()
-
-    def instantiate(tpl, node: Tree, subject: Optional[Tree]):
-        if tpl.type_slot.kind == "daughter":
-            child = node.children[tpl.type_slot.value - 1]
-            gr_type = tokens[child.leftmost_leaf().start].lemma
-        elif tpl.type_slot.kind == "literal":
-            gr_type = tpl.type_slot.value
-        else:
-            gr_type = None
-        if tpl.head_slot.kind == "self":
-            head_leaf = node.head_leaf()
-        else:
-            head_leaf = node.children[tpl.head_slot.value - 1].head_leaf()
-        if tpl.dependent_slot.kind == "control":
-            dep_leaf = subject
-        else:
-            dep_leaf = node.children[tpl.dependent_slot.value - 1].head_leaf()
-        if dep_leaf is None:
-            return None, None
-        initial = tpl.initial_slot.value if tpl.initial_slot.kind == "literal" \
-            else None
-        gr = GR(relation=tpl.relation, head=tokens[head_leaf.start].lemma,
-                dependent=tokens[dep_leaf.start].lemma, gr_type=gr_type,
-                initial=initial)
-        return gr, (head_leaf, dep_leaf)
-
     # Preorder over an explicit stack of (node, subject in scope), since
     # derivations may be deeper than Python's recursion limit.
     stack: list[tuple[Tree, Optional[Tree]]] = [(derivation.tree, None)]
@@ -201,21 +153,30 @@ def extract_grs(derivation: Derivation, grammar: Grammar,
         node, subject = stack.pop()
         if node.rule is None:
             continue
-        subject_bindings: list[tuple[Tree, Tree]] = []
-        for tpl in node.rule.gr_templates:
-            gr, leaves = instantiate(tpl, node, subject)
-            if gr is None:
-                continue
-            out.add(gr)
-            if tpl.relation in SUBJECT_RELATIONS:
-                subject_bindings.append(leaves)
-        for child in reversed(node.children):
-            child_subject = subject
-            child_head = child.head_leaf()
-            for head_leaf, dep_leaf in subject_bindings:
-                if head_leaf is child_head:
-                    child_subject = dep_leaf
-            stack.append((child, child_subject))
+        children = node.children
+        subjects: dict[int, Tree] = {}  # head leaf's position -> dependent
+        for relation, type_slot, head_slot, dep_slot, initial_slot \
+                in node.rule.gr_templates:
+            if dep_slot.kind == "control":
+                if subject is None:
+                    continue
+                dep_leaf = subject
+            else:
+                dep_leaf = children[dep_slot.value - 1].head_leaf()
+            head_leaf = (node if head_slot.kind == "self"
+                         else children[head_slot.value - 1]).head_leaf()
+            gr_type = type_slot.value
+            if type_slot.kind == "daughter":
+                gr_type = tokens[children[gr_type - 1].leftmost_leaf().start].lemma
+            out.add(GR(relation, tokens[head_leaf.start].lemma,
+                       tokens[dep_leaf.start].lemma, gr_type,
+                       initial_slot.value if initial_slot.kind == "literal"
+                       else None))
+            if relation in SUBJECT_RELATIONS:
+                subjects[head_leaf.start] = dep_leaf
+        for child in reversed(children):
+            stack.append((child, subjects.get(child.head_leaf().start,
+                                              subject)))
     return out
 
 

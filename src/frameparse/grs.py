@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 # Slot layout per relation name, in surface order.  "type" holds e.g. a
 # preposition or "to"; "initial" holds an initial grammatical function
@@ -70,57 +70,48 @@ RELATION_PARENTS: Mapping[str, tuple[str, ...]] = {
 SUBJECT_RELATIONS = frozenset({"subj", "ncsubj", "xsubj", "csubj"})
 
 _GR_RE = re.compile(r"^\s*([a-z_0-9]+)\s*\(\s*(.*?)\s*\)\s*$")
+# The GR field each slot of RELATION_SLOTS fills.
+_SLOT_FIELDS = {"type": "gr_type", "head": "head", "dep": "dependent",
+                "initial": "initial"}
 
 
 class GRError(ValueError):
     """Malformed grammatical-relation text."""
 
 
-class GR:
+class _GRFields(NamedTuple):
+    relation: str
+    head: str
+    dependent: str
+    gr_type: Optional[str]
+    initial: Optional[str]
+
+
+class GR(_GRFields):
     """One grammatical-relation tuple.
 
     ``gr_type`` and ``initial`` are None when unspecified; they render
-    as ``_``.  Instances are immutable by convention and hash by their
-    five fields, so plain sets are used for per-sentence relation sets.
+    as ``_``.  A named tuple of its five fields, it compares and hashes
+    like a plain tuple of them, so plain sets hold per-sentence
+    relation sets.
     """
 
-    __slots__ = ("relation", "head", "dependent", "gr_type", "initial")
+    __slots__ = ()
 
-    def __init__(self, relation: str, head: str, dependent: str,
-                 gr_type: Optional[str], initial: Optional[str]):
+    def __new__(cls, relation: str, head: str, dependent: str,
+                gr_type: Optional[str], initial: Optional[str]):
         if relation not in RELATION_SLOTS:
             raise GRError(f"unknown relation name {relation!r}")
         if not head or not dependent:
             raise GRError(f"{relation}: head and dependent must be non-empty")
-        self.relation = relation
-        self.head = head
-        self.dependent = dependent
-        self.gr_type = gr_type
-        self.initial = initial
-
-    def _key(self) -> tuple:
-        return (self.relation, self.head, self.dependent, self.gr_type,
-                self.initial)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return ("GR(relation=%r, head=%r, dependent=%r, gr_type=%r, "
-                "initial=%r)" % self._key())
+        return super().__new__(cls, relation, head, dependent, gr_type,
+                               initial)
 
     def render(self) -> str:
-        parts = []
-        for slot in RELATION_SLOTS[self.relation]:
-            value = {"type": self.gr_type, "head": self.head,
-                     "dep": self.dependent, "initial": self.initial}[slot]
-            parts.append("_" if value is None else value)
-        return "%s(%s)" % (self.relation, ",".join(parts))
+        values = (getattr(self, _SLOT_FIELDS[slot])
+                  for slot in RELATION_SLOTS[self.relation])
+        return "%s(%s)" % (self.relation, ",".join(
+            "_" if value is None else value for value in values))
 
 
 def parse_gr(text: str) -> GR:
@@ -137,17 +128,9 @@ def parse_gr(text: str) -> GR:
         raise GRError(
             f"{name} takes {len(slots)} slots ({', '.join(slots)}), got {len(args)}: {text!r}")
     fields = {"gr_type": None, "initial": None}
-    for slot, arg in zip(slots, args):
-        value = None if arg == "_" else arg
-        if slot == "head":
-            fields["head"] = value or ""
-        elif slot == "dep":
-            fields["dependent"] = value or ""
-        elif slot == "type":
-            fields["gr_type"] = value
-        else:
-            fields["initial"] = value
-    return GR(relation=name, **fields)
+    fields.update((_SLOT_FIELDS[slot], None if arg == "_" else arg)
+                  for slot, arg in zip(slots, args))
+    return GR(name, **fields)
 
 
 def read_gr_file(text: str) -> list[set[GR]]:

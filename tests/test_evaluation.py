@@ -80,6 +80,11 @@ class TestBrackets:
         # [1,3) is properly contained in [0,3): no crossing
         assert fp.bracket_scores(test, gold)["crossings"] == 0
 
+    def test_no_parse_has_no_brackets(self):
+        gold = fp.parse_tree(MOD_FRAGMENT)
+        assert fp.bracket_scores(None, gold) == {
+            "matched": 0, "test_total": 0, "gold_total": 4, "crossings": 0}
+
     def test_token_count_mismatch_rejected(self):
         with pytest.raises(EvaluationError, match="token count"):
             fp.bracket_scores(fp.parse_tree("(S (a w) (b w))"),
@@ -189,6 +194,12 @@ class TestGRMatch:
                                "dependent='Hatfield', gr_type='from', "
                                "initial=None)")
 
+    def test_relations_are_tuples_of_their_fields(self):
+        gr = fp.parse_gr("iobj(from,hear,Hatfield)")
+        assert gr == ("iobj", "hear", "Hatfield", "from", None)
+        relation, head, dependent, gr_type, initial = gr
+        assert (relation, gr_type, initial) == ("iobj", "from", None)
+
     def test_gr_file_error_names_line(self):
         with pytest.raises(GRError, match=r"^line 4: cannot parse relation"):
             fp.read_gr_file("ncsubj(x,y,_)\n\n# gold\nbogus(x\n")
@@ -204,6 +215,9 @@ class TestGRScores:
         report = fp.aggregate_grs([(returned, gold)])
         assert report.precision == pytest.approx(2 / 3, abs=1e-3)
         assert report.recall == pytest.approx(1.0)
+        assert report == (1, 1.0, 2 / 3, {"ncsubj": 1, "dobj": 1, "iobj": 1},
+                          {"ncsubj": 1, "dobj": 1}, 3.0, 2.0, (1.0,),
+                          (2 / 3,))
 
     def test_identical_sets(self, suite_gold_grs):
         for gold in suite_gold_grs:
