@@ -258,6 +258,16 @@ def _parse_template(section: str, line: int, n_daughters: int) -> GRTemplate:
     if dep_slot.kind not in ("daughter", "control"):
         raise GrammarError(
             "template dependent slot must be a daughter index or 'control'", line)
+    if type_slot.kind == "self":
+        raise GrammarError("template type slot must be '_', a daughter index "
+                           "or a quoted literal", line)
+    if init_slot.kind not in ("none", "literal"):
+        raise GrammarError(
+            "template initial slot must be '_' or a quoted literal", line)
+    for name, slot in (("type", type_slot), ("initial", init_slot)):
+        if slot.kind != "none" and name not in RELATION_SLOTS[relation]:
+            raise GrammarError(f"GR relation {relation!r} has no {name} slot",
+                               line)
     return GRTemplate(relation, type_slot, head_slot, dep_slot, init_slot)
 
 

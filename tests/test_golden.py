@@ -87,6 +87,11 @@ GRAMMARS = {
         AB + "S -> a b(head) | gr: ncsubj(_, control, 1)\n",
     "template-head-slot": AB + "S -> a b(head) | gr: ncsubj(_, _, 1)\n",
     "template-dependent-slot": AB + "S -> a b(head) | gr: ncsubj(_, 2, self)\n",
+    "template-type-slot-absent": AB + 'S -> a b(head) | gr: dobj("x", 2, 1)\n',
+    "template-initial-slot-absent":
+        AB + 'S -> a b(head) | gr: iobj(_, 2, 1, "obj")\n',
+    "template-type-slot": AB + "S -> a b(head) | gr: xcomp(self, 2, 1)\n",
+    "template-initial-slot": AB + "S -> a b(head) | gr: ncsubj(_, 2, 1, 2)\n",
     # only Kleene expansion meets the second rule's template-less twin
     "kleene-conflict": AB + "S -> a(head) b? | gr: dobj(_, 1, 2)\n"
                             "S -> a(head) b\n",

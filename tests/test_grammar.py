@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import frameparse as fp
@@ -116,6 +118,24 @@ def test_duplicate_declaration_rejected(declaration, first):
 def test_template_index_out_of_range():
     text = "terminals: v n\nstart: VP\nVP -> v(head) n | gr: dobj(_, self, 3, _)\n"
     with pytest.raises(GrammarError, match="out of range"):
+        fp.parse_grammar(text)
+
+
+@pytest.mark.parametrize("template, message", [
+    # dobj has no type slot: the hidden "x" failed every gold dobj
+    ('dobj("x", self, 2)', "GR relation 'dobj' has no type slot"),
+    ("dobj(2, self, 2)", "GR relation 'dobj' has no type slot"),
+    ('iobj(_, self, 2, "obj")', "GR relation 'iobj' has no initial slot"),
+    ("xcomp(self, self, 2)", "template type slot must be '_', a daughter "
+                             "index or a quoted literal"),
+    ("ncsubj(_, self, 2, 2)", "template initial slot must be '_' or a "
+                              "quoted literal"),
+    ("ncsubj(_, self, 2, self)", "template initial slot must be '_' or a "
+                                 "quoted literal"),
+])
+def test_template_fills_only_its_relations_slots(template, message):
+    text = f"terminals: v n\nstart: VP\nVP -> v(head) n | gr: {template}\n"
+    with pytest.raises(GrammarError, match=rf"^line 3: {re.escape(message)}$"):
         fp.parse_grammar(text)
 
 
