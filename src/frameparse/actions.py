@@ -160,6 +160,15 @@ class RankedAnalysis(NamedTuple):
         return self.structural_logprob + self.lexical_logprob
 
 
+def _check_count(count) -> None:
+    """Reject a count that no model file holds: model files hold
+    integers of at least 0, and smoothing divides by their sum."""
+    if count < 0:
+        raise ValueError("negative count")
+    if not (count < math.inf and count == int(count)):
+        raise ValueError(f"count {count!r} is not an integer")
+
+
 class ActionModel:
     """Trained action distributions bound to the table they condition on.
 
@@ -189,6 +198,7 @@ class ActionModel:
                 available = set(table.actions[key])
                 kept = Counter()
                 for action, count in counter.items():
+                    _check_count(count)
                     if action not in available:
                         raise ValueError(
                             f"model/table mismatch: action {render_action(action)} "
@@ -529,8 +539,7 @@ def load_model(path, table: LRTable) -> ActionModel:
         state, lookahead = int(fields[0]), fields[1]
         action = parse_action(fields[2])
         count = int(fields[3])
-        if count < 0:
-            raise ValueError("negative count")
+        _check_count(count)
         if action not in table.actions.get((state, lookahead), ()):
             raise ValueError(
                 f"model/table mismatch: action {fields[2]} unavailable in "

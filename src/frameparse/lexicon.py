@@ -41,6 +41,16 @@ class SubcatEntry(NamedTuple):
     relfreq: float
 
 
+def _check_entry(lemma: str, frame: str, count: float, shown: str) -> None:
+    """Reject an entry that no lexicon holds, read or built; ``shown``
+    is the count as the message writes it."""
+    if frame not in FRAMES:
+        raise LexiconError(f"unknown frame {frame!r} for {lemma!r}")
+    if not 0 <= count < math.inf:
+        raise LexiconError(f"count {shown} for {lemma!r}/{frame} is "
+                           "negative or not finite")
+
+
 class SubcatLexicon:
     def __init__(self, entries: Iterable[SubcatEntry] = ()):
         self._index: dict[tuple[str, str], SubcatEntry] = {}
@@ -49,10 +59,8 @@ class SubcatLexicon:
             self._add(entry)
 
     def _add(self, entry: SubcatEntry) -> None:
-        if entry.frame not in FRAMES:
-            raise LexiconError(f"unknown frame {entry.frame!r} for {entry.lemma!r}")
-        if entry.count < 0:
-            raise LexiconError(f"negative count for {entry.lemma!r}/{entry.frame}")
+        _check_entry(entry.lemma, entry.frame, entry.count,
+                     _format_count(entry.count))
         key = (entry.lemma, entry.frame)
         if key in self._index:
             raise LexiconError(f"duplicate entry {entry.lemma!r}/{entry.frame}")
@@ -102,11 +110,7 @@ def parse_lexicon(text: str) -> SubcatLexicon:
     def row(fields):
         lemma, frame = fields[0], fields[1]
         count, relfreq = float(fields[2]), float(fields[3])
-        if frame not in FRAMES:
-            raise ValueError(f"unknown frame {frame!r} for {lemma!r}")
-        if not 0 <= count < math.inf:
-            raise ValueError(f"count {fields[2]} for {lemma!r}/{frame} is "
-                             "negative or not finite")
+        _check_entry(lemma, frame, count, fields[2])
         totals[lemma] = totals.get(lemma, 0.0) + count
         return (lemma, frame), (count, relfreq)
     rows = _read_table(text, ("lemma", "frame", "count", "relfreq"), row,

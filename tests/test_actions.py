@@ -205,6 +205,23 @@ def test_constructor_rejects_counts_the_table_does_not_list(demo_table):
         fp.ActionModel(demo_table, {(0, "det"): Counter({("shift", 5): 1})})
 
 
+@pytest.mark.parametrize("key, count, message", [
+    ((0, "det"), -1, "negative count"),  # a one-action class
+    ((6, "pn"), -1, "negative count"),   # a two-action class
+    ((0, "det"), math.inf, "count inf is not an integer"),
+    ((0, "det"), math.nan, "count nan is not an integer"),
+    ((0, "det"), 0.5, "count 0.5 is not an integer"),
+])
+def test_constructor_rejects_what_load_model_rejects(demo_table, key, count,
+                                                     message):
+    action = demo_table.actions[key][0]
+    # a bad count must fail here, not as a ZeroDivisionError or a math
+    # domain error from the smoothing
+    with pytest.raises(Exception) as info:
+        fp.ActionModel(demo_table, {key: Counter({action: count})})
+    assert (info.type, str(info.value)) == (ValueError, message)
+
+
 def test_model_from_second_table_over_same_grammar_ranks(demo_table,
                                                          adversarial_model):
     # the forest was parsed over the very grammar the second table holds

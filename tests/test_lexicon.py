@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,15 @@ def test_constructor_rejects_unknown_frame_negative_count_and_duplicate():
         fp.SubcatLexicon([see._replace(count=-1)])
     with pytest.raises(LexiconError, match="duplicate entry 'see'/NP"):
         fp.SubcatLexicon([see, see])
+
+
+@pytest.mark.parametrize("count, shown", [
+    (math.inf, "inf"), (math.nan, "nan"), (-0.5, "-0.5")])
+def test_constructor_rejects_what_the_reader_rejects(count, shown):
+    # an infinite count made frame_logprob return nan
+    with pytest.raises(LexiconError, match=re.escape(
+            f"count {shown} for 'see'/NP is negative or not finite")):
+        fp.SubcatLexicon([fp.SubcatEntry("see", "NP", count, 1.0)])
 
 
 def test_empty_file_is_valid_empty_lexicon():
