@@ -165,9 +165,11 @@ def extract_grs(derivation: Derivation, grammar: Grammar,
                 dep_leaf = children[dep_slot.value - 1].head_leaf()
             head_leaf = (node if head_slot.kind == "self"
                          else children[head_slot.value - 1]).head_leaf()
-            gr_type = type_slot.value
             if type_slot.kind == "daughter":
-                gr_type = tokens[children[gr_type - 1].leftmost_leaf().start].lemma
+                gr_type = tokens[children[type_slot.value - 1]
+                                 .leftmost_leaf().start].lemma
+            else:  # a literal, or None
+                gr_type = type_slot.value
             out.add(GR(relation, tokens[head_leaf.start].lemma,
                        tokens[dep_leaf.start].lemma, gr_type,
                        initial_slot.value if initial_slot.kind == "literal"

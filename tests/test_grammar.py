@@ -122,7 +122,7 @@ def test_template_index_out_of_range():
 
 
 @pytest.mark.parametrize("template, message", [
-    # dobj has no type slot: the hidden "x" failed every gold dobj
+    # dobj has no type slot: a hidden "x" would fail every gold dobj
     ('dobj("x", self, 2)', "GR relation 'dobj' has no type slot"),
     ("dobj(2, self, 2)", "GR relation 'dobj' has no type slot"),
     ('iobj(_, self, 2, "obj")', "GR relation 'iobj' has no initial slot"),

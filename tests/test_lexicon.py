@@ -65,7 +65,7 @@ def test_constructor_rejects_unknown_frame_negative_count_and_duplicate():
 @pytest.mark.parametrize("count, shown", [
     (math.inf, "inf"), (math.nan, "nan"), (-0.5, "-0.5")])
 def test_constructor_rejects_what_the_reader_rejects(count, shown):
-    # an infinite count made frame_logprob return nan
+    # an infinite count would make frame_logprob return nan
     with pytest.raises(LexiconError, match=re.escape(
             f"count {shown} for 'see'/NP is negative or not finite")):
         fp.SubcatLexicon([fp.SubcatEntry("see", "NP", count, 1.0)])
