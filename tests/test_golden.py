@@ -83,6 +83,7 @@ GRAMMARS = {
     "template-unknown-relation": AB + "S -> a b(head) | gr: bogus(_, 2, 1)\n",
     "template-slot-count": AB + "S -> a b(head) | gr: ncsubj(_, 2)\n",
     "template-slot-unparsable": AB + "S -> a b(head) | gr: ncsubj(_, 2, x)\n",
+    "template-daughter-range": AB + "S -> a b(head) | gr: ncsubj(_, 2, 3)\n",
     "template-control-outside-dependent":
         AB + "S -> a b(head) | gr: ncsubj(_, control, 1)\n",
     "template-head-slot": AB + "S -> a b(head) | gr: ncsubj(_, _, 1)\n",
