@@ -171,9 +171,7 @@ def extract_grs(derivation: Derivation, grammar: Grammar,
             else:  # a literal, or None
                 gr_type = type_slot.value
             out.add(GR(relation, tokens[head_leaf.start].lemma,
-                       tokens[dep_leaf.start].lemma, gr_type,
-                       initial_slot.value if initial_slot.kind == "literal"
-                       else None))
+                       tokens[dep_leaf.start].lemma, gr_type, initial_slot.value))
             if relation in SUBJECT_RELATIONS:
                 subjects[head_leaf.start] = dep_leaf
         for child in reversed(children):

@@ -63,8 +63,6 @@ class SlotRef(NamedTuple):
 
 
 SLOT_NONE = SlotRef("none")
-SLOT_SELF = SlotRef("self")
-SLOT_CONTROL = SlotRef("control")
 
 
 class GRTemplate(NamedTuple):
@@ -145,10 +143,13 @@ class Grammar:
 
     A grammar is valid by construction, however it was made: each rule's
     id is its position, it has daughters, all declared, and no terminal
-    heads it; its VSUBCAT value is a frame; the start symbol has a rule;
-    no two rules share a shape; every non-terminal derives a terminal
-    string; and, once free of repetition markers, it has no derivation
-    cycle.  The constructor raises :class:`GrammarError` otherwise.
+    heads it; its head has no repetition marker, its feature names are
+    distinct, its VSUBCAT value is a frame, and its GR templates fill
+    their relation's slots with kinds and daughters the slots take; the
+    start symbol has a rule; no two rules share a shape; every non-terminal
+    derives a terminal string; and, once free of repetition markers, it
+    has no derivation cycle.  The constructor raises :class:`GrammarError`
+    otherwise.
     """
 
     def __init__(self, rules: tuple[Rule, ...], start_symbol: str,
@@ -215,60 +216,30 @@ def _check_symbol(name: str, line: Optional[int]) -> str:
     return name
 
 
-def _parse_slot(text: str, line: int, n_daughters: int,
-                allow_control: bool) -> SlotRef:
-    text = text.strip()
+def _parse_slot(text: str, line: int) -> SlotRef:
     if text == "_":
         return SLOT_NONE
-    if text == "self":
-        return SLOT_SELF
-    if text == "control":
-        if not allow_control:
-            raise GrammarError("'control' is only valid in the dependent slot", line)
-        return SLOT_CONTROL
+    if text in ("self", "control"):
+        return SlotRef(text)
     if len(text) >= 2 and text[0] == text[-1] and text[0] in "\"'":
         return SlotRef("literal", text[1:-1])
     if text.isdigit():
-        index = int(text)
-        if not 1 <= index <= n_daughters:
-            raise GrammarError(f"template daughter index {index} out of range", line)
-        return SlotRef("daughter", index)
+        return SlotRef("daughter", int(text))
     raise GrammarError(f"cannot parse template slot {text!r}", line)
 
 
-def _parse_template(section: str, line: int, n_daughters: int) -> GRTemplate:
+def _parse_template(section: str, line: int) -> GRTemplate:
     body = section[len("gr:"):].strip()
     m = _TEMPLATE_RE.match(body)
     if not m:
         raise GrammarError(f"cannot parse GR template {body!r}", line)
-    relation, argtext = m.group(1), m.group(2)
-    if relation not in RELATION_SLOTS:
-        raise GrammarError(f"unknown GR relation {relation!r}", line)
-    args = [a for a in (p.strip() for p in argtext.split(",")) if a != ""]
+    args = [a for a in (p.strip() for p in m.group(2).split(",")) if a != ""]
     if len(args) not in (3, 4):
         raise GrammarError(
             f"GR template takes type, head, dependent[, initial]: {body!r}", line)
-    type_slot = _parse_slot(args[0], line, n_daughters, False)
-    head_slot = _parse_slot(args[1], line, n_daughters, False)
-    dep_slot = _parse_slot(args[2], line, n_daughters, True)
-    init_slot = _parse_slot(args[3], line, n_daughters, False) if len(args) == 4 \
-        else SLOT_NONE
-    if head_slot.kind not in ("daughter", "self"):
-        raise GrammarError("template head slot must be a daughter index or 'self'", line)
-    if dep_slot.kind not in ("daughter", "control"):
-        raise GrammarError(
-            "template dependent slot must be a daughter index or 'control'", line)
-    if type_slot.kind == "self":
-        raise GrammarError("template type slot must be '_', a daughter index "
-                           "or a quoted literal", line)
-    if init_slot.kind not in ("none", "literal"):
-        raise GrammarError(
-            "template initial slot must be '_' or a quoted literal", line)
-    for name, slot in (("type", type_slot), ("initial", init_slot)):
-        if slot.kind != "none" and name not in RELATION_SLOTS[relation]:
-            raise GrammarError(f"GR relation {relation!r} has no {name} slot",
-                               line)
-    return GRTemplate(relation, type_slot, head_slot, dep_slot, init_slot)
+    # an initial slot left out is "_"
+    slots = [_parse_slot(arg, line) for arg in args] + [SLOT_NONE]
+    return GRTemplate(m.group(1), *slots[:4])
 
 
 _DAUGHTER_RE = re.compile(r"^(?P<name>[^()*+?\s]+)(?P<rep>[*+?])?(?P<head>\(head\))?$")
@@ -300,9 +271,6 @@ def _parse_rule_line(line_text: str, line: int, rule_id: int) -> Rule:
         if m.group("head"):
             if head_index is not None:
                 raise GrammarError("more than one daughter marked (head)", line)
-            if markers[-1]:
-                raise GrammarError("the head daughter cannot carry a repetition marker",
-                                   line)
             head_index = i
     if head_index is None:
         if len(daughters) == 1:
@@ -312,19 +280,15 @@ def _parse_rule_line(line_text: str, line: int, rule_id: int) -> Rule:
     features = []
     if feat_text.strip():
         for part in feat_text.split(","):
-            if "=" not in part:
-                raise GrammarError(f"cannot parse feature {part.strip()!r}", line)
-            key, value = (p.strip() for p in part.split("=", 1))
+            key, _, value = (p.strip() for p in part.partition("="))
             if not key or not value:
                 raise GrammarError(f"cannot parse feature {part.strip()!r}", line)
-            if any(key == seen for seen, _ in features):
-                raise GrammarError(f"duplicate feature {key!r}", line)
             features.append((key, value))
     templates = []
     for section in sections[1:]:
         if not section.startswith("gr:"):
             raise GrammarError(f"expected 'gr: ...' after '|': {section!r}", line)
-        templates.append(_parse_template(section, line, len(daughters)))
+        templates.append(_parse_template(section, line))
     return Rule(mother, tuple(daughters), head_index, tuple(markers), tuple(features),
                 tuple(templates), rule_id, line)
 
@@ -426,9 +390,16 @@ def _validate(grammar: Grammar) -> None:
         for name in rule.daughters:
             if name not in grammar.terminals and name not in grammar.nonterminals:
                 raise GrammarError(f"undeclared symbol {name!r}", rule.line)
+        if rule.markers[rule.head_index]:
+            raise GrammarError("the head daughter cannot carry a repetition marker",
+                               rule.line)
+        for index, (key, _) in enumerate(rule.features):
+            if any(key == seen for seen, _ in rule.features[:index]):
+                raise GrammarError(f"duplicate feature {key!r}", rule.line)
         vsubcat = rule.feature("VSUBCAT")
         if vsubcat is not None and vsubcat not in FRAMES:
             raise GrammarError(f"unknown VSUBCAT value {vsubcat!r}", rule.line)
+        _check_templates(rule)
     if grammar.start_symbol not in grammar.nonterminals:
         raise GrammarError(f"start symbol {grammar.start_symbol!r} has no rule")
     seen_shapes: set[tuple] = set()
@@ -444,6 +415,36 @@ def _validate(grammar: Grammar) -> None:
     if not grammar.has_repetition():
         _check_cycle_free(grammar)
     _check_productive(grammar)
+
+
+# Per template slot, in GRTemplate order: its name in RELATION_SLOTS, the
+# slot kinds it may hold, and the message when it holds another.
+_SLOT_KINDS = (
+    ("type", {"none", "daughter", "literal"},
+     "template type slot must be '_', a daughter index or a quoted literal"),
+    ("head", {"daughter", "self"},
+     "template head slot must be a daughter index or 'self'"),
+    ("dep", {"daughter", "control"},
+     "template dependent slot must be a daughter index or 'control'"),
+    ("initial", {"none", "literal"},
+     "template initial slot must be '_' or a quoted literal"),
+)
+
+
+def _check_templates(rule: Rule) -> None:
+    for relation, *slots in rule.gr_templates:
+        if relation not in RELATION_SLOTS:
+            raise GrammarError(f"unknown GR relation {relation!r}", rule.line)
+        for (name, kinds, message), slot in zip(_SLOT_KINDS, slots):
+            if slot.kind not in kinds:
+                raise GrammarError("'control' is only valid in the dependent slot"
+                                   if slot.kind == "control" else message, rule.line)
+            if slot.kind == "daughter" and not 1 <= slot.value <= len(rule.daughters):
+                raise GrammarError(f"template daughter index {slot.value} out of range",
+                                   rule.line)
+            if slot.kind != "none" and name not in RELATION_SLOTS[relation]:
+                raise GrammarError(f"GR relation {relation!r} has no {name} slot",
+                                   rule.line)
 
 
 def _check_productive(grammar: Grammar) -> None:

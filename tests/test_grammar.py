@@ -3,7 +3,8 @@ import re
 import pytest
 
 import frameparse as fp
-from frameparse.grammar import ADJUNCT, ARGUMENT, Grammar, GrammarError, Rule
+from frameparse.grammar import (ADJUNCT, ARGUMENT, SLOT_NONE, Grammar,
+                                GrammarError, GRTemplate, Rule, SlotRef)
 
 from oracles import language
 
@@ -137,6 +138,46 @@ def test_template_fills_only_its_relations_slots(template, message):
     text = f"terminals: v n\nstart: VP\nVP -> v(head) n | gr: {template}\n"
     with pytest.raises(GrammarError, match=rf"^line 3: {re.escape(message)}$"):
         fp.parse_grammar(text)
+
+
+SELF, CONTROL = SlotRef("self"), SlotRef("control")
+ONE, TWO = SlotRef("daughter", 1), SlotRef("daughter", 2)
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"markers": ("*", "")}, "the head daughter cannot carry a repetition marker"),
+    ({"features": (("VSUBCAT", "NP"), ("VSUBCAT", "NP"))},
+     "duplicate feature 'VSUBCAT'"),
+    ({"gr_templates": (GRTemplate("bogus", SLOT_NONE, SELF, TWO, SLOT_NONE),)},
+     "unknown GR relation 'bogus'"),
+    ({"gr_templates": (GRTemplate("dobj", SLOT_NONE, SELF, SlotRef("daughter", 7),
+                                  SLOT_NONE),)},
+     "template daughter index 7 out of range"),
+    ({"gr_templates": (GRTemplate("ncsubj", SLOT_NONE, CONTROL, TWO, SLOT_NONE),)},
+     "'control' is only valid in the dependent slot"),
+    ({"gr_templates": (GRTemplate("xcomp", SELF, SELF, TWO, SLOT_NONE),)},
+     "template type slot must be '_', a daughter index or a quoted literal"),
+    ({"gr_templates": (GRTemplate("ncsubj", SLOT_NONE, SLOT_NONE, TWO, SLOT_NONE),)},
+     "template head slot must be a daughter index or 'self'"),
+    ({"gr_templates": (GRTemplate("ncsubj", SLOT_NONE, SELF, SELF, SLOT_NONE),)},
+     "template dependent slot must be a daughter index or 'control'"),
+    ({"gr_templates": (GRTemplate("ncsubj", SLOT_NONE, SELF, TWO, ONE),)},
+     "template initial slot must be '_' or a quoted literal"),
+    ({"gr_templates": (GRTemplate("dobj", SlotRef("literal", "x"), SELF, TWO,
+                                  SLOT_NONE),)},
+     "GR relation 'dobj' has no type slot"),
+    ({"gr_templates": (GRTemplate("iobj", SLOT_NONE, SELF, TWO,
+                                  SlotRef("literal", "obj")),)},
+     "GR relation 'iobj' has no initial slot"),
+])
+def test_constructor_checks_rules_and_templates(changes, message):
+    # built in code, so no reader saw these rules: the constructor alone
+    # rejects them, at the rule's line
+    fields = {"markers": ("", ""), "features": (), "gr_templates": ()} | changes
+    rule = Rule("VP", ("v", "n"), 0, fields["markers"], fields["features"],
+                fields["gr_templates"], 0, 7)
+    with pytest.raises(GrammarError, match=rf"^line 7: {re.escape(message)}$"):
+        Grammar((rule,), "VP", frozenset({"v", "n"}), frozenset())
 
 
 def test_reserved_prefix_rejected():
