@@ -143,13 +143,14 @@ class Grammar:
 
     A grammar is valid by construction, however it was made: each rule's
     id is its position, it has daughters, all declared, and no terminal
-    heads it; its head has no repetition marker, its feature names are
-    distinct, its VSUBCAT value is a frame, and its GR templates fill
-    their relation's slots with kinds and daughters the slots take; the
-    start symbol has a rule; no two rules share a shape; every non-terminal
-    derives a terminal string; and, once free of repetition markers, it
-    has no derivation cycle.  The constructor raises :class:`GrammarError`
-    otherwise.
+    heads it; its head index names a daughter; each daughter has one
+    marker, ``""``, ``?``, ``*`` or ``+``, and the head has ``""``; its
+    feature names are distinct, its VSUBCAT value is a frame, and its GR
+    templates fill their relation's slots with kinds and daughters the
+    slots take; the start symbol has a rule; no two rules share a shape;
+    every non-terminal derives a terminal string; and, once free of
+    repetition markers, it has no derivation cycle.  The constructor
+    raises :class:`GrammarError` otherwise.
     """
 
     def __init__(self, rules: tuple[Rule, ...], start_symbol: str,
@@ -384,6 +385,15 @@ def _validate(grammar: Grammar) -> None:
             raise GrammarError(f"rule {rule.rule_id} of {rule.mother!r} has no "
                                f"daughters (empty rules are not allowed)",
                                rule.line)
+        if not 0 <= rule.head_index < len(rule.daughters):
+            raise GrammarError(f"rule {rule.rule_id} of {rule.mother!r} has head "
+                               f"index {rule.head_index}, which names no daughter",
+                               rule.line)
+        if (len(rule.markers) != len(rule.daughters)
+                or not set(rule.markers) <= {"", "?", "*", "+"}):
+            raise GrammarError(f"rule {rule.rule_id} of {rule.mother!r} has markers "
+                               f"{rule.markers!r}, not one of '', '?', '*' or '+' "
+                               f"per daughter", rule.line)
         if rule.mother in grammar.terminals:
             raise GrammarError(f"terminal {rule.mother!r} on a left-hand side",
                                rule.line)

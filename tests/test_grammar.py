@@ -145,6 +145,15 @@ ONE, TWO = SlotRef("daughter", 1), SlotRef("daughter", 2)
 
 
 @pytest.mark.parametrize("changes, message", [
+    # a head index past the daughters once raised IndexError in ranking,
+    # and markers that do not fit the daughters rendered a different rule
+    ({"head_index": 5}, "rule 0 of 'VP' has head index 5, which names no daughter"),
+    ({"head_index": -1},
+     "rule 0 of 'VP' has head index -1, which names no daughter"),
+    ({"markers": ("",)}, "rule 0 of 'VP' has markers ('',), not one of '', '?', "
+                         "'*' or '+' per daughter"),
+    ({"markers": ("", "x")}, "rule 0 of 'VP' has markers ('', 'x'), not one of "
+                             "'', '?', '*' or '+' per daughter"),
     ({"markers": ("*", "")}, "the head daughter cannot carry a repetition marker"),
     ({"features": (("VSUBCAT", "NP"), ("VSUBCAT", "NP"))},
      "duplicate feature 'VSUBCAT'"),
@@ -173,9 +182,10 @@ ONE, TWO = SlotRef("daughter", 1), SlotRef("daughter", 2)
 def test_constructor_checks_rules_and_templates(changes, message):
     # built in code, so no reader saw these rules: the constructor alone
     # rejects them, at the rule's line
-    fields = {"markers": ("", ""), "features": (), "gr_templates": ()} | changes
-    rule = Rule("VP", ("v", "n"), 0, fields["markers"], fields["features"],
-                fields["gr_templates"], 0, 7)
+    fields = {"head_index": 0, "markers": ("", ""), "features": (),
+              "gr_templates": ()} | changes
+    rule = Rule("VP", ("v", "n"), fields["head_index"], fields["markers"],
+                fields["features"], fields["gr_templates"], 0, 7)
     with pytest.raises(GrammarError, match=rf"^line 7: {re.escape(message)}$"):
         Grammar((rule,), "VP", frozenset({"v", "n"}), frozenset())
 
