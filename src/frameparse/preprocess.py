@@ -42,6 +42,12 @@ def tokenize(sentence: str) -> list[str]:
     return _TOKEN_RE.findall(sentence)
 
 
+def _check_tags(surface: str, tags: tuple[str, ...]) -> None:
+    """Reject an entry that no wordlist holds, read or built."""
+    if not tags:
+        raise WordlistError(f"no tags for {surface!r}")
+
+
 class Wordlist:
     """Surface form to PoS tags; the first listed tag is the single-best
     choice."""
@@ -49,6 +55,8 @@ class Wordlist:
     __slots__ = ("tags",)
 
     def __init__(self, tags: Mapping[str, tuple[str, ...]]):
+        for surface, found in tags.items():
+            _check_tags(surface, found)
         self.tags = tags
 
     def lookup(self, surface: str) -> Optional[tuple[str, ...]]:
@@ -91,8 +99,7 @@ def parse_wordlist(text: str) -> Wordlist:
     def row(fields):
         surface, tag_text = fields
         tags = tuple(t.strip() for t in tag_text.split(",") if t.strip())
-        if not tags:
-            raise ValueError(f"no tags for {surface!r}")
+        _check_tags(surface, tags)
         return surface, tags
     rows = _read_table(text, ("surface", "tags"), row, WordlistError)
     return Wordlist({surface: tags for surface, (_, tags) in rows.items()})

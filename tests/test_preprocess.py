@@ -57,6 +57,11 @@ class TestTagging:
         wl = fp.parse_wordlist("leave\tv,n\n")
         assert fp.tag_tokens(["leave"], wl)[0].tag == "v"
 
+    def test_constructor_rejects_an_entry_without_tags(self):
+        # the tagger once took such a word for an unknown common noun
+        with pytest.raises(WordlistError, match="^no tags for 'sees'$"):
+            fp.Wordlist({"the": ("det",), "sees": ()})
+
     def test_duplicate_wordlist_entry_rejected(self):
         with pytest.raises(WordlistError, match="duplicate"):
             fp.parse_wordlist("a\tdet\na\tn\n")
