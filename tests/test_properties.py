@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import frameparse as fp
+from frameparse.grammar import GRTemplate, Rule, SlotRef
 from frameparse.grs import RELATION_SLOTS, GRError
 from frameparse.lexicon import LexiconError
 from frameparse.preprocess import WordlistError
@@ -131,6 +132,92 @@ def test_random_grammar_normalize_idempotent(seed):
     grammar = random_grammar(random.Random(seed))
     once = fp.normalize_kleene(grammar)
     assert fp.normalize_kleene(once) is once
+
+
+# Tokens a grammar file can hold: symbols without the reserved "@", and
+# symbol-like feature values and literals.  Head indices, markers, slot
+# kinds and daughter indices are drawn freely, invalid ones included, but
+# mostly valid, so that a fair share of the grammars builds.
+TERMINALS = frozenset({"a", "b", "v"})
+VALUES = st.sampled_from(["NP", "NONE", "PP", "x", "to"])
+
+
+@st.composite
+def mostly(draw, valid, free):
+    """A draw of ``valid`` three times in four, else of ``free``."""
+    return draw(valid if draw(st.sampled_from([True, True, True, False]))
+                else free)
+
+
+@st.composite
+def slots(draw, kinds, n_daughters):
+    kind = draw(mostly(st.sampled_from(kinds), st.sampled_from(
+        ["none", "self", "control", "literal", "daughter"])))
+    if kind == "daughter":
+        return SlotRef(kind, draw(mostly(st.integers(1, n_daughters),
+                                         st.integers(-1, 4))))
+    return SlotRef(kind, draw(VALUES) if kind == "literal" else None)
+
+
+@st.composite
+def built_rules(draw, rule_id):
+    daughters = tuple(draw(st.lists(st.sampled_from(["S", *sorted(TERMINALS)]),
+                                    min_size=1, max_size=3)))
+    n = len(daughters)
+    head_index = draw(mostly(st.integers(0, n - 1), st.integers(-1, 3)))
+    markers = draw(mostly(
+        st.tuples(*(st.just("") if i == head_index
+                    else st.sampled_from(["", "", "?", "*", "+"])
+                    for i in range(n))),
+        st.lists(st.sampled_from(["", "?", "*", "+", "x"]), max_size=4)))
+    features = draw(st.lists(st.tuples(st.sampled_from(["VSUBCAT", "AGR"]),
+                                       VALUES), max_size=2))
+    templates = draw(st.lists(st.builds(
+        GRTemplate, mostly(st.sampled_from(sorted(RELATION_SLOTS)),
+                           st.just("bogus")),
+        slots(["none"], n), slots(["daughter", "self"], n),
+        slots(["daughter", "control"], n), slots(["none"], n)),
+        max_size=2))
+    return Rule("S", daughters, head_index, tuple(markers), tuple(features),
+                tuple(templates), rule_id, None)
+
+
+@st.composite
+def built_grammars(draw):
+    rules = (Rule("S", ("a",), 0, ("",), (), (), 0, None),)
+    rules += tuple(draw(built_rules(rule_id))
+                   for rule_id in range(1, draw(st.integers(2, 3))))
+    verb_tags = draw(st.frozensets(st.sampled_from(sorted(TERMINALS))))
+    return rules, "S", TERMINALS, verb_tags
+
+
+def _vp(head_index, markers, *templates):
+    rule = Rule("VP", ("v", "n"), head_index, markers, (), templates, 0, None)
+    return (rule,), "VP", frozenset({"v", "n"}), frozenset()
+
+
+NONE, SELF = SlotRef("none"), SlotRef("self")
+
+
+@settings(max_examples=150, deadline=None)
+@given(built_grammars())
+# a type its relation lacks, a daughter past the rule's, and too few markers
+@example(_vp(0, ("", ""), GRTemplate("dobj", SlotRef("literal", "x"), SELF,
+                                     SlotRef("daughter", 2), NONE)))
+@example(_vp(0, ("", ""), GRTemplate("dobj", NONE, SELF,
+                                     SlotRef("daughter", 7), NONE)))
+@example(_vp(0, ("",)))
+def test_built_grammar_is_rejected_or_round_trips(parts):
+    try:
+        grammar = fp.Grammar(*parts)
+    except fp.GrammarError:
+        return
+    text = fp.render_grammar(grammar)
+    try:
+        reparsed = fp.parse_grammar(text)
+    except fp.GrammarError as exc:
+        pytest.fail(f"the reader rejects {text!r}: {exc}")
+    assert reparsed == grammar
 
 
 def _raw_copy(tree, target=None, label=None):
