@@ -9,7 +9,7 @@ sentences may be analyzed concurrently; a single analysis is sequential.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import preprocess
 from .actions import ActionModel, RankedAnalysis, unpack_n_best
@@ -33,16 +33,12 @@ def check_tags(grammar: Grammar, tags, kind: str) -> None:
             raise ValueError(f"{kind} tag {tag!r} is not a grammar terminal")
 
 
-class SentenceResult:
+class SentenceResult(NamedTuple):
     """Ranked analyses for one sentence; empty iff out of coverage."""
 
-    __slots__ = ("sentence", "tokens", "analyses")
-
-    def __init__(self, sentence: str, tokens: list[Token],
-                 analyses: list[RankedAnalysis]):
-        self.sentence = sentence
-        self.tokens = tokens
-        self.analyses = analyses
+    sentence: str
+    tokens: list[Token]
+    analyses: list[RankedAnalysis]
 
 
 class ParserPipeline:

@@ -23,6 +23,8 @@ def test_out_of_coverage_result(uniform_pipeline):
     result = uniform_pipeline.analyze("the the the")
     assert result.analyses == []
     assert len(result.tokens) == 3
+    # a named tuple, like the other records
+    assert result == ("the the the", result.tokens, [])
 
 
 def test_baseline_mode_lexical_zero(adversarial_pipeline):
