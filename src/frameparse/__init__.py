@@ -35,7 +35,7 @@ from .evaluation import (BracketReport, EvaluationError, GRReport,
                          bracket_scores, extract_brackets, extract_grs,
                          paired_t_test)
 from .pipeline import ParserPipeline, SentenceResult
-from .demofiles import DEMO_FILES, demo_path
+from .demofiles import demo_path
 
 __version__ = "0.1.0"
 

@@ -134,25 +134,23 @@ def parse_gr(text: str) -> GR:
 
 
 def read_gr_file(text: str) -> list[set[GR]]:
-    """Read blank-line-separated per-sentence relation sets."""
+    """Read per-sentence relation sets, one block of lines each.  Only a
+    blank line ends a block; ``#`` starts a comment, and a line holding
+    only a comment is skipped."""
     sets: list[set[GR]] = []
-    current: set[GR] = set()
-    seen_any = False
+    current: Optional[set[GR]] = None  # the open block's set
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            if seen_any:
-                sets.append(current)
+        if not raw.strip():
+            current = None
+        elif line:
+            if current is None:
                 current = set()
-                seen_any = False
-            continue
-        try:
-            current.add(parse_gr(line))
-        except GRError as exc:
-            raise GRError(f"line {lineno}: {exc}") from exc
-        seen_any = True
-    if seen_any:
-        sets.append(current)
+                sets.append(current)
+            try:
+                current.add(parse_gr(line))
+            except GRError as exc:
+                raise GRError(f"line {lineno}: {exc}") from exc
     return sets
 
 

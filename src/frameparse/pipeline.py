@@ -48,19 +48,21 @@ class ParserPipeline:
                  lemmatizer: Optional[Lemmatizer] = None,
                  lexicon: Optional[SubcatLexicon] = None):
         normalized = normalize_kleene(grammar)
-        if table is not None:
-            if table.grammar != normalized:
-                raise ValueError("table was not built from this grammar")
-            # Adopt the table's grammar so rule identity is shared with
-            # the forest nodes the table produces.
-            self.grammar = table.grammar
-            self.table = table
-        else:
-            self.grammar = normalized
-            self.table = build_table(normalized)
+        if table is None:
+            table = model.table if model is not None else build_table(normalized)
+        if table.grammar != normalized:
+            raise ValueError("table was not built from this grammar")
+        # Adopt the table's grammar so rule identity is shared with the
+        # forest nodes the table produces.
+        self.grammar = table.grammar
+        self.table = table
         # An untrained model is uniform within every class, so a pipeline
         # without a model still ranks deterministically.
-        self.model = model if model is not None else ActionModel(self.table)
+        self.model = model if model is not None else ActionModel(table)
+        # Ranking takes a forest only over the model's own grammar object.
+        if self.model.table.grammar is not self.grammar:
+            raise ValueError("model/table mismatch: model built from a "
+                             "different grammar")
         self.wordlist = wordlist if wordlist is not None else Wordlist({})
         self.lemmatizer = lemmatizer if lemmatizer is not None else Lemmatizer()
         self.lexicon = lexicon

@@ -500,6 +500,14 @@ def test_unknown_demo_file_exit_2(capsys):
     assert "absent.grammar" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["../cli.py", "absent.grammar", "data", ""])
+def test_demo_path_names_only_shipped_files(name):
+    with pytest.raises(FileNotFoundError, match="^no demo file .*; available: "
+                                                "acquisition.txt, "):
+        fp.demo_path(name)
+    assert fp.demo_path("demo.grammar").is_file()
+
+
 class RecordingNamespace(argparse.Namespace):
     """Parsed arguments that remember which of them were read."""
 

@@ -204,6 +204,16 @@ class TestGRMatch:
         with pytest.raises(GRError, match=r"^line 4: cannot parse relation"):
             fp.read_gr_file("ncsubj(x,y,_)\n\n# gold\nbogus(x\n")
 
+    def test_only_a_blank_line_ends_a_gr_block(self):
+        # a comment line inside a block once split it in two
+        assert fp.read_gr_file("ncsubj(see,child,_)\n# a note\n"
+                               "dobj(see,dog,_)\n") == [
+            _grs("ncsubj(see,child,_)", "dobj(see,dog,_)")]
+        # blank lines around comment-only blocks add no empty set
+        assert fp.read_gr_file("# head\n\n\nncsubj(see,child,_)  # a note\n"
+                               "   \n# only\n\ndobj(see,dog,_)\n\n") == [
+            _grs("ncsubj(see,child,_)"), _grs("dobj(see,dog,_)")]
+
 
 class TestGRScores:
     def test_worked_example_two_of_three(self):

@@ -105,6 +105,10 @@ OUT_OF_COVERAGE = {
                     "(n dog)) (PP (prep in) (NP (det the) (n park))))))\n"
                     "(NP (det the) (PP (prep in) (NP (det the))))\n",
     "ooc.grs": "ncsubj(see,child,_)\ndobj(see,dog,_)\n\nncsubj(in,the,_)\n",
+    # the same gold with a comment line inside the first block, which
+    # once split it in two
+    "ooc-commented.grs": "ncsubj(see,child,_)\n# the PP attaches to the noun\n"
+                         "dobj(see,dog,_)\n\nncsubj(in,the,_)\n",
 }
 OOC = ["--corpus", "ooc.txt"]
 # A comma must not put a sentence out of coverage, nor a non-ASCII
@@ -148,6 +152,8 @@ def _commands():
     yield "ooc-eval-bracket", ["eval-bracket", *PIPELINE, *OOC,
                                "--treebank", "ooc.treebank"]
     yield "ooc-eval-gr", ["eval-gr", *PIPELINE, *OOC, "--gold-gr", "ooc.grs"]
+    yield "eval-gr-commented-gold", ["eval-gr", *PIPELINE, *OOC,
+                                     "--gold-gr", "ooc-commented.grs"]
     yield "ooc-compare", ["compare", *PIPELINE, *LEXICONS["acquired"], *OOC,
                           "--gold-gr", "ooc.grs", "--treebank", "ooc.treebank"]
     for fmt, fmt_args in FORMATS.items():
@@ -226,6 +232,15 @@ def test_golden_files_are_the_outputs(outputs):
 def test_command_output(outputs, name):
     assert outputs[name + ".out"] == _expected(name + ".out")
     assert outputs[name + ".err"] == _expected(name + ".err")
+
+
+def test_comment_line_separates_no_gold_blocks(outputs):
+    status = dict(line.split("\t") for line in
+                  outputs["status.tsv"].splitlines())
+    assert status["eval-gr-commented-gold"] == status["ooc-eval-gr"]
+    for suffix in (".out", ".err"):
+        assert outputs["eval-gr-commented-gold" + suffix] == \
+            outputs["ooc-eval-gr" + suffix]
 
 
 @pytest.mark.parametrize("name", WRITTEN)

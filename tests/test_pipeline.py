@@ -96,6 +96,28 @@ def test_mismatched_table_rejected(demo_grammar):
         fp.ParserPipeline(demo_grammar, table=other)
 
 
+def test_table_taken_from_the_model(demo_grammar, demo_wordlist):
+    # a model over a second normalization once met a table the pipeline
+    # built itself, and every analysis raised
+    table = fp.build_table(fp.normalize_kleene(demo_grammar))
+    pipe = fp.ParserPipeline(demo_grammar, model=fp.ActionModel(table),
+                             wordlist=demo_wordlist)
+    assert pipe.table is table and pipe.grammar is table.grammar
+    assert pipe.analyze("the child sees a dog in the park").analyses
+
+
+def test_model_over_another_table_rejected(demo_grammar):
+    first, second = (fp.build_table(fp.normalize_kleene(demo_grammar))
+                     for _ in range(2))
+    with pytest.raises(ValueError, match="^model/table mismatch: "):
+        fp.ParserPipeline(demo_grammar, table=first,
+                          model=fp.ActionModel(second))
+    # the model's table is checked against the grammar like a given one
+    other = fp.build_table(fp.parse_grammar("terminals: a\nstart: S\nS -> a\n"))
+    with pytest.raises(ValueError, match="not built from"):
+        fp.ParserPipeline(demo_grammar, model=fp.ActionModel(other))
+
+
 def test_table_of_an_equal_grammar_accepted(demo_grammar):
     # A leading comment moves every rule's line, which grammars do not
     # compare.
