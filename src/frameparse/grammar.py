@@ -147,7 +147,8 @@ class Grammar:
     marker, ``""``, ``?``, ``*`` or ``+``, and the head has ``""``; its
     feature names are distinct, its VSUBCAT value is a frame, and its GR
     templates fill their relation's slots with kinds and daughters the
-    slots take; the start symbol has a rule; no two rules share a shape;
+    slots take, each slot holding its kind's value; the verb tags are
+    terminals; the start symbol has a rule; no two rules share a shape;
     every non-terminal derives a terminal string; and, once free of
     repetition markers, it has no derivation cycle.  The constructor
     raises :class:`GrammarError` otherwise.
@@ -376,6 +377,9 @@ def _validate(grammar: Grammar) -> None:
         raise GrammarError("grammar has no rules")
     if not grammar.terminals:
         raise GrammarError("grammar declares no terminals")
+    for tag in sorted(grammar.verb_tags):
+        if tag not in grammar.terminals:
+            raise GrammarError(f"verb tag {tag!r} is not a terminal")
     for position, rule in enumerate(grammar.rules):
         if rule.rule_id != position:
             raise GrammarError(f"rule {rule.rule_id} of {rule.mother!r} is at "
@@ -439,6 +443,10 @@ _SLOT_KINDS = (
     ("initial", {"none", "literal"},
      "template initial slot must be '_' or a quoted literal"),
 )
+# Per slot kind, the type of the value it holds, and its name.
+_SLOT_VALUES = {"none": (type(None), "no value"), "self": (type(None), "no value"),
+                "control": (type(None), "no value"), "literal": (str, "a string"),
+                "daughter": (int, "an int")}
 
 
 def _check_templates(rule: Rule) -> None:
@@ -449,6 +457,10 @@ def _check_templates(rule: Rule) -> None:
             if slot.kind not in kinds:
                 raise GrammarError("'control' is only valid in the dependent slot"
                                    if slot.kind == "control" else message, rule.line)
+            value_type, value_name = _SLOT_VALUES[slot.kind]
+            if not isinstance(slot.value, value_type) or isinstance(slot.value, bool):
+                raise GrammarError(f"template {slot.kind} slot takes {value_name}, "
+                                   f"not {slot.value!r}", rule.line)
             if slot.kind == "daughter" and not 1 <= slot.value <= len(rule.daughters):
                 raise GrammarError(f"template daughter index {slot.value} out of range",
                                    rule.line)

@@ -178,6 +178,26 @@ ONE, TWO = SlotRef("daughter", 1), SlotRef("daughter", 2)
     ({"gr_templates": (GRTemplate("iobj", SLOT_NONE, SELF, TWO,
                                   SlotRef("literal", "obj")),)},
      "GR relation 'iobj' has no initial slot"),
+    # a value its kind does not take once built: a hidden type that no
+    # gold matched, or a bare TypeError
+    ({"gr_templates": (GRTemplate("ncsubj", SlotRef("none", "x"), SELF, TWO,
+                                  SLOT_NONE),)},
+     "template none slot takes no value, not 'x'"),
+    ({"gr_templates": (GRTemplate("ncsubj", SLOT_NONE, SlotRef("self", 1), TWO,
+                                  SLOT_NONE),)},
+     "template self slot takes no value, not 1"),
+    ({"gr_templates": (GRTemplate("xcomp", SLOT_NONE, SELF,
+                                  SlotRef("control", "x"), SLOT_NONE),)},
+     "template control slot takes no value, not 'x'"),
+    ({"gr_templates": (GRTemplate("xcomp", SlotRef("literal"), SELF, TWO,
+                                  SLOT_NONE),)},
+     "template literal slot takes a string, not None"),
+    ({"gr_templates": (GRTemplate("ncsubj", SLOT_NONE, SELF,
+                                  SlotRef("daughter", "1"), SLOT_NONE),)},
+     "template daughter slot takes an int, not '1'"),
+    ({"gr_templates": (GRTemplate("ncsubj", SLOT_NONE, SELF,
+                                  SlotRef("daughter", True), SLOT_NONE),)},
+     "template daughter slot takes an int, not True"),
 ])
 def test_constructor_checks_rules_and_templates(changes, message):
     # built in code, so no reader saw these rules: the constructor alone
@@ -188,6 +208,14 @@ def test_constructor_checks_rules_and_templates(changes, message):
                 fields["features"], fields["gr_templates"], 0, 7)
     with pytest.raises(GrammarError, match=rf"^line 7: {re.escape(message)}$"):
         Grammar((rule,), "VP", frozenset({"v", "n"}), frozenset())
+
+
+def test_constructor_checks_verb_tags():
+    # a verb tag outside the terminals once built, and lexical ranking
+    # then found no verb instance
+    rule = Rule("S", ("a",), 0, ("",), (), (), 0, 7)
+    with pytest.raises(GrammarError, match=r"^verb tag 'x' is not a terminal$"):
+        Grammar((rule,), "S", frozenset({"a"}), frozenset({"x", "a"}))
 
 
 def test_reserved_prefix_rejected():

@@ -136,16 +136,16 @@ def test_random_grammar_normalize_idempotent(seed):
 
 # Tokens a grammar file can hold: symbols without the reserved "@", and
 # symbol-like feature values and literals.  Head indices, markers, slot
-# kinds and daughter indices are drawn freely, invalid ones included, but
-# mostly valid, so that a fair share of the grammars builds.
+# kinds, slot values and verb tags are drawn freely, invalid ones
+# included, but mostly valid, so that a fair share of the grammars builds.
 TERMINALS = frozenset({"a", "b", "v"})
 VALUES = st.sampled_from(["NP", "NONE", "PP", "x", "to"])
 
 
 @st.composite
-def mostly(draw, valid, free):
-    """A draw of ``valid`` three times in four, else of ``free``."""
-    return draw(valid if draw(st.sampled_from([True, True, True, False]))
+def mostly(draw, valid, free, odds=4):
+    """A draw of ``free`` one time in ``odds``, else of ``valid``."""
+    return draw(valid if draw(st.sampled_from([True] * (odds - 1) + [False]))
                 else free)
 
 
@@ -153,10 +153,11 @@ def mostly(draw, valid, free):
 def slots(draw, kinds, n_daughters):
     kind = draw(mostly(st.sampled_from(kinds), st.sampled_from(
         ["none", "self", "control", "literal", "daughter"])))
-    if kind == "daughter":
-        return SlotRef(kind, draw(mostly(st.integers(1, n_daughters),
-                                         st.integers(-1, 4))))
-    return SlotRef(kind, draw(VALUES) if kind == "literal" else None)
+    valid = {"daughter": mostly(st.integers(1, n_daughters), st.integers(-1, 4)),
+             "literal": VALUES}.get(kind, st.none())
+    # now and then a value of another kind, or a bool
+    return SlotRef(kind, draw(mostly(valid, st.one_of(
+        st.none(), VALUES, st.integers(-1, 4), st.booleans()), odds=8)))
 
 
 @st.composite
@@ -187,7 +188,8 @@ def built_grammars(draw):
     rules = (Rule("S", ("a",), 0, ("",), (), (), 0, None),)
     rules += tuple(draw(built_rules(rule_id))
                    for rule_id in range(1, draw(st.integers(2, 3))))
-    verb_tags = draw(st.frozensets(st.sampled_from(sorted(TERMINALS))))
+    verb_tags = draw(mostly(st.frozensets(st.sampled_from(sorted(TERMINALS))),
+                            st.frozensets(st.sampled_from(["S", "a", "x"]))))
     return rules, "S", TERMINALS, verb_tags
 
 
@@ -207,6 +209,13 @@ NONE, SELF = SlotRef("none"), SlotRef("self")
 @example(_vp(0, ("", ""), GRTemplate("dobj", NONE, SELF,
                                      SlotRef("daughter", 7), NONE)))
 @example(_vp(0, ("",)))
+# a verb tag that is no terminal, and slot values of another kind
+@example(((Rule("S", ("a",), 0, ("",), (), (), 0, None),), "S",
+          frozenset({"a"}), frozenset({"x"})))
+@example(_vp(0, ("", ""), GRTemplate("ncsubj", SlotRef("none", "x"), SELF,
+                                     SlotRef("daughter", 1), NONE)))
+@example(_vp(0, ("", ""), GRTemplate("ncsubj", NONE, SELF,
+                                     SlotRef("daughter", "1"), NONE)))
 def test_built_grammar_is_rejected_or_round_trips(parts):
     try:
         grammar = fp.Grammar(*parts)
