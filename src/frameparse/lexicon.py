@@ -153,7 +153,6 @@ def collapse_classes(fine: Iterable[tuple[str, str, float]],
     lexicon therefore operates on the collapsed distribution.
     """
     grouped: dict[tuple[str, str], list[float]] = {}
-    order: list[tuple[str, str]] = []
     for lemma, fine_id, prob in fine:
         frame = class_map.get(fine_id)
         if frame is None:
@@ -161,13 +160,9 @@ def collapse_classes(fine: Iterable[tuple[str, str, float]],
         if not 0 <= prob < math.inf:
             raise LexiconError(f"probability {prob} for {lemma!r}/{fine_id} "
                                "is negative or not finite")
-        key = (lemma, frame)
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append(prob)
+        grouped.setdefault((lemma, frame), []).append(prob)
     entries = []
-    for lemma, frame in sorted(order):
+    for lemma, frame in sorted(grouped):
         mass = math.fsum(grouped[(lemma, frame)])
         entries.append(SubcatEntry(lemma, frame, mass, mass))
     return SubcatLexicon(entries)
