@@ -443,10 +443,9 @@ _SLOT_KINDS = (
     ("initial", {"none", "literal"},
      "template initial slot must be '_' or a quoted literal"),
 )
-# Per slot kind, the type of the value it holds, and its name.
-_SLOT_VALUES = {"none": (type(None), "no value"), "self": (type(None), "no value"),
-                "control": (type(None), "no value"), "literal": (str, "a string"),
-                "daughter": (int, "an int")}
+# The type of the value a literal or daughter slot holds, and its name;
+# the other kinds hold None.
+_SLOT_VALUES = {"literal": (str, "a string"), "daughter": (int, "an int")}
 
 
 def _check_templates(rule: Rule) -> None:
@@ -457,7 +456,8 @@ def _check_templates(rule: Rule) -> None:
             if slot.kind not in kinds:
                 raise GrammarError("'control' is only valid in the dependent slot"
                                    if slot.kind == "control" else message, rule.line)
-            value_type, value_name = _SLOT_VALUES[slot.kind]
+            value_type, value_name = _SLOT_VALUES.get(slot.kind,
+                                                      (type(None), "no value"))
             if not isinstance(slot.value, value_type) or isinstance(slot.value, bool):
                 raise GrammarError(f"template {slot.kind} slot takes {value_name}, "
                                    f"not {slot.value!r}", rule.line)

@@ -500,12 +500,13 @@ def test_unknown_demo_file_exit_2(capsys):
     assert "absent.grammar" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["../cli.py", "absent.grammar", "data", ""])
-def test_demo_path_names_only_shipped_files(name):
-    with pytest.raises(FileNotFoundError, match="^no demo file .*; available: "
-                                                "acquisition.txt, "):
-        fp.demo_path(name)
-    assert fp.demo_path("demo.grammar").is_file()
+# a file of the package outside data/, and data/ itself, are no demo files
+@pytest.mark.parametrize("name", ["../cli.py", ""])
+def test_demo_file_outside_data_exit_2(capsys, name):
+    code = main(["build-table", "--grammar", f"@demo/{name}"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: no demo file {name!r}; available: acquisition.txt, ")
 
 
 class RecordingNamespace(argparse.Namespace):
