@@ -12,6 +12,10 @@ the demo lexicon, together with their tokens.  The acquisition corpus,
 cycled three times, is also run through ``observe_corpus`` at caps 0,
 1, 2, 3 and 1000, hashing the store (frames in order and both sentence
 counts) and the hypothesized entries, so that a cap that binds shows.
+The ladder's rungs k = 0..4 and the acquisition corpus are run through
+it too, at caps 0, 1, 3 and 1000, with the untrained (uniform) model,
+under which the root margin of rungs 2 to 4 and of one corpus sentence
+is 0: those sentences' top analyses are settled by the trace sort.
 The parse tables of the demo grammar, of the same seeds' grammars and of
 the 50- and 100-rule ``wide_grammar`` fixtures are hashed too: the state
 count, the start state, the actions and the gotos (the non-terminal
@@ -139,10 +143,17 @@ def _acquisition_sentences():
             if line.strip()]
 
 
-def _store_digest(sentences) -> str:
+def _uniform_pipeline():
+    demo = _demo_pipeline()
+    return fp.ParserPipeline(demo.grammar, table=demo.table,
+                             wordlist=demo.wordlist,
+                             lemmatizer=demo.lemmatizer)
+
+
+def _store_digest(sentences, pipeline, caps) -> str:
     digest = hashlib.sha256()
-    for cap in (0, 1, 2, 3, 1000):
-        store = fp.observe_corpus(sentences, _demo_pipeline(), cap=cap)
+    for cap in caps:
+        store = fp.observe_corpus(sentences, pipeline, cap=cap)
         digest.update(repr((cap, store.frames, store.parsed_sentences,
                             store.skipped_sentences)).encode())
         digest.update(repr(fp.hypothesize_entries(store).entries()).encode())
@@ -206,7 +217,11 @@ BLOCKS = {**{name: (lambda seeds=seeds: _seed_digest(seeds))
           "demo-ladder": lambda: _demo_digest(LADDER),
           "demo-acquisition": lambda: _demo_digest(_acquisition_sentences()),
           "demo-acquisition-store":
-              lambda: _store_digest(_acquisition_sentences() * 3),
+              lambda: _store_digest(_acquisition_sentences() * 3,
+                                    _demo_pipeline(), (0, 1, 2, 3, 1000)),
+          "demo-acquisition-store-uniform":
+              lambda: _store_digest(LADDER[:5] + _acquisition_sentences(),
+                                    _uniform_pipeline(), (0, 1, 3, 1000)),
           "wide-forests": _wide_forest_digest,
           "tables": lambda: _table_digest(_table_grammars()),
           "english-table":
