@@ -2,12 +2,14 @@
 
 Each corpus sentence is parsed; the verb frames of its top analysis
 under the baseline (purely structural) model are recorded per lemma, in
-corpus order, keeping only the first ``cap`` cases per verb.  A parsed
-sentence is ranked only if one of its verb tokens (a token whose tag
-heads a frame-assigning rule) has a lemma that is not yet full: the
-frames of any other sentence would all be dropped by the cap.  Frames
-with enough evidence are then hypothesized into lexicon entries, with
-relative frequencies renormalised over the surviving entries.
+corpus order, keeping only the first ``cap`` cases per verb.  The frames
+are read off the ranking's Viterbi pass; only a sentence whose top
+analysis is a near tie is ranked in full.  A parsed sentence is ranked
+only if one of its verb tokens (a token whose tag heads a
+frame-assigning rule) has a lemma that is not yet full: the frames of
+any other sentence would all be dropped by the cap.  Frames with enough
+evidence are then hypothesized into lexicon entries, with relative
+frequencies renormalised over the surviving entries.
 
 Observations are deterministic in corpus order.  Tagging and parsing
 sentences concurrently is fine, but whether a sentence is ranked reads
@@ -20,8 +22,9 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+from .actions import top_applications
 from .lexicon import SubcatEntry, SubcatLexicon
-from .rerank import verb_frames
+from .rerank import application_frames, verb_frames
 
 
 class ObservationStore:
@@ -59,7 +62,8 @@ def observe_corpus(sentences: Iterable[str], pipeline, cap: int = 1000
     """Run the acquisition pass over raw sentences.
 
     ``pipeline`` is a :class:`frameparse.pipeline.ParserPipeline`; the
-    structural top parse is used regardless of any attached lexicon.
+    structural top parse is used regardless of any attached lexicon, and
+    is built by ``pipeline.rank`` only at a near tie.
     Out-of-coverage sentences are skipped and counted.  A parsed
     sentence is ranked only if some token whose tag heads a rule with a
     frame (see :attr:`~frameparse.grammar.Grammar.instance_frames`) has
@@ -83,8 +87,13 @@ def observe_corpus(sentences: Iterable[str], pipeline, cap: int = 1000
         if all(token.tag not in verb_tags or store.full(token.lemma)
                for token in tokens):
             continue
-        top = pipeline.rank(forest, tokens, 1, False)[0]
-        for instance in verb_frames(top.derivation, grammar, tokens):
+        applications = top_applications(forest, pipeline.model)
+        if applications is None:  # a near tie, settled by the trace sort
+            top = pipeline.rank(forest, tokens, 1, False)[0]
+            instances = verb_frames(top.derivation, grammar, tokens)
+        else:
+            instances = application_frames(applications, grammar, tokens)
+        for instance in instances:
             store.add(instance.lemma, instance.frame)
     return store
 

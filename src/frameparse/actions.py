@@ -32,7 +32,10 @@ the other edges and its tails' margins (``inf`` with one derivation).
 For ``n = 1`` a root margin beyond the tie band (see ``_TIE_BAND``)
 proves that no other derivation can tie, and the Viterbi derivation is
 returned without a lazy search; a near-tie, and every ``n > 1``, runs
-the lazy search, whose final sort settles ties on the trace.
+the lazy search, whose final sort settles ties on the trace.  Where
+only the rule applications of the structural top analysis are wanted,
+as in acquisition, :func:`top_applications` follows the best edges of
+that one pass, and leaves a near-tie to :func:`unpack_n_best`.
 
 The search reads the table's per-state ``moves`` and the model's
 per-state reduce rows, ``reduce_rows[state][lookahead][rule id]``, each
@@ -455,6 +458,50 @@ class _ForestSearch:
         return Tree(node.symbol, node.start, node.end, tuple(children), rule)
 
 
+def _viterbi(forest: Forest, model: ActionModel,
+             lexical: Optional[Callable[[Rule, tuple[ForestNode, ...]],
+                                        float]]
+             ) -> tuple[_ForestSearch, _Vertex, float, bool]:
+    """The search of the parsed ``forest`` after its Viterbi pass, its
+    root vertex, the accept's log-probability, and whether the root
+    margin clears the tie band, so that no derivation ties the best."""
+    # The search trusts the forest once it was parsed over the model's
+    # grammar, whose rule objects the model's table holds.
+    if forest.grammar is not model.table.grammar:
+        raise ValueError("model/table mismatch: forest built from a "
+                         "different grammar")
+    search = _ForestSearch(forest, model, lexical)
+    root = search.visit(forest.root, model.table.start_state)
+    accept_logprob = model.accept_logprobs[root.exit]
+    clear = root.margin > 2 * _TIE_BAND * abs(root.score + accept_logprob)
+    return search, root, accept_logprob, clear
+
+
+def top_applications(forest: Forest, model: ActionModel
+                     ) -> Optional[list[tuple[Rule, tuple[ForestNode, ...]]]]:
+    """The rule applications ``(rule, daughters)`` of the structural top
+    analysis ``unpack_n_best(forest, model, 1)[0]`` of the parsed
+    ``forest``, in preorder, read off the Viterbi pass by following each
+    vertex's best edge; no tree, trace or score is built.  ``None`` when
+    the root margin is within the tie band, where only the trace sort of
+    :func:`unpack_n_best` picks the top analysis."""
+    _, root, _, clear = _viterbi(forest, model, None)
+    if not clear:
+        return None
+    applications = []
+    stack = [root]
+    while stack:
+        vertex = stack.pop()
+        index = vertex.derivations[0][1]
+        rule, tails = vertex.edges[index][:2]
+        # edges[index] was made from alternatives[index]
+        applications.append((rule, vertex.node.alternatives[index][1]))
+        for tail in reversed(tails):
+            if tail.node is not None:  # not a leaf's
+                stack.append(tail)
+    return applications
+
+
 def unpack_n_best(forest: Forest, model: ActionModel, n: int,
                   lexical: Optional[Callable[[Rule, tuple[ForestNode, ...]],
                                              float]] = None
@@ -472,18 +519,9 @@ def unpack_n_best(forest: Forest, model: ActionModel, n: int,
         raise ValueError(f"n must be an int of at least 1, got {n!r}")
     if forest.root is None:
         return []
-    # The search trusts the forest once it was parsed over the model's
-    # grammar, whose rule objects the model's table holds.
-    if forest.grammar is not model.table.grammar:
-        raise ValueError("model/table mismatch: forest built from a "
-                         "different grammar")
-    search = _ForestSearch(forest, model, lexical)
-    root = search.visit(forest.root, model.table.start_state)
+    search, root, accept_logprob, clear = _viterbi(forest, model, lexical)
     accept = (root.exit, END_MARKER, ("accept",))
-    accept_logprob = model.accept_logprobs[root.exit]
-    best = root.score + accept_logprob
-    if n == 1 and root.margin > 2 * _TIE_BAND * abs(best):
-        # no other derivation is within the tie band: see _TIE_BAND
+    if n == 1 and clear:
         popped = 1
     else:
         popped = 0

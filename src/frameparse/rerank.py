@@ -8,8 +8,9 @@ term is a sum of per-rule-application shares: :func:`rank_analyses`
 hands the share to :func:`~frameparse.actions.unpack_n_best`, the one
 scorer, which both searches the forest and reports the term with it.
 The sum is a ranking score, not a probability, and is never
-renormalised.  :func:`verb_frames` lists the instances of one
-derivation, for acquisition.
+renormalised.  For acquisition, :func:`application_frames` lists the
+instances of a derivation's rule applications, and :func:`verb_frames`
+those of a derivation's tree.
 
 Verb tokens dominated by rules without a VSUBCAT value contribute
 nothing; such verbs pick up no lexical information at parse time.  All
@@ -18,7 +19,7 @@ functions here are pure over immutable inputs.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .actions import ActionModel, Derivation, RankedAnalysis, unpack_n_best
 from .glr import Forest, ForestNode
@@ -39,16 +40,23 @@ def verb_frames(derivation: Derivation, grammar: Grammar,
     """One instance per verb token dominated by a verbal argument rule,
     in preorder, hence left to right; the lemma comes from the token's
     lemmatized form."""
+    return application_frames(((node.rule, node.children)
+                               for node in derivation.tree.iter_nodes()
+                               if node.rule is not None), grammar, tokens)
+
+
+def application_frames(applications: Iterable[tuple], grammar: Grammar,
+                       tokens: Sequence[Token]) -> list[FrameInstance]:
+    """One instance per rule application ``(rule, daughters)`` whose rule
+    has a frame in :attr:`~frameparse.grammar.Grammar.instance_frames`,
+    in order, with the lemma of the token where its head daughter starts."""
     frames = grammar.instance_frames
     instances = []
-    for node in derivation.tree.iter_nodes():
-        if node.rule is None:
-            continue
-        frame = frames[node.rule.rule_id]
-        if frame is None:
-            continue
-        head = node.children[node.rule.head_index]
-        instances.append(FrameInstance(tokens[head.start].lemma, frame))
+    for rule, daughters in applications:
+        frame = frames[rule.rule_id]
+        if frame is not None:
+            head = daughters[rule.head_index]
+            instances.append(FrameInstance(tokens[head.start].lemma, frame))
     return instances
 
 

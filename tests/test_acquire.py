@@ -1,6 +1,7 @@
 import pytest
 
 import frameparse as fp
+from frameparse import acquire
 
 
 def test_single_sentence_observation(adversarial_pipeline):
@@ -28,13 +29,18 @@ def test_out_of_coverage_counted(adversarial_pipeline):
 
 
 def _count_ranks(monkeypatch, pipeline):
+    """The rankings acquisition runs, in order: ``"walk"`` for the
+    Viterbi walk and ``"rank"`` for the full ranking of a near tie."""
     calls = []
-    rank = pipeline.rank
 
-    def counted(*args):
-        calls.append(args)
-        return rank(*args)
-    monkeypatch.setattr(pipeline, "rank", counted)
+    def counted(name, function):
+        def wrapper(*args):
+            calls.append(name)
+            return function(*args)
+        return wrapper
+    monkeypatch.setattr(acquire, "top_applications",
+                        counted("walk", acquire.top_applications))
+    monkeypatch.setattr(pipeline, "rank", counted("rank", pipeline.rank))
     return calls
 
 
@@ -43,7 +49,7 @@ def test_sentence_of_capped_verbs_is_not_ranked(adversarial_pipeline,
     calls = _count_ranks(monkeypatch, adversarial_pipeline)
     store = fp.observe_corpus(["the child sees a dog"] * 5,
                               adversarial_pipeline, cap=1)
-    assert len(calls) == 1
+    assert calls == ["walk"]
     assert store.frames == {"see": ["NP"]}
     assert store.parsed_sentences == 5
     assert store.skipped_sentences == 0
@@ -73,8 +79,23 @@ def test_zero_cap_registers_each_lemma_once(adversarial_pipeline,
                               + ["Paul intends to leave IBM"],
                               adversarial_pipeline, cap=0)
     assert store.frames == {"see": [], "intend": [], "leave": []}
-    assert len(calls) == 2
+    assert calls == ["walk", "walk"]
     assert store.parsed_sentences == 4
+
+
+def test_near_tie_is_ranked_in_full(uniform_pipeline, monkeypatch):
+    # Under the uniform model the two best analyses score alike, so the
+    # walk leaves the choice to the full ranking's trace sort.
+    sentence = "the child sees a dog" + " in the park" * 2
+    tokens = uniform_pipeline.tag(sentence)
+    forest = uniform_pipeline.parse_tags([token.tag for token in tokens])
+    top = uniform_pipeline.rank(forest, tokens, 1, False)[0]
+    calls = _count_ranks(monkeypatch, uniform_pipeline)
+    store = fp.observe_corpus([sentence], uniform_pipeline)
+    assert calls == ["walk", "rank"]
+    assert store.frames == {
+        instance.lemma: [instance.frame] for instance in
+        fp.verb_frames(top.derivation, uniform_pipeline.grammar, tokens)}
 
 
 def test_grammar_without_frames_ranks_nothing(demo_wordlist, demo_lemmatizer,

@@ -5,9 +5,11 @@ from collections import Counter
 import pytest
 
 import frameparse as fp
-from frameparse.actions import _TIE_BAND, _ForestSearch, trace_sort_key
+from frameparse.actions import (_TIE_BAND, _ForestSearch, top_applications,
+                                trace_sort_key)
 from frameparse.grammar import END_MARKER
-from oracles import all_trees, random_grammar, random_sentences, replay_actions
+from oracles import (all_trees, english_grammar, random_grammar,
+                     random_sentences, replay_actions)
 
 MOD_TREEBANK = """
 (S (NP (det the) (n child)) (VP (v sees) (NP (NP (det a) (n dog)) (PP (prep in) (NP (det the) (n park))))))
@@ -277,15 +279,20 @@ def _share(rule, daughters):
     return -0.1 * ((rule.rule_id + daughters[0].start + daughters[-1].end) % 4)
 
 
+def _models(table, rng):
+    """The uniform model and one of random counts over ``table``."""
+    counts = {key: Counter({action: rng.randint(0, 3)
+                            for action in table.actions[key]})
+              for key in sorted(table.actions)}
+    return fp.ActionModel(table), fp.ActionModel(table, counts)
+
+
 def test_root_margin_is_the_runner_up_gap():
     checked = single = tied = 0
     for seed in range(300):
         rng = random.Random(seed)
         table = fp.build_table(random_grammar(rng))
-        counts = {key: Counter({action: rng.randint(0, 3)
-                                for action in table.actions[key]})
-                  for key in sorted(table.actions)}
-        for model in (fp.ActionModel(table), fp.ActionModel(table, counts)):
+        for model in _models(table, rng):
             for tags in random_sentences(table.grammar, rng, 6):
                 forest = fp.glr_parse(tags, table)
                 if forest.root is None:
@@ -306,6 +313,47 @@ def test_root_margin_is_the_runner_up_gap():
                     checked += 1
                     tied += root.margin <= 2 * _TIE_BAND * abs(first)
     assert checked >= 300 and single >= 1000 and tied >= 80
+
+
+def test_top_applications_are_the_top_analysis(monkeypatch):
+    # the lazy search asks for a vertex's derivations past the best
+    lazy = []
+    has_derivation = _ForestSearch.has_derivation
+
+    def counted(self, vertex, k):
+        lazy.append(k)
+        return has_derivation(self, vertex, k)
+    monkeypatch.setattr(_ForestSearch, "has_derivation", counted)
+    cases = []
+    for seed in range(200):
+        rng = random.Random(seed)
+        table = fp.build_table(random_grammar(rng))
+        models = _models(table, rng)
+        cases += [(fp.glr_parse(tags, table), models)
+                  for tags in random_sentences(table.grammar, rng, 6)]
+    # English-fixture PP chains, where the uniform model's ties are exact
+    table = fp.build_table(fp.normalize_kleene(english_grammar()))
+    models = _models(table, random.Random(0))
+    cases += [(fp.glr_parse(["pn", "v", "det", "n"] + ["prep", "det", "n"] * k,
+                            table), models) for k in (1, 2, 3, 4, 8)]
+    walked = tied = 0
+    for forest, models in cases:
+        if forest.root is None:
+            continue
+        for model in models:
+            applications = top_applications(forest, model)
+            lazy.clear()
+            [top] = fp.unpack_n_best(forest, model, 1)
+            assert (applications is None) == bool(lazy)
+            if applications is None:
+                tied += 1
+                continue
+            walked += 1
+            assert [(rule, tuple((d.start, d.end) for d in daughters))
+                    for rule, daughters in applications] == \
+                [(node.rule, tuple((c.start, c.end) for c in node.children))
+                 for node in top.derivation.tree.iter_nodes() if node.children]
+    assert walked >= 1000 and tied >= 60
 
 
 def test_step_outside_table_raises(demo_table):

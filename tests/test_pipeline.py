@@ -250,7 +250,7 @@ def test_n_below_one_rejected(uniform_pipeline, n):
 
 def test_benchmark_tracer_installs(demo_grammar, demo_table, adversarial_model,
                                    demo_wordlist, demo_lemmatizer,
-                                   acquired_lexicon):
+                                   acquired_lexicon, uniform_pipeline):
     # perfbench/tracing.py wraps functions under the names their callers
     # look up, so renaming one of them breaks every traced benchmark run.
     # A fresh pipeline has tagged no word yet, so tag_tokens runs inside
@@ -268,8 +268,12 @@ def test_benchmark_tracer_installs(demo_grammar, demo_table, adversarial_model,
     uninstall = tracing.install(tracer)
     try:
         result = lexicalized_pipeline.analyze("the child sees a dog in the park")
-        # lexicalized ranking never lists verb frames; acquisition does
+        # lexicalized ranking never lists verb frames; acquisition does,
+        # from a full ranking only at a near tie, such as the uniform
+        # model makes of the second sentence
         fp.observe_corpus(["the child sees a dog"], lexicalized_pipeline)
+        fp.observe_corpus(["the child sees a dog in the park in the park"],
+                          uniform_pipeline)
     finally:
         uninstall()
     assert result.analyses

@@ -35,7 +35,9 @@ def test_tracer_records_parse_and_ranking_spans(adversarial_pipeline):
     spans = tracer.by_name
     # calls, total and self time per span name
     assert spans["glr.glr_parse"][0] == 3
-    assert spans["actions.unpack_n_best"][0] == 3
+    # acquisition reads the top analysis off the Viterbi pass, and
+    # neither sentence is a near tie under this model
+    assert spans["actions.unpack_n_best"][0] == 1
     assert spans["pipeline.ParserPipeline.analyze"][0] == 1
     assert spans["acquire.observe_corpus"][0] == 1
     # uninstalling restores the program's own functions
