@@ -155,8 +155,14 @@ def read_gr_file(text: str) -> list[set[GR]]:
 
 
 def render_gr_file(sets: Iterable[set[GR]]) -> str:
+    """The text :func:`read_gr_file` reads back as ``sets``.  A block
+    ends only at a blank line, so the format cannot hold an empty set:
+    ``ValueError`` names the index of the first one."""
     blocks = []
-    for grs in sets:
+    for index, grs in enumerate(sets):
+        if not grs:
+            raise ValueError(f"relation set {index} is empty, which a GR "
+                             f"file cannot hold")
         blocks.append("\n".join(sorted(gr.render() for gr in grs)))
     return "\n\n".join(blocks) + "\n"
 

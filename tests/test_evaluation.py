@@ -427,6 +427,13 @@ def test_gr_file_round_trip(suite_gold_grs):
     assert fp.read_gr_file(text) == suite_gold_grs
 
 
+def test_gr_file_cannot_hold_an_empty_set():
+    # an empty block would read back as no block at all
+    gr = fp.parse_gr("ncsubj(see,child,_)")
+    with pytest.raises(ValueError, match="relation set 1 is empty"):
+        fp.render_gr_file([{gr}, set(), {gr}])
+
+
 def test_import_loads_no_scipy_or_numpy():
     # a fresh interpreter importing the same copy of the package under test
     root = str(Path(fp.__file__).resolve().parent.parent)
