@@ -147,8 +147,11 @@ class Grammar:
     marker, ``""``, ``?``, ``*`` or ``+``, and the head has ``""``; its
     feature names are distinct, its VSUBCAT value is a frame, and its GR
     templates fill their relation's slots with kinds and daughters the
-    slots take, each slot holding its kind's value; the verb tags are
-    terminals; the start symbol has a rule; no two rules share a shape;
+    slots take, each slot holding its kind's value; its symbols (but
+    Kleene expansion's helpers), feature names and values and literals
+    re-read from :func:`render_grammar`'s text as themselves, or the
+    reader's message is raised; the verb tags are terminals; the start
+    symbol has a rule; no two rules share a shape;
     every non-terminal derives a terminal string; and, once free of
     repetition markers, it has no derivation cycle.  The constructor
     raises :class:`GrammarError` otherwise.
@@ -213,9 +216,15 @@ class Grammar:
 
 
 def _check_symbol(name: str, line: Optional[int]) -> str:
-    if not _SYMBOL_RE.match(name):
+    if not (isinstance(name, str) and _SYMBOL_RE.match(name)):
         raise GrammarError(f"invalid symbol {name!r}", line)
     return name
+
+
+def _breaks_field(text: str) -> bool:
+    """Whether ``text`` holds what ends a field of a grammar line: a line
+    break, a comment, a section or a list item."""
+    return "".join(text.splitlines()) != text or any(c in text for c in "#|,")
 
 
 def _parse_slot(text: str, line: int) -> SlotRef:
@@ -377,6 +386,10 @@ def _validate(grammar: Grammar) -> None:
         raise GrammarError("grammar has no rules")
     if not grammar.terminals:
         raise GrammarError("grammar declares no terminals")
+    # With the mothers, checked below, these are every symbol: each
+    # daughter, the start symbol and each verb tag must be one of them.
+    for name in sorted(grammar.terminals):
+        _check_symbol(name, None)
     for tag in sorted(grammar.verb_tags):
         if tag not in grammar.terminals:
             raise GrammarError(f"verb tag {tag!r} is not a terminal")
@@ -398,6 +411,8 @@ def _validate(grammar: Grammar) -> None:
             raise GrammarError(f"rule {rule.rule_id} of {rule.mother!r} has markers "
                                f"{rule.markers!r}, not one of '', '?', '*' or '+' "
                                f"per daughter", rule.line)
+        if not rule.mother.startswith(HELPER_PREFIX):  # Kleene expansion's
+            _check_symbol(rule.mother, rule.line)
         if rule.mother in grammar.terminals:
             raise GrammarError(f"terminal {rule.mother!r} on a left-hand side",
                                rule.line)
@@ -407,7 +422,15 @@ def _validate(grammar: Grammar) -> None:
         if rule.markers[rule.head_index]:
             raise GrammarError("the head daughter cannot carry a repetition marker",
                                rule.line)
-        for index, (key, _) in enumerate(rule.features):
+        for index, (key, value) in enumerate(rule.features):
+            # The reader splits the features at "," and each at its first
+            # "=", and strips both sides.
+            part = f"{key}={value}"
+            if (not (isinstance(key, str) and isinstance(value, str))
+                    or not key or not value or key != key.strip()
+                    or value != value.strip() or "=" in key
+                    or _breaks_field(part)):
+                raise GrammarError(f"cannot parse feature {part!r}", rule.line)
             if any(key == seen for seen, _ in rule.features[:index]):
                 raise GrammarError(f"duplicate feature {key!r}", rule.line)
         vsubcat = rule.feature("VSUBCAT")
@@ -461,6 +484,9 @@ def _check_templates(rule: Rule) -> None:
             if not isinstance(slot.value, value_type) or isinstance(slot.value, bool):
                 raise GrammarError(f"template {slot.kind} slot takes {value_name}, "
                                    f"not {slot.value!r}", rule.line)
+            if slot.kind == "literal" and _breaks_field(slot.value):
+                raise GrammarError(f"cannot parse template slot {slot.render()!r}",
+                                   rule.line)
             if slot.kind == "daughter" and not 1 <= slot.value <= len(rule.daughters):
                 raise GrammarError(f"template daughter index {slot.value} out of range",
                                    rule.line)

@@ -135,11 +135,16 @@ def test_random_grammar_normalize_idempotent(seed):
 
 
 # Tokens a grammar file can hold: symbols without the reserved "@", and
-# symbol-like feature values and literals.  Head indices, markers, slot
-# kinds, slot values and verb tags are drawn freely, invalid ones
-# included, but mostly valid, so that a fair share of the grammars builds.
+# symbol-like feature values and literals.  Symbols, feature names and
+# values, literals, head indices, markers, slot kinds, slot values and
+# verb tags are drawn freely, invalid ones included, but mostly valid,
+# so that a fair share of the grammars builds.
 TERMINALS = frozenset({"a", "b", "v"})
 VALUES = st.sampled_from(["NP", "NONE", "PP", "x", "to"])
+# Text that no symbol is, or that ends a field of a grammar line, or
+# that the reader strips; some of it a feature value or literal may hold.
+TEXT = st.sampled_from(["", " ", "a b", "x, y", " x", "x ", "a=b", "x|y",
+                        "x#y", "x\ny", "x\ry", "1a", 'a"b', "v:x", "-"])
 
 
 @st.composite
@@ -154,7 +159,7 @@ def slots(draw, kinds, n_daughters):
     kind = draw(mostly(st.sampled_from(kinds), st.sampled_from(
         ["none", "self", "control", "literal", "daughter"])))
     valid = {"daughter": mostly(st.integers(1, n_daughters), st.integers(-1, 4)),
-             "literal": VALUES}.get(kind, st.none())
+             "literal": mostly(VALUES, TEXT)}.get(kind, st.none())
     # now and then a value of another kind, or a bool
     return SlotRef(kind, draw(mostly(valid, st.one_of(
         st.none(), VALUES, st.integers(-1, 4), st.booleans()), odds=8)))
@@ -171,15 +176,17 @@ def built_rules(draw, rule_id):
                     else st.sampled_from(["", "", "?", "*", "+"])
                     for i in range(n))),
         st.lists(st.sampled_from(["", "?", "*", "+", "x"]), max_size=4)))
-    features = draw(st.lists(st.tuples(st.sampled_from(["VSUBCAT", "AGR"]),
-                                       VALUES), max_size=2))
+    features = draw(st.lists(st.tuples(
+        mostly(st.sampled_from(["VSUBCAT", "AGR"]), TEXT, odds=8),
+        mostly(VALUES, TEXT, odds=8)), max_size=2))
     templates = draw(st.lists(st.builds(
         GRTemplate, mostly(st.sampled_from(sorted(RELATION_SLOTS)),
                            st.just("bogus")),
         slots(["none"], n), slots(["daughter", "self"], n),
         slots(["daughter", "control"], n), slots(["none"], n)),
         max_size=2))
-    return Rule("S", daughters, head_index, tuple(markers), tuple(features),
+    mother = draw(mostly(st.just("S"), TEXT, odds=16))
+    return Rule(mother, daughters, head_index, tuple(markers), tuple(features),
                 tuple(templates), rule_id, None)
 
 
@@ -190,7 +197,9 @@ def built_grammars(draw):
                    for rule_id in range(1, draw(st.integers(2, 3))))
     verb_tags = draw(mostly(st.frozensets(st.sampled_from(sorted(TERMINALS))),
                             st.frozensets(st.sampled_from(["S", "a", "x"]))))
-    return rules, "S", TERMINALS, verb_tags
+    terminals = draw(mostly(st.just(TERMINALS),
+                            TEXT.map(lambda text: TERMINALS | {text}), odds=16))
+    return rules, "S", terminals, verb_tags
 
 
 def _vp(head_index, markers, *templates):
@@ -216,6 +225,13 @@ NONE, SELF = SlotRef("none"), SlotRef("self")
                                      SlotRef("daughter", 1), NONE)))
 @example(_vp(0, ("", ""), GRTemplate("ncsubj", NONE, SELF,
                                      SlotRef("daughter", "1"), NONE)))
+# a feature value, a symbol and a literal that the reader would split
+@example(((Rule("S", ("a",), 0, ("",), (("AGR", "x, y"),), (), 0, None),), "S",
+          frozenset({"a"}), frozenset()))
+@example(((Rule("S", ("a b",), 0, ("",), (), (), 0, None),), "S",
+          frozenset({"a b"}), frozenset()))
+@example(_vp(0, ("", ""), GRTemplate("iobj", SlotRef("literal", "x, y"), SELF,
+                                     SlotRef("daughter", 2), NONE)))
 def test_built_grammar_is_rejected_or_round_trips(parts):
     try:
         grammar = fp.Grammar(*parts)
