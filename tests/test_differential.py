@@ -27,7 +27,10 @@ them, are hashed in a block too: there a reduction's paths run four
 edges back.  The normalized ``english_grammar``'s ``random_sentences``
 forests and PP chains are hashed with their n = 1 and 5 rankings under
 the uniform model, whose ties are exact there, and under random counts,
-each with and without a lexical share.
+each with and without a lexical share.  The demo's right-recursive
+control chains, up to 2,005 tokens long, with and without a PP after
+them, are parsed through the pipeline and only their tokens and forests
+hashed: ranking them would recurse once per level.
 
 One digest per block is stored in ``tests/golden/differential.tsv``, so
 a failure names each block that moved.  After a deliberate change of a
@@ -57,6 +60,10 @@ ENGLISH_SENTENCES = 200  # about half parse
 # PP chains, where the exact ties of the uniform model pile up
 ENGLISH_CHAINS = [["pn", "v", "det", "n"] + ["prep", "det", "n"] * k
                   for k in (1, 2, 4, 8)]
+# A long deterministic stretch, then, with the PP, an attachment choice
+CONTROL_CHAINS = ["Paul intends" + " to intend" * k + " to leave IBM" + pp
+                  for pp in ("", " in the park")
+                  for k in (0, 1, 8, 64, 1000)]
 
 
 def _share(rule, daughters):
@@ -134,6 +141,17 @@ def _demo_digest(sentences) -> str:
             for lexicalized in (False, True):
                 _hash_ranking(digest, pipeline.rank(forest, tokens, n,
                                                     lexicalized))
+    return digest.hexdigest()
+
+
+def _demo_forest_digest(sentences) -> str:
+    pipeline = _demo_pipeline()
+    digest = hashlib.sha256()
+    for sentence in sentences:
+        tokens = pipeline.tag(sentence)
+        digest.update(repr(tokens).encode())
+        _hash_forest(digest, pipeline.parse_tags([token.tag
+                                                  for token in tokens]))
     return digest.hexdigest()
 
 
@@ -216,6 +234,7 @@ BLOCKS = {**{name: (lambda seeds=seeds: _seed_digest(seeds))
              for name, seeds in SEED_BLOCKS.items()},
           "demo-ladder": lambda: _demo_digest(LADDER),
           "demo-acquisition": lambda: _demo_digest(_acquisition_sentences()),
+          "demo-control-chains": lambda: _demo_forest_digest(CONTROL_CHAINS),
           "demo-acquisition-store":
               lambda: _store_digest(_acquisition_sentences() * 3,
                                     _demo_pipeline(), (0, 1, 2, 3, 1000)),
