@@ -1,12 +1,28 @@
 """Generalized-LR parsing over a graph-structured stack into a packed forest.
 
-The graph-structured stack merges the parallel LR stacks that conflicts
-spawn: one node per (state, input position), edges labelled with forest
-nodes.  Ambiguity is packed in the forest by (category, span); each
-packed node holds the alternative daughter sequences found for it, so
-the forest holds exactly the grammar's derivations of the input in
-space polynomial in its length, however many there are.  Ranking
-searches it without unpacking (see :mod:`frameparse.actions`).
+The graph-structured stack (GSS) merges the parallel LR stacks that
+conflicts spawn: one node per (state, input position), edges labelled
+with forest nodes.  Ambiguity is packed in the forest by (category,
+span); each packed node holds the alternative daughter sequences found
+for it, so the forest holds exactly the grammar's derivations of the
+input in space polynomial in its length, however many there are.
+Ranking searches it without unpacking (see :mod:`frameparse.actions`).
+
+Most positions meet no conflict, so a parse starts as plain LR over a
+list stack of states and edge labels, and the GSS takes over at the
+first position that is not deterministic (McPeak & Necula 2004,
+"Elkhound").  Each position is decided on states alone before any node
+is made: its reductions are run on an overlay, a list of the states
+they push over a depth into the stack, and each must be its cell's only
+rule with no shift on the lookahead.  So nothing is rolled back: a
+position either passes and is built, or the stack becomes a chain of
+GSS nodes and the GSS loop runs from that position on.  There the GSS
+would run the same reductions one by one, so the forest's nodes and
+their alternatives come out in the same order.  A state entered twice
+at one position needs no check: it holds a reduce and no shift on the
+lookahead, else the chain would have stopped the first time, and the
+GSS would use the edge the second entry merges into it only for one
+reduction pinned to that edge, which is what LR does.
 
 The grammar excludes empty rules after normalization, so every stack
 edge spans at least one token and reductions never loop within a
@@ -104,12 +120,13 @@ class Forest:
 class _GssNode:
     __slots__ = ("state", "pos", "edges")
 
-    def __init__(self, state: int, pos: int):
+    def __init__(self, state: int, pos: int,
+                 edges: dict[tuple[ForestNode, "_GssNode"], None]):
         self.state = state
         self.pos = pos
         # Edges run backwards in the input: (forest label, earlier node)
         # keys, in insertion order.  Both are compared by identity.
-        self.edges: dict[tuple[ForestNode, "_GssNode"], None] = {}
+        self.edges = edges
 
 
 def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
@@ -134,11 +151,52 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
     moves = table.moves
     reduces = table.reduces
     n = len(tokens)
-    frontier: dict[int, _GssNode] = {
-        table.start_state: _GssNode(table.start_state, 0)}
+    # Plain LR while each position is deterministic, over a list stack:
+    # each entry's state, and the forest node on the edge into it.
+    states, labels = [table.start_state], [None]
+    padded = [*tokens, END_MARKER]
+    for i, lookahead in enumerate(padded):
+        # Decide the position on states alone: its (rule, goto) steps,
+        # over the states pushed on the stack's first ``depth`` entries.
+        state = states[-1]
+        pushed, depth, chain = [], len(states), []
+        rules = reduces[state].get(lookahead)
+        while rules and len(rules) == 1 and lookahead not in moves[state]:
+            rule = rules[0]
+            keep = len(pushed) - len(rule.daughters)
+            if keep <= 0:  # the base moves from the stack to pushed
+                depth += keep - 1
+                pushed = [states[depth]]
+                keep = 1
+            del pushed[keep:]
+            state = moves[pushed[-1]][rule.mother]
+            pushed.append(state)
+            chain.append((rule, state))
+            rules = reduces[state].get(lookahead)
+        target = moves[state].get(lookahead)
+        if rules or target is None and i < n:  # a conflict or a dead end
+            below = _GssNode(table.start_state, 0, {})
+            for state, label in zip(states[1:], labels[1:]):
+                below = _GssNode(state, label.end, {(label, below): None})
+            frontier = {below.state: below}
+            break
+        for rule, state in chain:
+            children = tuple(labels[-len(rule.daughters):])
+            del states[-len(children):], labels[-len(children):]
+            packed = ForestNode(rule.mother, children[0].start, i)
+            nodes[(rule.mother, packed.start, i)] = packed
+            packed.alternatives.append((rule, children))
+            states.append(state)
+            labels.append(packed)
+        if i == n:
+            i += 1  # parsed to the end: no position is left for the GSS
+            break
+        states.append(target)
+        labels.append(ForestNode(lookahead, i, i + 1, leaf=True))
+        nodes[(lookahead, i, i + 1)] = labels[-1]
 
-    for i in range(n + 1):
-        lookahead = tokens[i] if i < n else END_MARKER
+    for i in range(i, n + 1):
+        lookahead = padded[i]
         # (node, rule, edge): a reduction of node on the lookahead, its
         # paths pinned to a newly added first edge when one is given.
         # The loop below runs the reductions it appends as well.
@@ -167,8 +225,8 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
             else:  # one daughter, or four and more: edge by edge
                 paths = [((label,), target) for label, target in first]
                 for _ in range(length - 1):
-                    paths = [((label,) + labels, target)
-                             for labels, base in paths
+                    paths = [((label,) + tail, target)
+                             for tail, base in paths
                              for label, target in base.edges]
             for children, base in paths:
                 key = (lhs, base.pos, i)
@@ -186,9 +244,8 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
                 edge = (packed, base)
                 existing = frontier.get(target_state)
                 if existing is None:
-                    fresh = _GssNode(target_state, i)
+                    fresh = _GssNode(target_state, i, {edge: None})
                     frontier[target_state] = fresh
-                    fresh.edges[edge] = None
                     for next_rule in reduces[target_state].get(lookahead, ()):
                         work.append((fresh, next_rule, None))
                 elif edge not in existing.edges:
@@ -207,8 +264,7 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
                 continue
             shifted = next_frontier.get(target)
             if shifted is None:
-                shifted = _GssNode(target, i + 1)
-                next_frontier[target] = shifted
+                shifted = next_frontier[target] = _GssNode(target, i + 1, {})
             shifted.edges[(leaf, frontier[state])] = None
         frontier = next_frontier
         if not frontier:

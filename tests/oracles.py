@@ -16,6 +16,7 @@ from frameparse import (Derivation, Grammar, Tree, UnderivableTreeError,
                         parse_grammar, tree_actions, verb_frames)
 from frameparse.actions import trace_sort_key
 from frameparse.frames import DEFAULT_FRAME_INVENTORY
+from frameparse.grammar import END_MARKER
 
 
 def canon(tree):
@@ -88,6 +89,30 @@ def replay_actions(trace, table):
     if len(stack) != 1:
         raise UnderivableTreeError("trace does not reduce to a single tree")
     return stack[0]
+
+
+def first_conflict(table, tokens):
+    """The first position, ``len(tokens)`` for the end of input, at which
+    plain LR over ``tokens`` meets a table cell holding more than one
+    shift or reduce; None if it accepts, or fails, before any."""
+    stack = [table.start_state]
+    for position, lookahead in enumerate([*tokens, END_MARKER]):
+        while True:
+            steps = [action for action in
+                     table.actions.get((stack[-1], lookahead), ())
+                     if action[0] != "accept"]
+            if len(steps) > 1:
+                return position
+            if not steps:
+                return None
+            kind, target = steps[0]
+            if kind == "shift":
+                stack.append(target)
+                break
+            rule = table.grammar.rules[target]
+            del stack[len(stack) - len(rule.daughters):]
+            stack.append(table.moves[stack[-1]][rule.mother])
+    return None
 
 
 def rank_by_enumeration(forest, model, lexicon=None, tokens=()):

@@ -6,8 +6,8 @@ import pytest
 import frameparse as fp
 from frameparse.glr import ParseError
 
-from oracles import (all_trees, canon, enumerate_parses, random_grammar,
-                     random_sentences)
+from oracles import (all_trees, canon, english_grammar, enumerate_parses,
+                     first_conflict, random_grammar, random_sentences)
 
 AMBIG = """
 terminals: n v det prep
@@ -105,6 +105,43 @@ def test_oracle_equivalence_random_grammars():
             compared += 1
         grammars += 1
     assert compared >= 100
+
+
+def _hand_over_case(table, tokens):
+    conflict = first_conflict(table, tokens)
+    if conflict is None:
+        return "none"
+    # The start state holds only shifts, as no rule is empty, so the
+    # earliest position a conflict can stop plain LR at is 1.
+    assert conflict > 0
+    if conflict == len(tokens):
+        return "end"
+    return "first" if conflict == 1 else "middle"
+
+
+def test_hand_over_keeps_every_derivation(demo_table):
+    # glr_parse runs plain LR up to the first conflicting position and
+    # the GSS from there on; the inputs hand over at each kind of place
+    inputs = [(demo_table, "det n v det n".split() + "prep det n".split() * k)
+              for k in range(7)]
+    rng = random.Random(20261020)
+    english = fp.build_table(fp.normalize_kleene(english_grammar()))
+    inputs += [(english, tokens)
+               for tokens in random_sentences(english.grammar, rng, 60)]
+    for _ in range(40):
+        table = fp.build_table(random_grammar(rng))
+        inputs += [(table, tokens)
+                   for tokens in random_sentences(table.grammar, rng, 12)]
+    cases = Counter()
+    for table, tokens in inputs:
+        oracle = Counter(enumerate_parses(table.grammar, tokens))
+        if sum(oracle.values()) > 1000:
+            continue
+        forest = fp.glr_parse(tokens, table)
+        assert Counter(canon(t) for t in all_trees(forest)) == oracle, tokens
+        if oracle:
+            cases[_hand_over_case(table, tokens)] += 1
+    assert set(cases) == {"first", "middle", "end", "none"}, cases
 
 
 def test_multi_word_name_parses_once(demo_table):
