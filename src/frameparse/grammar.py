@@ -31,6 +31,12 @@ HELPER_PREFIX = "@"
 END_MARKER = "@$"
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_']*$")
+# Kleene expansion makes two variants of a rule per '?' or '*' daughter,
+# so a rule's variants grow as 2^k.  The demo grammar's rules have one
+# variant each and the English test fixture's at most two; this limit
+# admits twelve optional daughters in one rule, which expand in a few
+# hundredths of a second, and refuses a longer list before expanding it.
+MAX_KLEENE_VARIANTS = 4096
 _TEMPLATE_RE = re.compile(r"^([a-z_0-9]+)\s*\(\s*(.*?)\s*\)$")
 
 
@@ -388,9 +394,11 @@ def _validate(grammar: Grammar) -> None:
         raise GrammarError("grammar declares no terminals")
     # With the mothers, checked below, these are every symbol: each
     # daughter, the start symbol and each verb tag must be one of them.
-    for name in sorted(grammar.terminals):
+    # Sorted by str, so that a symbol of another type meets its check
+    # instead of failing the sort.
+    for name in sorted(grammar.terminals, key=str):
         _check_symbol(name, None)
-    for tag in sorted(grammar.verb_tags):
+    for tag in sorted(grammar.verb_tags, key=str):
         if tag not in grammar.terminals:
             raise GrammarError(f"verb tag {tag!r} is not a terminal")
     for position, rule in enumerate(grammar.rules):
@@ -610,6 +618,12 @@ def normalize_kleene(grammar: Grammar) -> Grammar:
         new_rules.append(rule)
 
     for rule in grammar.rules:
+        optional = sum(marker in ("?", "*") for marker in rule.markers)
+        if 2 ** optional > MAX_KLEENE_VARIANTS:
+            raise GrammarError(
+                f"rule {rule.rule_id} of {rule.mother!r} has {optional} optional "
+                f"daughters, which would expand into {2 ** optional} "
+                f"variants, more than {MAX_KLEENE_VARIANTS}", rule.line)
         # Each daughter contributes its expansion choices; the cross
         # product enumerates the marker-free variants of the rule.
         choices: list[list[Optional[str]]] = []

@@ -96,6 +96,10 @@ GRAMMARS = {
     # only Kleene expansion meets the second rule's template-less twin
     "kleene-conflict": AB + "S -> a(head) b? | gr: dobj(_, 1, 2)\n"
                             "S -> a(head) b\n",
+    # 2^40 variants: refused before expansion, which would never end
+    "kleene-too-many": "terminals: a " + " ".join(f"t{k}" for k in range(40))
+                       + "\nstart: S\nS -> "
+                       + " ".join(f"t{k}?" for k in range(40)) + " a(head)\n",
 }
 # Two sentences, the second out of coverage, with gold for both: the
 # reports count its gold and warn.

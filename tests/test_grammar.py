@@ -218,6 +218,36 @@ def test_constructor_checks_verb_tags():
         Grammar((rule,), "S", frozenset({"a"}), frozenset({"x", "a"}))
 
 
+@pytest.mark.parametrize("terminals, verb_tags, message", [
+    (frozenset({"a", 3}), frozenset(), "invalid symbol 3"),
+    (frozenset({"a"}), frozenset({"a", 3}), "verb tag 3 is not a terminal"),
+], ids=["terminal", "verb-tag"])
+def test_constructor_checks_symbol_types(terminals, verb_tags, message):
+    # a symbol set mixing types once raised a bare TypeError from the
+    # sort that orders the checks
+    rule = Rule("S", ("a",), 0, ("",), (), (), 0, 7)
+    with pytest.raises(GrammarError, match=rf"^{message}$"):
+        Grammar((rule,), "S", terminals, verb_tags)
+
+
+def _optional_daughters(k):
+    return fp.parse_grammar(
+        "terminals: a " + " ".join(f"t{i}" for i in range(k)) + "\nstart: S\n"
+        "S -> " + " ".join(f"t{i}?" for i in range(k)) + " a(head)\n")
+
+
+def test_kleene_expansion_is_bounded():
+    # each '?' doubles the variants: twelve expand, thirteen are refused
+    # before the expansion starts
+    assert len(fp.normalize_kleene(_optional_daughters(12)).rules) == 4096
+    for k in (13, 40):
+        with pytest.raises(GrammarError,
+                           match=rf"^line 3: rule 0 of 'S' has {k} optional "
+                                 rf"daughters, which would expand into "
+                                 rf"{2 ** k} variants, more than 4096$"):
+            fp.normalize_kleene(_optional_daughters(k))
+
+
 def test_reserved_prefix_rejected():
     with pytest.raises(GrammarError):
         fp.parse_grammar("terminals: a\nstart: @S\n@S -> a\n")
