@@ -9,20 +9,19 @@ input in space polynomial in its length, however many there are.
 Ranking searches it without unpacking (see :mod:`frameparse.actions`).
 
 Most positions meet no conflict, so a parse starts as plain LR over a
-list stack of states and edge labels, and the GSS takes over at the
-first position that is not deterministic (McPeak & Necula 2004,
-"Elkhound").  Each position is decided on states alone before any node
-is made: its reductions are run on an overlay, a list of the states
-they push over a depth into the stack, and each must be its cell's only
-rule with no shift on the lookahead.  So nothing is rolled back: a
-position either passes and is built, or the stack becomes a chain of
-GSS nodes and the GSS loop runs from that position on.  There the GSS
-would run the same reductions one by one, so the forest's nodes and
-their alternatives come out in the same order.  A state entered twice
-at one position needs no check: it holds a reduce and no shift on the
-lookahead, else the chain would have stopped the first time, and the
-GSS would use the edge the second entry merges into it only for one
-reduction pinned to that edge, which is what LR does.
+list stack of states and edge labels (McPeak & Necula 2004, "Elkhound").
+Each position is decided on states alone before any node is made: its
+reductions run on the state they push over a depth into the stack, and
+each must be its cell's only rule with no shift on the lookahead.  A position that passes is built; at the first that does
+not, or where the parse dies, the stack becomes a chain of GSS nodes
+and the GSS loop runs from that position on.  So nothing is rolled
+back, and since the GSS would run a passing position's reductions one
+by one in the same order, the forest's nodes and alternatives come out
+in the order it alone would make them.  A state entered twice at one
+position needs no check: it holds a reduce and no shift on the
+lookahead, else the chain would have stopped the first time, so the GSS
+would use the edge merged into it only for one reduction pinned to
+that edge, which is what LR does.
 
 The grammar excludes empty rules after normalization, so every stack
 edge spans at least one token and reductions never loop within a
@@ -157,20 +156,15 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
     padded = [*tokens, END_MARKER]
     for i, lookahead in enumerate(padded):
         # Decide the position on states alone: its (rule, goto) steps,
-        # over the states pushed on the stack's first ``depth`` entries.
-        state = states[-1]
-        pushed, depth, chain = [], len(states), []
+        # each of which pops the top state and the rest of its rule from
+        # the ``depth`` entries under it.  No rule is empty, so the top is
+        # the one state a step pushes and all under it are the stack's.
+        state, depth, chain = states[-1], len(states) - 1, []
         rules = reduces[state].get(lookahead)
         while rules and len(rules) == 1 and lookahead not in moves[state]:
             rule = rules[0]
-            keep = len(pushed) - len(rule.daughters)
-            if keep <= 0:  # the base moves from the stack to pushed
-                depth += keep - 1
-                pushed = [states[depth]]
-                keep = 1
-            del pushed[keep:]
-            state = moves[pushed[-1]][rule.mother]
-            pushed.append(state)
+            depth -= len(rule.daughters) - 1
+            state = moves[states[depth - 1]][rule.mother]
             chain.append((rule, state))
             rules = reduces[state].get(lookahead)
         target = moves[state].get(lookahead)
