@@ -12,16 +12,17 @@ Most positions meet no conflict, so a parse starts as plain LR over a
 list stack of states and edge labels (McPeak & Necula 2004, "Elkhound").
 Each position is decided on states alone before any node is made: its
 reductions run on the state they push over a depth into the stack, and
-each must be its cell's only rule with no shift on the lookahead.  A position that passes is built; at the first that does
-not, or where the parse dies, the stack becomes a chain of GSS nodes
-and the GSS loop runs from that position on.  So nothing is rolled
-back, and since the GSS would run a passing position's reductions one
-by one in the same order, the forest's nodes and alternatives come out
-in the order it alone would make them.  A state entered twice at one
-position needs no check: it holds a reduce and no shift on the
-lookahead, else the chain would have stopped the first time, so the GSS
-would use the edge merged into it only for one reduction pinned to
-that edge, which is what LR does.
+each must be its cell's only rule with no shift on the lookahead.  A
+position that passes is built; at the first that does not, or where
+the parse dies, the stack becomes a chain of GSS nodes and the GSS loop
+runs from that position on.  So nothing is rolled back, and since the
+GSS would run a passing position's reductions one by one in the same
+order, the forest's nodes and alternatives come out in the order it
+alone would make them.  A state entered twice at one position needs no
+check: it holds a reduce and no shift on the lookahead, else the chain
+would have stopped the first time, so the GSS would use the edge
+merged into it only for one reduction pinned to that edge, which is
+what LR does.
 
 The grammar excludes empty rules after normalization, so every stack
 edge spans at least one token and reductions never loop within a

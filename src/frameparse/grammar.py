@@ -31,13 +31,13 @@ HELPER_PREFIX = "@"
 END_MARKER = "@$"
 
 _SYMBOL_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_']*$")
+_TEMPLATE_RE = re.compile(r"^([a-z_0-9]+)\s*\(\s*(.*?)\s*\)$")
 # Kleene expansion makes two variants of a rule per '?' or '*' daughter,
 # so a rule's variants grow as 2^k.  The demo grammar's rules have one
 # variant each and the English test fixture's at most two; this limit
 # admits twelve optional daughters in one rule, which expand in a few
 # hundredths of a second, and refuses a longer list before expanding it.
 MAX_KLEENE_VARIANTS = 4096
-_TEMPLATE_RE = re.compile(r"^([a-z_0-9]+)\s*\(\s*(.*?)\s*\)$")
 
 
 class GrammarError(ValueError):
