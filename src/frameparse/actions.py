@@ -91,15 +91,7 @@ def tree_actions(tree: Tree, table: LRTable) -> tuple[tuple[int, str, tuple], ..
     takes exists in the table.
     """
     grammar = table.grammar
-    # Postorder: the reverse of a preorder that pushes children left to
-    # right.
-    nodes = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        stack.extend(node.children)
-    nodes.reverse()
+    nodes = [node for node, entering in tree.walk() if not entering]
     rules: list[Optional[Rule]] = []
     for node in nodes:
         if not node.children:
@@ -117,7 +109,7 @@ def tree_actions(tree: Tree, table: LRTable) -> tuple[tuple[int, str, tuple], ..
     if tree.label != grammar.start_symbol:
         raise UnderivableTreeError(f"root {tree.label!r} is not the start "
                                    f"symbol {grammar.start_symbol!r}")
-    tags = [leaf.label for leaf in tree.leaves()]
+    tags = [node.label for node in nodes if not node.children]
     states = [table.start_state]
     trace: list[tuple[int, str, tuple]] = []
     consumed = 0

@@ -84,7 +84,22 @@ class GRTemplate(NamedTuple):
             self.dependent_slot.render(), self.initial_slot.render())
 
 
-class Rule:
+class _Value:
+    """A record that compares and hashes by ``self._key()``, and equals
+    only a record of its own class."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Rule(_Value):
     """One grammar rule.  Immutable by convention; rules compare and
     hash by every field but ``line``, the source line it was read from."""
 
@@ -108,14 +123,6 @@ class Rule:
     def _key(self) -> tuple:
         return (self.mother, self.daughters, self.head_index, self.markers,
                 self.features, self.gr_templates, self.rule_id)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def kind(self) -> str:
@@ -142,7 +149,7 @@ class Rule:
         return text
 
 
-class Grammar:
+class Grammar(_Value):
     """Rules, start symbol, terminals and verb tags.  Immutable by
     convention; grammars compare and hash by those four fields.  The
     derived indexes below are computed once, on first use.
@@ -173,14 +180,6 @@ class Grammar:
 
     def _key(self) -> tuple:
         return (self.rules, self.start_symbol, self.terminals, self.verb_tags)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @cached_property
     def nonterminals(self) -> frozenset[str]:

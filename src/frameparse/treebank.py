@@ -11,7 +11,7 @@ import re
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
-from .grammar import Rule
+from .grammar import Rule, _Value
 
 _SEXP_TOKEN = re.compile(r"\(|\)|[^\s()]+")
 
@@ -24,7 +24,7 @@ class UnderivableTreeError(ValueError):
     """A gold tree that the grammar/table cannot derive."""
 
 
-class Tree:
+class Tree(_Value):
     """A tree over a token sequence: a gold tree as read, or a
     derivation tree bound to grammar rules.
 
@@ -48,39 +48,25 @@ class Tree:
         self.rule = rule
         self.word = word
 
-    def _nodes(self) -> tuple:
+    def _key(self) -> tuple:
         # Each node's own fields and child count, in preorder: two trees
         # are equal exactly when these are, and no walk recurses.
         return tuple((node.label, node.start, node.end, len(node.children),
                       node.rule, node.word) for node in self.iter_nodes())
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._nodes() == other._nodes()
-
-    def __hash__(self):
-        return hash(self._nodes())
-
     def __repr__(self):
-        # The children's text is that of their tuple's repr, built with
-        # an explicit stack of trees still to write and text to append.
+        # The children's text is that of their tuple's repr: a node
+        # entered right after one was left is a later sibling.
         parts = []
-        stack: list = [self]
-        while stack:
-            item = stack.pop()
-            if item.__class__ is str:
-                parts.append(item)
-                continue
-            parts.append("Tree(label=%r, start=%r, end=%r, children=(" % (
-                item.label, item.start, item.end))
-            children = item.children
-            stack.append("%s), rule=%r, word=%r)" % (
-                "," if len(children) == 1 else "", item.rule, item.word))
-            for index in range(len(children) - 1, -1, -1):
-                stack.append(children[index])
-                if index:
-                    stack.append(", ")
+        left = False
+        for node, entering in self.walk():
+            if entering:
+                parts.append("%sTree(label=%r, start=%r, end=%r, children=(" % (
+                    ", " if left else "", node.label, node.start, node.end))
+            else:
+                parts.append("%s), rule=%r, word=%r)" % (
+                    "," if len(node.children) == 1 else "", node.rule, node.word))
+            left = not entering
         return "".join(parts)
 
     def head_leaf(self) -> "Tree":
@@ -104,6 +90,19 @@ class Tree:
             yield node
             stack.extend(reversed(node.children))
 
+    def walk(self) -> Iterator[tuple["Tree", bool]]:
+        """``(node, True)`` as each node is entered and ``(node, False)``
+        as it is left, entered in preorder, so that nodes are left in
+        postorder."""
+        stack = [(self, True)]
+        while stack:
+            event = stack.pop()
+            yield event
+            node, entering = event
+            if entering:
+                stack.append((node, False))
+                stack.extend((child, True) for child in reversed(node.children))
+
     def leaves(self) -> Iterator["Tree"]:
         return (node for node in self.iter_nodes() if not node.children)
 
@@ -111,16 +110,13 @@ class Tree:
         """Bracketed text with ``(tag word)`` leaves, the words taken
         from ``words`` by position when given."""
         parts: list[str] = []
-        stack: list[Optional[Tree]] = [self]
-        while stack:
-            node = stack.pop()
-            if node is None:  # the end of an internal node
-                parts[-1] += ")"
-            elif node.children:
-                parts.append("(" + node.label)
-                stack.append(None)
-                stack.extend(reversed(node.children))
-            else:
+        for node, entering in self.walk():
+            if node.children:
+                if entering:
+                    parts.append("(" + node.label)
+                else:
+                    parts[-1] += ")"
+            elif entering:
                 word = node.word if words is None else words[node.start]
                 parts.append("(%s %s)" % (node.label, word))
         return " ".join(parts)

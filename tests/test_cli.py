@@ -261,6 +261,27 @@ def test_2003_level_records_compare_and_hash():
     assert first != changed and not first == changed
 
 
+def test_tree_walks_on_the_2005_token_control_chain(adversarial_pipeline):
+    # "Paul intends" + " to intend" * 1000 + " to leave IBM"
+    record = _control_chain(1001, "(VP (v leave) (NP (pn IBM)))")
+    first, second = fp.parse_tree(record), fp.parse_tree(record)
+    assert first.end == 2005
+    try:
+        rendered = first.render()
+        text = repr(first)
+        equal = first == second and hash(first) == hash(second)
+        trace = fp.tree_actions(first, adversarial_pipeline.table)
+    except RecursionError:  # its traceback would be thousands of frames
+        rendered = None
+    assert rendered is not None, "a tree walk recursed once per level"
+    assert rendered == record
+    nodes = sum(1 for _ in first.iter_nodes())
+    assert text.count("Tree(") == nodes
+    assert text.startswith("Tree(label='S', start=0, end=2005, children=(")
+    assert equal
+    assert len(trace) == nodes + 1 and trace[-1][2] == ("accept",)
+
+
 def test_extract_grs_on_a_2001_token_chain(adversarial_pipeline):
     # The derivation comes from the gold record's trace, since the
     # search would overflow on it first.

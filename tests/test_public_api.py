@@ -152,6 +152,21 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert unused == []
 
 
+def test_value_equality_is_written_once():
+    # Records compare and hash by a key through one base class; a class
+    # that writes its own pair is a copy of it.
+    defined = set()
+    for path in sorted((ROOT / "src" / "frameparse").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                defined |= {(path.name, node.name, item.name)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and item.name in ("__eq__", "__hash__")}
+    assert defined == {("grammar.py", "_Value", "__eq__"),
+                       ("grammar.py", "_Value", "__hash__")}
+
+
 def test_readme_api_session_runs(capsys):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     [session] = re.findall(r"```python\n(.*?)```", readme, re.S)

@@ -48,6 +48,40 @@ def test_word_before_a_child_rejected():
         fp.read_treebank("(S (NP Paul (n x)) (VP (v sleeps)))")
 
 
+def test_walk_enters_in_preorder_and_leaves_in_postorder():
+    tree = parse_tree("(S (NP (det a) (n b)) (v c))")
+    events = [(node.label, entering) for node, entering in tree.walk()]
+    assert events == [
+        ("S", True), ("NP", True), ("det", True), ("det", False),
+        ("n", True), ("n", False), ("NP", False), ("v", True),
+        ("v", False), ("S", False)]
+    assert [node for node, entering in tree.walk() if entering] == \
+        list(tree.iter_nodes())
+
+
+def _mirror_postorder(tree):
+    # The reverse of a preorder that pushes children left to right.
+    nodes = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        stack.extend(node.children)
+    return nodes[::-1]
+
+
+@pytest.mark.parametrize("name", [
+    "train.treebank", "adversarial.treebank", "ppsuite_gold.treebank"])
+def test_walk_leaves_nodes_in_the_mirror_preorder_reversed(name):
+    trees = fp.load_treebank(fp.demo_path(name))
+    assert trees
+    for tree in trees:
+        left = [node for node, entering in tree.walk() if not entering]
+        expected = _mirror_postorder(tree)
+        assert len(left) == len(expected)
+        assert all(a is b for a, b in zip(left, expected))
+
+
 def test_trees_compare_and_hash_by_their_fields(demo_normalized):
     rule = demo_normalized.rule_by_shape("NP", ["pn"])
 
