@@ -52,11 +52,19 @@ def _check_entry(lemma: str, frame: str, count: float, shown: str) -> None:
 
 
 class SubcatLexicon:
+    """Entries by (lemma, frame).  The constructor rejects what
+    :func:`parse_lexicon` rejects, so that every lexicon saves to a file
+    that loads: an unknown frame, a negative or non-finite count, a
+    duplicate entry, a lemma whose counts total 0, and a relfreq more
+    than 1e-6 from count / total."""
+
     def __init__(self, entries: Iterable[SubcatEntry] = ()):
         self._index: dict[tuple[str, str], SubcatEntry] = {}
         self._totals: dict[str, float] = {}
         for entry in entries:
             self._add(entry)
+        for entry in self._index.values():
+            _check_relfreq(entry, self._totals[entry.lemma])
 
     def _add(self, entry: SubcatEntry) -> None:
         _check_entry(entry.lemma, entry.frame, entry.count,
@@ -93,6 +101,18 @@ class SubcatLexicon:
         return math.log((count + 1.0) / (total + _K))
 
 
+def _check_relfreq(entry: SubcatEntry, total: float) -> float:
+    """The relfreq that ``entry``'s count gives over its lemma's
+    ``total``; raise if it has none or the stored one disagrees."""
+    if total <= 0:
+        raise LexiconError(f"lemma {entry.lemma!r} has zero total count")
+    recomputed = entry.count / total
+    if not abs(recomputed - entry.relfreq) <= 1e-6:
+        raise LexiconError(f"stored relfreq {entry.relfreq} disagrees with "
+                           f"count-derived {recomputed:.6f}")
+    return recomputed
+
+
 def _format_count(count: float) -> str:
     if float(count).is_integer():
         return str(int(count))
@@ -117,15 +137,12 @@ def parse_lexicon(text: str) -> SubcatLexicon:
                        LexiconError)
     entries = []
     for (lemma, frame), (lineno, (count, relfreq)) in rows.items():
-        if totals[lemma] <= 0:
-            raise LexiconError(
-                f"line {lineno}: lemma {lemma!r} has zero total count")
-        recomputed = count / totals[lemma]
-        if not abs(recomputed - relfreq) <= 1e-6:
-            raise LexiconError(
-                f"line {lineno}: stored relfreq {relfreq} disagrees with "
-                f"count-derived {recomputed:.6f}")
-        entries.append(SubcatEntry(lemma, frame, count, recomputed))
+        entry = SubcatEntry(lemma, frame, count, relfreq)
+        try:
+            recomputed = _check_relfreq(entry, totals[lemma])
+        except LexiconError as exc:
+            raise LexiconError(f"line {lineno}: {exc}") from exc
+        entries.append(entry._replace(relfreq=recomputed))
     return SubcatLexicon(entries)
 
 
@@ -149,10 +166,14 @@ def collapse_classes(fine: Iterable[tuple[str, str, float]],
     ``class_map`` a many-to-one mapping from fine ids to frames; the
     collapsed probability of a frame is the sum of its classes'
     probabilities, so per-lemma mass is preserved.  The summed mass is
-    stored in both the count and relfreq fields; smoothing over such a
-    lexicon therefore operates on the collapsed distribution.
+    stored in the count field, so smoothing over such a lexicon operates
+    on the collapsed distribution, and relfreq is the mass over the
+    lemma's total mass, which is the mass itself when the lemma's fine
+    probabilities sum to 1.  A lemma with no mass is left out: it scores
+    as an unknown lemma does.
     """
     grouped: dict[tuple[str, str], list[float]] = {}
+    totals: dict[str, list[float]] = {}
     for lemma, fine_id, prob in fine:
         frame = class_map.get(fine_id)
         if frame is None:
@@ -161,10 +182,13 @@ def collapse_classes(fine: Iterable[tuple[str, str, float]],
             raise LexiconError(f"probability {prob} for {lemma!r}/{fine_id} "
                                "is negative or not finite")
         grouped.setdefault((lemma, frame), []).append(prob)
+        totals.setdefault(lemma, []).append(prob)
     entries = []
     for lemma, frame in sorted(grouped):
         mass = math.fsum(grouped[(lemma, frame)])
-        entries.append(SubcatEntry(lemma, frame, mass, mass))
+        total = math.fsum(totals[lemma])
+        if total > 0:
+            entries.append(SubcatEntry(lemma, frame, mass, mass / total))
     return SubcatLexicon(entries)
 
 

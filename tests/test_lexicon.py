@@ -71,6 +71,18 @@ def test_constructor_rejects_what_the_reader_rejects(count, shown):
         fp.SubcatLexicon([fp.SubcatEntry("see", "NP", count, 1.0)])
 
 
+def test_constructor_rejects_a_zero_total_and_a_stray_relfreq():
+    with pytest.raises(LexiconError,
+                       match="^lemma 'see' has zero total count$"):
+        fp.SubcatLexicon([fp.SubcatEntry("see", "NP", 0, 0.0)])
+    with pytest.raises(LexiconError, match=re.escape(
+            "stored relfreq 0.5 disagrees with count-derived 0.750000")):
+        fp.SubcatLexicon([fp.SubcatEntry("see", "NP", 3, 0.5),
+                          fp.SubcatEntry("see", "PP", 1, 0.25)])
+    with pytest.raises(LexiconError, match="disagrees"):
+        fp.SubcatLexicon([fp.SubcatEntry("see", "NP", 3, math.nan)])
+
+
 def test_empty_file_is_valid_empty_lexicon():
     lex = fp.parse_lexicon("")
     assert len(lex) == 0
@@ -156,6 +168,31 @@ class TestCollapse:
         assert [(e.lemma, e.frame, e.relfreq) for e in lex.entries()] == \
             [("v", "NONE", 0.25), ("v", "NP", 0.75), ("w", "PP", 1.0)]
 
+    def test_relfreq_is_normalised_and_round_trips(self, tmp_path):
+        lex = fp.collapse_classes([("give", "c1", 0.5), ("give", "c2", 0.3)],
+                                  {"c1": "NP", "c2": "NP_PP"})
+        assert [(e.frame, e.count) for e in lex.entries()] == \
+            [("NP", 0.5), ("NP_PP", 0.3)]
+        assert [e.relfreq for e in lex.entries()] == \
+            pytest.approx([0.625, 0.375])
+        path = tmp_path / "collapsed.lexicon"
+        fp.save_lexicon(lex, path)
+        again = fp.load_lexicon(path)
+        assert [(e.lemma, e.frame, e.count) for e in again.entries()] == \
+            [("give", "NP", 0.5), ("give", "NP_PP", 0.3)]
+        assert [e.relfreq for e in again.entries()] == \
+            pytest.approx([0.625, 0.375])
+
+    def test_lemma_without_mass_left_out(self, tmp_path):
+        lex = fp.collapse_classes([("v", "c1", 0.0), ("w", "c1", 1.0)],
+                                  {"c1": "NP"})
+        assert [(e.lemma, e.frame, e.relfreq) for e in lex.entries()] == \
+            [("w", "NP", 1.0)]
+        assert lex.frame_logprob("v", "NP") == math.log(1 / 29)
+        path = tmp_path / "collapsed.lexicon"
+        fp.save_lexicon(lex, path)
+        assert len(fp.load_lexicon(path)) == 1
+
     def test_unmapped_class_rejected(self):
         with pytest.raises(LexiconError, match="no mapping"):
             fp.collapse_classes([("v", "mystery", 1.0)], {})
@@ -187,7 +224,7 @@ class TestCollapse:
         lex = fp.collapse_classes(fine, mapping)
         for lemma in {r[0] for r in rows}:
             before = math.fsum(p for lem, _, p in fine if lem == lemma)
-            after = math.fsum(e.relfreq for e in lex.entries()
+            after = math.fsum(e.count for e in lex.entries()
                               if e.lemma == lemma)
             assert abs(after - before) <= 1e-12
 
