@@ -33,7 +33,7 @@ class ObservationStore:
     __slots__ = ("cap", "frames", "parsed_sentences", "skipped_sentences")
 
     def __init__(self, cap: int):
-        if not isinstance(cap, int) or cap < 0:
+        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 0:
             raise ValueError(f"cap must be a non-negative int, got {cap!r}")
         self.cap = cap
         self.frames: dict[str, list[str]] = {}

@@ -507,7 +507,7 @@ def unpack_n_best(forest: Forest, model: ActionModel, n: int,
 
     The forest is searched, not unpacked: see the module docstring.
     """
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an int of at least 1, got {n!r}")
     if forest.root is None:
         return []

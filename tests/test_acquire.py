@@ -188,10 +188,11 @@ class TestHypothesize:
         with pytest.raises(ValueError):
             fp.observe_corpus([], None, cap=-1)
 
-    @pytest.mark.parametrize("cap", [float("nan"), 1.5, 2.0, "2", None])
+    @pytest.mark.parametrize("cap", [float("nan"), 1.5, 2.0, "2", None, True,
+                                     False])
     def test_non_int_cap_rejected(self, cap):
         # NaN compares false with every length, so it would keep every
-        # frame; 1.5 would act as 2
+        # frame; 1.5 would act as 2, and True as 1
         with pytest.raises(ValueError, match="non-negative int"):
             fp.observe_corpus([], None, cap=cap)
         with pytest.raises(ValueError, match="non-negative int"):

@@ -242,7 +242,7 @@ def test_oracle_refuses_exponential_forest(lexicalized_pipeline):
                             lexicalized_pipeline.lexicon, tokens)
 
 
-@pytest.mark.parametrize("n", [0, -1, None])
+@pytest.mark.parametrize("n", [0, -1, None, True])
 def test_n_below_one_rejected(uniform_pipeline, n):
     with pytest.raises(ValueError, match="at least 1"):
         uniform_pipeline.analyze("the child sees a dog", n=n)
