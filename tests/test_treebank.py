@@ -55,8 +55,8 @@ def test_walk_enters_in_preorder_and_leaves_in_postorder():
         ("S", True), ("NP", True), ("det", True), ("det", False),
         ("n", True), ("n", False), ("NP", False), ("v", True),
         ("v", False), ("S", False)]
-    assert [node for node, entering in tree.walk() if entering] == \
-        list(tree.iter_nodes())
+    assert [id(node) for node, entering in tree.walk() if entering] == \
+        [id(node) for node in tree.iter_nodes()]
 
 
 def _mirror_postorder(tree):
