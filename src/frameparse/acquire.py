@@ -3,13 +3,13 @@
 Each corpus sentence is parsed; the verb frames of its top analysis
 under the baseline (purely structural) model are recorded per lemma, in
 corpus order, keeping only the first ``cap`` cases per verb.  The frames
-are read off the ranking's Viterbi pass; only a sentence whose top
-analysis is a near tie is ranked in full.  A parsed sentence is ranked
-only if one of its verb tokens (a token whose tag heads a
-frame-assigning rule) has a lemma that is not yet full: the frames of
-any other sentence would all be dropped by the cap.  Frames with enough
-evidence are then hypothesized into lexicon entries, with relative
-frequencies renormalised over the surviving entries.
+are read off the rule applications of that analysis, as
+:func:`~frameparse.actions.top_applications` lists them.  A parsed
+sentence is ranked only if one of its verb tokens (a token whose tag
+heads a frame-assigning rule) has a lemma that is not yet full: the
+frames of any other sentence would all be dropped by the cap.  Frames
+with enough evidence are then hypothesized into lexicon entries, with
+relative frequencies renormalised over the surviving entries.
 
 Observations are deterministic in corpus order.  Tagging and parsing
 sentences concurrently is fine, but whether a sentence is ranked reads
@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .actions import top_applications
 from .lexicon import SubcatEntry, SubcatLexicon
-from .rerank import application_frames, verb_frames
+from .rerank import verb_frames
 
 
 class ObservationStore:
@@ -62,8 +62,7 @@ def observe_corpus(sentences: Iterable[str], pipeline, cap: int = 1000
     """Run the acquisition pass over raw sentences.
 
     ``pipeline`` is a :class:`frameparse.pipeline.ParserPipeline`; the
-    structural top parse is used regardless of any attached lexicon, and
-    is built by ``pipeline.rank`` only at a near tie.
+    structural top parse is used regardless of any attached lexicon.
     Out-of-coverage sentences are skipped and counted.  A parsed
     sentence is ranked only if some token whose tag heads a rule with a
     frame (see :attr:`~frameparse.grammar.Grammar.instance_frames`) has
@@ -87,13 +86,8 @@ def observe_corpus(sentences: Iterable[str], pipeline, cap: int = 1000
         if all(token.tag not in verb_tags or store.full(token.lemma)
                for token in tokens):
             continue
-        applications = top_applications(forest, pipeline.model)
-        if applications is None:  # a near tie, settled by the trace sort
-            top = pipeline.rank(forest, tokens, 1, False)[0]
-            instances = verb_frames(top.derivation, grammar, tokens)
-        else:
-            instances = application_frames(applications, grammar, tokens)
-        for instance in instances:
+        for instance in verb_frames(top_applications(forest, pipeline.model),
+                                    grammar, tokens):
             store.add(instance.lemma, instance.frame)
     return store
 

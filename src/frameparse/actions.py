@@ -35,7 +35,8 @@ returned without a lazy search; a near-tie, and every ``n > 1``, runs
 the lazy search, whose final sort settles ties on the trace.  Where
 only the rule applications of the structural top analysis are wanted,
 as in acquisition, :func:`top_applications` follows the best edges of
-that one pass, and leaves a near-tie to :func:`unpack_n_best`.
+that one pass, and at a near-tie reads them off the tree of
+:func:`unpack_n_best`, so the tie rule lives here alone.
 
 The search reads the table's per-state ``moves`` and the model's
 per-state reduce rows, ``reduce_rows[state][lookahead][rule id]``, each
@@ -470,16 +471,20 @@ def _viterbi(forest: Forest, model: ActionModel,
 
 
 def top_applications(forest: Forest, model: ActionModel
-                     ) -> Optional[list[tuple[Rule, tuple[ForestNode, ...]]]]:
+                     ) -> list[tuple[Rule, tuple]]:
     """The rule applications ``(rule, daughters)`` of the structural top
     analysis ``unpack_n_best(forest, model, 1)[0]`` of the parsed
-    ``forest``, in preorder, read off the Viterbi pass by following each
-    vertex's best edge; no tree, trace or score is built.  ``None`` when
-    the root margin is within the tie band, where only the trace sort of
-    :func:`unpack_n_best` picks the top analysis."""
+    ``forest``, in preorder.  Off a near tie they are read off the
+    Viterbi pass by following each vertex's best edge, with no tree,
+    trace or score built, and the daughters are forest nodes.  When the
+    root margin is within the tie band only the trace sort of
+    :func:`unpack_n_best` picks the top analysis, so they are read off
+    its tree, and the daughters are tree nodes."""
     _, root, _, clear = _viterbi(forest, model, None)
     if not clear:
-        return None
+        [top] = unpack_n_best(forest, model, 1)
+        return [(node.rule, node.children)
+                for node in top.derivation.tree.iter_nodes() if node.children]
     applications = []
     stack = [root]
     while stack:

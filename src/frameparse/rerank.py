@@ -8,9 +8,8 @@ term is a sum of per-rule-application shares: :func:`rank_analyses`
 hands the share to :func:`~frameparse.actions.unpack_n_best`, the one
 scorer, which both searches the forest and reports the term with it.
 The sum is a ranking score, not a probability, and is never
-renormalised.  For acquisition, :func:`application_frames` lists the
-instances of a derivation's rule applications, and :func:`verb_frames`
-those of a derivation's tree.
+renormalised.  For acquisition, :func:`verb_frames` lists the instances
+of an analysis's rule applications.
 
 Verb tokens dominated by rules without a VSUBCAT value contribute
 nothing; such verbs pick up no lexical information at parse time.  All
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .actions import ActionModel, Derivation, RankedAnalysis, unpack_n_best
+from .actions import ActionModel, RankedAnalysis, unpack_n_best
 from .glr import Forest, ForestNode
 from .grammar import Grammar, Rule
 from .lexicon import SubcatLexicon
@@ -35,21 +34,14 @@ class FrameInstance(NamedTuple):
     frame: str
 
 
-def verb_frames(derivation: Derivation, grammar: Grammar,
+def verb_frames(applications: Iterable[tuple], grammar: Grammar,
                 tokens: Sequence[Token]) -> list[FrameInstance]:
-    """One instance per verb token dominated by a verbal argument rule,
-    in preorder, hence left to right; the lemma comes from the token's
-    lemmatized form."""
-    return application_frames(((node.rule, node.children)
-                               for node in derivation.tree.iter_nodes()
-                               if node.rule is not None), grammar, tokens)
-
-
-def application_frames(applications: Iterable[tuple], grammar: Grammar,
-                       tokens: Sequence[Token]) -> list[FrameInstance]:
     """One instance per rule application ``(rule, daughters)`` whose rule
     has a frame in :attr:`~frameparse.grammar.Grammar.instance_frames`,
-    in order, with the lemma of the token where its head daughter starts."""
+    in order, with the lemma of the token where its head daughter starts.
+    Over the applications of an analysis in preorder, as
+    :func:`~frameparse.actions.top_applications` lists them, the
+    instances come left to right."""
     frames = grammar.instance_frames
     instances = []
     for rule, daughters in applications:

@@ -12,8 +12,8 @@ import itertools
 import math
 import random
 
-from frameparse import (Derivation, Grammar, Tree, UnderivableTreeError,
-                        parse_grammar, tree_actions, verb_frames)
+from frameparse import (Grammar, Tree, UnderivableTreeError, parse_grammar,
+                        tree_actions, verb_frames)
 from frameparse.actions import trace_sort_key
 from frameparse.frames import DEFAULT_FRAME_INVENTORY
 from frameparse.grammar import END_MARKER
@@ -26,6 +26,12 @@ def canon(tree):
             return ("leaf", tree.label, tree.start)
         return (tree.label, tuple(canon(c) for c in tree.children))
     return tree
+
+
+def applications(tree):
+    """The rule applications ``(rule, daughters)`` of ``tree``, in preorder."""
+    return [(node.rule, node.children) for node in tree.iter_nodes()
+            if node.rule is not None]
 
 
 # Forests with more derivations than this are refused by ``all_trees``,
@@ -127,7 +133,7 @@ def rank_by_enumeration(forest, model, lexicon=None, tokens=()):
         structural = sum(math.log(model.prob(*step)) for step in trace)
         lexical = 0.0
         if lexicon is not None:
-            instances = verb_frames(Derivation(tree, trace), grammar, tokens)
+            instances = verb_frames(applications(tree), grammar, tokens)
             lexical = sum(lexicon.frame_logprob(inst.lemma, inst.frame)
                           for inst in instances)
         ranked.append((trace, structural, lexical))

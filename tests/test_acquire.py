@@ -2,6 +2,7 @@ import pytest
 
 import frameparse as fp
 from frameparse import acquire
+from oracles import applications
 
 
 def test_single_sentence_observation(adversarial_pipeline):
@@ -29,8 +30,9 @@ def test_out_of_coverage_counted(adversarial_pipeline):
 
 
 def _count_ranks(monkeypatch, pipeline):
-    """The rankings acquisition runs, in order: ``"walk"`` for the
-    Viterbi walk and ``"rank"`` for the full ranking of a near tie."""
+    """The rankings acquisition runs, in order: ``"walk"`` for each
+    :func:`~frameparse.actions.top_applications` call, which settles a
+    near tie itself, and ``"rank"`` for each ``pipeline.rank`` call."""
     calls = []
 
     def counted(name, function):
@@ -85,17 +87,18 @@ def test_zero_cap_registers_each_lemma_once(adversarial_pipeline,
 
 def test_near_tie_is_ranked_in_full(uniform_pipeline, monkeypatch):
     # Under the uniform model the two best analyses score alike, so the
-    # walk leaves the choice to the full ranking's trace sort.
+    # walk takes the top analysis of the full ranking's trace sort.
     sentence = "the child sees a dog" + " in the park" * 2
     tokens = uniform_pipeline.tag(sentence)
     forest = uniform_pipeline.parse_tags([token.tag for token in tokens])
     top = uniform_pipeline.rank(forest, tokens, 1, False)[0]
     calls = _count_ranks(monkeypatch, uniform_pipeline)
     store = fp.observe_corpus([sentence], uniform_pipeline)
-    assert calls == ["walk", "rank"]
+    assert calls == ["walk"]
     assert store.frames == {
         instance.lemma: [instance.frame] for instance in
-        fp.verb_frames(top.derivation, uniform_pipeline.grammar, tokens)}
+        fp.verb_frames(applications(top.derivation.tree),
+                       uniform_pipeline.grammar, tokens)}
 
 
 def test_grammar_without_frames_ranks_nothing(demo_wordlist, demo_lemmatizer,

@@ -4,7 +4,7 @@ import pytest
 
 import frameparse as fp
 from frameparse.actions import trace_sort_key
-from oracles import all_trees
+from oracles import all_trees, applications
 
 HEAR = "the meeting will hear a greeting from the senator"
 
@@ -17,8 +17,8 @@ class TestVerbFrames:
     def test_control_sentence_frames(self, uniform_pipeline):
         result = uniform_pipeline.analyze("Paul intends to leave IBM")
         top = result.analyses[0]
-        frames = fp.verb_frames(top.derivation, uniform_pipeline.grammar,
-                                result.tokens)
+        frames = fp.verb_frames(applications(top.derivation.tree),
+                                uniform_pipeline.grammar, result.tokens)
         assert [(f.lemma, f.frame) for f in frames] == \
             [("intend", "VPINF"), ("leave", "NP")]
 
@@ -26,9 +26,9 @@ class TestVerbFrames:
         forest = fp.glr_parse(["det", "n", "v"], demo_table)
         # take the NP subtree of the parse: no verbal rule inside
         tree = all_trees(forest)[0].children[0]
-        derivation = fp.Derivation(tree, ())
         tokens = [fp.Token("the", "det", "the"), fp.Token("dog", "n", "dog")]
-        assert fp.verb_frames(derivation, demo_table.grammar, tokens) == []
+        assert fp.verb_frames(applications(tree), demo_table.grammar,
+                              tokens) == []
 
     def test_attachment_decides_frame(self, uniform_pipeline):
         result = uniform_pipeline.analyze(HEAR, n=99)
@@ -36,8 +36,9 @@ class TestVerbFrames:
         for analysis in result.analyses:
             frames = tuple(
                 (f.lemma, f.frame)
-                for f in fp.verb_frames(analysis.derivation,
-                                        uniform_pipeline.grammar, result.tokens))
+                for f in fp.verb_frames(
+                    applications(analysis.derivation.tree),
+                    uniform_pipeline.grammar, result.tokens))
             by_frames.setdefault(frames, []).append(analysis)
         assert (("hear", "NP_PP"),) in by_frames
         assert (("hear", "NP"),) in by_frames
@@ -77,7 +78,8 @@ class TestLexicalizedScore:
                                      wordlist=demo_wordlist, lexicon=lexicon)
         result = pipeline.analyze("Paul intends to intend to leave IBM")
         [top] = result.analyses
-        frames = fp.verb_frames(top.derivation, pipeline.grammar, result.tokens)
+        frames = fp.verb_frames(applications(top.derivation.tree),
+                                pipeline.grammar, result.tokens)
         assert [(f.lemma, f.frame) for f in frames] == \
             [("intend", "VPINF"), ("intend", "VPINF"), ("leave", "NP")]
         assert top.lexical_logprob == -7.269515189205032
@@ -88,8 +90,9 @@ class TestLexicalizedScore:
         k = len(fp.DEFAULT_FRAME_INVENTORY)
         assert len(ranked) == 4
         for scored in ranked:
-            n_verbs = len(fp.verb_frames(scored.derivation,
-                                         uniform_pipeline.grammar, tokens))
+            n_verbs = len(fp.verb_frames(
+                applications(scored.derivation.tree),
+                uniform_pipeline.grammar, tokens))
             assert n_verbs == 1
             assert scored.lexical_logprob == pytest.approx(-math.log(k))
 
@@ -98,7 +101,7 @@ class TestLexicalizedScore:
         tokens, scored = _rank_all(uniform_pipeline, HEAR, lexicon)
         tied = {}
         for analysis in scored:
-            frames = fp.verb_frames(analysis.derivation,
+            frames = fp.verb_frames(applications(analysis.derivation.tree),
                                     uniform_pipeline.grammar, tokens)
             tied[frames[0].frame] = analysis
         np_reading = tied["NP"]
@@ -121,7 +124,7 @@ class TestLexicalizedScore:
         tokens, ranked = _rank_all(uniform_pipeline, HEAR, lexicon)
         scored = {}
         for analysis in ranked:
-            frames = fp.verb_frames(analysis.derivation,
+            frames = fp.verb_frames(applications(analysis.derivation.tree),
                                     uniform_pipeline.grammar, tokens)
             scored[frames[0].frame] = analysis
         assert scored["NP"].structural_logprob == \
@@ -134,7 +137,7 @@ class TestLexicalizedScore:
         for analysis in result.analyses:
             lexical = sum(
                 lexicalized_pipeline.lexicon.frame_logprob(f.lemma, f.frame)
-                for f in fp.verb_frames(analysis.derivation,
+                for f in fp.verb_frames(applications(analysis.derivation.tree),
                                         lexicalized_pipeline.grammar,
                                         result.tokens))
             assert analysis.lexical_logprob == lexical
@@ -170,9 +173,9 @@ class TestRankAnalyses:
         baseline = adversarial_pipeline.analyze(HEAR).analyses[0]
         lexical = lexicalized_pipeline.analyze(HEAR).analyses[0]
         tokens = adversarial_pipeline.tag(HEAR)
-        base_frames = fp.verb_frames(baseline.derivation,
+        base_frames = fp.verb_frames(applications(baseline.derivation.tree),
                                      adversarial_pipeline.grammar, tokens)
-        lex_frames = fp.verb_frames(lexical.derivation,
+        lex_frames = fp.verb_frames(applications(lexical.derivation.tree),
                                     lexicalized_pipeline.grammar, tokens)
         assert [f.frame for f in base_frames] == ["NP_PP"]
         assert [f.frame for f in lex_frames] == ["NP"]
@@ -189,7 +192,7 @@ class TestRankAnalyses:
             ranked = fp.rank_analyses(forest, uniform_pipeline.model, lexicon,
                                       tokens, forest.derivation_count())
             for position, analysis in enumerate(ranked):
-                frames = fp.verb_frames(analysis.derivation,
+                frames = fp.verb_frames(applications(analysis.derivation.tree),
                                         uniform_pipeline.grammar, tokens)
                 if frames and frames[0].frame == "NP_PP":
                     return position
