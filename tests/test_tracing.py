@@ -42,3 +42,20 @@ def test_tracer_records_parse_and_ranking_spans(adversarial_pipeline):
     assert spans["acquire.observe_corpus"][0] == 1
     # uninstalling restores the program's own functions
     assert fp.observe_corpus.__module__ == "frameparse.acquire"
+
+
+def test_tracer_counts_acquisition_frames(adversarial_pipeline):
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        fp.observe_corpus(["Paul intends to sleep", "Paul intends to leave IBM",
+                           "Paul intends to sleep"],
+                          adversarial_pipeline, cap=1)
+    finally:
+        uninstall()
+    metrics = tracing.layer_metrics(tracer.by_name, tracer.counters, 1, 1, {})
+    # the second sentence's "intend" instance is dropped by the cap, and
+    # the third sentence, whose verbs are both full, is not ranked
+    assert metrics["acquire.capped"]["value"] == 1
+    assert metrics["rerank.verb_frames_calls"]["value"] == 2
