@@ -339,7 +339,8 @@ def _field_lines(fields: dict) -> list[str]:
 def _emit_report(payload, lines: list[str], args) -> None:
     """The report as JSON of ``payload`` or as the text ``lines``."""
     if args.format == "machine-readable":
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+              + "\n", args.out)
     else:
         _emit("".join(line + "\n" for line in lines), args.out)
 
@@ -360,6 +361,10 @@ def cmd_compare(args) -> int:
                                 base_report.per_sentence_recall)
     precision_test = paired_t_test(lex_report.per_sentence_precision,
                                    base_report.per_sentence_precision)
+    stats = {"recall_t": recall_test.t, "recall_df": recall_test.df,
+             "recall_p": recall_test.p_two_sided,
+             "precision_t": precision_test.t, "precision_df": precision_test.df,
+             "precision_p": precision_test.p_two_sided}
 
     payload: dict = {
         "sentences": len(sentences),
@@ -371,11 +376,11 @@ def cmd_compare(args) -> int:
                 "lexicalized": _relation_rows(lex_report),
             },
         },
-        "recall_t": recall_test.t, "recall_df": recall_test.df,
-        "recall_p": recall_test.p_two_sided,
-        "precision_t": precision_test.t, "precision_df": precision_test.df,
-        "precision_p": precision_test.p_two_sided,
     }
+    # JSON has no inf or nan: a non-finite statistic is written as the
+    # text report prints it
+    payload.update((key, value if math.isfinite(value) else _fmt_stat(value))
+                   for key, value in stats.items())
     lines = ["sentences\t%d" % len(sentences),
              "model\trecall\tprecision\tmean_returned"]
     for name, report in (("baseline", base_report), ("lexicalized", lex_report)):
@@ -403,9 +408,7 @@ def cmd_compare(args) -> int:
             name, base_report.returned_by_relation.get(name, 0),
             lex_report.returned_by_relation.get(name, 0),
             base_report.gold_by_relation.get(name, 0)))
-    for key in ("recall_t", "recall_df", "recall_p",
-                "precision_t", "precision_df", "precision_p"):
-        value = payload[key]
+    for key, value in stats.items():
         lines.append("%s\t%s" % (
             key, value if isinstance(value, int) else _fmt_stat(value)))
     _emit_report(payload, lines, args)

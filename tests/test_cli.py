@@ -413,6 +413,33 @@ def test_compare_reports_models_and_tests(model_file, lexicon_file, capsys):
         assert field in out
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_compare_json_holds_no_infinity(tmp_path, model_file, capsys):
+    # One sentence twice: the lexicon's precision gain is the same on
+    # both, so the paired differences have no variance and t is infinite.
+    sentence = "the meeting will hear a greeting from the senator\n"
+    gold = "ncsubj(hear,meeting,_)\ndobj(hear,greeting,_)\n"
+    corpus = tmp_path / "two.txt"
+    corpus.write_text(sentence * 2)
+    gold_gr = tmp_path / "two.grs"
+    gold_gr.write_text(gold + "\n" + gold)
+    argv = ["compare", "--grammar", "@demo/demo.grammar",
+            "--wordlist", "@demo/demo.wordlist",
+            "--lemma-exceptions", "@demo/demo.lemma_exceptions",
+            "--model", str(model_file), "--lexicon", "@demo/demo.lexicon",
+            "--corpus", str(corpus), "--gold-gr", str(gold_gr)]
+    assert main(argv) == 0
+    assert "precision_t\tinf\n" in capsys.readouterr().out
+    assert main(argv + ["--format", "machine-readable"]) == 0
+    payload = json.loads(capsys.readouterr().out,
+                         parse_constant=_refuse_constant)
+    assert payload["precision_t"] == "inf"
+    assert payload["precision_p"] == 0.0
+
+
 def test_reports_byte_identical(tmp_path, model_file, lexicon_file):
     args = ["compare", "--grammar", "@demo/demo.grammar",
             "--wordlist", "@demo/demo.wordlist",
