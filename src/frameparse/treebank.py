@@ -103,9 +103,6 @@ class Tree(_Value):
                 stack.append((node, False))
                 stack.extend((child, True) for child in reversed(node.children))
 
-    def leaves(self) -> Iterator["Tree"]:
-        return (node for node in self.iter_nodes() if not node.children)
-
     def render(self, words: Optional[Sequence[str]] = None) -> str:
         """Bracketed text with ``(tag word)`` leaves, the words taken
         from ``words`` by position when given."""
