@@ -15,6 +15,7 @@ changed file and the reason in CHANGES.md.
 """
 
 import io
+import json
 import os
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -250,3 +251,14 @@ def test_comment_line_separates_no_gold_blocks(outputs):
 @pytest.mark.parametrize("name", WRITTEN)
 def test_written_file(outputs, name):
     assert outputs[name] == _expected(name)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in
+                                        GOLDEN.glob("*-json.out")))
+def test_json_golden_is_strict_json(name):
+    # RFC 8259 has no Infinity or NaN, which json.loads would accept
+    json.loads(_expected(name), parse_constant=_refuse_constant)
