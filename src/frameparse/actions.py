@@ -34,9 +34,11 @@ proves that no other derivation can tie, and the Viterbi derivation is
 returned without a lazy search; a near-tie, and every ``n > 1``, runs
 the lazy search, whose final sort settles ties on the trace.  Where
 only the rule applications of the structural top analysis are wanted,
-as in acquisition, :func:`top_applications` follows the best edges of
-that one pass, and at a near-tie reads them off the tree of
-:func:`unpack_n_best`, so the tie rule lives here alone.
+as in acquisition, :func:`top_applications` reads a forest of one
+derivation straight off its nodes, with no pass at all; otherwise it
+follows the best edges of that one pass, and at a near-tie reads them
+off the tree that :func:`unpack_n_best` would build from the same
+pass, so the tie rule lives here alone.
 
 The search reads the table's per-state ``moves`` and the model's
 per-state reduce rows, ``reduce_rows[state][lookahead][rule id]``, each
@@ -451,6 +453,14 @@ class _ForestSearch:
         return Tree(node.symbol, node.start, node.end, tuple(children), rule)
 
 
+def _check_grammar(forest: Forest, model: ActionModel) -> None:
+    # The search trusts the forest once it was parsed over the model's
+    # grammar, whose rule objects the model's table holds.
+    if forest.grammar is not model.table.grammar:
+        raise ValueError("model/table mismatch: forest built from a "
+                         "different grammar")
+
+
 def _viterbi(forest: Forest, model: ActionModel,
              lexical: Optional[Callable[[Rule, tuple[ForestNode, ...]],
                                         float]]
@@ -458,11 +468,7 @@ def _viterbi(forest: Forest, model: ActionModel,
     """The search of the parsed ``forest`` after its Viterbi pass, its
     root vertex, the accept's log-probability, and whether the root
     margin clears the tie band, so that no derivation ties the best."""
-    # The search trusts the forest once it was parsed over the model's
-    # grammar, whose rule objects the model's table holds.
-    if forest.grammar is not model.table.grammar:
-        raise ValueError("model/table mismatch: forest built from a "
-                         "different grammar")
+    _check_grammar(forest, model)
     search = _ForestSearch(forest, model, lexical)
     root = search.visit(forest.root, model.table.start_state)
     accept_logprob = model.accept_logprobs[root.exit]
@@ -474,15 +480,37 @@ def top_applications(forest: Forest, model: ActionModel
                      ) -> list[tuple[Rule, tuple]]:
     """The rule applications ``(rule, daughters)`` of the structural top
     analysis ``unpack_n_best(forest, model, 1)[0]`` of the parsed
-    ``forest``, in preorder.  Off a near tie they are read off the
-    Viterbi pass by following each vertex's best edge, with no tree,
-    trace or score built, and the daughters are forest nodes.  When the
-    root margin is within the tie band only the trace sort of
-    :func:`unpack_n_best` picks the top analysis, so they are read off
-    its tree, and the daughters are tree nodes."""
-    _, root, _, clear = _viterbi(forest, model, None)
+    ``forest``, in preorder; ``[]`` for an empty forest.  A forest of
+    one derivation is that analysis, so its one alternative per node is
+    read straight off it, with no Viterbi pass.  Otherwise, off a near
+    tie, they are read off the Viterbi pass by following each vertex's
+    best edge, with no tree, trace or score built; either way the
+    daughters are forest nodes.  When the root margin is within the tie
+    band only the trace sort of :func:`unpack_n_best` picks the top
+    analysis, so they are read off the tree it builds from the same
+    pass, and the daughters are tree nodes."""
+    _check_grammar(forest, model)
+    if forest.root is None:
+        return []
+    # Every node of a forest of one derivation has one alternative, so
+    # that derivation is read off in the order of the best-edge walk
+    # below; the first node with two alternatives hands over to the pass.
+    applications = []
+    stack = [forest.root]
+    while stack:
+        node = stack.pop()
+        if len(node.alternatives) > 1:
+            break
+        rule, daughters = node.alternatives[0]
+        applications.append((rule, daughters))
+        for daughter in reversed(daughters):
+            if not daughter.leaf:
+                stack.append(daughter)
+    else:
+        return applications
+    search, root, accept_logprob, clear = _viterbi(forest, model, None)
     if not clear:
-        [top] = unpack_n_best(forest, model, 1)
+        [top] = _best_analyses(search, root, accept_logprob, clear, 1)
         return [(node.rule, node.children)
                 for node in top.derivation.tree.iter_nodes() if node.children]
     applications = []
@@ -516,7 +544,14 @@ def unpack_n_best(forest: Forest, model: ActionModel, n: int,
         raise ValueError(f"n must be an int of at least 1, got {n!r}")
     if forest.root is None:
         return []
-    search, root, accept_logprob, clear = _viterbi(forest, model, lexical)
+    return _best_analyses(*_viterbi(forest, model, lexical), n)
+
+
+def _best_analyses(search: _ForestSearch, root: _Vertex,
+                   accept_logprob: float, clear: bool, n: int
+                   ) -> list[RankedAnalysis]:
+    """The ``n`` best analyses of :func:`unpack_n_best`, from the search
+    and root that :func:`_viterbi` returns."""
     accept = (root.exit, END_MARKER, ("accept",))
     if n == 1 and clear:
         popped = 1

@@ -101,6 +101,21 @@ def test_near_tie_is_ranked_in_full(uniform_pipeline, monkeypatch):
                        uniform_pipeline.grammar, tokens)}
 
 
+def test_2005_token_control_chain_is_read_without_recursing(
+        adversarial_pipeline):
+    # Its one derivation nests 2,006 levels deep, far past the
+    # recursion limit of a walker that recurses once per level.
+    sentence = "Paul intends" + " to intend" * 1000 + " to leave IBM"
+    assert len(sentence.split()) == 2005
+    try:
+        store = fp.observe_corpus([sentence], adversarial_pipeline, cap=5)
+    except RecursionError:  # its traceback would be thousands of frames
+        store = None
+    assert store is not None, "acquisition recursed once per level"
+    assert store.frames == {"intend": ["VPINF"] * 5, "leave": ["NP"]}
+    assert store.parsed_sentences == 1
+
+
 def test_grammar_without_frames_ranks_nothing(demo_wordlist, demo_lemmatizer,
                                               monkeypatch):
     grammar = fp.parse_grammar(

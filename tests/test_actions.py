@@ -8,8 +8,8 @@ import frameparse as fp
 from frameparse.actions import (_TIE_BAND, _ForestSearch, top_applications,
                                 trace_sort_key)
 from frameparse.grammar import END_MARKER
-from oracles import (all_trees, english_grammar, random_grammar,
-                     random_sentences, replay_actions)
+from oracles import (all_trees, applications, english_grammar,
+                     random_grammar, random_sentences, replay_actions)
 
 MOD_TREEBANK = """
 (S (NP (det the) (n child)) (VP (v sees) (NP (NP (det a) (n dog)) (PP (prep in) (NP (det the) (n park))))))
@@ -185,16 +185,20 @@ def test_forest_from_other_grammar_rejected(demo_table):
 def test_forest_from_equal_but_distinct_grammar_rejected(demo_grammar,
                                                          demo_table):
     # Equal rules make equal tables, so only rule identity tells the
-    # two grammars apart; the search itself would run.
-    forest = fp.glr_parse("det n v det n prep det n".split(), demo_table)
+    # two grammars apart; the search itself would run.  A forest of one
+    # derivation, which top_applications reads with no search, too.
     twin = fp.build_table(fp.normalize_kleene(demo_grammar))
     assert twin.grammar == demo_table.grammar
     assert twin.grammar.rules[0] is not demo_table.grammar.rules[0]
-    for rank in (fp.unpack_n_best,
-                 lambda forest, model, n: fp.rank_analyses(
-                     forest, model, fp.SubcatLexicon([]), [], n)):
-        with pytest.raises(ValueError, match="model/table mismatch"):
-            rank(forest, fp.ActionModel(twin), 5)
+    for tags in ("det n v det n prep det n", "det n v det n"):
+        forest = fp.glr_parse(tags.split(), demo_table)
+        for rank in (fp.unpack_n_best,
+                     lambda forest, model, n: fp.rank_analyses(
+                         forest, model, fp.SubcatLexicon([]), [], n),
+                     lambda forest, model, n: top_applications(forest,
+                                                               model)):
+            with pytest.raises(ValueError, match="model/table mismatch"):
+                rank(forest, fp.ActionModel(twin), 5)
 
 
 def test_constructor_rejects_counts_the_table_does_not_list(demo_table):
@@ -315,6 +319,19 @@ def test_root_margin_is_the_runner_up_gap():
     assert checked >= 300 and single >= 1000 and tied >= 80
 
 
+def _count_searches(monkeypatch):
+    """A list that grows by one at each :class:`_ForestSearch` made, each
+    the start of a Viterbi pass."""
+    made = []
+    init = _ForestSearch.__init__
+
+    def counted(self, *args):
+        made.append(None)
+        init(self, *args)
+    monkeypatch.setattr(_ForestSearch, "__init__", counted)
+    return made
+
+
 def test_top_applications_are_the_top_analysis(monkeypatch):
     # the lazy search asks for a vertex's derivations past the best
     lazy = []
@@ -324,6 +341,7 @@ def test_top_applications_are_the_top_analysis(monkeypatch):
         lazy.append(k)
         return has_derivation(self, vertex, k)
     monkeypatch.setattr(_ForestSearch, "has_derivation", counted)
+    searches = _count_searches(monkeypatch)
     cases = []
     for seed in range(200):
         rng = random.Random(seed)
@@ -336,23 +354,57 @@ def test_top_applications_are_the_top_analysis(monkeypatch):
     models = _models(table, random.Random(0))
     cases += [(fp.glr_parse(["pn", "v", "det", "n"] + ["prep", "det", "n"] * k,
                             table), models) for k in (1, 2, 3, 4, 8)]
-    walked = tied = 0
+    walked = tied = single = searched = 0
     for forest, models in cases:
         if forest.root is None:
             continue
         for model in models:
             lazy.clear()
+            searches.clear()
             applications = top_applications(forest, model)
             if lazy:
                 tied += 1
             else:
                 walked += 1
+            # a forest of one derivation is read with no Viterbi pass
+            if forest.derivation_count() == 1:
+                assert searches == []
+                single += 1
+            else:
+                assert searches
+                searched += 1
             [top] = fp.unpack_n_best(forest, model, 1)
             assert [(rule, tuple((d.start, d.end) for d in daughters))
                     for rule, daughters in applications] == \
                 [(node.rule, tuple((c.start, c.end) for c in node.children))
                  for node in top.derivation.tree.iter_nodes() if node.children]
     assert walked >= 1000 and tied >= 60
+    assert single >= 1000 and searched >= 150
+
+
+def test_top_applications_at_a_near_tie_search_once(uniform_pipeline,
+                                                    monkeypatch):
+    # The uniform model's two best PP attachments score alike, so the
+    # top analysis comes from the trace sort, over the same pass.
+    model = uniform_pipeline.model
+    tags = "det n v det n prep det n prep det n".split()
+    forest = uniform_pipeline.parse_tags(tags)
+    [top] = fp.unpack_n_best(forest, model, 1)
+    searches = _count_searches(monkeypatch)
+    assert top_applications(forest, model) == \
+        applications(top.derivation.tree)
+    assert len(searches) == 1
+    searches.clear()
+    forest = uniform_pipeline.parse_tags("det n v det n".split())
+    assert forest.derivation_count() == 1
+    top_applications(forest, model)
+    assert searches == []
+
+
+def test_top_applications_of_an_empty_forest(demo_table):
+    forest = fp.glr_parse(["det", "n"], demo_table)
+    assert forest.root is None
+    assert top_applications(forest, fp.ActionModel(demo_table)) == []
 
 
 def test_step_outside_table_raises(demo_table):

@@ -350,6 +350,27 @@ def test_acquire_cap_one(tmp_path, model_file):
         assert sum(e.count for e in lex.entries() if e.lemma == lemma) == 1
 
 
+def test_acquire_on_the_2005_token_control_chain(tmp_path, model_file,
+                                                capsys):
+    corpus = tmp_path / "deep.txt"
+    corpus.write_text("Paul intends" + " to intend" * 1000
+                      + " to leave IBM\n")
+    out = tmp_path / "deep.lexicon"
+    try:
+        code = main(["acquire", "--grammar", "@demo/demo.grammar",
+                     "--wordlist", "@demo/demo.wordlist",
+                     "--lemma-exceptions", "@demo/demo.lemma_exceptions",
+                     "--model", str(model_file),
+                     "--corpus", str(corpus), "--out", str(out)])
+    except RecursionError:  # its traceback would be thousands of frames
+        code = None
+    assert code == 0, "acquisition recursed once per level"
+    assert "parsed\t1\n" in capsys.readouterr().out
+    lexicon = fp.load_lexicon(out)
+    assert lexicon.count("intend", "VPINF") == 1000
+    assert lexicon.count("leave", "NP") == 1
+
+
 def test_eval_bracket_self_is_perfect(tmp_path, model_file, capsys):
     # evaluating gold-as-corpus against itself through the lexicalized
     # parser is not guaranteed perfect; instead check the report shape
