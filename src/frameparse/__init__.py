@@ -16,8 +16,7 @@ from .grammar import (ADJUNCT, ARGUMENT, Grammar, GrammarError, GRTemplate,
 from .lrtable import LRTable, build_table
 from .glr import Forest, ForestNode, ParseError, glr_parse
 from .treebank import (Tree, TreebankError, UnderivableTreeError,
-                       load_treebank, parse_tree, read_treebank,
-                       write_treebank)
+                       load_treebank, read_treebank, write_treebank)
 from .actions import (ActionModel, Derivation, RankedAnalysis, load_model,
                       save_model, train_actions, tree_actions, unpack_n_best)
 from .lexicon import (LexiconError, SubcatEntry, SubcatLexicon,

@@ -465,10 +465,10 @@ def _viterbi(forest: Forest, model: ActionModel,
              lexical: Optional[Callable[[Rule, tuple[ForestNode, ...]],
                                         float]]
              ) -> tuple[_ForestSearch, _Vertex, float, bool]:
-    """The search of the parsed ``forest`` after its Viterbi pass, its
-    root vertex, the accept's log-probability, and whether the root
-    margin clears the tie band, so that no derivation ties the best."""
-    _check_grammar(forest, model)
+    """The search of the parsed ``forest``, whose grammar the caller
+    has checked, after its Viterbi pass; its root vertex, the accept's
+    log-probability, and whether the root margin clears the tie band,
+    so that no derivation ties the best."""
     search = _ForestSearch(forest, model, lexical)
     root = search.visit(forest.root, model.table.start_state)
     accept_logprob = model.accept_logprobs[root.exit]
@@ -542,6 +542,7 @@ def unpack_n_best(forest: Forest, model: ActionModel, n: int,
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an int of at least 1, got {n!r}")
+    _check_grammar(forest, model)
     if forest.root is None:
         return []
     return _best_analyses(*_viterbi(forest, model, lexical), n)

@@ -2,7 +2,8 @@
 
 One sentence per record in the usual notation, e.g.
 ``(S (NP (n Paul)) (VP (v intends) ...))`` with ``(tag word)`` leaves.
-Records may span lines; they are delimited by bracket balance.
+Records may span lines: the text is split into brackets and words once,
+and those tokens into records on bracket balance.
 """
 
 from __future__ import annotations
@@ -119,10 +120,9 @@ class Tree(_Value):
         return " ".join(parts)
 
 
-def parse_tree(text: str) -> Tree:
-    tokens = _SEXP_TOKEN.findall(text)
-    if not tokens:
-        raise TreebankError("empty tree text")
+def _record_tree(tokens: list[str]) -> Tree:
+    """The tree of one record's ``tokens``, which are not empty and
+    whose brackets first balance at the last, a ``)``."""
     if tokens[0] != "(":
         raise TreebankError(f"expected '(' at token 0: {tokens[0]!r}")
     # One [label, start, children, word] per bracket still open.
@@ -136,7 +136,7 @@ def parse_tree(text: str) -> Tree:
             if open_nodes and open_nodes[-1][3] is not None:
                 raise TreebankError(
                     f"leaf {open_nodes[-1][0]!r} must dominate exactly one word")
-            if pos >= len(tokens) or tokens[pos] in "()":
+            if tokens[pos] in "()":
                 raise TreebankError("missing node label")
             open_nodes.append([tokens[pos], position, [], None])
             pos += 1
@@ -145,11 +145,8 @@ def parse_tree(text: str) -> Tree:
             if word is None and not children:
                 raise TreebankError(f"empty node {label!r}")
             tree = Tree(label, start, position, tuple(children), word=word)
-            if not open_nodes:
-                if pos != len(tokens):
-                    raise TreebankError("trailing text after tree")
-                return tree
-            open_nodes[-1][2].append(tree)
+            if open_nodes:
+                open_nodes[-1][2].append(tree)
         else:
             node = open_nodes[-1]
             if node[3] is not None or node[2]:
@@ -157,41 +154,37 @@ def parse_tree(text: str) -> Tree:
                     f"leaf {node[0]!r} must dominate exactly one word")
             node[3] = token
             position += 1
-    raise TreebankError("unbalanced brackets")
+    return tree
 
 
 def read_treebank(text: str) -> list[Tree]:
-    """Split on bracket balance and parse each record; ``#`` comments.
-    Errors read ``line N: ...``, N being the line of the stray ``)`` or
-    the line the faulty record starts on."""
+    """Split the text's brackets and words into records on bracket
+    balance and build each record's tree; ``#`` comments.  Errors read ``line N: ...``, N being
+    the line of the stray ``)`` or the line the faulty record starts on."""
     trees = []
     depth = 0
-    buffer: list[str] = []
+    record: list[str] = []
     start = 0
     for lineno, line in enumerate(text.splitlines(), 1):
-        for ch in line.split("#", 1)[0]:
-            if depth == 0 and ch.isspace():
-                continue
-            if not buffer:
+        for token in _SEXP_TOKEN.findall(line.split("#", 1)[0]):
+            if not record:
                 start = lineno
-            buffer.append(ch)
-            if ch == "(":
+            record.append(token)
+            if token == "(":
                 depth += 1
-            elif ch == ")":
+            elif token == ")":
                 depth -= 1
                 if depth < 0:
                     raise TreebankError(f"line {lineno}: unbalanced ')'")
                 if depth == 0:
                     try:
-                        trees.append(parse_tree("".join(buffer)))
+                        trees.append(_record_tree(record))
                     except TreebankError as exc:
                         raise TreebankError(f"line {start}: {exc}") from exc
-                    buffer = []
-        if depth:
-            buffer.append("\n")
+                    record = []
     if depth != 0:
         raise TreebankError(f"line {start}: unbalanced '(' at end of input")
-    if buffer:
+    if record:
         raise TreebankError(f"line {start}: text outside brackets")
     return trees
 

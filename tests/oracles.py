@@ -13,7 +13,7 @@ import math
 import random
 
 from frameparse import (Grammar, Tree, UnderivableTreeError, parse_grammar,
-                        tree_actions, verb_frames)
+                        read_treebank, tree_actions, verb_frames)
 from frameparse.actions import trace_sort_key
 from frameparse.frames import DEFAULT_FRAME_INVENTORY
 from frameparse.grammar import END_MARKER
@@ -32,6 +32,12 @@ def applications(tree):
     """The rule applications ``(rule, daughters)`` of ``tree``, in preorder."""
     return [(node.rule, node.children) for node in tree.iter_nodes()
             if node.rule is not None]
+
+
+def read_tree(text):
+    """The one tree of the bracketed text ``text``."""
+    [tree] = read_treebank(text)
+    return tree
 
 
 # Forests with more derivations than this are refused by ``all_trees``,

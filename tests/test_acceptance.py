@@ -16,7 +16,7 @@ import frameparse as fp
 from frameparse.actions import trace_sort_key
 
 from oracles import (all_trees, canon, enumerate_parses, random_grammar,
-                     random_sentences)
+                     random_sentences, read_tree)
 
 ARG_FRAGMENT = ("(VP (aux will) (v hear) (NP (det a) (n greeting)) "
                 "(PP (prep from) (NP (pn Gov.) (pn Mark) (pn Hatfield))))")
@@ -30,8 +30,8 @@ def _passed(number, message):
 
 def test_criterion_01_worked_bracket_example():
     started = time.perf_counter()
-    scores = fp.bracket_scores(fp.parse_tree(ARG_FRAGMENT),
-                               fp.parse_tree(MOD_FRAGMENT))
+    scores = fp.bracket_scores(read_tree(ARG_FRAGMENT),
+                               read_tree(MOD_FRAGMENT))
     report = fp.aggregate_brackets([scores])
     assert report.recall == 0.75
     assert report.precision == 0.75

@@ -186,11 +186,12 @@ def test_forest_from_equal_but_distinct_grammar_rejected(demo_grammar,
                                                          demo_table):
     # Equal rules make equal tables, so only rule identity tells the
     # two grammars apart; the search itself would run.  A forest of one
-    # derivation, which top_applications reads with no search, too.
+    # derivation, which top_applications reads with no search, too, and
+    # an empty forest, which has no analysis to rank.
     twin = fp.build_table(fp.normalize_kleene(demo_grammar))
     assert twin.grammar == demo_table.grammar
     assert twin.grammar.rules[0] is not demo_table.grammar.rules[0]
-    for tags in ("det n v det n prep det n", "det n v det n"):
+    for tags in ("det n v det n prep det n", "det n v det n", "det n"):
         forest = fp.glr_parse(tags.split(), demo_table)
         for rank in (fp.unpack_n_best,
                      lambda forest, model, n: fp.rank_analyses(

@@ -6,7 +6,7 @@ import pytest
 import frameparse as fp
 from frameparse.cli import build_arg_parser, main
 
-from oracles import replay_actions
+from oracles import read_tree, replay_actions
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +264,7 @@ def test_2003_level_records_compare_and_hash():
 def test_tree_walks_on_the_2005_token_control_chain(adversarial_pipeline):
     # "Paul intends" + " to intend" * 1000 + " to leave IBM"
     record = _control_chain(1001, "(VP (v leave) (NP (pn IBM)))")
-    first, second = fp.parse_tree(record), fp.parse_tree(record)
+    first, second = read_tree(record), read_tree(record)
     assert first.end == 2005
     try:
         rendered = first.render()
@@ -288,7 +288,7 @@ def test_extract_grs_on_a_2001_token_chain(adversarial_pipeline):
     def grs(clauses):
         record = _control_chain(clauses, "(VP (v leave) (NP (pn IBM)))")
         table = adversarial_pipeline.table
-        trace = fp.tree_actions(fp.parse_tree(record), table)
+        trace = fp.tree_actions(read_tree(record), table)
         sentence = "Paul intends" + " to intend" * (clauses - 1) \
             + " to leave IBM"
         tokens = adversarial_pipeline.tag(sentence)
@@ -639,6 +639,36 @@ def test_acquire_rejects_non_finite_min_relfreq_exit_2(model_file, tmp_path,
     assert exc.value.code == 2
     assert "--min-relfreq" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--cap", "--min-count"])
+def test_acquire_rejects_negative_counts_exit_2(model_file, tmp_path, capsys,
+                                                option):
+    out = tmp_path / "acq.lexicon"
+    with pytest.raises(SystemExit) as exc:
+        main(["acquire", "--grammar", "@demo/demo.grammar",
+              "--model", str(model_file), "--corpus", "@demo/acquisition.txt",
+              option, "-1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be non-negative" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_acquire_min_relfreq_drops_rare_frames(tmp_path, model_file, capsys):
+    out = tmp_path / "acq.lexicon"
+    code = main(["acquire", "--grammar", "@demo/demo.grammar",
+                 "--wordlist", "@demo/demo.wordlist",
+                 "--lemma-exceptions", "@demo/demo.lemma_exceptions",
+                 "--model", str(model_file),
+                 "--corpus", "@demo/acquisition.txt",
+                 "--min-relfreq", "0.2", "--out", str(out)])
+    assert code == 0
+    assert "entries\t10\n" in capsys.readouterr().out
+    lines = out.read_text().splitlines()
+    assert len(lines) == 10
+    assert "hear\tNP\t9\t1.0000000000" in lines
+    assert not any(line.startswith("hear\tPP\t") for line in lines)
 
 
 def test_acquire_without_out_exits_2_before_reading_corpus(model_file, capsys):

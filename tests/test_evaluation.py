@@ -10,7 +10,7 @@ import pytest
 import frameparse as fp
 from frameparse.evaluation import EvaluationError
 from frameparse.grs import GRError
-from oracles import all_trees
+from oracles import all_trees, read_tree
 
 # The two readings of the "will hear a greeting from ..." fragment: the
 # argument attachment on top, the (correct) modification attachment below.
@@ -30,16 +30,16 @@ def _grs(*texts):
 
 class TestBrackets:
     def test_flat_tree_single_span(self):
-        tree = fp.parse_tree("(S (a w1) (b w2))")
+        tree = read_tree("(S (a w1) (b w2))")
         assert fp.extract_brackets(tree) == Counter({(0, 2): 1})
 
     def test_modification_fragment_has_four_spans(self):
-        spans = fp.extract_brackets(fp.parse_tree(MOD_FRAGMENT))
+        spans = fp.extract_brackets(read_tree(MOD_FRAGMENT))
         assert sum(spans.values()) == 4
         assert spans == Counter({(0, 8): 1, (2, 8): 1, (4, 8): 1, (5, 8): 1})
 
     def test_single_word_node_excluded(self):
-        tree = fp.parse_tree("(S (NP (n dog)) (VP (v sleeps)))")
+        tree = read_tree("(S (NP (n dog)) (VP (v sleeps)))")
         assert fp.extract_brackets(tree) == Counter({(0, 2): 1})
 
     def test_helper_nodes_excluded(self, demo_table):
@@ -50,8 +50,8 @@ class TestBrackets:
         assert (0, 3) in spans      # the full name NP is
 
     def test_worked_example_75_percent(self):
-        scores = fp.bracket_scores(fp.parse_tree(ARG_FRAGMENT),
-                                   fp.parse_tree(MOD_FRAGMENT))
+        scores = fp.bracket_scores(read_tree(ARG_FRAGMENT),
+                                   read_tree(MOD_FRAGMENT))
         assert scores == {"matched": 3, "test_total": 4, "gold_total": 4,
                           "crossings": 0}
         report = fp.aggregate_brackets([scores])
@@ -69,26 +69,26 @@ class TestBrackets:
 
     def test_crossing_by_hand(self):
         # test span [1,4) against gold [0,3): overlap, no containment
-        test = fp.parse_tree("(S (x a) (Y (x b) (x c) (x d)))")
-        gold = fp.parse_tree("(S (Z (x a) (x b) (x c)) (x d))")
+        test = read_tree("(S (x a) (Y (x b) (x c) (x d)))")
+        gold = read_tree("(S (Z (x a) (x b) (x c)) (x d))")
         scores = fp.bracket_scores(test, gold)
         assert scores["crossings"] == 1
 
     def test_containment_is_not_crossing(self):
-        test = fp.parse_tree("(S (x a) (Y (x b) (x c)) (x d))")
-        gold = fp.parse_tree("(S (Z (x a) (x b) (x c)) (x d))")
+        test = read_tree("(S (x a) (Y (x b) (x c)) (x d))")
+        gold = read_tree("(S (Z (x a) (x b) (x c)) (x d))")
         # [1,3) is properly contained in [0,3): no crossing
         assert fp.bracket_scores(test, gold)["crossings"] == 0
 
     def test_no_parse_has_no_brackets(self):
-        gold = fp.parse_tree(MOD_FRAGMENT)
+        gold = read_tree(MOD_FRAGMENT)
         assert fp.bracket_scores(None, gold) == {
             "matched": 0, "test_total": 0, "gold_total": 4, "crossings": 0}
 
     def test_token_count_mismatch_rejected(self):
         with pytest.raises(EvaluationError, match="token count"):
-            fp.bracket_scores(fp.parse_tree("(S (a w) (b w))"),
-                              fp.parse_tree("(S (a w) (b w) (c w))"))
+            fp.bracket_scores(read_tree("(S (a w) (b w))"),
+                              read_tree("(S (a w) (b w) (c w))"))
 
     def test_micro_average(self):
         report = fp.aggregate_brackets([
@@ -105,8 +105,8 @@ class TestBrackets:
             fp.aggregate_brackets([])
 
     def test_duplicate_spans_matched_as_multiset(self):
-        test = fp.parse_tree("(S (A (A (x a) (x b))) (x c))")
-        gold = fp.parse_tree("(S (B (x a) (x b)) (x c))")
+        test = read_tree("(S (A (A (x a) (x b))) (x c))")
+        gold = read_tree("(S (B (x a) (x b)) (x c))")
         scores = fp.bracket_scores(test, gold)
         # the two identical [0,2) test spans consume the one gold copy once
         assert scores == {"matched": 2, "test_total": 3, "gold_total": 2,
@@ -364,6 +364,10 @@ class TestPairedTTest:
         assert result.t == 0.0
         assert result.df == 2
         assert result.p_two_sided == 1.0
+
+    def test_zero_mean_difference_with_spread(self):
+        # differences 1 and -1: mean 0 over a non-zero variance, so t = 0
+        assert fp.paired_t_test([1.0, 0.0], [0.0, 1.0]) == (0.0, 1, 1.0)
 
     def test_constant_nonzero_difference(self):
         result = fp.paired_t_test([1.0, 1.0, 1.0], [0.5, 0.5, 0.5])

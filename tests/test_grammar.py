@@ -221,10 +221,11 @@ def test_constructor_checks_verb_tags():
 @pytest.mark.parametrize("terminals, verb_tags, message", [
     (frozenset({"a", 3}), frozenset(), "invalid symbol 3"),
     (frozenset({"a"}), frozenset({"a", 3}), "verb tag 3 is not a terminal"),
-], ids=["terminal", "verb-tag"])
+    (frozenset(), frozenset(), "grammar declares no terminals"),
+], ids=["terminal", "verb-tag", "no-terminals"])
 def test_constructor_checks_symbol_types(terminals, verb_tags, message):
     # a symbol set mixing types once raised a bare TypeError from the
-    # sort that orders the checks
+    # sort that orders the checks; an empty terminal set is refused
     rule = Rule("S", ("a",), 0, ("",), (), (), 0, 7)
     with pytest.raises(GrammarError, match=rf"^{message}$"):
         Grammar((rule,), "S", terminals, verb_tags)

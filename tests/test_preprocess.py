@@ -93,6 +93,7 @@ class TestLemmatize:
         ("glasses", "n", "glass"),
         ("The", "det", "the"),
         (",", "punct", ","),
+        ("", "n", ""),
     ])
     def test_suffix_rules(self, surface, tag, lemma):
         assert fp.Lemmatizer().lemmatize(surface, tag) == lemma

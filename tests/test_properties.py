@@ -15,7 +15,7 @@ from frameparse.preprocess import WordlistError
 from frameparse.treebank import TreebankError
 
 from oracles import (all_trees, canon, random_grammar, random_sentences,
-                     replay_actions)
+                     read_tree, replay_actions)
 
 lemmas = st.text(alphabet="abcdefgh", min_size=1, max_size=6)
 fillers = st.one_of(st.none(), st.sampled_from(["from", "to", "obj", "in"]))
@@ -41,7 +41,7 @@ def bracketed(draw, depth=3):
 
 def trees():
     """Trees read from bracketed text, so the reader sets the spans."""
-    return bracketed().map(fp.parse_tree)
+    return bracketed().map(read_tree)
 
 
 @given(relations())

@@ -1,9 +1,9 @@
 import pytest
 
 import frameparse as fp
-from frameparse.treebank import TreebankError, parse_tree
+from frameparse.treebank import TreebankError
 
-from oracles import replay_actions
+from oracles import read_tree, replay_actions
 
 
 def _leaves(tree):
@@ -11,7 +11,7 @@ def _leaves(tree):
 
 
 def test_parse_leaf_and_node():
-    tree = parse_tree("(S (NP (n Paul)) (VP (v sleeps)))")
+    tree = read_tree("(S (NP (n Paul)) (VP (v sleeps)))")
     assert tree.label == "S"
     assert [leaf.word for leaf in _leaves(tree)] == ["Paul", "sleeps"]
     assert [leaf.label for leaf in _leaves(tree)] == ["n", "v"]
@@ -19,9 +19,9 @@ def test_parse_leaf_and_node():
 
 def test_render_round_trip():
     text = "(S (NP (pn Paul)) (VP (v intends) (VPto (to to) (VP (v leave) (NP (pn IBM))))))"
-    tree = parse_tree(text)
+    tree = read_tree(text)
     assert tree.render() == text
-    assert parse_tree(tree.render()) == tree
+    assert read_tree(tree.render()) == tree
 
 
 def test_multiline_records_and_comments():
@@ -44,6 +44,13 @@ def test_malformed_trees_rejected(bad):
         fp.read_treebank(bad)
 
 
+def test_words_outside_brackets_are_not_joined_across_lines():
+    # the error names a token the file holds, not "abcdef"
+    with pytest.raises(TreebankError,
+                       match=r"^line 1: expected '\(' at token 0: 'abc'$"):
+        fp.read_treebank("abc\ndef (S (n a))")
+
+
 def test_word_before_a_child_rejected():
     # the word would be dropped and the tree would cover three tokens
     # with two leaves
@@ -53,7 +60,7 @@ def test_word_before_a_child_rejected():
 
 
 def test_walk_enters_in_preorder_and_leaves_in_postorder():
-    tree = parse_tree("(S (NP (det a) (n b)) (v c))")
+    tree = read_tree("(S (NP (det a) (n b)) (v c))")
     events = [(node.label, entering) for node, entering in tree.walk()]
     assert events == [
         ("S", True), ("NP", True), ("det", True), ("det", False),
@@ -110,7 +117,7 @@ def test_trees_compare_and_hash_by_their_fields(demo_normalized):
 
 
 def test_tree_actions_binds_rules(demo_normalized, demo_table):
-    tree = parse_tree("(S (NP (det the) (n child)) (VP (v sleeps)))")
+    tree = read_tree("(S (NP (det the) (n child)) (VP (v sleeps)))")
     bound = replay_actions(fp.tree_actions(tree, demo_table), demo_table)
     assert bound.rule is demo_normalized.rule_by_shape("S", ["NP", "VP"])
     assert [leaf.label for leaf in _leaves(bound)] == ["det", "n", "v"]
@@ -118,20 +125,20 @@ def test_tree_actions_binds_rules(demo_normalized, demo_table):
 
 
 def test_tree_actions_unknown_shape(demo_table):
-    tree = parse_tree("(S (VP (v sleeps)))")
+    tree = read_tree("(S (VP (v sleeps)))")
     with pytest.raises(fp.UnderivableTreeError, match="no rule S -> VP"):
         fp.tree_actions(tree, demo_table)
 
 
 def test_tree_actions_unknown_tag(demo_table):
-    tree = parse_tree("(S (NP (xx the)) (VP (v sleeps)))")
+    tree = read_tree("(S (NP (xx the)) (VP (v sleeps)))")
     with pytest.raises(fp.UnderivableTreeError, match="xx"):
         fp.tree_actions(tree, demo_table)
 
 
 def test_derivation_tree_render_round_trip(demo_table):
     text = "(S (NP (det the) (n child)) (VP (v sleeps)))"
-    bound = replay_actions(fp.tree_actions(parse_tree(text), demo_table),
+    bound = replay_actions(fp.tree_actions(read_tree(text), demo_table),
                            demo_table)
     assert bound.render(["the", "child", "sleeps"]) == text
 
