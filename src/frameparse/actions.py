@@ -322,10 +322,14 @@ def _edge_score(edge: tuple, ranks: tuple[int, ...]) -> float:
 
 
 class _ForestSearch:
-    """Viterbi and lazy k-best search over one forest's hypergraph."""
+    """Viterbi and lazy k-best search over one parsed forest's
+    hypergraph, whose grammar the caller has checked.  It is made with
+    its Viterbi pass run: ``root`` is the root vertex, ``accept_logprob``
+    the accept's log-probability, and ``clear`` whether the root margin
+    clears the tie band, so that no derivation ties the best."""
 
     __slots__ = ("lookaheads", "leaves", "reduce_rows", "moves", "lexical",
-                 "vertices")
+                 "vertices", "root", "accept_logprob", "clear")
 
     def __init__(self, forest: Forest, model: ActionModel,
                  lexical: Optional[Callable[[Rule, tuple[ForestNode, ...]],
@@ -337,6 +341,10 @@ class _ForestSearch:
         self.moves = model.table.moves
         self.lexical = lexical
         self.vertices: dict[tuple[ForestNode, int], _Vertex] = {}
+        self.root = root = self.visit(forest.root, model.table.start_state)
+        self.accept_logprob = model.accept_logprobs[root.exit]
+        self.clear = (root.margin
+                      > 2 * _TIE_BAND * abs(root.score + self.accept_logprob))
 
     def visit(self, node: ForestNode, state: int) -> _Vertex:
         """The vertex of the non-leaf ``node`` entered from ``state``, not
@@ -355,7 +363,7 @@ class _ForestSearch:
             entry = state
             score = 0.0
             for daughter in daughters:
-                if daughter.leaf:
+                if not daughter.alternatives:
                     tail = leaves[entry][daughter.symbol]
                 else:
                     tail = vertices.get((daughter, entry))
@@ -439,7 +447,7 @@ class _ForestSearch:
         # edges[index] was made from alternatives[index]
         daughters = node.alternatives[index][1]
         for tail, rank, daughter in zip(tails, ranks, daughters):
-            if daughter.leaf:
+            if not daughter.alternatives:
                 shift = tail.edges[0]
                 trace.append(shift[5])
                 logprobs.append(shift[4])
@@ -459,21 +467,6 @@ def _check_grammar(forest: Forest, model: ActionModel) -> None:
     if forest.grammar is not model.table.grammar:
         raise ValueError("model/table mismatch: forest built from a "
                          "different grammar")
-
-
-def _viterbi(forest: Forest, model: ActionModel,
-             lexical: Optional[Callable[[Rule, tuple[ForestNode, ...]],
-                                        float]]
-             ) -> tuple[_ForestSearch, _Vertex, float, bool]:
-    """The search of the parsed ``forest``, whose grammar the caller
-    has checked, after its Viterbi pass; its root vertex, the accept's
-    log-probability, and whether the root margin clears the tie band,
-    so that no derivation ties the best."""
-    search = _ForestSearch(forest, model, lexical)
-    root = search.visit(forest.root, model.table.start_state)
-    accept_logprob = model.accept_logprobs[root.exit]
-    clear = root.margin > 2 * _TIE_BAND * abs(root.score + accept_logprob)
-    return search, root, accept_logprob, clear
 
 
 def top_applications(forest: Forest, model: ActionModel
@@ -504,17 +497,17 @@ def top_applications(forest: Forest, model: ActionModel
         rule, daughters = node.alternatives[0]
         applications.append((rule, daughters))
         for daughter in reversed(daughters):
-            if not daughter.leaf:
+            if daughter.alternatives:
                 stack.append(daughter)
     else:
         return applications
-    search, root, accept_logprob, clear = _viterbi(forest, model, None)
-    if not clear:
-        [top] = _best_analyses(search, root, accept_logprob, clear, 1)
+    search = _ForestSearch(forest, model, None)
+    if not search.clear:
+        [top] = _best_analyses(search, 1)
         return [(node.rule, node.children)
                 for node in top.derivation.tree.iter_nodes() if node.children]
     applications = []
-    stack = [root]
+    stack = [search.root]
     while stack:
         vertex = stack.pop()
         index = vertex.derivations[0][1]
@@ -545,22 +538,21 @@ def unpack_n_best(forest: Forest, model: ActionModel, n: int,
     _check_grammar(forest, model)
     if forest.root is None:
         return []
-    return _best_analyses(*_viterbi(forest, model, lexical), n)
+    return _best_analyses(_ForestSearch(forest, model, lexical), n)
 
 
-def _best_analyses(search: _ForestSearch, root: _Vertex,
-                   accept_logprob: float, clear: bool, n: int
-                   ) -> list[RankedAnalysis]:
+def _best_analyses(search: _ForestSearch, n: int) -> list[RankedAnalysis]:
     """The ``n`` best analyses of :func:`unpack_n_best`, from the search
-    and root that :func:`_viterbi` returns."""
+    after its Viterbi pass."""
+    root = search.root
     accept = (root.exit, END_MARKER, ("accept",))
-    if n == 1 and clear:
+    if n == 1 and search.clear:
         popped = 1
     else:
         popped = 0
         floor = None
         while search.has_derivation(root, popped):
-            score = root.derivations[popped][0] + accept_logprob
+            score = root.derivations[popped][0] + search.accept_logprob
             if floor is not None and score < floor:
                 break
             popped += 1
@@ -573,7 +565,7 @@ def _best_analyses(search: _ForestSearch, root: _Vertex,
         shares: list = []
         tree = search.build(root, k, trace, logprobs, shares)
         trace.append(accept)
-        logprobs.append(accept_logprob)
+        logprobs.append(search.accept_logprob)
         scored.append((Derivation(tree, tuple(trace)), sum(logprobs),
                        sum(shares, 0.0)))
     if len(scored) > 1:

@@ -91,12 +91,6 @@ def _fmt(value: float) -> str:
     return "%.4f" % value
 
 
-def _fmt_stat(value: float) -> str:
-    if value != value or value in (float("inf"), float("-inf")):
-        return str(value)
-    return "%.6g" % value
-
-
 def _check_tags(value: str, grammar: Grammar, tags, kind: str) -> None:
     """Exit 2 naming the file ``value`` if it asks for a tag that
     ``grammar`` lacks."""
@@ -379,7 +373,7 @@ def cmd_compare(args) -> int:
     }
     # JSON has no inf or nan: a non-finite statistic is written as the
     # text report prints it
-    payload.update((key, value if math.isfinite(value) else _fmt_stat(value))
+    payload.update((key, value if math.isfinite(value) else "%.6g" % value)
                    for key, value in stats.items())
     lines = ["sentences\t%d" % len(sentences),
              "model\trecall\tprecision\tmean_returned"]
@@ -410,7 +404,7 @@ def cmd_compare(args) -> int:
             base_report.gold_by_relation.get(name, 0)))
     for key, value in stats.items():
         lines.append("%s\t%s" % (
-            key, value if isinstance(value, int) else _fmt_stat(value)))
+            key, value if isinstance(value, int) else "%.6g" % value))
     _emit_report(payload, lines, args)
     return 0
 

@@ -53,24 +53,16 @@ class ParseError(ValueError):
 class ForestNode:
     """Packed node for one (category, span); ambiguity lives in
     ``alternatives``, each a (rule, daughter forest nodes) pair.  A leaf
-    has none."""
+    has none: its ``alternatives`` is ``()``."""
 
-    __slots__ = ("symbol", "start", "end", "leaf", "alternatives")
+    __slots__ = ("symbol", "start", "end", "alternatives")
 
-    def __init__(self, symbol: str, start: int, end: int, leaf: bool = False):
+    def __init__(self, symbol: str, start: int, end: int, alternatives:
+                 list[tuple[Rule, tuple["ForestNode", ...]]] | tuple[()]):
         self.symbol = symbol
         self.start = start
         self.end = end
-        self.leaf = leaf
-        self.alternatives: list[tuple[Rule, tuple["ForestNode", ...]]] = \
-            () if leaf else []
-
-    def key(self) -> tuple[str, int, int]:
-        return (self.symbol, self.start, self.end)
-
-    def __repr__(self):
-        return "ForestNode(%s, %d, %d, alts=%d)" % (
-            self.symbol, self.start, self.end, len(self.alternatives))
+        self.alternatives = alternatives
 
 
 class Forest:
@@ -92,16 +84,16 @@ class Forest:
         if self.root is None:
             return 0
         # A node is counted once all its non-leaf daughters are.
-        counts: dict[tuple, int] = {}
+        counts: dict[ForestNode, int] = {}
         stack = [self.root]
         while stack:
             node = stack[-1]
-            if node.key() in counts:
+            if node in counts:
                 stack.pop()
                 continue
             pending = [child for _, children in node.alternatives
                        for child in children
-                       if not child.leaf and child.key() not in counts]
+                       if child.alternatives and child not in counts]
             if pending:
                 stack.extend(pending)
                 continue
@@ -110,11 +102,11 @@ class Forest:
             for _, children in node.alternatives:
                 product = 1
                 for child in children:
-                    if not child.leaf:
-                        product *= counts[child.key()]
+                    if child.alternatives:
+                        product *= counts[child]
                 total += product
-            counts[node.key()] = total
-        return counts[self.root.key()]
+            counts[node] = total
+        return counts[self.root]
 
 
 class _GssNode:
@@ -178,16 +170,16 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
         for rule, state in chain:
             children = tuple(labels[-len(rule.daughters):])
             del states[-len(children):], labels[-len(children):]
-            packed = ForestNode(rule.mother, children[0].start, i)
+            packed = ForestNode(rule.mother, children[0].start, i,
+                                [(rule, children)])
             nodes[(rule.mother, packed.start, i)] = packed
-            packed.alternatives.append((rule, children))
             states.append(state)
             labels.append(packed)
         if i == n:
             i += 1  # parsed to the end: no position is left for the GSS
             break
         states.append(target)
-        labels.append(ForestNode(lookahead, i, i + 1, leaf=True))
+        labels.append(ForestNode(lookahead, i, i + 1, ()))
         nodes[(lookahead, i, i + 1)] = labels[-1]
 
     for i in range(i, n + 1):
@@ -227,9 +219,9 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
                 key = (lhs, base.pos, i)
                 packed = nodes.get(key)
                 if packed is None:
-                    packed = nodes[key] = ForestNode(lhs, base.pos, i)
+                    packed = nodes[key] = ForestNode(lhs, base.pos, i,
+                                                     [(rule, children)])
                     added.add((packed, rule.rule_id, children))
-                    packed.alternatives.append((rule, children))
                 else:
                     alternative = (packed, rule.rule_id, children)
                     if alternative not in added:
@@ -251,7 +243,7 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
             break
         # no node ends past i yet, so the leaf is new
         leaf = nodes[(lookahead, i, i + 1)] = ForestNode(lookahead, i, i + 1,
-                                                         leaf=True)
+                                                         ())
         next_frontier: dict[int, _GssNode] = {}
         for state in (sorted(frontier) if len(frontier) > 1 else frontier):
             target = moves[state].get(lookahead)

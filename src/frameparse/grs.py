@@ -187,21 +187,37 @@ def gr_match(test: GR, gold: GR) -> bool:
 
 
 def _max_matching(adjacency: Sequence[Sequence[int]], n_right: int) -> int:
-    """The size of a maximum matching, by Kuhn's augmenting paths."""
+    """The size of a maximum matching, by Kuhn's augmenting paths, each
+    searched depth first over an explicit stack: a path can pass
+    through every left vertex."""
     match_right = [-1] * n_right
-
-    def try_augment(left: int, visited: list[bool]) -> bool:
-        for right in adjacency[left]:
-            if visited[right]:
+    matched = 0
+    for source, rights in enumerate(adjacency):
+        visited = [False] * n_right
+        # the untried rights of each left on the path, and the right
+        # each step takes; a step's left holds the step before's right
+        stack = [iter(rights)]
+        path: list[int] = []
+        while stack:
+            for right in stack[-1]:
+                if not visited[right]:
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             visited[right] = True
-            if match_right[right] < 0 or try_augment(match_right[right], visited):
-                match_right[right] = left
-                return True
-        return False
-
-    return sum(try_augment(left, [False] * n_right)
-               for left in range(len(adjacency)))
+            path.append(right)
+            if match_right[right] >= 0:
+                stack.append(iter(adjacency[match_right[right]]))
+                continue
+            left = source
+            for right in path:
+                left, match_right[right] = match_right[right], left
+            matched += 1
+            break
+    return matched
 
 
 def gr_scores(test: set[GR], gold: set[GR]) -> dict:

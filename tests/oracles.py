@@ -59,17 +59,18 @@ def all_trees(forest):
     memo = {}
 
     def unpack(node):
-        key = node.key()
+        key = (node.symbol, node.start, node.end)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        if node.leaf:
+        if not node.alternatives:
             trees = (Tree(node.symbol, node.start, node.end),)
         else:
             ordered = sorted(
                 node.alternatives,
                 key=lambda alt: (alt[0].rule_id,
-                                 tuple(c.key() for c in alt[1])))
+                                 tuple((c.symbol, c.start, c.end)
+                                       for c in alt[1])))
             built = []
             for rule, children in ordered:
                 for combo in itertools.product(*(unpack(c) for c in children)):

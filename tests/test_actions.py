@@ -303,8 +303,7 @@ def test_root_margin_is_the_runner_up_gap():
                 if forest.root is None:
                     continue
                 for lexical in (None, _share):
-                    root = _ForestSearch(forest, model, lexical).visit(
-                        forest.root, table.start_state)
+                    root = _ForestSearch(forest, model, lexical).root
                     ranked = fp.unpack_n_best(forest, model, 2, lexical)
                     assert (root.margin == math.inf) == \
                         (forest.derivation_count() == 1)

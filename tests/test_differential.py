@@ -74,10 +74,12 @@ def _share(rule, daughters):
 
 def _hash_forest(digest, forest):
     for key, node in forest.nodes.items():
-        alternatives = tuple((rule.rule_id, tuple(c.key() for c in children))
+        alternatives = tuple((rule.rule_id, tuple((c.symbol, c.start, c.end)
+                                                  for c in children))
                              for rule, children in node.alternatives)
-        digest.update(repr((key, node.leaf, alternatives)).encode())
-    root = forest.root.key() if forest.root is not None else None
+        digest.update(repr((key, not node.alternatives, alternatives)).encode())
+    root = forest.root
+    root = (root.symbol, root.start, root.end) if root is not None else None
     digest.update(repr(("root", root)).encode())
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import frameparse as fp
 from frameparse.evaluation import EvaluationError
-from frameparse.grs import GRError
+from frameparse.grs import GRError, _max_matching
 from oracles import all_trees, read_tree
 
 # The two readings of the "will hear a greeting from ..." fragment: the
@@ -261,6 +261,16 @@ class TestGRScores:
         # the specific test relation must take the "to" gold so the
         # wildcard can take "for"
         assert fp.gr_scores(test, gold)["matched"] == 2
+
+    def test_augmenting_path_through_every_relation(self):
+        # Left i matches right i + 1 first, so the last left's only
+        # right is taken and its augmenting path shifts all 3,000.
+        adjacency = [[i + 1, i] for i in range(2999)] + [[2999]]
+        try:
+            matched = _max_matching(adjacency, 3000)
+        except RecursionError:  # its traceback would be thousands of frames
+            matched = None
+        assert matched == 3000, "the matching recursed once per path step"
 
 
 class TestHistogram:

@@ -80,10 +80,21 @@ def test_forest_spans_tile_parent():
             assert position == node.end
 
 
+def _check_nodes(forest):
+    # each node is filed under its (category, span), so no two share
+    # one; a leaf, and only a leaf, has no alternatives
+    terminals = forest.grammar.terminals
+    for key, node in forest.nodes.items():
+        assert key == (node.symbol, node.start, node.end)
+        if node.symbol in terminals:
+            assert node.alternatives == ()
+        else:
+            assert type(node.alternatives) is list and node.alternatives
+
+
 def test_packed_nodes_unique_by_category_and_span(ambig_table):
     forest = fp.glr_parse("n v det n prep n".split(), ambig_table)
-    keys = [node.key() for node in forest.nodes.values()]
-    assert len(keys) == len(set(keys))
+    _check_nodes(forest)
     # the object NP is shared between the two attachments
     assert ("NP", 2, 4) in forest.nodes
 
@@ -100,6 +111,7 @@ def test_oracle_equivalence_random_grammars():
             if sum(oracle.values()) > 300:
                 continue
             forest = fp.glr_parse(tokens, table)
+            _check_nodes(forest)
             mine = Counter(canon(t) for t in all_trees(forest))
             assert mine == oracle, (grammar.rules, tokens)
             compared += 1
@@ -138,6 +150,7 @@ def test_hand_over_keeps_every_derivation(demo_table):
         if sum(oracle.values()) > 1000:
             continue
         forest = fp.glr_parse(tokens, table)
+        _check_nodes(forest)
         assert Counter(canon(t) for t in all_trees(forest)) == oracle, tokens
         if oracle:
             cases[_hand_over_case(table, tokens)] += 1
