@@ -9,6 +9,8 @@ annotations with unlabelled bracketing metrics and hierarchy-aware
 grammatical-relation metrics.
 """
 
+from types import ModuleType as _ModuleType
+
 from .frames import DEFAULT_FRAME_INVENTORY
 from .grammar import (ADJUNCT, ARGUMENT, Grammar, GrammarError, GRTemplate,
                       Rule, SlotRef, load_grammar, normalize_kleene,
@@ -38,4 +40,6 @@ from .demofiles import demo_path
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that importing them binds
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

@@ -40,13 +40,14 @@ follows the best edges of that one pass, and at a near-tie reads them
 off the tree that :func:`unpack_n_best` would build from the same
 pass, so the tie rule lives here alone.
 
-The search reads the table's per-state ``moves`` and the model's
-per-state reduce rows, ``reduce_rows[state][lookahead][rule id]``, each
-entry a reduce's log-probability and its ``(state, lookahead, action)``
-step, built once per model and taken once per search; a vertex keeps
-its best score beside its derivations, for the vertices above it.  A
-leaf's vertex depends only on its entry state and tag, so the model
-builds one per listed shift, whose one edge holds that shift's
+The search holds the model.  It reads a daughter's entry state off
+the table's per-state ``moves``, and each reduce's log-probability and
+``(state, lookahead, action)`` step off the model's per-state reduce
+rows, ``reduce_rows[state][lookahead][rule id]``, built once per model;
+the table lists one accept, whose pair the model keeps as ``accept``.
+A vertex keeps its best score beside its derivations, for the vertices
+above it.  A leaf's vertex depends only on its entry state and tag, so
+the model builds one per listed shift, whose one edge holds that shift's
 log-probability and step, and every search shares them read-only: a
 leaf has one derivation, so the lazy search never extends it, and a
 tree takes a leaf's span from the forest node that the parent's
@@ -172,15 +173,15 @@ class ActionModel:
 
     Immutable in use: training happens through the constructor (see
     :func:`train_actions`), after which instances are safely shared
-    across concurrent parses.  :meth:`prob` gives each listed step's
-    probability.  For the search, built once per model:
+    across concurrent parses.  :meth:`prob` computes a listed step's
+    probability from ``counts``.  For the search, built once per model
+    from the logs of those probabilities:
     ``reduce_rows[state][lookahead][rule id]`` is a reduce's
     ``(log-probability, step)``, the step its ``(state, lookahead,
-    action)`` trace entry; ``accept_logprobs`` holds each accept's
-    log-probability by state; and ``leaves[state][tag]`` is the shared
-    hypergraph vertex of a leaf ``tag`` entered from ``state``, whose
-    one edge holds its shift's log-probability and step.  No flat map
-    keyed by whole steps is kept beside ``prob``.
+    action)`` trace entry; ``accept`` is that pair for the table's one
+    accept; and ``leaves[state][tag]`` is the shared hypergraph vertex
+    of a leaf ``tag`` entered from ``state``, whose one edge holds its
+    shift's log-probability and step.
     """
 
     def __init__(self, table: LRTable,
@@ -205,39 +206,36 @@ class ActionModel:
                         kept[action] = count
                 if kept:
                     self.counts[key] = kept
-        # An add-1-smoothed probability per listed step (every step the
-        # program scores is one), and for the search each step's log and
-        # the step itself, built once.
-        self._probs: dict[tuple[int, str, tuple], float] = {}
+        # For the search, each listed step's log-probability and the step
+        # itself, built once.
         self.reduce_rows: list[dict[str, dict[int, tuple[float, tuple]]]] = [
             {} for _ in range(table.n_states)]
-        self.accept_logprobs: dict[int, float] = {}
         self.leaves: list[dict[str, _Vertex]] = [
             {} for _ in range(table.n_states)]
         for (state, lookahead), available in table.actions.items():
-            class_counts = self.counts.get((state, lookahead), {})
-            total = sum(class_counts.values())
             for action in available:
-                count = class_counts.get(action, 0)
-                prob = (count + 1) / (total + len(available))
                 step = (state, lookahead, action)
-                self._probs[step] = prob
-                logprob = math.log(prob)
+                logprob = math.log(self.prob(*step))
                 if action[0] == "shift":
                     # a leaf's one edge is its shift
                     self.leaves[state][lookahead] = _Vertex(
-                        None, action[1],
-                        [(None, (), logprob, 0.0, logprob, step)], 0,
+                        None, [(None, (), logprob, 0.0, logprob, step)], 0,
                         logprob, False, math.inf)
                 elif action[0] == "reduce":
                     self.reduce_rows[state].setdefault(lookahead, {})[
                         action[1]] = (logprob, step)
                 else:
-                    self.accept_logprobs[state] = logprob
+                    self.accept = (logprob, step)
 
     def prob(self, state: int, lookahead: str, action: tuple) -> float:
-        """Raises ``KeyError`` for a step the table does not list."""
-        return self._probs[(state, lookahead, action)]
+        """The add-1-smoothed relative frequency of a listed step; raises
+        ``KeyError`` for a step the table does not list."""
+        available = self.table.actions.get((state, lookahead), ())
+        if action not in available:
+            raise KeyError((state, lookahead, action))
+        class_counts = self.counts.get((state, lookahead), {})
+        return ((class_counts.get(action, 0) + 1)
+                / (sum(class_counts.values()) + len(available)))
 
 
 def train_actions(trees: Iterable[Tree], table: LRTable
@@ -296,14 +294,12 @@ class _Vertex:
     derivation.
     """
 
-    __slots__ = ("node", "exit", "edges", "ambiguous", "score", "margin",
+    __slots__ = ("node", "edges", "ambiguous", "score", "margin",
                  "derivations", "candidates", "seen")
 
-    def __init__(self, node: Optional[ForestNode], exit_state: int,
-                 edges: list, best: int, score: float, ambiguous: bool,
-                 margin: float):
+    def __init__(self, node: Optional[ForestNode], edges: list, best: int,
+                 score: float, ambiguous: bool, margin: float):
         self.node = node
-        self.exit = exit_state
         self.edges = edges
         self.ambiguous = ambiguous
         self.score = score
@@ -324,35 +320,34 @@ def _edge_score(edge: tuple, ranks: tuple[int, ...]) -> float:
 class _ForestSearch:
     """Viterbi and lazy k-best search over one parsed forest's
     hypergraph, whose grammar the caller has checked.  It is made with
-    its Viterbi pass run: ``root`` is the root vertex, ``accept_logprob``
-    the accept's log-probability, and ``clear`` whether the root margin
-    clears the tie band, so that no derivation ties the best."""
+    its Viterbi pass run: ``root`` is the root vertex, and ``clear``
+    whether the root margin clears the tie band, so that no derivation
+    ties the best."""
 
-    __slots__ = ("lookaheads", "leaves", "reduce_rows", "moves", "lexical",
-                 "vertices", "root", "accept_logprob", "clear")
+    __slots__ = ("lookaheads", "model", "lexical", "vertices", "root",
+                 "clear")
 
     def __init__(self, forest: Forest, model: ActionModel,
                  lexical: Optional[Callable[[Rule, tuple[ForestNode, ...]],
                                             float]]):
         # the lookahead of a node's final reduce, by the node's end
         self.lookaheads = forest.tokens + (END_MARKER,)
-        self.leaves = model.leaves
-        self.reduce_rows = model.reduce_rows
-        self.moves = model.table.moves
+        self.model = model
         self.lexical = lexical
         self.vertices: dict[tuple[ForestNode, int], _Vertex] = {}
         self.root = root = self.visit(forest.root, model.table.start_state)
-        self.accept_logprob = model.accept_logprobs[root.exit]
         self.clear = (root.margin
-                      > 2 * _TIE_BAND * abs(root.score + self.accept_logprob))
+                      > 2 * _TIE_BAND * abs(root.score + model.accept[0]))
 
     def visit(self, node: ForestNode, state: int) -> _Vertex:
         """The vertex of the non-leaf ``node`` entered from ``state``, not
         made yet, with its best derivation and its margin."""
         vertices = self.vertices
-        leaves = self.leaves
+        model = self.model
+        leaves = model.leaves
+        moves = model.table.moves
+        reduce_rows = model.reduce_rows
         lookahead = self.lookaheads[node.end]
-        reduce_rows = self.reduce_rows
         lexical = self.lexical
         edges = []
         best = -1
@@ -372,7 +367,7 @@ class _ForestSearch:
                     ambiguous = ambiguous or tail.ambiguous
                 tails.append(tail)
                 score += tail.score
-                entry = tail.exit
+                entry = moves[entry][daughter.symbol]
             share = lexical(rule, daughters) if lexical is not None else 0.0
             logprob, step = reduce_rows[entry][lookahead][rule.rule_id]
             weight = logprob + share
@@ -393,8 +388,7 @@ class _ForestSearch:
                 if tail.margin < margin:
                     margin = tail.margin
         vertex = vertices[(node, state)] = _Vertex(
-            node, self.moves[state][node.symbol], edges, best,
-            best_score, ambiguous, margin)
+            node, edges, best, best_score, ambiguous, margin)
         return vertex
 
     def has_derivation(self, vertex: _Vertex, k: int) -> bool:
@@ -545,14 +539,14 @@ def _best_analyses(search: _ForestSearch, n: int) -> list[RankedAnalysis]:
     """The ``n`` best analyses of :func:`unpack_n_best`, from the search
     after its Viterbi pass."""
     root = search.root
-    accept = (root.exit, END_MARKER, ("accept",))
+    accept_logprob, accept = search.model.accept
     if n == 1 and search.clear:
         popped = 1
     else:
         popped = 0
         floor = None
         while search.has_derivation(root, popped):
-            score = root.derivations[popped][0] + search.accept_logprob
+            score = root.derivations[popped][0] + accept_logprob
             if floor is not None and score < floor:
                 break
             popped += 1
@@ -565,7 +559,7 @@ def _best_analyses(search: _ForestSearch, n: int) -> list[RankedAnalysis]:
         shares: list = []
         tree = search.build(root, k, trace, logprobs, shares)
         trace.append(accept)
-        logprobs.append(search.accept_logprob)
+        logprobs.append(accept_logprob)
         scored.append((Derivation(tree, tuple(trace)), sum(logprobs),
                        sum(shares, 0.0)))
     if len(scored) > 1:

@@ -110,12 +110,14 @@ class Forest:
 
 
 class _GssNode:
-    __slots__ = ("state", "pos", "edges")
+    """A GSS node: an LR state, at the input position where its edges'
+    labels end."""
 
-    def __init__(self, state: int, pos: int,
+    __slots__ = ("state", "edges")
+
+    def __init__(self, state: int,
                  edges: dict[tuple[ForestNode, "_GssNode"], None]):
         self.state = state
-        self.pos = pos
         # Edges run backwards in the input: (forest label, earlier node)
         # keys, in insertion order.  Both are compared by identity.
         self.edges = edges
@@ -162,9 +164,9 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
             rules = reduces[state].get(lookahead)
         target = moves[state].get(lookahead)
         if rules or target is None and i < n:  # a conflict or a dead end
-            below = _GssNode(table.start_state, 0, {})
+            below = _GssNode(table.start_state, {})
             for state, label in zip(states[1:], labels[1:]):
-                below = _GssNode(state, label.end, {(label, below): None})
+                below = _GssNode(state, {(label, below): None})
             frontier = {below.state: below}
             break
         for rule, state in chain:
@@ -216,10 +218,10 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
                              for tail, base in paths
                              for label, target in base.edges]
             for children, base in paths:
-                key = (lhs, base.pos, i)
+                key = (lhs, children[0].start, i)
                 packed = nodes.get(key)
                 if packed is None:
-                    packed = nodes[key] = ForestNode(lhs, base.pos, i,
+                    packed = nodes[key] = ForestNode(lhs, key[1], i,
                                                      [(rule, children)])
                     added.add((packed, rule.rule_id, children))
                 else:
@@ -231,7 +233,7 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
                 edge = (packed, base)
                 existing = frontier.get(target_state)
                 if existing is None:
-                    fresh = _GssNode(target_state, i, {edge: None})
+                    fresh = _GssNode(target_state, {edge: None})
                     frontier[target_state] = fresh
                     for next_rule in reduces[target_state].get(lookahead, ()):
                         work.append((fresh, next_rule, None))
@@ -251,7 +253,7 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
                 continue
             shifted = next_frontier.get(target)
             if shifted is None:
-                shifted = next_frontier[target] = _GssNode(target, i + 1, {})
+                shifted = next_frontier[target] = _GssNode(target, {})
             shifted.edges[(leaf, frontier[state])] = None
         frontier = next_frontier
         if not frontier:

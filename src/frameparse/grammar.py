@@ -568,17 +568,14 @@ def _check_cycle_free(grammar: Grammar) -> None:
 
 
 def _remap_template(tpl: GRTemplate, index_map: dict[int, int]) -> Optional[GRTemplate]:
-    slots = {}
-    for name, slot in (("type_slot", tpl.type_slot), ("head_slot", tpl.head_slot),
-                       ("dependent_slot", tpl.dependent_slot),
-                       ("initial_slot", tpl.initial_slot)):
+    slots = []
+    for slot in tpl[1:]:
         if slot.kind == "daughter":
             if slot.value not in index_map:
                 return None  # references an omitted optional daughter
-            slots[name] = SlotRef("daughter", index_map[slot.value])
-        else:
-            slots[name] = slot
-    return GRTemplate(tpl.relation, **slots)
+            slot = SlotRef("daughter", index_map[slot.value])
+        slots.append(slot)
+    return GRTemplate(tpl.relation, *slots)
 
 
 def normalize_kleene(grammar: Grammar) -> Grammar:

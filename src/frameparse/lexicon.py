@@ -62,18 +62,14 @@ class SubcatLexicon:
         self._index: dict[tuple[str, str], SubcatEntry] = {}
         self._totals: dict[str, float] = {}
         for entry in entries:
-            self._add(entry)
+            lemma, frame, count = entry.lemma, entry.frame, entry.count
+            _check_entry(lemma, frame, count, _format_count(count))
+            if (lemma, frame) in self._index:
+                raise LexiconError(f"duplicate entry {lemma!r}/{frame}")
+            self._index[(lemma, frame)] = entry
+            self._totals[lemma] = self._totals.get(lemma, 0.0) + count
         for entry in self._index.values():
             _check_relfreq(entry, self._totals[entry.lemma])
-
-    def _add(self, entry: SubcatEntry) -> None:
-        _check_entry(entry.lemma, entry.frame, entry.count,
-                     _format_count(entry.count))
-        key = (entry.lemma, entry.frame)
-        if key in self._index:
-            raise LexiconError(f"duplicate entry {entry.lemma!r}/{entry.frame}")
-        self._index[key] = entry
-        self._totals[entry.lemma] = self._totals.get(entry.lemma, 0.0) + entry.count
 
     def __len__(self) -> int:
         return len(self._index)

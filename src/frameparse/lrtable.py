@@ -59,20 +59,23 @@ def parse_action(text: str) -> tuple:
 
 
 class LRTable:
-    __slots__ = ("grammar", "n_states", "actions", "moves", "reduces",
-                 "start_state")
+    __slots__ = ("grammar", "actions", "moves", "reduces")
 
-    def __init__(self, grammar: Grammar, n_states: int,
+    # State 0 holds the augmented start item; the build numbers it first.
+    start_state = 0
+
+    def __init__(self, grammar: Grammar,
                  actions: dict[tuple[int, str], tuple[tuple, ...]],
                  moves: list[dict[str, int]],
-                 reduces: list[dict[str, tuple[Rule, ...]]],
-                 start_state: int):
+                 reduces: list[dict[str, tuple[Rule, ...]]]):
         self.grammar = grammar
-        self.n_states = n_states
         self.actions = actions
         self.moves = moves
         self.reduces = reduces
-        self.start_state = start_state
+
+    @property
+    def n_states(self) -> int:
+        return len(self.moves)
 
     def conflicts(self) -> list[tuple[int, str, tuple[tuple, ...]]]:
         """All (state, lookahead) pairs admitting more than one action."""
@@ -111,7 +114,6 @@ def build_table(grammar: Grammar) -> LRTable:
     index = {kernels[0]: 0}
     moves: list[dict[str, int]] = []
     actions: dict[tuple[int, str], set] = {}
-    gotos: dict[tuple[int, str], int] = {}
     # the loop also visits the kernels it appends
     for state_id, kernel in enumerate(kernels):
         items = list(kernel)
@@ -133,9 +135,7 @@ def build_table(grammar: Grammar) -> LRTable:
                 target_id = index[core] = len(kernels)
                 kernels.append(core)
             successors[symbol] = target_id
-            if symbol in nonterminals:
-                gotos[(state_id, symbol)] = target_id
-            else:
+            if symbol not in nonterminals:
                 actions[(state_id, symbol)] = {("shift", target_id)}
         moves.append(successors)
 
@@ -144,9 +144,10 @@ def build_table(grammar: Grammar) -> LRTable:
     # terminals goto(p, A) shifts, joined with the follow set of (p', B)
     # for each rule B -> ... A walked from p' to p, and a rule of B
     # walked from p to q reduces in q on the follow sets of (p, B).
-    follow = {key: {symbol for symbol in moves[target_id]
-                    if symbol not in nonterminals}
-              for key, target_id in gotos.items()}
+    follow = {(state_id, symbol): {successor for successor in moves[target_id]
+                                   if successor not in nonterminals}
+              for state_id, row in enumerate(moves)
+              for symbol, target_id in row.items() if symbol in nonterminals}
     follow[(0, start)].add(END_MARKER)
     includes: list[tuple[set, set]] = []
     lookback: dict[tuple[int, int], list[set]] = {}
@@ -167,7 +168,7 @@ def build_table(grammar: Grammar) -> LRTable:
             if not source <= target:
                 target |= source
                 changed = True
-    actions.setdefault((gotos[(0, start)], END_MARKER), set()).add(("accept",))
+    actions.setdefault((moves[0][start], END_MARKER), set()).add(("accept",))
     for (state_id, rule_id), sources in lookback.items():
         for lookahead in set().union(*sources):
             actions.setdefault((state_id, lookahead), set()).add(
@@ -182,6 +183,5 @@ def build_table(grammar: Grammar) -> LRTable:
                           if action[0] == "reduce")
         if reducible:
             reduces[state_id][lookahead] = reducible
-    return LRTable(grammar=grammar, n_states=len(kernels),
-                   actions=frozen_actions, moves=moves, reduces=reduces,
-                   start_state=0)
+    return LRTable(grammar=grammar, actions=frozen_actions, moves=moves,
+                   reduces=reduces)

@@ -148,6 +148,13 @@ def test_compiled_steps_are_the_listed_actions(seed, demo_table):
     assert all(rule is table.grammar.rules[rule.rule_id]
                for row in table.reduces for rules in row.values()
                for rule in rules)
+    # one class lists the accept, the end marker after the start
+    # symbol's goto from the start state, and the action model keeps
+    # that one step
+    assert table.start_state == 0
+    assert [key for key, acts in table.actions.items()
+            if ("accept",) in acts] == [
+        (table.moves[0][table.grammar.start_symbol], END_MARKER)]
 
 
 def test_wide_grammar_table_builds_in_seconds():

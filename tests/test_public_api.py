@@ -54,6 +54,8 @@ def test_every_public_function_and_class_has_a_caller():
                if path.name != "__init__.py"]
     sources += sorted((ROOT / "perfbench").rglob("*.py"))
     mentioned, attributes = _mentions(sources)
+    assert not [name for name in fp.__all__
+                if inspect.ismodule(getattr(fp, name))]
     public = {name for name in fp.__all__
               if inspect.isfunction(getattr(fp, name))
               or inspect.isclass(getattr(fp, name))}
