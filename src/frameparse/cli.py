@@ -35,7 +35,7 @@ from .treebank import load_treebank
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 1):
+    def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
 
@@ -186,23 +186,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _analysis_records(pipeline, sentence: str, n: int):
-    result = pipeline.analyze(sentence, n=n)
-    records = []
-    for rank, analysis in enumerate(result.analyses, 1):
-        grs = extract_grs(analysis.derivation, pipeline.grammar, result.tokens)
-        records.append({
-            "rank": rank,
-            "structural": analysis.structural_logprob,
-            "lexical": analysis.lexical_logprob,
-            "total": analysis.total_score,
-            "tree": analysis.derivation.tree.render(
-                [t.surface for t in result.tokens]),
-            "grs": sorted(gr.render() for gr in grs),
-        })
-    return result, records
-
-
 def cmd_parse(args) -> int:
     if bool(args.sentences) == bool(args.corpus):
         raise CliError("give sentences as arguments or --corpus, not both",
@@ -212,19 +195,29 @@ def cmd_parse(args) -> int:
     payload = []
     text_lines = []
     for sentence in sentences:
-        result, records = _analysis_records(pipeline, sentence, args.n)
+        result = pipeline.analyze(sentence, n=args.n)
+        surfaces = [t.surface for t in result.tokens]
+        tagged = ["%s/%s" % (t.surface, t.tag) for t in result.tokens]
+        records = []
+        for rank, analysis in enumerate(result.analyses, 1):
+            grs = extract_grs(analysis.derivation, pipeline.grammar,
+                              result.tokens)
+            records.append({
+                "rank": rank,
+                "structural": analysis.structural_logprob,
+                "lexical": analysis.lexical_logprob,
+                "total": analysis.total_score,
+                "tree": analysis.derivation.tree.render(surfaces),
+                "grs": sorted(gr.render() for gr in grs),
+            })
         if not records:
             print(f"warning: out of coverage: {sentence}", file=sys.stderr)
-        payload.append({
-            "sentence": sentence,
-            "tokens": ["%s/%s" % (t.surface, t.tag) for t in result.tokens],
-            "analyses": records,
-        })
+        payload.append({"sentence": sentence, "tokens": tagged,
+                        "analyses": records})
         if text_lines:
             text_lines.append("")
         text_lines.append("sentence\t%s" % sentence)
-        text_lines.append("tokens\t%s" % " ".join(
-            "%s/%s" % (t.surface, t.tag) for t in result.tokens))
+        text_lines.append("tokens\t%s" % " ".join(tagged))
         if not records:
             text_lines.append("coverage\tnone")
         for record in records:
@@ -254,58 +247,57 @@ def cmd_acquire(args) -> int:
     return 0
 
 
-def _top_trees_and_grs(pipeline, sentences, modes):
-    """Per ``lexicalized`` value in ``modes``, the top tree (None out of
-    coverage) and GR set of every sentence; each sentence is parsed once
-    and its forest ranked once per mode."""
-    out = [([], []) for _ in modes]
+def _evaluate(args, modes):
+    """Per ``lexicalized`` value in ``modes``, the GR report and the
+    bracket report of the corpus's top analyses, each None unless the
+    command takes its gold (``--gold-gr``, ``--treebank``); each sentence
+    is parsed once and its forest ranked once per mode."""
+    pipeline = _load_pipeline(args)
+    sentences = _load(_read_sentences, args.corpus)
+    gold_sets = _load_gold(_read_grs, getattr(args, "gold_gr", None),
+                           sentences, "GR file", "blocks")
+    gold_trees = _load_gold(load_treebank, getattr(args, "treebank", None),
+                            sentences, "treebank", "trees")
+    tops = [[] for _ in modes]  # per mode, (top derivation or None, tokens)
     for index, sentence in enumerate(sentences):
         tokens = pipeline.tag(sentence)
         forest = pipeline.parse_tags([token.tag for token in tokens])
         if forest.root is None:
             print(f"warning: out of coverage: sentence {index}", file=sys.stderr)
-        for (trees, gr_sets), lexicalized in zip(out, modes):
+        for top, lexicalized in zip(tops, modes):
             analyses = pipeline.rank(forest, tokens, 1, lexicalized)
-            if not analyses:
-                trees.append(None)
-                gr_sets.append(set())
-                continue
-            top = analyses[0]
-            trees.append(top.derivation.tree)
-            gr_sets.append(extract_grs(top.derivation, pipeline.grammar,
-                                       tokens))
-    return out
-
-
-def _bracket_per_sentence(test_trees, gold_trees):
-    per_sentence = []
-    for index, (test, gold) in enumerate(zip(test_trees, gold_trees)):
-        try:
-            per_sentence.append(bracket_scores(test, gold))
-        except EvaluationError as exc:
-            raise CliError(f"sentence {index}: {exc}", code=1)
-    return per_sentence
+            top.append((analyses[0].derivation if analyses else None, tokens))
+    reports = []
+    for top in tops:
+        gr_report = bracket_report = None
+        if gold_sets is not None:
+            gr_report = aggregate_grs([
+                (set() if derivation is None else
+                 extract_grs(derivation, pipeline.grammar, tokens), gold)
+                for (derivation, tokens), gold in zip(top, gold_sets)])
+        if gold_trees is not None:
+            per_sentence = []
+            for index, ((derivation, _), gold) in enumerate(
+                    zip(top, gold_trees)):
+                test = None if derivation is None else derivation.tree
+                try:
+                    per_sentence.append(bracket_scores(test, gold))
+                except EvaluationError as exc:
+                    raise CliError(f"sentence {index}: {exc}", code=1) from exc
+            bracket_report = aggregate_brackets(per_sentence)
+        reports.append((gr_report, bracket_report))
+    return reports
 
 
 def cmd_eval_bracket(args) -> int:
-    pipeline = _load_pipeline(args)
-    sentences = _load(_read_sentences, args.corpus)
-    gold_trees = _load_gold(load_treebank, args.treebank, sentences,
-                            "treebank", "trees")
-    [(test_trees, _)] = _top_trees_and_grs(pipeline, sentences, (True,))
-    fields = aggregate_brackets(
-        _bracket_per_sentence(test_trees, gold_trees)).fields()
+    [(_, report)] = _evaluate(args, (True,))
+    fields = report.fields()
     _emit_report(fields, _field_lines(fields), args)
     return 0
 
 
 def cmd_eval_gr(args) -> int:
-    pipeline = _load_pipeline(args)
-    sentences = _load(_read_sentences, args.corpus)
-    gold_sets = _load_gold(_read_grs, args.gold_gr, sentences,
-                           "GR file", "blocks")
-    [(_, test_sets)] = _top_trees_and_grs(pipeline, sentences, (True,))
-    report = aggregate_grs(list(zip(test_sets, gold_sets)))
+    [(report, _)] = _evaluate(args, (True,))
     fields = report.fields()
     payload = dict(fields)
     payload["relations"] = _relation_rows(report)
@@ -340,17 +332,8 @@ def _emit_report(payload, lines: list[str], args) -> None:
 
 
 def cmd_compare(args) -> int:
-    pipeline = _load_pipeline(args)
-    sentences = _load(_read_sentences, args.corpus)
-    gold_sets = _load_gold(_read_grs, args.gold_gr, sentences,
-                           "GR file", "blocks")
-    gold_trees = _load_gold(load_treebank, args.treebank, sentences,
-                            "treebank", "trees")
-
-    (base_trees, base_sets), (lex_trees, lex_sets) = _top_trees_and_grs(
-        pipeline, sentences, (False, True))
-    base_report = aggregate_grs(list(zip(base_sets, gold_sets)))
-    lex_report = aggregate_grs(list(zip(lex_sets, gold_sets)))
+    (base_report, base_brackets), (lex_report, lex_brackets) = _evaluate(
+        args, (False, True))
     recall_test = paired_t_test(lex_report.per_sentence_recall,
                                 base_report.per_sentence_recall)
     precision_test = paired_t_test(lex_report.per_sentence_precision,
@@ -361,7 +344,7 @@ def cmd_compare(args) -> int:
              "precision_p": precision_test.p_two_sided}
 
     payload: dict = {
-        "sentences": len(sentences),
+        "sentences": base_report.sentences,
         "gr": {
             "baseline": base_report.fields(),
             "lexicalized": lex_report.fields(),
@@ -375,17 +358,15 @@ def cmd_compare(args) -> int:
     # text report prints it
     payload.update((key, value if math.isfinite(value) else "%.6g" % value)
                    for key, value in stats.items())
-    lines = ["sentences\t%d" % len(sentences),
+    lines = ["sentences\t%d" % base_report.sentences,
              "model\trecall\tprecision\tmean_returned"]
     for name, report in (("baseline", base_report), ("lexicalized", lex_report)):
         lines.append("%s\t%s\t%s\t%s" % (name, _fmt(report.recall),
                                          _fmt(report.precision),
                                          _fmt(report.mean_returned)))
-    if gold_trees is not None:
-        bracket_reports = {}
-        for name, trees in (("baseline", base_trees), ("lexicalized", lex_trees)):
-            bracket_reports[name] = aggregate_brackets(
-                _bracket_per_sentence(trees, gold_trees))
+    if base_brackets is not None:
+        bracket_reports = {"baseline": base_brackets,
+                           "lexicalized": lex_brackets}
         payload["bracket"] = {name: report.fields()
                               for name, report in bracket_reports.items()}
         lines.append("model\trecall\tprecision\tmean_crossings\tzero_crossings_pct")

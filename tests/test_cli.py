@@ -418,6 +418,29 @@ def test_eval_bracket_token_count_mismatch_exit_1(tmp_path, model_file,
                             "test 5, gold 6\n")
 
 
+def test_compare_reports_a_treebank_fault_before_the_t_tests(tmp_path,
+                                                            model_file,
+                                                            capsys):
+    # One sentence is too few for a t-test, but the gold tree's token
+    # count is the first fault found.
+    corpus = tmp_path / "one.txt"
+    corpus.write_text("the child sees a dog\n")
+    treebank = tmp_path / "one.treebank"
+    treebank.write_text("(S (NP (det the) (n child)) (VP (v sleeps)))\n")
+    gold_gr = tmp_path / "one.grs"
+    gold_gr.write_text("ncsubj(see,child,_)\n")
+    code = main(["compare", "--grammar", "@demo/demo.grammar",
+                 "--wordlist", "@demo/demo.wordlist",
+                 "--model", str(model_file), "--lexicon", "@demo/demo.lexicon",
+                 "--corpus", str(corpus), "--gold-gr", str(gold_gr),
+                 "--treebank", str(treebank)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: sentence 0: token count mismatch: "
+                            "test 5, gold 3\n")
+
+
 def test_compare_reports_models_and_tests(model_file, lexicon_file, capsys):
     code = main(["compare", "--grammar", "@demo/demo.grammar",
                  "--wordlist", "@demo/demo.wordlist",

@@ -248,6 +248,20 @@ def test_comment_line_separates_no_gold_blocks(outputs):
             outputs["ooc-eval-gr" + suffix]
 
 
+def test_compare_columns_are_the_eval_reports(outputs):
+    # eval-gr and eval-bracket print compare's lexicalized column, or its
+    # baseline column without --lexicon
+    compare = json.loads(outputs["compare-treebank-json.out"])
+    for column, lexicon in (("lexicalized", "acquired"),
+                            ("baseline", "baseline")):
+        eval_gr = json.loads(outputs[f"eval-gr-{lexicon}-json.out"])
+        relations = eval_gr.pop("relations")
+        assert compare["gr"][column] == eval_gr
+        assert compare["gr"]["relations"][column] == relations
+        assert compare["bracket"][column] == json.loads(
+            outputs[f"eval-bracket-{lexicon}-json.out"])
+
+
 @pytest.mark.parametrize("name", WRITTEN)
 def test_written_file(outputs, name):
     assert outputs[name] == _expected(name)

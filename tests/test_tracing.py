@@ -7,6 +7,7 @@ import importlib.util
 from pathlib import Path
 
 import frameparse as fp
+from frameparse import cli
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -59,3 +60,37 @@ def test_tracer_counts_acquisition_frames(adversarial_pipeline):
     # the third sentence, whose verbs are both full, is not ranked
     assert metrics["acquire.capped"]["value"] == 1
     assert metrics["rerank.verb_frames_calls"]["value"] == 2
+
+
+def test_tracer_records_the_cli_call_sites(tmp_path, adversarial_model,
+                                           capsys):
+    model = tmp_path / "adv.model"
+    fp.save_model(adversarial_model, model)
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        code = cli.main(["compare", "--grammar", "@demo/demo.grammar",
+                         "--wordlist", "@demo/demo.wordlist",
+                         "--lemma-exceptions", "@demo/demo.lemma_exceptions",
+                         "--model", str(model),
+                         "--lexicon", "@demo/demo.lexicon",
+                         "--corpus", "@demo/ppsuite.txt",
+                         "--gold-gr", "@demo/ppsuite_gold.grs",
+                         "--treebank", "@demo/ppsuite_gold.treebank"])
+    finally:
+        uninstall()
+    assert code == 0
+    assert capsys.readouterr().out.startswith("sentences\t20\n")
+    calls = {name: entry[0] for name, entry in tracer.by_name.items()}
+    # 20 sentences, each parsed once and ranked once per column
+    for name in ("evaluation.extract_grs", "evaluation.bracket_scores",
+                 "grs.gr_scores", "actions.unpack_n_best"):
+        assert calls[name] == 40, name
+    assert calls["glr.glr_parse"] == 20
+    assert calls["rerank.rank_analyses"] == 20
+    assert calls["evaluation.paired_t_test"] == 2
+    for name in ("lrtable.build_table", "actions.load_model",
+                 "lexicon.load_lexicon"):
+        assert calls[name] == 1, name
+    assert cli.extract_grs.__module__ == "frameparse.evaluation"
