@@ -603,7 +603,7 @@ def load_model(path, table: LRTable) -> ActionModel:
                 f"state {state} on {lookahead!r}")
         counts.setdefault((state, lookahead), Counter())[action] = count
         return (state, lookahead, action), float(fields[4])
-    rows = _read_table(Path(path).read_text(encoding="utf-8"),
+    rows = _read_table(Path(path).read_text(encoding="utf-8-sig"),
                        ("state", "lookahead", "action", "count", "prob"), row)
     model = ActionModel(table, counts)
     for (state, lookahead, action), (lineno, prob) in rows.items():

@@ -116,12 +116,12 @@ def _load_pipeline(args) -> ParserPipeline:
 
 
 def _read_sentences(path: Path) -> list[str]:
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
     return [line.strip() for line in lines if line.strip()]
 
 
 def _read_grs(path: Path):
-    return read_gr_file(path.read_text(encoding="utf-8"))
+    return read_gr_file(path.read_text(encoding="utf-8-sig"))
 
 
 def _load_gold(loader, value: str | None, sentences, source: str, unit: str):

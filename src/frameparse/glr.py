@@ -24,6 +24,16 @@ would have stopped the first time, so the GSS would use the edge
 merged into it only for one reduction pinned to that edge, which is
 what LR does.
 
+Plain LR files no node in the packing index: it makes trees, one
+alternative per node, and the GSS never needs to find one of them.
+Plain LR builds nothing at the position where it hands over, so every
+non-terminal it made ends before it, and the GSS only looks up a
+(category, start, i) at its current position i, at or after the
+hand-over.  So the GSS's index starts empty there, and a parse that
+stays in plain LR makes neither the index nor the GSS's set of added
+alternatives.  The forest keeps the trees left on the plain-LR stack
+beside that index.
+
 The grammar excludes empty rules after normalization, so every stack
 edge spans at least one token and reductions never loop within a
 position; a newly added edge only ever re-triggers reductions of the
@@ -68,17 +78,44 @@ class ForestNode:
 class Forest:
     """Packed parse forest over ``grammar``, whose rule objects its
     alternatives hold; empty (``root is None``) iff the input is out of
-    coverage."""
+    coverage.
 
-    __slots__ = ("tokens", "root", "nodes", "grammar")
+    ``lr_stack`` holds the nodes left on the plain-LR stack, at the
+    hand-over or at the end of input: the roots of the trees plain LR
+    made.  ``gss_index`` is the GSS's packing index, ``()`` when the
+    parse never left plain LR."""
+
+    __slots__ = ("tokens", "root", "lr_stack", "gss_index", "grammar")
 
     def __init__(self, tokens: tuple[str, ...], root: Optional[ForestNode],
-                 nodes: dict[tuple[str, int, int], ForestNode],
+                 lr_stack: Sequence[ForestNode],
+                 gss_index: dict[tuple[str, int, int], ForestNode] | tuple[()],
                  grammar: Grammar):
         self.tokens = tokens
         self.root = root
-        self.nodes = nodes
+        self.lr_stack = lr_stack
+        self.gss_index = gss_index
         self.grammar = grammar
+
+    @property
+    def nodes(self) -> dict[tuple[str, int, int], ForestNode]:
+        """Every node by (category, span), in the order the parse made
+        them; ``{}`` for an empty forest.  Built on each read."""
+        if self.root is None:
+            return {}
+        # Plain LR made each tree's nodes in postorder, the trees left
+        # to right: the reverse of a preorder that takes the last tree
+        # and the last daughter first.
+        made, stack = [], list(self.lr_stack)
+        while stack:
+            node = stack.pop()
+            made.append(node)
+            if node.alternatives:
+                stack.extend(node.alternatives[0][1])
+        nodes = {(node.symbol, node.start, node.end): node
+                 for node in reversed(made)}
+        nodes.update(self.gss_index)
+        return nodes
 
     def derivation_count(self) -> int:
         if self.root is None:
@@ -137,11 +174,6 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
             if tok not in terminals:
                 raise ParseError(f"unknown terminal {tok!r} at index {i}")
 
-    nodes: dict[tuple[str, int, int], ForestNode] = {}
-    # (packed node, rule id, daughters) of every alternative added:
-    # nodes are unique per (symbol, start, end) within one parse, so the
-    # daughters' identity tells alternatives apart.
-    added: set[tuple[ForestNode, int, tuple[ForestNode, ...]]] = set()
     moves = table.moves
     reduces = table.reduces
     n = len(tokens)
@@ -164,26 +196,35 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
             rules = reduces[state].get(lookahead)
         target = moves[state].get(lookahead)
         if rules or target is None and i < n:  # a conflict or a dead end
-            below = _GssNode(table.start_state, {})
-            for state, label in zip(states[1:], labels[1:]):
-                below = _GssNode(state, {(label, below): None})
-            frontier = {below.state: below}
             break
         for rule, state in chain:
             children = tuple(labels[-len(rule.daughters):])
             del states[-len(children):], labels[-len(children):]
-            packed = ForestNode(rule.mother, children[0].start, i,
-                                [(rule, children)])
-            nodes[(rule.mother, packed.start, i)] = packed
             states.append(state)
-            labels.append(packed)
+            labels.append(ForestNode(rule.mother, children[0].start, i,
+                                     [(rule, children)]))
         if i == n:
-            i += 1  # parsed to the end: no position is left for the GSS
-            break
+            # Accepted iff the start symbol's node stands alone on the
+            # stack: no rule reduces a cycle-free grammar's start symbol
+            # alone on the end marker, so the parse stops there.
+            accepted = (len(labels) == 2
+                        and labels[1].symbol == grammar.start_symbol)
+            return Forest(tuple(tokens), labels[1] if accepted else None,
+                          labels[1:], (), grammar)
         states.append(target)
         labels.append(ForestNode(lookahead, i, i + 1, ()))
-        nodes[(lookahead, i, i + 1)] = labels[-1]
 
+    # The hand-over: the stack becomes a chain of GSS nodes.
+    below = _GssNode(table.start_state, {})
+    for state, label in zip(states[1:], labels[1:]):
+        below = _GssNode(state, {(label, below): None})
+    frontier = {below.state: below}
+    # The GSS's packing index, of the nodes it makes from position i on.
+    nodes: dict[tuple[str, int, int], ForestNode] = {}
+    # (packed node, rule id, daughters) of every alternative added:
+    # nodes are unique per (symbol, start, end) within one parse, so the
+    # daughters' identity tells alternatives apart.
+    added: set[tuple[ForestNode, int, tuple[ForestNode, ...]]] = set()
     for i in range(i, n + 1):
         lookahead = padded[i]
         # (node, rule, edge): a reduction of node on the lookahead, its
@@ -257,11 +298,10 @@ def glr_parse(tokens: Sequence[str], table: LRTable) -> Forest:
             shifted.edges[(leaf, frontier[state])] = None
         frontier = next_frontier
         if not frontier:
-            return Forest(tuple(tokens), None, {}, grammar)
+            return Forest(tuple(tokens), None, (), (), grammar)
 
     # No accept flag: with no empty rules only the start state lives at
     # position 0, so a start-symbol node over the input was reduced onto
     # it, entering goto(start, S), the only state with the accept item.
     root = nodes.get((grammar.start_symbol, 0, n))
-    return Forest(tuple(tokens), root, nodes if root is not None else {},
-                  grammar)
+    return Forest(tuple(tokens), root, labels[1:], nodes, grammar)

@@ -372,7 +372,7 @@ def parse_grammar(text: str) -> Grammar:
 
 
 def load_grammar(path) -> Grammar:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         return parse_grammar(handle.read())
 
 

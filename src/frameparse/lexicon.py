@@ -143,7 +143,7 @@ def parse_lexicon(text: str) -> SubcatLexicon:
 
 
 def load_lexicon(path) -> SubcatLexicon:
-    return parse_lexicon(Path(path).read_text(encoding="utf-8"))
+    return parse_lexicon(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def save_lexicon(lexicon: SubcatLexicon, path) -> None:
@@ -190,6 +190,6 @@ def collapse_classes(fine: Iterable[tuple[str, str, float]],
 
 def load_class_map(path) -> dict[str, str]:
     """Read a ``fine_id<TAB>FRAME`` mapping file."""
-    rows = _read_table(Path(path).read_text(encoding="utf-8"),
+    rows = _read_table(Path(path).read_text(encoding="utf-8-sig"),
                        ("fine_id", "FRAME"), tuple, LexiconError)
     return {fine_id: frame for fine_id, (_, frame) in rows.items()}

@@ -106,13 +106,13 @@ def parse_wordlist(text: str) -> Wordlist:
 
 
 def load_wordlist(path) -> Wordlist:
-    return parse_wordlist(Path(path).read_text(encoding="utf-8"))
+    return parse_wordlist(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def load_lemma_exceptions(path) -> dict[tuple[str, str], str]:
     """Read ``surface<TAB>tag<TAB>lemma`` lines, keyed on the lowercased
     surface form."""
-    rows = _read_table(Path(path).read_text(encoding="utf-8"),
+    rows = _read_table(Path(path).read_text(encoding="utf-8-sig"),
                        ("surface", "tag", "lemma"),
                        lambda fields: ((fields[0].lower(), fields[1]),
                                        fields[2]),

@@ -190,7 +190,7 @@ def read_treebank(text: str) -> list[Tree]:
 
 
 def load_treebank(path) -> list[Tree]:
-    return read_treebank(Path(path).read_text(encoding="utf-8"))
+    return read_treebank(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def write_treebank(trees, path) -> None:

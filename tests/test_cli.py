@@ -499,6 +499,40 @@ def test_reports_byte_identical(tmp_path, model_file, lexicon_file):
     assert first.read_bytes() == second.read_bytes()
 
 
+BOM_RUNS = {
+    "compare": {"--grammar": "demo.grammar", "--wordlist": "demo.wordlist",
+                "--lemma-exceptions": "demo.lemma_exceptions",
+                "--model": None, "--lexicon": "demo.lexicon",
+                "--corpus": "ppsuite.txt", "--gold-gr": "ppsuite_gold.grs",
+                "--treebank": "ppsuite_gold.treebank"},
+    "parse": {"--grammar": "demo.grammar", "--model": None,
+              "--corpus": "acquisition.txt"},
+    "train": {"--grammar": "demo.grammar",
+              "--treebank": "adversarial.treebank"},
+}
+
+
+@pytest.mark.parametrize("command, option", [
+    *(("compare", option) for option in BOM_RUNS["compare"]),
+    ("parse", "--corpus"), ("train", "--treebank")])
+def test_byte_order_mark_is_ignored(tmp_path, model_file, command, option):
+    # every input file may start with a UTF-8 byte-order mark
+    files = {name: fp.demo_path(value) if value else model_file
+             for name, value in BOM_RUNS[command].items()}
+    marked = tmp_path / f"marked-{files[option].name}"
+    marked.write_bytes(b"\xef\xbb\xbf" + files[option].read_bytes())
+    outputs = []
+    for path in (files[option], marked):
+        argv = [command]
+        for name, value in {**files, option: path}.items():
+            argv += [name, str(value)]
+        out = tmp_path / f"{len(outputs)}.out"
+        argv += ["--model" if command == "train" else "--out", str(out)]
+        assert main(argv) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 MALFORMED = [
     # option, malformed text, start of the message after the path
     pytest.param("--model", None, "line 2: ", id="--model"),  # second row cut short

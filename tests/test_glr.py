@@ -50,10 +50,33 @@ def test_unknown_terminal_reports_position(demo_table):
 
 
 def test_out_of_coverage_is_empty(demo_table):
-    forest = fp.glr_parse(["det", "det"], demo_table)
-    assert forest.root is None
-    assert all_trees(forest) == []
-    assert forest.derivation_count() == 0
+    # "det det" dies in the GSS; "det n" is read to the end as plain LR
+    for tokens in (["det", "det"], ["det", "n"]):
+        forest = fp.glr_parse(tokens, demo_table)
+        assert forest.root is None
+        assert forest.nodes == {}
+        assert all_trees(forest) == []
+        assert forest.derivation_count() == 0
+
+
+LR_KEYS = [("det", 0, 1), ("n", 1, 2), ("NP", 0, 2), ("v", 2, 3),
+           ("det", 3, 4), ("n", 4, 5)]
+
+
+@pytest.mark.parametrize("tokens, keys", [
+    # plain LR to the end
+    ("det n v det n", LR_KEYS + [("NP", 3, 5), ("VP", 2, 5), ("S", 0, 5)]),
+    # plain LR up to the attachment conflict at 5, the GSS from there on
+    ("det n v det n prep det n",
+     LR_KEYS + [("NP", 3, 5), ("VP", 2, 5), ("prep", 5, 6), ("det", 6, 7),
+                ("n", 7, 8), ("NP", 6, 8), ("PP", 5, 8), ("VP", 2, 8),
+                ("NP", 3, 8), ("S", 0, 8)]),
+])
+def test_forest_nodes_in_the_order_they_were_made(demo_table, tokens, keys):
+    forest = fp.glr_parse(tokens.split(), demo_table)
+    assert list(forest.nodes) == keys
+    # each read assembles the same nodes afresh
+    assert list(forest.nodes.items()) == list(forest.nodes.items())
 
 
 def test_derivation_count_of_a_deep_unit_chain():
@@ -119,8 +142,7 @@ def test_oracle_equivalence_random_grammars():
     assert compared >= 100
 
 
-def _hand_over_case(table, tokens):
-    conflict = first_conflict(table, tokens)
+def _hand_over_case(conflict, tokens):
     if conflict is None:
         return "none"
     # The start state holds only shifts, as no rule is empty, so the
@@ -152,8 +174,14 @@ def test_hand_over_keeps_every_derivation(demo_table):
         forest = fp.glr_parse(tokens, table)
         _check_nodes(forest)
         assert Counter(canon(t) for t in all_trees(forest)) == oracle, tokens
+        # A node that ends before the hand-over was made by plain LR and
+        # never packed, so plain LR needs no packing index.
+        conflict = first_conflict(table, tokens)
+        assert all(len(node.alternatives) <= 1
+                   for node in forest.nodes.values()
+                   if conflict is None or node.end < conflict), tokens
         if oracle:
-            cases[_hand_over_case(table, tokens)] += 1
+            cases[_hand_over_case(conflict, tokens)] += 1
     assert set(cases) == {"first", "middle", "end", "none"}, cases
 
 
@@ -167,4 +195,6 @@ def test_multi_word_name_parses_once(demo_table):
 
 
 def test_empty_input_out_of_coverage(demo_table):
-    assert fp.glr_parse([], demo_table).root is None
+    forest = fp.glr_parse([], demo_table)
+    assert forest.root is None
+    assert forest.nodes == {}

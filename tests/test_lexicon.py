@@ -232,3 +232,6 @@ class TestCollapse:
         path = tmp_path / "map.tsv"
         path.write_text("c1\tNP\nc2\tPP\n")
         assert fp.load_class_map(path) == {"c1": "NP", "c2": "PP"}
+        # a leading byte-order mark is not part of the first fine id
+        path.write_text("\ufeffc1\tNP\nc2\tPP\n", encoding="utf-8")
+        assert fp.load_class_map(path) == {"c1": "NP", "c2": "PP"}
