@@ -42,16 +42,14 @@ class ObservationStore:
 
     def full(self, lemma: str) -> bool:
         """True iff ``lemma`` is registered and holds ``cap`` frames, so
-        that :meth:`add` for it returns ``False`` and changes nothing."""
+        that :meth:`add` for it changes nothing."""
         observed = self.frames.get(lemma)
         return observed is not None and len(observed) >= self.cap
 
-    def add(self, lemma: str, frame: str) -> bool:
+    def add(self, lemma: str, frame: str) -> None:
         observed = self.frames.setdefault(lemma, [])
-        if len(observed) >= self.cap:
-            return False
-        observed.append(frame)
-        return True
+        if len(observed) < self.cap:
+            observed.append(frame)
 
     def total_observations(self) -> int:
         return sum(len(v) for v in self.frames.values())

@@ -219,7 +219,7 @@ class ActionModel:
                 if action[0] == "shift":
                     # a leaf's one edge is its shift
                     self.leaves[state][lookahead] = _Vertex(
-                        None, [(None, (), logprob, 0.0, logprob, step)], 0,
+                        None, [((), logprob, 0.0, logprob, step)], 0,
                         logprob, False, math.inf)
                 elif action[0] == "reduce":
                     self.reduce_rows[state].setdefault(lookahead, {})[
@@ -283,11 +283,12 @@ class _Vertex:
     """A (forest node, entry state) vertex of the ranking hypergraph; a
     leaf's, shared by every forest, has no node.
 
-    Each edge is ``(rule, tails, weight, share, logprob, step)``: the
-    rule applied (``None`` for a leaf's shift), the daughter vertices,
-    the closing action's log-probability plus the lexical share, the
-    share alone, the log-probability alone and the ``(state, lookahead,
-    action)`` step of that action (the shift, or the rule's reduce).
+    Each edge is ``(tails, weight, share, logprob, step)``: the daughter
+    vertices, the closing action's log-probability plus the lexical
+    share, the share alone, the log-probability alone and the ``(state,
+    lookahead, action)`` step of that action (the shift, or the rule's
+    reduce).  A node's edge ``i`` is made from its alternative ``i``,
+    which holds the rule applied and the daughter nodes.
     ``derivations`` lists ``(score, edge index, tail ranks)`` best
     first, as far as found; ``score`` is the best one's score, and
     ``margin`` is that less the runner-up's, ``inf`` with one
@@ -304,7 +305,7 @@ class _Vertex:
         self.ambiguous = ambiguous
         self.score = score
         self.margin = margin
-        self.derivations = [(score, best, (0,) * len(edges[best][1]))]
+        self.derivations = [(score, best, (0,) * len(edges[best][0]))]
         # both made when a second derivation is first asked for
         self.candidates: Optional[list] = None
         self.seen: Optional[set] = None
@@ -312,9 +313,9 @@ class _Vertex:
 
 def _edge_score(edge: tuple, ranks: tuple[int, ...]) -> float:
     score = 0.0
-    for tail, rank in zip(edge[1], ranks):
+    for tail, rank in zip(edge[0], ranks):
         score += tail.derivations[rank][0]
-    return score + edge[2]
+    return score + edge[1]
 
 
 class _ForestSearch:
@@ -378,13 +379,13 @@ class _ForestSearch:
                 best_score = score
             elif score > runner:
                 runner = score
-            edges.append((rule, tuple(tails), weight, share, logprob, step))
+            edges.append((tuple(tails), weight, share, logprob, step))
         # The runner-up takes another edge's best derivation, or the best
         # edge with one tail's runner-up.
         margin = math.inf
         if ambiguous:
             margin = best_score - runner
-            for tail in edges[best][1]:
+            for tail in edges[best][0]:
                 if tail.margin < margin:
                     margin = tail.margin
         vertex = vertices[(node, state)] = _Vertex(
@@ -405,7 +406,7 @@ class _ForestSearch:
             heap = vertex.candidates = []
             seen = vertex.seen = set()
             for index, edge in enumerate(vertex.edges):
-                ranks = (0,) * len(edge[1])
+                ranks = (0,) * len(edge[0])
                 seen.add((index, ranks))
                 if index != found[0][1]:
                     heap.append((-_edge_score(edge, ranks), index, ranks))
@@ -414,7 +415,7 @@ class _ForestSearch:
             # LazyNext: the neighbours of the last derivation found
             _, index, ranks = found[-1]
             edge = vertex.edges[index]
-            for i, tail in enumerate(edge[1]):
+            for i, tail in enumerate(edge[0]):
                 successor = ranks[:i] + (ranks[i] + 1,) + ranks[i + 1:]
                 if ((index, successor) not in vertex.seen
                         and self.has_derivation(tail, successor[i])):
@@ -434,17 +435,16 @@ class _ForestSearch:
         and ``logprobs`` in trace order, and the lexical shares of its rule
         applications to ``shares`` in preorder."""
         _, index, ranks = vertex.derivations[k]
-        rule, tails, _, share, logprob, step = vertex.edges[index]
+        tails, _, share, logprob, step = vertex.edges[index]
         node = vertex.node
+        rule, daughters = node.alternatives[index]
         shares.append(share)
         children = []
-        # edges[index] was made from alternatives[index]
-        daughters = node.alternatives[index][1]
         for tail, rank, daughter in zip(tails, ranks, daughters):
             if not daughter.alternatives:
                 shift = tail.edges[0]
-                trace.append(shift[5])
-                logprobs.append(shift[4])
+                trace.append(shift[4])
+                logprobs.append(shift[3])
                 children.append(Tree(daughter.symbol, daughter.start,
                                      daughter.end))
             else:
@@ -455,12 +455,15 @@ class _ForestSearch:
         return Tree(node.symbol, node.start, node.end, tuple(children), rule)
 
 
-def _check_grammar(forest: Forest, model: ActionModel) -> None:
+def _has_root(forest: Forest, model: ActionModel) -> bool:
+    """Whether ``forest`` has a root; raises ``ValueError`` unless it was
+    parsed over the model's grammar."""
     # The search trusts the forest once it was parsed over the model's
     # grammar, whose rule objects the model's table holds.
     if forest.grammar is not model.table.grammar:
         raise ValueError("model/table mismatch: forest built from a "
                          "different grammar")
+    return forest.root is not None
 
 
 def top_applications(forest: Forest, model: ActionModel
@@ -471,13 +474,13 @@ def top_applications(forest: Forest, model: ActionModel
     one derivation is that analysis, so its one alternative per node is
     read straight off it, with no Viterbi pass.  Otherwise, off a near
     tie, they are read off the Viterbi pass by following each vertex's
-    best edge, with no tree, trace or score built; either way the
-    daughters are forest nodes.  When the root margin is within the tie
-    band only the trace sort of :func:`unpack_n_best` picks the top
-    analysis, so they are read off the tree it builds from the same
-    pass, and the daughters are tree nodes."""
-    _check_grammar(forest, model)
-    if forest.root is None:
+    best edge, with no tree, trace or score built; either way each
+    application is the forest's own alternative tuple, whose daughters
+    are forest nodes.  When the root margin is within the tie band only
+    the trace sort of :func:`unpack_n_best` picks the top analysis, so
+    they are read off the tree it builds from the same pass, and the
+    daughters are tree nodes."""
+    if not _has_root(forest, model):
         return []
     # Every node of a forest of one derivation has one alternative, so
     # that derivation is read off in the order of the best-edge walk
@@ -488,9 +491,8 @@ def top_applications(forest: Forest, model: ActionModel
         node = stack.pop()
         if len(node.alternatives) > 1:
             break
-        rule, daughters = node.alternatives[0]
-        applications.append((rule, daughters))
-        for daughter in reversed(daughters):
+        applications.append(node.alternatives[0])
+        for daughter in reversed(node.alternatives[0][1]):
             if daughter.alternatives:
                 stack.append(daughter)
     else:
@@ -505,10 +507,8 @@ def top_applications(forest: Forest, model: ActionModel
     while stack:
         vertex = stack.pop()
         index = vertex.derivations[0][1]
-        rule, tails = vertex.edges[index][:2]
-        # edges[index] was made from alternatives[index]
-        applications.append((rule, vertex.node.alternatives[index][1]))
-        for tail in reversed(tails):
+        applications.append(vertex.node.alternatives[index])
+        for tail in reversed(vertex.edges[index][0]):
             if tail.node is not None:  # not a leaf's
                 stack.append(tail)
     return applications
@@ -529,8 +529,7 @@ def unpack_n_best(forest: Forest, model: ActionModel, n: int,
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"n must be an int of at least 1, got {n!r}")
-    _check_grammar(forest, model)
-    if forest.root is None:
+    if not _has_root(forest, model):
         return []
     return _best_analyses(_ForestSearch(forest, model, lexical), n)
 
@@ -552,7 +551,7 @@ def _best_analyses(search: _ForestSearch, n: int) -> list[RankedAnalysis]:
             popped += 1
             if popped == n:
                 floor = score - _TIE_BAND * abs(score)
-    scored = []
+    analyses = []
     for k in range(popped):
         trace: list = []
         logprobs: list = []
@@ -560,12 +559,12 @@ def _best_analyses(search: _ForestSearch, n: int) -> list[RankedAnalysis]:
         tree = search.build(root, k, trace, logprobs, shares)
         trace.append(accept)
         logprobs.append(accept_logprob)
-        scored.append((Derivation(tree, tuple(trace)), sum(logprobs),
-                       sum(shares, 0.0)))
-    if len(scored) > 1:
-        scored.sort(key=lambda item: (-(item[1] + item[2]),
-                                      trace_sort_key(item[0].actions)))
-    return [RankedAnalysis(*item) for item in scored[:n]]
+        analyses.append(RankedAnalysis(Derivation(tree, tuple(trace)),
+                                       sum(logprobs), sum(shares, 0.0)))
+    if len(analyses) > 1:
+        analyses.sort(key=lambda analysis: (
+            -analysis.total_score, trace_sort_key(analysis.derivation.actions)))
+    return analyses[:n]
 
 
 def save_model(model: ActionModel, path) -> None:

@@ -23,8 +23,9 @@ from pathlib import Path
 from .actions import load_model, save_model, train_actions
 from .acquire import hypothesize_entries, observe_corpus
 from .demofiles import demo_path
-from .evaluation import (EvaluationError, aggregate_brackets, aggregate_grs,
-                         bracket_scores, extract_grs, paired_t_test)
+from .evaluation import (EvaluationError, TTestResult, aggregate_brackets,
+                         aggregate_grs, bracket_scores, extract_grs,
+                         paired_t_test)
 from .grammar import Grammar, load_grammar, normalize_kleene
 from .grs import read_gr_file
 from .lexicon import load_lexicon, save_lexicon
@@ -234,12 +235,13 @@ def cmd_parse(args) -> int:
 
 def cmd_acquire(args) -> int:
     pipeline = _load_pipeline(args)
-    sentences = _load(_read_sentences, args.corpus)
-    store = observe_corpus(sentences, pipeline, cap=args.cap)
+    store = observe_corpus(_load(_read_sentences, args.corpus), pipeline,
+                           cap=args.cap)
     lexicon = hypothesize_entries(store, min_count=args.min_count,
                                   min_relfreq=args.min_relfreq)
     save_lexicon(lexicon, Path(args.out))
-    print("sentences\t%d" % len(sentences))
+    print("sentences\t%d" % (store.parsed_sentences
+                              + store.skipped_sentences))
     print("parsed\t%d" % store.parsed_sentences)
     print("skipped\t%d" % store.skipped_sentences)
     print("verbs\t%d" % len(store.frames))
@@ -334,10 +336,13 @@ def _emit_report(payload, lines: list[str], args) -> None:
 def cmd_compare(args) -> int:
     (base_report, base_brackets), (lex_report, lex_brackets) = _evaluate(
         args, (False, True))
-    recall_test = paired_t_test(lex_report.per_sentence_recall,
-                                base_report.per_sentence_recall)
-    precision_test = paired_t_test(lex_report.per_sentence_precision,
-                                   base_report.per_sentence_precision)
+    # one sentence is too few for a t-test: its statistics are undefined
+    recall_test = precision_test = TTestResult(math.nan, 0, math.nan)
+    if base_report.sentences > 1:
+        recall_test = paired_t_test(lex_report.per_sentence_recall,
+                                    base_report.per_sentence_recall)
+        precision_test = paired_t_test(lex_report.per_sentence_precision,
+                                       base_report.per_sentence_precision)
     stats = {"recall_t": recall_test.t, "recall_df": recall_test.df,
              "recall_p": recall_test.p_two_sided,
              "precision_t": precision_test.t, "precision_df": precision_test.df,

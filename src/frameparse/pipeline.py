@@ -36,7 +36,6 @@ def check_tags(grammar: Grammar, tags, kind: str) -> None:
 class SentenceResult(NamedTuple):
     """Ranked analyses for one sentence; empty iff out of coverage."""
 
-    sentence: str
     tokens: list[Token]
     analyses: list[RankedAnalysis]
 
@@ -102,7 +101,7 @@ class ParserPipeline:
         with the attached lexicon's frame term if there is one."""
         tokens = self.tag(sentence)
         forest = self.parse_tags([token.tag for token in tokens])
-        return SentenceResult(sentence, tokens, self.rank(forest, tokens, n))
+        return SentenceResult(tokens, self.rank(forest, tokens, n))
 
     def rank(self, forest: Forest, tokens: Sequence[Token], n: int = 1,
              lexicalized: bool = True) -> list[RankedAnalysis]:

@@ -53,7 +53,7 @@ def test_flat_log_probabilities_are_the_models(demo_table, adversarial_model):
                     shifts[(state, lookahead)] = entry
                 elif action[0] == "reduce":
                     reduces[(state, lookahead, action[1])] = entry
-        assert {(state, tag): leaf.edges[0][4:]
+        assert {(state, tag): leaf.edges[0][3:]
                 for state, row in enumerate(model.leaves)
                 for tag, leaf in row.items()} == shifts
         assert {(state, lookahead, rule_id): entry
@@ -265,8 +265,8 @@ def test_logprob_is_log_of_prob_exactly(demo_table, adversarial_model):
             if action[0] == "shift":
                 leaf = adversarial_model.leaves[state][lookahead]
                 # the Viterbi pass reads the score, build the edge
-                assert leaf.derivations[0][0] == leaf.edges[0][4]
-                logprob = leaf.edges[0][4]
+                assert leaf.derivations[0][0] == leaf.edges[0][3]
+                logprob = leaf.edges[0][3]
             elif action[0] == "reduce":
                 logprob, _ = adversarial_model.reduce_rows[state][lookahead][
                     action[1]]
@@ -358,6 +358,8 @@ def test_top_applications_are_the_top_analysis(monkeypatch):
     for forest, models in cases:
         if forest.root is None:
             continue
+        alternatives = {id(alternative) for node in forest.nodes.values()
+                        for alternative in node.alternatives}
         for model in models:
             lazy.clear()
             searches.clear()
@@ -366,6 +368,9 @@ def test_top_applications_are_the_top_analysis(monkeypatch):
                 tied += 1
             else:
                 walked += 1
+                # off a near tie, each is the forest's own alternative
+                assert all(id(application) in alternatives
+                           for application in applications)
             # a forest of one derivation is read with no Viterbi pass
             if forest.derivation_count() == 1:
                 assert searches == []

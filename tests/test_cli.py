@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +52,26 @@ def test_build_table_on_a_deep_unit_chain(tmp_path, capsys):
     grammar.write_text(f"terminals: a\nstart: A0\n{rules}A{depth} -> a\n")
     assert main(["build-table", "--grammar", str(grammar)]) == 0
     assert capsys.readouterr().out.startswith("states\t")
+
+
+def test_module_runs_as_a_script(tmp_path):
+    # python -m frameparse.cli exits with main()'s status; the child
+    # keeps any PYTHONPATH entries after the package's own directory
+    src = str(Path(fp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def run(grammar):
+        return subprocess.run([sys.executable, "-m", "frameparse.cli",
+                               "build-table", "--grammar", grammar],
+                              capture_output=True, text=True, env=env)
+    built = run("@demo/demo.grammar")
+    assert built.returncode == 0
+    golden = Path(__file__).resolve().parent / "golden" / "build-table.out"
+    assert built.stdout == golden.read_text(encoding="utf-8")
+    missing = run(str(tmp_path / "missing.grammar"))
+    assert missing.returncode == 2
+    assert "missing.grammar" in missing.stderr
 
 
 def test_missing_grammar_file_exit_2(capsys):
@@ -482,6 +506,35 @@ def test_compare_json_holds_no_infinity(tmp_path, model_file, capsys):
                          parse_constant=_refuse_constant)
     assert payload["precision_t"] == "inf"
     assert payload["precision_p"] == 0.0
+
+
+def test_compare_reports_one_sentence_without_t_tests(tmp_path, model_file,
+                                                      capsys):
+    # One sentence is too few for a t-test: compare prints its columns
+    # and writes the statistics as undefined.
+    corpus = tmp_path / "one.txt"
+    corpus.write_text("the meeting will hear a greeting from the senator\n")
+    gold_gr = tmp_path / "one.grs"
+    gold_gr.write_text("ncsubj(hear,meeting,_)\ndobj(hear,greeting,_)\n")
+    argv = ["compare", "--grammar", "@demo/demo.grammar",
+            "--wordlist", "@demo/demo.wordlist",
+            "--lemma-exceptions", "@demo/demo.lemma_exceptions",
+            "--model", str(model_file), "--lexicon", "@demo/demo.lexicon",
+            "--corpus", str(corpus), "--gold-gr", str(gold_gr)]
+    stats = {"recall_t": "nan", "recall_df": 0, "recall_p": "nan",
+             "precision_t": "nan", "precision_df": 0, "precision_p": "nan"}
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[:2] == ["sentences\t1",
+                         "model\trecall\tprecision\tmean_returned"]
+    assert lines[-6:] == ["%s\t%s" % item for item in stats.items()]
+    assert main(argv + ["--format", "machine-readable"]) == 0
+    payload = json.loads(capsys.readouterr().out,
+                         parse_constant=_refuse_constant)
+    assert payload["sentences"] == 1 and "bracket" not in payload
+    assert {key: payload[key] for key in stats} == stats
 
 
 def test_reports_byte_identical(tmp_path, model_file, lexicon_file):

@@ -6,7 +6,7 @@ the top write the model and lexicon the later ones read, under
 relative names, so no temporary path reaches an output.  The treebank
 and grammar files of the error repros, an empty corpus and a corpus
 with gold whose second sentence is out of coverage are written there
-the same way.
+the same way, and so is a one-sentence corpus with its gold.
 The expected stdout (``<name>.out``), stderr (``<name>.err``), exit
 status (``status.tsv``) and written files are under ``tests/golden/``.
 After a deliberate output change, rewrite them with
@@ -116,6 +116,15 @@ OUT_OF_COVERAGE = {
                          "dobj(see,dog,_)\n\nncsubj(in,the,_)\n",
 }
 OOC = ["--corpus", "ooc.txt"]
+# One sentence with its gold: compare prints its columns, and no t-test
+# can be run.
+ONE_SENTENCE = {
+    "one.txt": "the meeting will hear a greeting from the senator\n",
+    "one.treebank": "(S (NP (det the) (n meeting)) (VP (aux will) (VP (v hear) "
+                    "(NP (NP (det a) (n greeting)) (PP (prep from) "
+                    "(NP (det the) (n senator)))))))\n",
+    "one.grs": "ncsubj(hear,meeting,_)\ndobj(hear,greeting,_)\n",
+}
 # A comma must not put a sentence out of coverage, nor a non-ASCII
 # letter split a word.
 TOKENIZING = ["the child sees a dog, in the park", "the naïve child sleeps"]
@@ -180,6 +189,10 @@ def _commands():
         yield f"compare-{fmt}", compare
         yield (f"compare-treebank-{fmt}",
                compare + ["--treebank", "@demo/ppsuite_gold.treebank"])
+        yield (f"one-compare-{fmt}",
+               ["compare", *PIPELINE, *LEXICONS["acquired"], *fmt_args,
+                "--corpus", "one.txt", "--gold-gr", "one.grs",
+                "--treebank", "one.treebank"])
 
 
 COMMANDS = dict(_commands())
@@ -199,7 +212,7 @@ def run_commands(workdir: Path) -> dict[str, str]:
         for name, text in GRAMMARS.items():
             Path(f"{name}.grammar").write_text(text, encoding="utf-8")
         Path("empty.txt").write_text("", encoding="utf-8")
-        for name, text in OUT_OF_COVERAGE.items():
+        for name, text in {**OUT_OF_COVERAGE, **ONE_SENTENCE}.items():
             Path(name).write_text(text, encoding="utf-8")
         for name, argv in COMMANDS.items():
             stdout, stderr = io.StringIO(), io.StringIO()
